@@ -29,7 +29,7 @@ void BM_RawSendPingPong(benchmark::State& state) {
   const int pairs = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Simulator sim;
-    Network net(&sim, FastLink(), Rng(1), nullptr);
+    Network net(&sim, FastLink(), Rng(1));
     int completed = 0;
     net.RegisterHandler(1, [&](const Message& m) {
       net.Send(1, 0, Ack{std::get<AbortRequest>(m.payload).txn});
@@ -51,7 +51,7 @@ void BM_RpcCallPingPong(benchmark::State& state) {
   const int pairs = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Simulator sim;
-    Network net(&sim, FastLink(), Rng(1), nullptr);
+    Network net(&sim, FastLink(), Rng(1));
     RpcEndpoint client(&sim, &net, 0, 1);
     RpcEndpoint server(&sim, &net, 1, 2);
     int completed = 0;
@@ -82,7 +82,7 @@ void BM_RpcRetryStorm(benchmark::State& state) {
     Simulator sim;
     LatencyConfig lat = FastLink();
     lat.mean = Millis(30);
-    Network net(&sim, lat, Rng(1), nullptr);
+    Network net(&sim, lat, Rng(1));
     RpcEndpoint client(&sim, &net, 0, 1);
     RpcEndpoint server(&sim, &net, 1, 2);
     int completed = 0;
@@ -112,7 +112,7 @@ BENCHMARK(BM_RpcRetryStorm)->Arg(256);
 /// trims. Measures Accept()+Reply() bookkeeping cost alone.
 void BM_RpcDuplicateWindow(benchmark::State& state) {
   Simulator sim;
-  Network net(&sim, FastLink(), Rng(1), nullptr);
+  Network net(&sim, FastLink(), Rng(1));
   RpcEndpoint server(&sim, &net, 1, 2);
   net.RegisterHandler(0, [](const Message&) {});
   uint64_t rpc_id = 0;

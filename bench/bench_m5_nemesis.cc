@@ -56,11 +56,10 @@ LatencyConfig BenchLatency() {
 
 struct Harness {
   Simulator sim;
-  TraceLog trace;
   Network net;
   uint64_t received = 0;
 
-  Harness() : net(&sim, BenchLatency(), Rng(7), &trace) {
+  Harness() : net(&sim, BenchLatency(), Rng(7)) {
     for (SiteId s = 0; s < 4; ++s) {
       net.RegisterHandler(s, [this](const Message&) { ++received; });
     }

@@ -88,11 +88,10 @@ LatencyConfig BenchLatency() {
 
 struct MsgHarness {
   Simulator sim;
-  TraceLog trace;
   Network net;
   uint64_t received = 0;
 
-  MsgHarness() : net(&sim, BenchLatency(), Rng(7), &trace) {
+  MsgHarness() : net(&sim, BenchLatency(), Rng(7)) {
     for (SiteId s = 0; s < 4; ++s) {
       net.RegisterHandler(s, [this](const Message&) { ++received; });
     }

@@ -1,34 +1,10 @@
 #include "common/trace.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <set>
-#include <sstream>
-
-#include "common/string_util.h"
 
 namespace rainbow {
-
-const char* TraceCategoryName(TraceCategory c) {
-  switch (c) {
-    case TraceCategory::kTxn:
-      return "txn";
-    case TraceCategory::kRcp:
-      return "rcp";
-    case TraceCategory::kCcp:
-      return "ccp";
-    case TraceCategory::kAcp:
-      return "acp";
-    case TraceCategory::kNet:
-      return "net";
-    case TraceCategory::kFault:
-      return "fault";
-    case TraceCategory::kSite:
-      return "site";
-    case TraceCategory::kGeneral:
-      return "general";
-  }
-  return "?";
-}
 
 const char* AbortCauseName(AbortCause cause) {
   switch (cause) {
@@ -46,64 +22,6 @@ const char* AbortCauseName(AbortCause cause) {
       return "other";
   }
   return "?";
-}
-
-void TraceLog::Record(SimTime time, TraceCategory category, SiteId site,
-                      std::string text) {
-  if (!enabled_) return;
-  if (events_.size() >= capacity_) {
-    events_.erase(events_.begin(), events_.begin() + events_.size() / 2);
-  }
-  events_.push_back(TraceEvent{time, category, site, std::move(text)});
-}
-
-void TraceLog::MergeFrom(const TraceLog& other) {
-  events_.insert(events_.end(), other.events_.begin(), other.events_.end());
-}
-
-void TraceLog::CanonicalSort() {
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.site < b.site;
-                   });
-}
-
-namespace {
-void RenderEvent(std::ostringstream& os, const TraceEvent& e) {
-  os << StringPrintf("%10lld [%-5s]", static_cast<long long>(e.time),
-                     TraceCategoryName(e.category));
-  if (e.site == kInvalidSite) {
-    os << "      ";
-  } else if (e.site == kNameServerId) {
-    os << "   @NS";
-  } else {
-    os << StringPrintf(" @S%-4u", e.site);
-  }
-  os << " " << e.text << "\n";
-}
-}  // namespace
-
-std::string TraceLog::Render() const {
-  std::ostringstream os;
-  for (const TraceEvent& e : events_) RenderEvent(os, e);
-  return os.str();
-}
-
-std::string TraceLog::Render(TraceCategory only) const {
-  std::ostringstream os;
-  for (const TraceEvent& e : events_) {
-    if (e.category == only) RenderEvent(os, e);
-  }
-  return os.str();
-}
-
-size_t TraceLog::CountContaining(const std::string& needle) const {
-  size_t n = 0;
-  for (const TraceEvent& e : events_) {
-    if (e.text.find(needle) != std::string::npos) ++n;
-  }
-  return n;
 }
 
 const char* TraceDetailName(TraceDetail d) {
@@ -166,6 +84,12 @@ const char* TraceEventKindName(TraceEventKind k) {
       return "txn_commit";
     case TraceEventKind::kTxnAbort:
       return "txn_abort";
+    case TraceEventKind::kSiteCrash:
+      return "site_crash";
+    case TraceEventKind::kSiteRecover:
+      return "site_recover";
+    case TraceEventKind::kFault:
+      return "fault";
     case TraceEventKind::kCount:
       break;
   }

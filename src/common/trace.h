@@ -1,7 +1,6 @@
 #ifndef RAINBOW_COMMON_TRACE_H_
 #define RAINBOW_COMMON_TRACE_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -9,76 +8,7 @@
 
 namespace rainbow {
 
-/// Categories of trace events, so observers can filter.
-enum class TraceCategory {
-  kTxn,      ///< transaction lifecycle (arrive, commit, abort)
-  kRcp,      ///< replication-control steps (quorum build, copy access)
-  kCcp,      ///< concurrency-control decisions (grant, wait, victim)
-  kAcp,      ///< atomic-commit phases (prepare, vote, decision)
-  kNet,      ///< message send/deliver/drop
-  kFault,    ///< injected failures and recoveries
-  kSite,     ///< site-local events (crash, recover, restart)
-  kGeneral,
-};
-
-const char* TraceCategoryName(TraceCategory c);
-
-/// One trace record: what happened, where, and at what simulated time.
-/// The progress monitor renders these as the "execution history" view
-/// that the Rainbow GUI shows in real time.
-struct TraceEvent {
-  SimTime time = 0;
-  TraceCategory category = TraceCategory::kGeneral;
-  SiteId site = kInvalidSite;
-  std::string text;
-};
-
-/// Collects trace events. Cheap when disabled (the common case for
-/// large benchmark runs); tests and the interactive example enable it
-/// to assert on / display execution histories.
-class TraceLog {
- public:
-  /// When disabled, Record() is a no-op.
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
-  /// Caps memory; older events are discarded beyond this count.
-  void set_capacity(size_t cap) { capacity_ = cap; }
-
-  void Record(SimTime time, TraceCategory category, SiteId site,
-              std::string text);
-
-  const std::vector<TraceEvent>& events() const { return events_; }
-  void Clear() { events_.clear(); }
-
-  /// Appends another log's events (per-shard log merge). Ignores the
-  /// enabled flag — merge targets are assembled, not recorded into.
-  void MergeFrom(const TraceLog& other);
-
-  /// Stable-sorts events by (time, site): the canonical cross-shard
-  /// order. Within one (time, site) pair emission order is preserved —
-  /// and a site's events always sit in a single shard buffer, so the
-  /// merged order is shard-count-invariant.
-  void CanonicalSort();
-
-  /// Renders events (optionally only one category) as "time [cat] @site text".
-  std::string Render() const;
-  std::string Render(TraceCategory only) const;
-
-  /// Number of recorded events whose text contains `needle`.
-  size_t CountContaining(const std::string& needle) const;
-
- private:
-  bool enabled_ = false;
-  size_t capacity_ = 1 << 20;
-  std::vector<TraceEvent> events_;
-};
-
-// ---------------------------------------------------------------------------
-// Structured per-transaction tracing
-// ---------------------------------------------------------------------------
-
-/// How much the structured TraceCollector records.
+/// How much the TraceCollector records.
 enum class TraceDetail {
   kOff = 0,   ///< Emit() is a no-op; zero cost on hot paths
   kProtocol,  ///< protocol-level decisions (quorum, CC, votes, retries)
@@ -113,13 +43,17 @@ enum class TraceEventKind {
   kMsgDrop,          ///< kFull only: message dropped (detail = cause)
   kTxnCommit,        ///< transaction committed at its coordinator
   kTxnAbort,         ///< transaction aborted (detail = cause)
+  kSiteCrash,        ///< a site (or the name server) crashed
+  kSiteRecover,      ///< it came back (arg = new epoch, detail = restart summary)
+  kFault,            ///< injected network/storage fault (detail = script line)
   kCount,
 };
 
 const char* TraceEventKindName(TraceEventKind k);
 
 /// One structured trace event. `txn` is invalid for events that are not
-/// transaction-scoped (e.g. recovery refresh traffic at kFull detail).
+/// transaction-scoped (site crash/recover, faults, recovery refresh
+/// traffic at kFull detail).
 struct TraceRecord {
   SimTime time = 0;
   TraceEventKind kind = TraceEventKind::kTxnSubmit;
@@ -159,7 +93,9 @@ class TraceCollector {
   void MergeFrom(const TraceCollector& other);
 
   /// Stable-sorts records by (time, site): the canonical cross-shard
-  /// order (see TraceLog::CanonicalSort).
+  /// order. Within one (time, site) pair emission order is preserved —
+  /// and a site's records always sit in a single shard buffer, so the
+  /// merged order is shard-count-invariant.
   void CanonicalSort();
 
   /// Events of one transaction, in emission (= time) order.

@@ -95,7 +95,6 @@ std::string SystemConfig::ToText() const {
   os << "seed = " << seed << "\n";
   os << "num_sites = " << num_sites << "\n";
   os << "sim_shards = " << sim_shards << "\n";
-  os << "enable_trace = " << (enable_trace ? "true" : "false") << "\n";
   os << "record_history = " << (record_history ? "true" : "false") << "\n";
   os << "stats_bucket = " << stats_bucket << "\n";
   os << "trace_enabled = " << (trace_enabled ? "true" : "false") << "\n";
@@ -203,8 +202,6 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
     } else if (key == "sim_shards") {
       RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
       cfg.sim_shards = static_cast<uint32_t>(v);
-    } else if (key == "enable_trace") {
-      RAINBOW_ASSIGN_OR_RETURN(cfg.enable_trace, as_bool());
     } else if (key == "record_history") {
       RAINBOW_ASSIGN_OR_RETURN(cfg.record_history, as_bool());
     } else if (key == "stats_bucket") {

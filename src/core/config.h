@@ -47,7 +47,6 @@ struct SystemConfig {
 
   std::vector<ItemConfig> items;
 
-  bool enable_trace = false;
   bool record_history = false;
   SimTime stats_bucket = Millis(100);
 

@@ -21,7 +21,6 @@ Result<std::unique_ptr<RainbowSystem>> RainbowSystem::Create(
 Status RainbowSystem::Init() {
   const TraceDetail detail =
       config_.trace_enabled ? config_.trace_detail : TraceDetail::kOff;
-  trace_.set_enabled(config_.enable_trace);
   collector_.set_detail(detail);
   history_.set_enabled(config_.record_history);
   monitor_.set_bucket_width(config_.stats_bucket);
@@ -31,7 +30,6 @@ Status RainbowSystem::Init() {
     sharded_ = std::make_unique<ShardedSimulator>(shards);
     for (uint32_t k = 0; k < shards; ++k) {
       auto inst = std::make_unique<ShardInstruments>();
-      inst->trace.set_enabled(config_.enable_trace);
       inst->collector.set_detail(detail);
       inst->history.set_enabled(config_.record_history);
       inst->monitor.set_bucket_width(config_.stats_bucket);
@@ -42,20 +40,19 @@ Status RainbowSystem::Init() {
   Rng root(config_.seed);
   // Lane 0 (the network's default) is shard 0 in sharded mode so the
   // name server — pinned to shard 0 by ShardOfSite — lands on its own
-  // simulator and trace.
+  // simulator and collector.
   Simulator* lane0_sim = sharded_ ? &sharded_->shard(0) : &sim_;
-  TraceLog* lane0_trace = sharded_ ? &shard_inst_[0]->trace : &trace_;
-  net_ = std::make_unique<Network>(lane0_sim, config_.latency, root.Fork(),
-                                   lane0_trace);
+  TraceCollector* lane0_collector =
+      sharded_ ? &shard_inst_[0]->collector : &collector_;
+  net_ = std::make_unique<Network>(lane0_sim, config_.latency, root.Fork());
   net_->set_loss_probability(config_.message_loss);
-  net_->set_collector(sharded_ ? &shard_inst_[0]->collector : &collector_);
+  net_->set_collector(lane0_collector);
   net_->set_verify_codec(config_.verify_codec);
   net_->set_stats_bucket_width(config_.stats_bucket);
   if (sharded_) {
     std::vector<NetworkShardContext> contexts;
     for (uint32_t k = 0; k < shards; ++k) {
       contexts.push_back(NetworkShardContext{&sharded_->shard(k),
-                                             &shard_inst_[k]->trace,
                                              &shard_inst_[k]->collector});
     }
     net_->EnableSharding(sharded_.get(), contexts);
@@ -85,8 +82,8 @@ Status RainbowSystem::Init() {
   }
   RAINBOW_RETURN_IF_ERROR(catalog_.Validate());
 
-  name_server_ =
-      std::make_unique<NameServer>(catalog_, net_.get(), lane0_trace);
+  name_server_ = std::make_unique<NameServer>(catalog_, net_.get());
+  name_server_->set_collector(lane0_collector);
   name_server_->Start();
 
   for (uint32_t i = 0; i < config_.num_sites; ++i) {
@@ -98,13 +95,11 @@ Status RainbowSystem::Init() {
       uint32_t k = ShardedSimulator::ShardOfSite(static_cast<SiteId>(i),
                                                  shards);
       env.sim = &sharded_->shard(k);
-      env.trace = &shard_inst_[k]->trace;
       env.collector = &shard_inst_[k]->collector;
       env.monitor = &shard_inst_[k]->monitor;
       env.history = &shard_inst_[k]->history;
     } else {
       env.sim = &sim_;
-      env.trace = &trace_;
       env.collector = &collector_;
       env.monitor = &monitor_;
       env.history = &history_;
@@ -138,12 +133,6 @@ void RainbowSystem::RefreshMerged() const {
   // flag through every mutation path. Merge order (control lane first,
   // then shards in index order) plus the canonical stable sorts makes
   // the result invariant under shard count.
-  merged_.trace = TraceLog();
-  merged_.trace.set_enabled(true);
-  merged_.trace.MergeFrom(trace_);
-  for (const auto& inst : shard_inst_) merged_.trace.MergeFrom(inst->trace);
-  merged_.trace.CanonicalSort();
-
   merged_.collector = TraceCollector();
   merged_.collector.set_detail(config_.trace_enabled ? config_.trace_detail
                                                      : TraceDetail::kOff);

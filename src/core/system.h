@@ -30,8 +30,8 @@ namespace rainbow {
 /// With config.sim_shards > 1 the instance runs on the sharded kernel:
 /// sites are partitioned over N shard simulators driven by worker
 /// threads that synchronize at conservative virtual-time barriers (see
-/// sim/sharded_simulator.h). Each shard gets its own trace log,
-/// collector, monitor and history recorder so site callbacks never
+/// sim/sharded_simulator.h). Each shard gets its own trace collector,
+/// monitor and history recorder so site callbacks never
 /// contend; the accessors below transparently return canonical merged
 /// views, which are byte-identical across shard counts for the same
 /// seed.
@@ -84,11 +84,6 @@ class RainbowSystem {
     RefreshMerged();
     return merged_.monitor;
   }
-  TraceLog& trace() {
-    if (!sharded_) return trace_;
-    RefreshMerged();
-    return merged_.trace;
-  }
   TraceCollector& collector() {
     if (!sharded_) return collector_;
     RefreshMerged();
@@ -107,7 +102,7 @@ class RainbowSystem {
 
   /// Control-lane intake instruments (always safe to write from the
   /// driving thread; identical to the merged views when single-shard).
-  TraceLog& control_trace() { return trace_; }
+  TraceCollector& control_collector() { return collector_; }
   ProgressMonitor& control_monitor() { return monitor_; }
 
   /// Fans the session-log flag out to every shard's monitor.
@@ -156,7 +151,6 @@ class RainbowSystem {
   /// Per-shard measurement instruments. Each shard's sites write only to
   /// their own set, so shard workers never share mutable state here.
   struct ShardInstruments {
-    TraceLog trace;
     TraceCollector collector;
     ProgressMonitor monitor;
     HistoryRecorder history;
@@ -168,7 +162,6 @@ class RainbowSystem {
 
   SystemConfig config_;
   Simulator sim_;
-  TraceLog trace_;
   TraceCollector collector_;
   Rng client_rng_;
   ProgressMonitor monitor_;

@@ -1,10 +1,9 @@
 #include "fault/fault_injector.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <string>
 
 #include "core/system.h"
+#include "fault/fault_script.h"
 #include "storage/buffer_pool.h"
 
 namespace rainbow {
@@ -37,11 +36,11 @@ const char* FaultKindName(FaultEvent::Kind k) {
 
 namespace {
 
-/// Human-readable intensity for trace lines ("0.25", "3", "1500").
-std::string AmountString(double amount) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", amount);
-  return buf;
+bool IsCrashOrRecover(FaultEvent::Kind k) {
+  return k == FaultEvent::Kind::kCrashSite ||
+         k == FaultEvent::Kind::kRecoverSite ||
+         k == FaultEvent::Kind::kCrashNameServer ||
+         k == FaultEvent::Kind::kRecoverNameServer;
 }
 
 }  // namespace
@@ -64,9 +63,7 @@ bool FaultInjector::SiteUp(SiteId s) const {
 void FaultInjector::Apply(const FaultEvent& e) {
   // Intake on the control lane: Apply runs as a control-lane event (all
   // shard workers parked at the barrier in sharded mode).
-  TraceLog& trace = system_->control_trace();
   Network& net = system_->net();
-  const SimTime now = system_->sim().Now();
   switch (e.kind) {
     case FaultEvent::Kind::kCrashSite:
       // Idempotent: a site that is already down (scripted event racing
@@ -74,55 +71,37 @@ void FaultInjector::Apply(const FaultEvent& e) {
       // the no-op is not counted.
       if (!SiteUp(e.site)) return;
       ++crashes_;
-      trace.Record(now, TraceCategory::kFault, e.site, "inject crash");
       system_->CrashSite(e.site);
       break;
     case FaultEvent::Kind::kRecoverSite:
       if (SiteUp(e.site)) return;
       ++recoveries_;
-      trace.Record(now, TraceCategory::kFault, e.site, "inject recovery");
       system_->RecoverSite(e.site);
       break;
     case FaultEvent::Kind::kLinkDown:
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "link down to " + std::to_string(e.peer));
       net.SetLinkUp(e.site, e.peer, false);
       break;
     case FaultEvent::Kind::kLinkUp:
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "link up to " + std::to_string(e.peer));
       net.SetLinkUp(e.site, e.peer, true);
       break;
     case FaultEvent::Kind::kLinkDownOneWay:
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "one-way link down to " + std::to_string(e.peer));
       net.SetLinkUpOneWay(e.site, e.peer, false);
       break;
     case FaultEvent::Kind::kLinkUpOneWay:
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "one-way link up to " + std::to_string(e.peer));
       net.SetLinkUpOneWay(e.site, e.peer, true);
       break;
     case FaultEvent::Kind::kPartition:
-      trace.Record(now, TraceCategory::kFault, kInvalidSite,
-                   "partition installed");
       net.SetPartitions(e.groups);
       break;
     case FaultEvent::Kind::kHeal:
-      trace.Record(now, TraceCategory::kFault, kInvalidSite,
-                   "partition healed");
       net.HealPartitions();
       break;
     case FaultEvent::Kind::kCrashNameServer:
       if (system_->name_server().crashed()) return;
-      trace.Record(now, TraceCategory::kFault, kNameServerId,
-                   "name server crash");
       system_->name_server().Crash();
       break;
     case FaultEvent::Kind::kRecoverNameServer:
       if (!system_->name_server().crashed()) return;
-      trace.Record(now, TraceCategory::kFault, kNameServerId,
-                   "name server recovery");
       system_->name_server().Recover();
       break;
     case FaultEvent::Kind::kLinkLoss: {
@@ -131,9 +110,6 @@ void FaultInjector::Apply(const FaultEvent& e) {
         o = *cur;
       }
       o.loss = e.amount;
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "link loss " + AmountString(e.amount) + " to " +
-                       std::to_string(e.peer));
       net.SetLinkOverride(e.site, e.peer, o);
       break;
     }
@@ -143,9 +119,6 @@ void FaultInjector::Apply(const FaultEvent& e) {
         o = *cur;
       }
       o.delay_multiplier = e.amount;
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "link delay x" + AmountString(e.amount) + " to " +
-                       std::to_string(e.peer));
       net.SetLinkOverride(e.site, e.peer, o);
       break;
     }
@@ -155,9 +128,6 @@ void FaultInjector::Apply(const FaultEvent& e) {
         o = *cur;
       }
       o.dup_probability = e.amount;
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "link dup " + AmountString(e.amount) + " to " +
-                       std::to_string(e.peer));
       net.SetLinkOverride(e.site, e.peer, o);
       break;
     }
@@ -167,15 +137,10 @@ void FaultInjector::Apply(const FaultEvent& e) {
         o = *cur;
       }
       o.reorder_jitter = static_cast<SimTime>(e.amount);
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   "link reorder jitter " + AmountString(e.amount) + "us to " +
-                       std::to_string(e.peer));
       net.SetLinkOverride(e.site, e.peer, o);
       break;
     }
     case FaultEvent::Kind::kClearLinkFaults:
-      trace.Record(now, TraceCategory::kFault, kInvalidSite,
-                   "link overrides cleared");
       net.ClearLinkOverrides();
       break;
     case FaultEvent::Kind::kStorageTorn:
@@ -190,9 +155,6 @@ void FaultInjector::Apply(const FaultEvent& e) {
       } else if (e.kind == FaultEvent::Kind::kStorageReadFlip) {
         kind = StorageFaultKind::kReadBitFlip;
       }
-      trace.Record(now, TraceCategory::kFault, e.site,
-                   std::string("storage ") + StorageFaultKindName(kind) +
-                       " p=" + AmountString(e.amount));
       // Arms the DISK, which (like the WAL) survives Site::Crash(), so
       // a crashed site's storage faults persist into its restart.
       system_->site(e.site)->mutable_store().SetStorageFault(kind, e.amount);
@@ -200,6 +162,18 @@ void FaultInjector::Apply(const FaultEvent& e) {
     }
     case FaultEvent::Kind::kCount:
       return;
+  }
+  // Crash and recover injections are traced by the site (or name server)
+  // itself, as kSiteCrash / kSiteRecover.
+  TraceCollector& collector = system_->control_collector();
+  if (collector.enabled() && !IsCrashOrRecover(e.kind)) {
+    TraceRecord rec;
+    rec.time = system_->sim().Now();
+    rec.kind = TraceEventKind::kFault;
+    rec.site = e.site;
+    rec.peer = e.peer;
+    rec.detail = FormatFaultEvent(e);
+    collector.Emit(std::move(rec));
   }
   system_->control_monitor().OnFaultInjected(e.kind);
 }

@@ -2,10 +2,9 @@
 
 namespace rainbow {
 
-NameServer::NameServer(Catalog catalog, Network* net, TraceLog* trace)
+NameServer::NameServer(Catalog catalog, Network* net)
     : catalog_(std::move(catalog)),
       net_(net),
-      trace_(trace),
       rpc_(std::make_unique<RpcEndpoint>(net->sim(), net, kNameServerId,
                                          /*seed=*/0)) {}
 
@@ -20,13 +19,24 @@ void NameServer::Start() {
 
 void NameServer::Crash() {
   crashed_ = true;
+  Emit(TraceEventKind::kSiteCrash);
   net_->SetSiteUp(kNameServerId, false);
   rpc_->Reset();
 }
 
 void NameServer::Recover() {
   crashed_ = false;
+  Emit(TraceEventKind::kSiteRecover);
   net_->SetSiteUp(kNameServerId, true);
+}
+
+void NameServer::Emit(TraceEventKind kind) {
+  if (collector_ == nullptr || !collector_->enabled()) return;
+  TraceRecord rec;
+  rec.time = net_->sim()->Now();
+  rec.kind = kind;
+  rec.site = kNameServerId;
+  collector_->Emit(std::move(rec));
 }
 
 void NameServer::HandleMessage(const Message& m, const RpcContext& ctx) {
@@ -43,11 +53,6 @@ void NameServer::HandleMessage(const Message& m, const RpcContext& ctx) {
     reply.votes = (*item)->votes;
     reply.read_quorum = (*item)->read_quorum;
     reply.write_quorum = (*item)->write_quorum;
-  }
-  if (trace_ && trace_->enabled()) {
-    trace_->Record(net_->sim()->Now(), TraceCategory::kGeneral, kNameServerId,
-                   "lookup item " + std::to_string(req->item) +
-                       (reply.found ? "" : " (not found)"));
   }
   if (ctx.valid()) {
     rpc_->Reply(ctx, reply);

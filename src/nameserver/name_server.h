@@ -22,7 +22,7 @@ namespace rainbow {
 /// this in the default configuration).
 class NameServer {
  public:
-  NameServer(Catalog catalog, Network* net, TraceLog* trace);
+  NameServer(Catalog catalog, Network* net);
 
   /// Registers the network handler. Call once.
   void Start();
@@ -31,15 +31,20 @@ class NameServer {
   void Recover();
   bool crashed() const { return crashed_; }
 
+  /// Structured tracing of the name server's crash/recover records.
+  /// Optional; null disables.
+  void set_collector(TraceCollector* c) { collector_ = c; }
+
   const Catalog& catalog() const { return catalog_; }
   uint64_t lookups_served() const { return lookups_served_; }
 
  private:
   void HandleMessage(const Message& m, const RpcContext& ctx);
+  void Emit(TraceEventKind kind);
 
   Catalog catalog_;
   Network* net_;
-  TraceLog* trace_;
+  TraceCollector* collector_ = nullptr;
   /// Replica-side RPC endpoint: suppresses retransmitted lookups and
   /// re-answers them from the reply cache. The name server never makes
   /// outgoing calls.

@@ -1,7 +1,5 @@
 #include "net/message.h"
 
-#include "common/string_util.h"
-
 namespace rainbow {
 
 const char* MessageKindName(MessageKind k) {
@@ -228,16 +226,5 @@ struct TxnVisitor {
 }  // namespace
 
 TxnId PayloadTxnId(const Payload& p) { return std::visit(TxnVisitor{}, p); }
-
-std::string Message::Describe() const {
-  TxnId txn = PayloadTxnId(payload);
-  std::string out = MessageKindName(kind());
-  if (txn.valid()) {
-    out += " ";
-    out += txn.ToString();
-  }
-  out += StringPrintf(" (%u->%u)", from, to);
-  return out;
-}
 
 }  // namespace rainbow

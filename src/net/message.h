@@ -302,8 +302,6 @@ struct Message {
   Payload payload;
 
   MessageKind kind() const { return MessageKindOf(payload); }
-  /// Short human-readable form for traces: "ReadRequest T3@1 x".
-  std::string Describe() const;
 };
 
 }  // namespace rainbow

@@ -143,12 +143,9 @@ std::string NetworkStats::Render() const {
   return os.str();
 }
 
-Network::Network(Simulator* sim, LatencyConfig latency, Rng rng,
-                 TraceLog* trace)
+Network::Network(Simulator* sim, LatencyConfig latency, Rng rng)
     : latency_(latency, rng.Fork()), site_seed_base_(rng.Next()) {
-  Lane& lane = lanes_.emplace_back();
-  lane.sim = sim;
-  lane.trace = trace;
+  lanes_.emplace_back().sim = sim;
 }
 
 void Network::EnableSharding(ShardedSimulator* driver,
@@ -160,7 +157,6 @@ void Network::EnableSharding(ShardedSimulator* driver,
   for (const NetworkShardContext& ctx : shards) {
     Lane& lane = lanes_.emplace_back();
     lane.sim = ctx.sim;
-    lane.trace = ctx.trace;
     lane.collector = ctx.collector;
   }
 }
@@ -364,10 +360,6 @@ void Network::SendMessage(Message msg) {
     Result<Payload> decoded = DecodePayload(wire);
     if (!decoded.ok()) {
       lane.stats.codec_failures++;
-      if (lane.trace && lane.trace->enabled()) {
-        lane.trace->Record(lane.sim->Now(), TraceCategory::kNet, msg.from,
-                           "CODEC FAILURE " + decoded.status().ToString());
-      }
       return;
     }
     msg.payload = std::move(decoded).value();
@@ -376,10 +368,6 @@ void Network::SendMessage(Message msg) {
 
   if (!IsSiteUp(msg.from)) {
     lane.stats.RecordDrop(DropCause::kSourceDown);
-    if (lane.trace && lane.trace->enabled()) {
-      lane.trace->Record(lane.sim->Now(), TraceCategory::kNet, msg.from,
-                         "DROP(source down) " + msg.Describe());
-    }
     if (lane.collector && lane.collector->full()) {
       EmitMessageEvent(lane, TraceEventKind::kMsgDrop, msg, msg.from,
                        DropCauseName(DropCause::kSourceDown));
@@ -389,10 +377,6 @@ void Network::SendMessage(Message msg) {
   if (msg.from != msg.to && loss_probability_ > 0 &&
       rng.NextBool(loss_probability_)) {
     lane.stats.RecordDrop(DropCause::kRandomLoss);
-    if (lane.trace && lane.trace->enabled()) {
-      lane.trace->Record(lane.sim->Now(), TraceCategory::kNet, msg.from,
-                         "DROP(random) " + msg.Describe());
-    }
     if (lane.collector && lane.collector->full()) {
       EmitMessageEvent(lane, TraceEventKind::kMsgDrop, msg, msg.from,
                        DropCauseName(DropCause::kRandomLoss));
@@ -408,10 +392,6 @@ void Network::SendMessage(Message msg) {
     if (const LinkOverride* o = FindLinkOverride(msg.from, msg.to)) {
       if (o->loss > 0 && rng.NextBool(o->loss)) {
         lane.stats.RecordDrop(DropCause::kLinkLoss);
-        if (lane.trace && lane.trace->enabled()) {
-          lane.trace->Record(lane.sim->Now(), TraceCategory::kNet, msg.from,
-                             "DROP(link loss) " + msg.Describe());
-        }
         if (lane.collector && lane.collector->full()) {
           EmitMessageEvent(lane, TraceEventKind::kMsgDrop, msg, msg.from,
                            DropCauseName(DropCause::kLinkLoss));
@@ -436,10 +416,6 @@ void Network::SendMessage(Message msg) {
   // guarantee (the conservative lookahead) must hold even when a
   // delay_multiplier shrinks the sample to zero.
   if (msg.from != msg.to) delay = std::max<SimTime>(delay, 1);
-  if (lane.trace && lane.trace->enabled()) {
-    lane.trace->Record(lane.sim->Now(), TraceCategory::kNet, msg.from,
-                       "SEND " + msg.Describe());
-  }
   if (lane.collector && lane.collector->full()) {
     EmitMessageEvent(lane, TraceEventKind::kMsgSend, msg, msg.from, "");
   }
@@ -590,10 +566,6 @@ void Network::Deliver(const Message& msg) {
   // while a message is in flight drop it.
   if (!IsSiteUp(msg.to)) {
     lane.stats.RecordDrop(DropCause::kDestinationDown);
-    if (lane.trace && lane.trace->enabled()) {
-      lane.trace->Record(lane.sim->Now(), TraceCategory::kNet, msg.to,
-                         "DROP(dest down) " + msg.Describe());
-    }
     if (lane.collector && lane.collector->full()) {
       EmitMessageEvent(lane, TraceEventKind::kMsgDrop, msg, msg.to,
                        DropCauseName(DropCause::kDestinationDown));
@@ -611,10 +583,6 @@ void Network::Deliver(const Message& msg) {
     }
     if (link_down) {
       lane.stats.RecordDrop(DropCause::kLinkDown);
-      if (lane.trace && lane.trace->enabled()) {
-        lane.trace->Record(lane.sim->Now(), TraceCategory::kNet, msg.to,
-                           "DROP(link down) " + msg.Describe());
-      }
       if (lane.collector && lane.collector->full()) {
         EmitMessageEvent(lane, TraceEventKind::kMsgDrop, msg, msg.to,
                          DropCauseName(DropCause::kLinkDown));
@@ -623,10 +591,6 @@ void Network::Deliver(const Message& msg) {
     }
     if (!SameGroup(msg.from, msg.to)) {
       lane.stats.RecordDrop(DropCause::kPartition);
-      if (lane.trace && lane.trace->enabled()) {
-        lane.trace->Record(lane.sim->Now(), TraceCategory::kNet, msg.to,
-                           "DROP(partition) " + msg.Describe());
-      }
       if (lane.collector && lane.collector->full()) {
         EmitMessageEvent(lane, TraceEventKind::kMsgDrop, msg, msg.to,
                          DropCauseName(DropCause::kPartition));
@@ -640,10 +604,6 @@ void Network::Deliver(const Message& msg) {
     return;
   }
   lane.stats.RecordDeliver(msg);
-  if (lane.trace && lane.trace->enabled()) {
-    lane.trace->Record(lane.sim->Now(), TraceCategory::kNet, msg.to,
-                       "RECV " + msg.Describe());
-  }
   if (lane.collector && lane.collector->full()) {
     EmitMessageEvent(lane, TraceEventKind::kMsgRecv, msg, msg.to, "");
   }

@@ -162,11 +162,10 @@ struct NetworkStats {
 };
 
 /// Per-shard execution context the network records into. In sharded
-/// mode each shard supplies its own simulator / trace log / structured
-/// collector so a worker thread only ever writes shard-local state.
+/// mode each shard supplies its own simulator and trace collector so a
+/// worker thread only ever writes shard-local state.
 struct NetworkShardContext {
   Simulator* sim = nullptr;
-  TraceLog* trace = nullptr;
   TraceCollector* collector = nullptr;
 };
 
@@ -200,13 +199,13 @@ class Network {
  public:
   using Handler = std::function<void(const Message&)>;
 
-  Network(Simulator* sim, LatencyConfig latency, Rng rng, TraceLog* trace);
+  Network(Simulator* sim, LatencyConfig latency, Rng rng);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   /// Switches the network to sharded mode: one lane per entry in
-  /// `shards` (shard 0's context replaces the constructor's sim/trace),
+  /// `shards` (shard 0's context replaces the constructor's sim),
   /// cross-shard sends routed through `driver`'s mailboxes. Call before
   /// any traffic.
   void EnableSharding(ShardedSimulator* driver,
@@ -333,7 +332,6 @@ class Network {
 
   struct Lane {
     Simulator* sim = nullptr;
-    TraceLog* trace = nullptr;
     TraceCollector* collector = nullptr;
     NetworkStats stats;
     /// Message pool: ScheduleDelivery parks the message in a pool slot

@@ -32,8 +32,6 @@ void Coordinator::CancelCalls(std::map<SiteId, uint64_t>& calls) {
 }
 
 void Coordinator::Start() {
-  site_->Trace(TraceCategory::kTxn,
-               id_.ToString() + " arrived: " + program_.ToString());
   // Expand scan verbs into per-item reads: a scan of length L at item i
   // becomes reads of i..i+L-1, each served through the normal
   // replica-control path (the page engine feeds the copies from its B+
@@ -211,10 +209,6 @@ void Coordinator::StartRead(ItemId item) {
   cur_cc_site_ = plan->cc_site;
   cur_outstanding_.clear();
   for (SiteId s : plan->targets) cur_outstanding_.insert(s);
-  site_->Trace(TraceCategory::kRcp,
-               StringPrintf("%s read quorum for item %u: %zu targets",
-                            id_.ToString().c_str(), item,
-                            plan->targets.size()));
   if (site_->tracing()) {
     TraceRecord rec;
     rec.kind = TraceEventKind::kQuorumPlan;
@@ -248,10 +242,6 @@ void Coordinator::StartWrite(ItemId item, Value value) {
   cur_cc_site_ = plan->cc_site;
   cur_outstanding_.clear();
   for (SiteId s : plan->targets) cur_outstanding_.insert(s);
-  site_->Trace(TraceCategory::kRcp,
-               StringPrintf("%s write quorum for item %u: %zu targets",
-                            id_.ToString().c_str(), item,
-                            plan->targets.size()));
   if (site_->tracing()) {
     TraceRecord rec;
     rec.kind = TraceEventKind::kQuorumPlan;
@@ -462,9 +452,6 @@ void Coordinator::BeginCommit() {
   votes_ = std::make_unique<VoteCollector>(plist);
   phase_ = Phase::kVoting;
   bool three_phase = site_->config().acp == AcpKind::kThreePhaseCommit;
-  site_->Trace(TraceCategory::kAcp,
-               StringPrintf("%s prepare -> %zu participants",
-                            id_.ToString().c_str(), plist.size()));
   if (site_->tracing()) {
     TraceRecord rec;
     rec.kind = TraceEventKind::kPrepare;
@@ -602,8 +589,6 @@ void Coordinator::Decide(bool commit, AbortCause cause, std::string detail) {
       plist,
       false));
   site_->RememberDecision(id_, commit);
-  site_->Trace(TraceCategory::kAcp,
-               id_.ToString() + (commit ? " decision: COMMIT" : " decision: ABORT"));
   if (site_->tracing()) {
     TraceRecord rec;
     rec.kind = TraceEventKind::kDecision;
@@ -648,7 +633,6 @@ void Coordinator::Finish(bool committed, AbortCause cause,
     }
   }
 
-  site_->Trace(TraceCategory::kTxn, outcome.ToString());
   if (site_->tracing()) {
     TraceRecord rec;
     rec.kind = committed ? TraceEventKind::kTxnCommit : TraceEventKind::kTxnAbort;
@@ -689,8 +673,6 @@ void Coordinator::AbortAsDeadlockVictim() {
     // vote round will settle the outcome on its own.
     return;
   }
-  site_->Trace(TraceCategory::kCcp,
-               id_.ToString() + " aborted: distributed deadlock (probe)");
   AbortNow(AbortCause::kCcp, "distributed deadlock detected by probe");
 }
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <memory>
 
-#include "common/string_util.h"
 #include "site/site.h"
 
 namespace rainbow {
@@ -103,9 +102,6 @@ void ParticipantManager::ArmProbeTimer(TxnId txn) {
         if (it2 == txns_.end()) return;
         std::vector<TxnId> holders = site_->cc()->WaitingFor(txn);
         if (holders.empty()) return;  // wait resolved meanwhile
-        site_->Trace(TraceCategory::kCcp,
-                     txn.ToString() + " still blocked: emitting " +
-                         std::to_string(holders.size()) + " deadlock probes");
         for (TxnId h : holders) {
           site_->SendTo(h.home, DeadlockProbe{txn, h, 0});
         }
@@ -188,9 +184,6 @@ void ParticipantManager::OnRead(SiteId from, const ReadRequest& req,
         site_->config().lock_wait_timeout, [this, id, item, from, ctx] {
           auto it2 = txns_.find(id);
           if (it2 == txns_.end()) return;
-          site_->Trace(TraceCategory::kCcp,
-                       id.ToString() + " read wait timeout on item " +
-                           std::to_string(item));
           if (it2->second.granted_any) doomed_.insert(id);
           LocalAbort(id);
           site_->Respond(ctx, from,
@@ -280,9 +273,6 @@ void ParticipantManager::OnPrewrite(SiteId from, const PrewriteRequest& req,
         site_->config().lock_wait_timeout, [this, id, item, from, ctx] {
           auto it2 = txns_.find(id);
           if (it2 == txns_.end()) return;
-          site_->Trace(TraceCategory::kCcp,
-                       id.ToString() + " write wait timeout on item " +
-                           std::to_string(item));
           if (it2->second.granted_any) doomed_.insert(id);
           LocalAbort(id);
           site_->Respond(ctx, from,
@@ -359,8 +349,6 @@ void ParticipantManager::OnPrepare(SiteId from, const PrepareRequest& req,
     }
   }
   if (!valid) {
-    site_->Trace(TraceCategory::kCcp,
-                 req.txn.ToString() + " failed OCC validation");
     EmitVote(req.txn, from, false,
              DenyReasonName(DenyReason::kValidationFailed));
     site_->Respond(ctx, from,
@@ -376,8 +364,6 @@ void ParticipantManager::OnPrepare(SiteId from, const PrepareRequest& req,
       t.buffered.empty()) {
     // Read-only participant: vote YES-read-only, release everything now
     // and drop out of phase 2 (no prepared record, no decision needed).
-    site_->Trace(TraceCategory::kAcp,
-                 req.txn.ToString() + " voted READ-ONLY (early release)");
     EmitVote(req.txn, from, true, "read-only");
     site_->Respond(ctx, from,
                    VoteReply{req.txn, true, DenyReason::kNone, true});
@@ -407,7 +393,6 @@ void ParticipantManager::OnPrepare(SiteId from, const PrepareRequest& req,
   for (uint64_t c : t.query_calls) site_->rpc().Cancel(c);
   t.query_calls.clear();
   ArmDecisionTimer(t);
-  site_->Trace(TraceCategory::kAcp, req.txn.ToString() + " voted YES");
   EmitVote(req.txn, from, true, "");
   site_->Respond(ctx, from, VoteReply{req.txn, true, DenyReason::kNone});
 }
@@ -508,8 +493,6 @@ void ParticipantManager::ApplyDecision(TxnId txn, bool commit,
   site_->cc()->Finish(txn, commit);
   site_->mutable_wal().Append(
       WalRecord::Protocol(WalRecordKind::kApplied, txn, t.coordinator, {}, {}, false));
-  site_->Trace(TraceCategory::kAcp,
-               txn.ToString() + (commit ? " applied COMMIT" : " applied ABORT"));
   if (site_->tracing()) {
     TraceRecord rec;
     rec.kind = TraceEventKind::kDecisionApplied;
@@ -539,9 +522,6 @@ void ParticipantManager::OnCcVictim(TxnId txn, DenyReason reason) {
   auto it = txns_.find(txn);
   if (it == txns_.end()) return;
   SiteId home = it->second.id.home;
-  site_->Trace(TraceCategory::kCcp,
-               txn.ToString() + std::string(" chosen as CC victim: ") +
-                   DenyReasonName(reason));
   if (site_->tracing()) {
     TraceRecord rec;
     rec.kind = TraceEventKind::kCcVictim;
@@ -608,8 +588,6 @@ void ParticipantManager::OnOrphanQueryResult(TxnId txn,
   }
   // Home unreachable or repeatedly unable to answer: unilateral abort is
   // safe before prepare. This is the "orphan transaction" statistic.
-  site_->Trace(TraceCategory::kTxn,
-               txn.ToString() + " orphan-cleaned at participant");
   if (site_->env().monitor) {
     site_->env().monitor->OnOrphanCleanup(txn, site_->id());
   }
@@ -687,8 +665,6 @@ void ParticipantManager::StartTerminationRound(TxnId txn) {
   t.termination_running = true;
   t.peer_states.clear();
   t.peer_states[site_->id()] = t.state;
-  site_->Trace(TraceCategory::kAcp,
-               txn.ToString() + " starting 3PC termination round");
   // One single-attempt StateQuery RPC per peer; silence within the
   // window is treated as "no state" when the round closes.
   RpcPolicy policy = site_->MakeRpcPolicy(site_->config().termination_window);
@@ -758,9 +734,6 @@ void ParticipantManager::FinishTerminationRound(TxnId txn) {
     ArmDecisionTimer(t);
     return;
   }
-  site_->Trace(TraceCategory::kAcp,
-               txn.ToString() + " termination decision: " +
-                   (*decision ? "COMMIT" : "ABORT"));
   if (!*decision) {
     std::vector<SiteId> peers = t.participants;
     site_->mutable_wal().Append(WalRecord::Protocol(WalRecordKind::kAbortDecision, txn,

@@ -95,12 +95,6 @@ void Site::Respond(const RpcContext& ctx, SiteId to, Payload payload) {
   }
 }
 
-void Site::Trace(TraceCategory cat, const std::string& text) {
-  if (env_.trace && env_.trace->enabled()) {
-    env_.trace->Record(Now(), cat, id_, text);
-  }
-}
-
 void Site::EmitTrace(TraceRecord rec) {
   if (!tracing()) return;
   rec.time = Now();
@@ -116,7 +110,6 @@ bool Site::IsSuspected(SiteId s) const {
 void Site::Suspect(SiteId s) {
   if (s == id_) return;
   suspected_until_[s] = Now() + env_.config->suspicion_ttl;
-  Trace(TraceCategory::kSite, StringPrintf("suspecting site %u", s));
 }
 
 std::set<SiteId> Site::SuspectedSet() const {
@@ -208,7 +201,11 @@ void Site::CoordinatorFinished(TxnId txn) { coordinators_.erase(txn); }
 void Site::Crash() {
   if (crashed_) return;
   crashed_ = true;
-  Trace(TraceCategory::kSite, "CRASH");
+  if (tracing()) {
+    TraceRecord rec;
+    rec.kind = TraceEventKind::kSiteCrash;
+    EmitTrace(std::move(rec));
+  }
   env_.net->SetSiteUp(id_, false);
   // Volatile state dies. Clients of in-flight homed transactions get a
   // site-failure outcome.
@@ -231,24 +228,24 @@ void Site::Recover() {
   if (!crashed_) return;
   crashed_ = false;
   ++epoch_;
-  Trace(TraceCategory::kSite, "RECOVER");
   env_.net->SetSiteUp(id_, true);
 
   // Storage restart first: the page engine's ARIES pass (analysis ->
   // redo -> undo) rebuilds the committed pages from the log before any
   // protocol-level recovery reads the store. (No-op for the map store.)
-  if (env_.config->storage_engine == StorageEngineKind::kPage) {
-    RestartSummary rs = store_->Restart();
-    // Append-only trace line: tools grep the leading tokens by name.
-    Trace(TraceCategory::kSite,
-          StringPrintf("restart: analyzed=%zu in_doubt=%zu losers=%zu "
-                       "redo=%zu redo_skipped=%zu undo_clrs=%zu "
-                       "scanned=%zu redo_start=%llu quarantined=%zu",
-                       rs.analyzed_txns, rs.in_doubt, rs.losers,
-                       rs.redo_applied, rs.redo_skipped, rs.undo_clrs,
-                       rs.log_scanned,
-                       static_cast<unsigned long long>(rs.redo_start),
-                       rs.pages_quarantined));
+  last_restart_ = store_->Restart();
+  if (tracing()) {
+    const RestartSummary& rs = last_restart_;
+    TraceRecord rec;
+    rec.kind = TraceEventKind::kSiteRecover;
+    rec.arg = static_cast<int64_t>(epoch_);
+    rec.detail = StringPrintf(
+        "analyzed=%zu in_doubt=%zu losers=%zu redo=%zu redo_skipped=%zu "
+        "undo_clrs=%zu scanned=%zu redo_start=%llu quarantined=%zu",
+        rs.analyzed_txns, rs.in_doubt, rs.losers, rs.redo_applied,
+        rs.redo_skipped, rs.undo_clrs, rs.log_scanned,
+        static_cast<unsigned long long>(rs.redo_start), rs.pages_quarantined);
+    EmitTrace(std::move(rec));
   }
 
   auto scan = wal_.Scan();
@@ -262,7 +259,6 @@ void Site::Recover() {
       }
       wal_.Append(WalRecord::Protocol(WalRecordKind::kApplied, txn,
                             st.prepared_record.coordinator, {}, {}, false));
-      Trace(TraceCategory::kAcp, txn.ToString() + " redo-applied at recovery");
     }
   }
   // Fresh volatile state (the CC engine seeds itself from the redone
@@ -274,8 +270,6 @@ void Site::Recover() {
   // Reinstate in-doubt (prepared, undecided) transactions.
   for (const WalRecord& rec : wal_.InDoubt()) {
     bool precommitted = scan.at(rec.txn).precommitted;
-    Trace(TraceCategory::kAcp,
-          rec.txn.ToString() + " reinstated in doubt after recovery");
     participants_->ReinstateInDoubt(rec, precommitted);
   }
   // Re-propagate decisions this site made as coordinator but never
@@ -443,8 +437,6 @@ void Site::HandleRefreshReply(const RefreshReply& r) {
     if (store_->AdoptIfNewer(e.item, e.value, e.version)) ++adopted;
   }
   if (adopted > 0) {
-    Trace(TraceCategory::kSite,
-          StringPrintf("refresh adopted %zu newer copies", adopted));
     if (env_.config->cc == CcKind::kMultiversionTso) {
       auto* mvto = static_cast<MvtoManager*>(cc_.get());
       for (const auto& e : r.entries) {
@@ -519,7 +511,6 @@ void Site::StartCloser(TxnId txn, bool commit,
   for (SiteId p : participants) closer.pending.insert(p);
   if (closer.pending.empty()) {
     wal_.Append(WalRecord::Protocol(WalRecordKind::kEnd, txn, id_, {}, {}, false));
-    Trace(TraceCategory::kAcp, txn.ToString() + " fully acknowledged (end)");
     closers_.erase(it);
     return;
   }
@@ -543,8 +534,6 @@ void Site::OnCloserReply(TxnId txn, SiteId participant, bool ok) {
   closer.calls.erase(participant);
   if (!ok) {
     // Leave completion to the participants' own recovery machinery.
-    Trace(TraceCategory::kAcp,
-          txn.ToString() + " closer gave up resending (participant down)");
     for (auto& [s, call] : closer.calls) rpc_->Cancel(call);
     closers_.erase(it);
     return;
@@ -552,7 +541,6 @@ void Site::OnCloserReply(TxnId txn, SiteId participant, bool ok) {
   closer.pending.erase(participant);
   if (!closer.pending.empty()) return;
   wal_.Append(WalRecord::Protocol(WalRecordKind::kEnd, txn, id_, {}, {}, false));
-  Trace(TraceCategory::kAcp, txn.ToString() + " fully acknowledged (end)");
   closers_.erase(it);
 }
 

@@ -51,8 +51,7 @@ class Site {
   struct Env {
     Simulator* sim = nullptr;
     Network* net = nullptr;
-    TraceLog* trace = nullptr;
-    TraceCollector* collector = nullptr;  ///< structured per-txn tracing
+    TraceCollector* collector = nullptr;  ///< structured tracing
     ProgressMonitor* monitor = nullptr;
     HistoryRecorder* history = nullptr;
     const ProtocolConfig* config = nullptr;
@@ -89,6 +88,11 @@ class Site {
   void Recover();
   bool crashed() const { return crashed_; }
 
+  /// What the storage engine's restart pass did on the most recent
+  /// Recover() (all zero before the first recovery, and for the map
+  /// store, which has no restart pass).
+  const RestartSummary& last_restart() const { return last_restart_; }
+
   /// Incarnation number: bumped on every recovery. Copy-access grants
   /// carry it so a coordinator can tell that a replica restarted between
   /// two of its grants (all volatile CC state it held for the
@@ -114,7 +118,6 @@ class Site {
   const ProtocolConfig& config() const { return *env_.config; }
   SimTime Now() const;
   void SendTo(SiteId to, Payload payload);
-  void Trace(TraceCategory cat, const std::string& text);
 
   /// Structured tracing. Check tracing() BEFORE constructing a
   /// TraceRecord so disabled tracing costs one branch, no allocations.
@@ -189,6 +192,7 @@ class Site {
   bool crashed_ = false;
   uint64_t epoch_ = 0;
   bool started_ = false;
+  RestartSummary last_restart_;
 
   // Durable state. The engine logs into wal_, so wal_ is declared (and
   // constructed) first.

@@ -216,13 +216,16 @@ TraceDiff DiffTraceText(const std::string& a, const std::string& b) {
   return d;
 }
 
-Result<std::string> RunAndExportChromeTrace(const SystemConfig& config,
-                                            const WorkloadConfig& workload) {
+Result<std::string> RunAndExportChromeTrace(
+    const SystemConfig& config, const WorkloadConfig& workload,
+    const std::vector<FaultEvent>& faults) {
   SystemConfig traced = config;
   traced.trace_enabled = true;
   traced.trace_detail = TraceDetail::kFull;
   RAINBOW_ASSIGN_OR_RETURN(std::unique_ptr<RainbowSystem> sys,
                            RainbowSystem::Create(std::move(traced)));
+  FaultInjector inject(sys.get());
+  inject.ScheduleAll(faults);
   WorkloadGenerator gen(sys.get(), workload);
   gen.Run();
   sys->RunToQuiescence();
@@ -230,11 +233,12 @@ Result<std::string> RunAndExportChromeTrace(const SystemConfig& config,
 }
 
 Result<TraceDiff> SameSeedTraceDiff(const SystemConfig& config,
-                                    const WorkloadConfig& workload) {
+                                    const WorkloadConfig& workload,
+                                    const std::vector<FaultEvent>& faults) {
   RAINBOW_ASSIGN_OR_RETURN(std::string first,
-                           RunAndExportChromeTrace(config, workload));
+                           RunAndExportChromeTrace(config, workload, faults));
   RAINBOW_ASSIGN_OR_RETURN(std::string second,
-                           RunAndExportChromeTrace(config, workload));
+                           RunAndExportChromeTrace(config, workload, faults));
   return DiffTraceText(first, second);
 }
 

@@ -2,9 +2,11 @@
 #define RAINBOW_STATS_TRACE_EXPORT_H_
 
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/trace.h"
+#include "fault/fault_injector.h"
 
 namespace rainbow {
 
@@ -46,11 +48,13 @@ struct TraceDiff {
 TraceDiff DiffTraceText(const std::string& a, const std::string& b);
 
 /// The determinism gate: builds the system + workload twice from the
-/// same configs (tracing forced to kFull), runs both to quiescence, and
-/// diffs the Chrome-trace exports. Identical configs must yield
-/// `identical == true`; anything else is a determinism regression.
+/// same configs (tracing forced to kFull), schedules `faults` on each,
+/// runs both to quiescence, and diffs the Chrome-trace exports.
+/// Identical inputs must yield `identical == true`; anything else is a
+/// determinism regression.
 Result<TraceDiff> SameSeedTraceDiff(const SystemConfig& config,
-                                    const WorkloadConfig& workload);
+                                    const WorkloadConfig& workload,
+                                    const std::vector<FaultEvent>& faults = {});
 
 /// The sharded-kernel determinism gate: runs (config, workload) once
 /// with sim_shards = shards_a and once with shards_b (same seed) and
@@ -62,11 +66,12 @@ Result<TraceDiff> ShardCountTraceDiff(const SystemConfig& config,
                                       const WorkloadConfig& workload,
                                       uint32_t shards_a, uint32_t shards_b);
 
-/// Single run of (config, workload) to quiescence with tracing forced
-/// to kFull; returns the Chrome-trace JSON. Shared by SameSeedTraceDiff
-/// and the trace_explorer example.
-Result<std::string> RunAndExportChromeTrace(const SystemConfig& config,
-                                            const WorkloadConfig& workload);
+/// Single run of (config, workload, faults) to quiescence with tracing
+/// forced to kFull; returns the Chrome-trace JSON. Shared by
+/// SameSeedTraceDiff and the trace_explorer example.
+Result<std::string> RunAndExportChromeTrace(
+    const SystemConfig& config, const WorkloadConfig& workload,
+    const std::vector<FaultEvent>& faults = {});
 
 }  // namespace rainbow
 

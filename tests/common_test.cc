@@ -183,15 +183,5 @@ TEST(TxnTimestampTest, TotalOrder) {
   EXPECT_FALSE(b < a);
 }
 
-TEST(TraceLogTest, DisabledByDefault) {
-  TraceLog log;
-  log.Record(1, TraceCategory::kTxn, 0, "hello");
-  EXPECT_TRUE(log.events().empty());
-  log.set_enabled(true);
-  log.Record(2, TraceCategory::kTxn, 0, "world");
-  EXPECT_EQ(log.events().size(), 1u);
-  EXPECT_EQ(log.CountContaining("world"), 1u);
-}
-
 }  // namespace
 }  // namespace rainbow

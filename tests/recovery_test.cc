@@ -723,21 +723,12 @@ size_t CountStoreKind(const Wal& wal, WalRecordKind kind) {
   return n;
 }
 
-/// The "restart: ..." trace line the recovering site emits, or "".
-std::string RestartTraceLine(RainbowSystem& s, SiteId site) {
-  for (const auto& ev : s.trace().events()) {
-    if (ev.site == site && ev.text.rfind("restart:", 0) == 0) return ev.text;
-  }
-  return "";
-}
-
 TEST(RecoveryTest, RedoRestoresCommittedWritesLostWithThePool) {
   // Commit a write, then crash the site before anything is flushed: the
   // new value exists only in the WAL. The restart pass's redo must
-  // rebuild the page from the log (the trace reports redo > 0), and the
+  // rebuild the page from the log (its summary reports redo > 0), and the
   // page must carry the committed value before refresh even runs.
   SystemConfig cfg = FixedLatencySystem(3, AcpKind::kTwoPhaseCommit);
-  cfg.enable_trace = true;
   auto sys = RainbowSystem::Create(cfg);
   ASSERT_TRUE(sys.ok());
   RainbowSystem& s = **sys;
@@ -759,9 +750,9 @@ TEST(RecoveryTest, RedoRestoresCommittedWritesLostWithThePool) {
   s.RecoverSite(1);
   s.RunFor(Millis(100));
 
-  std::string line = RestartTraceLine(s, 1);
-  ASSERT_FALSE(line.empty()) << "recovery did not run the restart pass";
-  EXPECT_EQ(line.find("redo=0 "), std::string::npos) << line;
+  const RestartSummary& rs = s.site(1)->last_restart();
+  EXPECT_GT(rs.log_scanned, 0u) << "recovery did not run the restart pass";
+  EXPECT_GT(rs.redo_applied, 0u);
   EXPECT_EQ(s.site(1)->store().Get(3)->value, 777);
   EXPECT_EQ(s.site(1)->store().Get(3)->version, 1u);
   EXPECT_TRUE(s.CheckReplicaConsistency(false).ok());
@@ -777,7 +768,6 @@ TEST(RecoveryTest, CrashSweepAlwaysRestartsCleanAndSometimesUndoes) {
   for (SimTime crash_at = Millis(1); crash_at <= Millis(12);
        crash_at += Micros(500)) {
     SystemConfig cfg = FixedLatencySystem(3, AcpKind::kTwoPhaseCommit);
-    cfg.enable_trace = true;
     auto sys = RainbowSystem::Create(cfg);
     ASSERT_TRUE(sys.ok());
     RainbowSystem& s = **sys;
@@ -791,10 +781,9 @@ TEST(RecoveryTest, CrashSweepAlwaysRestartsCleanAndSometimesUndoes) {
             .ok());
     s.RunFor(Seconds(3));
 
-    std::string line = RestartTraceLine(s, 1);
-    ASSERT_FALSE(line.empty()) << "crash_at=" << crash_at;
+    ASSERT_EQ(s.site(1)->epoch(), 1u) << "crash_at=" << crash_at;
     ++restarts_seen;
-    if (line.find("losers=0") == std::string::npos) {
+    if (s.site(1)->last_restart().losers > 0) {
       ++undo_runs;
       EXPECT_GT(CountStoreKind(s.site(1)->wal(), WalRecordKind::kStoreClr), 0u)
           << "crash_at=" << crash_at;
@@ -812,7 +801,6 @@ TEST(RecoveryTest, MapEngineStillRecoversWithoutRestartPass) {
   // The legacy engine remains selectable and recovers through the
   // protocol log alone (no ARIES pass, no store records).
   SystemConfig cfg = FixedLatencySystem(3, AcpKind::kTwoPhaseCommit);
-  cfg.enable_trace = true;
   cfg.protocols.storage_engine = StorageEngineKind::kMap;
   auto sys = RainbowSystem::Create(cfg);
   ASSERT_TRUE(sys.ok());
@@ -828,7 +816,9 @@ TEST(RecoveryTest, MapEngineStillRecoversWithoutRestartPass) {
   s.RunFor(Millis(5));
   s.RecoverSite(1);
   s.RunFor(Millis(200));
-  EXPECT_TRUE(RestartTraceLine(s, 1).empty());
+  EXPECT_EQ(s.site(1)->epoch(), 1u);
+  EXPECT_EQ(s.site(1)->last_restart().log_scanned, 0u);
+  EXPECT_EQ(s.site(1)->last_restart().redo_applied, 0u);
   EXPECT_EQ(s.site(1)->store().Get(3)->value, 321);
   EXPECT_TRUE(s.CheckReplicaConsistency(false).ok());
 }
@@ -1006,7 +996,6 @@ TEST(RecoveryTest, StorageFaultsDuringWorkloadStayInvisible) {
   // injector, a crash while armed, and recovery — with checksums on,
   // the doublewrite heals every mangled page and replicas converge.
   SystemConfig cfg = FixedLatencySystem(3, AcpKind::kTwoPhaseCommit);
-  cfg.enable_trace = true;
   cfg.AddFullyReplicatedItems(20, 100);  // 30 items total: the tree
   cfg.protocols.page_size = 64;          // spans ~2x the pool, so every
   cfg.protocols.buffer_pool_pages = 8;   // txn causes real evictions

@@ -49,12 +49,6 @@ TEST(NamesTest, EveryEnumValueHasAName) {
                  AcpState::kAborted}) {
     EXPECT_STRNE(AcpStateName(s), "?");
   }
-  for (auto c :
-       {TraceCategory::kTxn, TraceCategory::kRcp, TraceCategory::kCcp,
-        TraceCategory::kAcp, TraceCategory::kNet, TraceCategory::kFault,
-        TraceCategory::kSite, TraceCategory::kGeneral}) {
-    EXPECT_STRNE(TraceCategoryName(c), "?");
-  }
 }
 
 TEST(OpToStringTest, AllKinds) {
@@ -180,28 +174,6 @@ TEST(NetworkStatsTest, RenderListsPerSiteDeliveriesInSiteOrder) {
   size_t s2 = tail.find("s2="), s5 = tail.find("s5="), s7 = tail.find("s7=");
   EXPECT_LT(s2, s5);
   EXPECT_LT(s5, s7);
-}
-
-TEST(TraceLogTest, CapacityBounded) {
-  TraceLog log;
-  log.set_enabled(true);
-  log.set_capacity(10);
-  for (int i = 0; i < 100; ++i) {
-    log.Record(i, TraceCategory::kGeneral, 0, "e" + std::to_string(i));
-  }
-  EXPECT_LE(log.events().size(), 10u);
-  // The newest events survive.
-  EXPECT_EQ(log.events().back().text, "e99");
-}
-
-TEST(TraceLogTest, CategoryFilteredRender) {
-  TraceLog log;
-  log.set_enabled(true);
-  log.Record(1, TraceCategory::kNet, 0, "netline");
-  log.Record(2, TraceCategory::kTxn, 1, "txnline");
-  std::string net_only = log.Render(TraceCategory::kNet);
-  EXPECT_NE(net_only.find("netline"), std::string::npos);
-  EXPECT_EQ(net_only.find("txnline"), std::string::npos);
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ struct RpcHarness {
     lat.mean = one_way;
     lat.min = 0;
     lat.per_kb = 0;
-    net = std::make_unique<Network>(&sim, lat, Rng(99), nullptr);
+    net = std::make_unique<Network>(&sim, lat, Rng(99));
     client = std::make_unique<RpcEndpoint>(&sim, net.get(), 0, 1);
     server = std::make_unique<RpcEndpoint>(&sim, net.get(), 1, 2);
     client->set_late_reply_handler(

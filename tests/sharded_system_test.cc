@@ -9,6 +9,8 @@
 #include <string>
 
 #include "core/system.h"
+#include "fault/fault_injector.h"
+#include "fault/fault_script.h"
 #include "fault/nemesis.h"
 #include "stats/progress_monitor.h"
 #include "stats/trace_export.h"
@@ -23,7 +25,6 @@ SystemConfig ShardTopology(uint32_t shards, uint64_t seed) {
   cfg.seed = seed;
   cfg.num_sites = 8;
   cfg.sim_shards = shards;
-  cfg.enable_trace = true;
   cfg.trace_enabled = true;
   cfg.trace_detail = TraceDetail::kFull;
   cfg.record_history = true;
@@ -57,7 +58,6 @@ TEST(ShardedSystemTest, SingleTransactionCommitsAtFourShards) {
 
 /// Everything observable from one run, in canonical form.
 struct RunArtifacts {
-  std::string trace;
   std::string records;
   std::string session_log;
   std::string history;
@@ -68,6 +68,9 @@ struct RunArtifacts {
   uint64_t delivered = 0;
   uint64_t bytes = 0;
   SimTime end_time = 0;
+  size_t site_crashes = 0;
+  size_t site_recoveries = 0;
+  size_t faults = 0;
 };
 
 RunArtifacts RunOnce(uint32_t shards, uint64_t seed) {
@@ -75,6 +78,20 @@ RunArtifacts RunOnce(uint32_t shards, uint64_t seed) {
   EXPECT_TRUE(sys.ok()) << sys.status();
   RainbowSystem& s = **sys;
   s.set_keep_outcomes(true);
+
+  // Faults run on the control lane while site records land in shard
+  // buffers: a site crash/recover, a partition window and a name-server
+  // outage put kSiteCrash / kSiteRecover / kFault records under the gate.
+  auto faults = ParseFaultScript(
+      "20003 crash 5\n"
+      "25007 crashns\n"
+      "30011 partition 0 1 2 3 | 4 5 6 7\n"
+      "45001 recoverns\n"
+      "55013 heal\n"
+      "70009 recover 5\n");
+  EXPECT_TRUE(faults.ok()) << faults.status();
+  FaultInjector inject(&s);
+  inject.ScheduleAll(*faults);
 
   WorkloadConfig wl;
   wl.seed = seed ^ 0x5eed;
@@ -101,12 +118,12 @@ RunArtifacts RunOnce(uint32_t shards, uint64_t seed) {
   // execution order, the sharded accessors already merge — sorting both
   // by (time, site) makes the comparison mode-independent.
   RunArtifacts a;
-  TraceLog t = s.trace();
-  t.CanonicalSort();
-  a.trace = t.Render();
   TraceCollector c = s.collector();
   c.CanonicalSort();
   a.records = ProgressMonitor::RenderExecutionWindow(c, 0);
+  a.site_crashes = c.CountKind(TraceEventKind::kSiteCrash);
+  a.site_recoveries = c.CountKind(TraceEventKind::kSiteRecover);
+  a.faults = c.CountKind(TraceEventKind::kFault);
   ProgressMonitor m = s.monitor();
   m.CanonicalizeOutcomes();
   a.session_log = m.RenderSessionLog();
@@ -130,6 +147,11 @@ RunArtifacts RunOnce(uint32_t shards, uint64_t seed) {
 TEST(ShardedDeterminismTest, SameSeedTraceDiffAcrossShardCounts) {
   const uint64_t kSeed = 20260808;
   RunArtifacts base = RunOnce(1, kSeed);
+  // The whole fault schedule fired inside the run: site 5 and the name
+  // server each crashed and recovered once; partition + heal.
+  EXPECT_EQ(base.site_crashes, 2u);
+  EXPECT_EQ(base.site_recoveries, 2u);
+  EXPECT_EQ(base.faults, 2u);
   for (uint32_t shards : {2u, 4u}) {
     SCOPED_TRACE("sim_shards=" + std::to_string(shards));
     RunArtifacts r = RunOnce(shards, kSeed);
@@ -142,7 +164,6 @@ TEST(ShardedDeterminismTest, SameSeedTraceDiffAcrossShardCounts) {
     EXPECT_EQ(base.end_time, r.end_time);
     EXPECT_EQ(base.session_log, r.session_log);
     EXPECT_EQ(base.history, r.history);
-    EXPECT_EQ(base.trace, r.trace);
     EXPECT_EQ(base.records, r.records);
   }
 }
@@ -153,7 +174,7 @@ TEST(ShardedDeterminismTest, RepeatRunsAreIdenticalAtFourShards) {
   const uint64_t kSeed = 4242;
   RunArtifacts a = RunOnce(4, kSeed);
   RunArtifacts b = RunOnce(4, kSeed);
-  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_EQ(a.records, b.records);
   EXPECT_EQ(a.session_log, b.session_log);
   EXPECT_EQ(a.net_sent, b.net_sent);
 }

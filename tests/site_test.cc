@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/system.h"
 #include "workload/workload.h"
 
@@ -12,6 +14,19 @@ namespace rainbow {
 namespace {
 
 constexpr SiteId kProbe = 90;
+
+/// Trace records of `kind` that also satisfy `pred`.
+template <typename Pred>
+size_t CountIf(const TraceCollector& trace, TraceEventKind kind, Pred pred) {
+  return static_cast<size_t>(std::count_if(
+      trace.records().begin(), trace.records().end(),
+      [&](const TraceRecord& r) { return r.kind == kind && pred(r); }));
+}
+
+size_t QuorumPlans(const TraceCollector& trace, const std::string& op) {
+  return CountIf(trace, TraceEventKind::kQuorumPlan,
+                 [&](const TraceRecord& r) { return r.detail == op; });
+}
 
 class SiteTest : public ::testing::Test {
  protected:
@@ -256,26 +271,32 @@ TEST_F(SiteTest, HearingFromSiteClearsSuspicion) {
 
 TEST_F(SiteTest, TraceRecordsProtocolFlow) {
   SystemConfig cfg = BaseConfig();
-  cfg.enable_trace = true;
+  cfg.trace_enabled = true;
   Build(cfg);
   ASSERT_TRUE(
       sys_->Submit(0, TxnProgram{{Op::Increment(1, 5)}, ""}, nullptr).ok());
   sys_->RunFor(Millis(100));
-  const TraceLog& trace = sys_->trace();
-  EXPECT_GT(trace.CountContaining("arrived"), 0u);
-  EXPECT_GT(trace.CountContaining("read quorum"), 0u);
-  EXPECT_GT(trace.CountContaining("write quorum"), 0u);
-  EXPECT_GT(trace.CountContaining("prepare ->"), 0u);
-  EXPECT_GT(trace.CountContaining("voted YES"), 0u);
-  EXPECT_GT(trace.CountContaining("decision: COMMIT"), 0u);
-  EXPECT_GT(trace.CountContaining("fully acknowledged"), 0u);
-  // The rendered trace is non-empty and mentions the txn.
-  EXPECT_NE(trace.Render().find("T1@0"), std::string::npos);
+  const TraceCollector& trace = sys_->collector();
+  const TxnId txn{0, 1};
+  EXPECT_EQ(trace.CountKind(TraceEventKind::kTxnSubmit), 1u);
+  EXPECT_GT(QuorumPlans(trace, "read"), 0u);
+  EXPECT_GT(QuorumPlans(trace, "write"), 0u);
+  EXPECT_EQ(trace.CountKind(TraceEventKind::kPrepare), 1u);
+  auto yes = [](const TraceRecord& r) { return r.arg == 1; };
+  EXPECT_GT(CountIf(trace, TraceEventKind::kVote, yes), 0u);
+  EXPECT_EQ(CountIf(trace, TraceEventKind::kDecision, yes), 1u);
+  // Every participant acknowledged: the home site logged kEnd.
+  const std::vector<WalRecord>& log = sys_->site(0)->wal().records();
+  EXPECT_TRUE(std::any_of(log.begin(), log.end(), [&](const WalRecord& r) {
+    return r.kind == WalRecordKind::kEnd && r.txn == txn;
+  }));
+  // Every record above belongs to the one transaction.
+  EXPECT_EQ(trace.Transactions(), std::vector<TxnId>{txn});
 }
 
 TEST_F(SiteTest, ReadOwnWriteServedFromBuffer) {
   SystemConfig cfg = BaseConfig();
-  cfg.enable_trace = true;
+  cfg.trace_enabled = true;
   Build(cfg);
   TxnOutcome outcome;
   bool done = false;
@@ -295,7 +316,7 @@ TEST_F(SiteTest, ReadOwnWriteServedFromBuffer) {
   EXPECT_EQ(outcome.reads[1], 1234);
   EXPECT_EQ(sys_->LatestCommitted(4)->value, 1235);
   // Only ONE read quorum was ever built (none: both reads were local).
-  EXPECT_EQ(sys_->trace().CountContaining("read quorum"), 0u);
+  EXPECT_EQ(QuorumPlans(sys_->collector(), "read"), 0u);
 }
 
 TEST_F(SiteTest, ReadOnlyOptimizationSkipsPhaseTwo) {

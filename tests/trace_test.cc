@@ -8,9 +8,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/trace.h"
 #include "core/system.h"
+#include "fault/fault_injector.h"
+#include "fault/fault_script.h"
 #include "stats/progress_monitor.h"
 #include "stats/trace_export.h"
 #include "workload/workload.h"
@@ -120,13 +123,17 @@ class TracedRunTest : public ::testing::Test {
     return wl;
   }
 
-  /// Runs a traced workload and returns the finished system.
-  static std::unique_ptr<RainbowSystem> RunTraced(TraceDetail detail) {
+  /// Runs a traced workload (with `faults` scheduled) and returns the
+  /// finished system.
+  static std::unique_ptr<RainbowSystem> RunTraced(
+      TraceDetail detail, const std::vector<FaultEvent>& faults = {}) {
     SystemConfig cfg = BaseConfig();
     cfg.trace_enabled = true;
     cfg.trace_detail = detail;
     auto sys = RainbowSystem::Create(cfg);
     EXPECT_TRUE(sys.ok()) << sys.status();
+    FaultInjector inject(sys->get());
+    inject.ScheduleAll(faults);
     WorkloadGenerator gen(sys->get(), BaseWorkload());
     gen.Run();
     (*sys)->RunToQuiescence();
@@ -194,6 +201,49 @@ TEST_F(TracedRunTest, AsciiRendersContainEvents) {
 
   std::string window = ProgressMonitor::RenderExecutionWindow(c, 10);
   EXPECT_NE(window.find("execution window"), std::string::npos);
+}
+
+TEST_F(TracedRunTest, CrashRecoverAndFaultsAreTypedRecords) {
+  auto faults = ParseFaultScript(
+      "5000 crash 1\n"
+      "8000 linkdown 0 2\n"
+      "40000 recover 1\n"
+      "45000 linkup 0 2\n");
+  ASSERT_TRUE(faults.ok()) << faults.status();
+  auto sys = RunTraced(TraceDetail::kProtocol, *faults);
+  const TraceCollector& c = sys->collector();
+
+  // The crash and the recovery are the site's own records, one each.
+  ASSERT_EQ(c.CountKind(TraceEventKind::kSiteCrash), 1u);
+  ASSERT_EQ(c.CountKind(TraceEventKind::kSiteRecover), 1u);
+  for (const TraceRecord& r : c.records()) {
+    if (r.kind == TraceEventKind::kSiteCrash) {
+      EXPECT_EQ(r.site, 1u);
+      EXPECT_EQ(r.time, 5000);
+    }
+    if (r.kind == TraceEventKind::kSiteRecover) {
+      EXPECT_EQ(r.site, 1u);
+      EXPECT_EQ(r.time, 40000);
+      EXPECT_NE(r.detail.find("redo="), std::string::npos) << r.detail;
+    }
+  }
+
+  // Link faults carry their script line, which parses back to the
+  // scheduled event.
+  std::vector<FaultEvent> traced;
+  for (const TraceRecord& r : c.records()) {
+    if (r.kind != TraceEventKind::kFault) continue;
+    std::string command = r.detail.substr(r.detail.find(' ') + 1);
+    auto e = ParseFaultCommand(command, r.time);
+    ASSERT_TRUE(e.ok()) << r.detail << ": " << e.status();
+    EXPECT_EQ(FormatFaultEvent(*e), r.detail);
+    traced.push_back(*e);
+  }
+  EXPECT_EQ(traced, (std::vector<FaultEvent>{(*faults)[1], (*faults)[3]}));
+
+  auto diff = SameSeedTraceDiff(BaseConfig(), BaseWorkload(), *faults);
+  ASSERT_TRUE(diff.ok()) << diff.status();
+  EXPECT_TRUE(diff->identical) << diff->Describe();
 }
 
 TEST_F(TracedRunTest, ChromeTraceJsonIsWellFormed) {
