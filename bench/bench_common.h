@@ -108,6 +108,64 @@ inline std::map<std::string, double> ParseFlatJson(const std::string& path) {
   return fields;
 }
 
+/// Writes the report to `path` when one was given (`--out`); a bench run
+/// without `--out` writes nothing, so `--check BENCH_M*.json` can never
+/// overwrite the checked-in baseline it reads. Returns false only when a
+/// requested write fails.
+inline bool WriteReport(
+    const std::string& path,
+    const std::vector<std::pair<std::string, double>>& fields) {
+  if (path.empty()) return true;
+  if (!EmitJson(path, fields)) {
+    std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
+
+/// One baseline comparison: fails (returns false) when `current` is
+/// worse than `allowed_ratio` times the baseline value. `higher_is_better`
+/// flips the direction for throughput-style metrics. `slack` absorbs
+/// quantization around zero-valued allocation baselines. A key missing
+/// from either side is reported and skipped.
+inline bool CheckMetric(const std::map<std::string, double>& baseline,
+                        const std::map<std::string, double>& current,
+                        const std::string& key, double allowed_ratio,
+                        bool higher_is_better, double slack = 0.0) {
+  auto b = baseline.find(key);
+  auto c = current.find(key);
+  if (b == baseline.end() || c == current.end()) {
+    std::printf("  check %-28s SKIPPED (missing from %s)\n", key.c_str(),
+                b == baseline.end() ? "baseline" : "current run");
+    return true;
+  }
+  bool ok = higher_is_better ? c->second >= b->second / allowed_ratio
+                             : c->second <= b->second * allowed_ratio + slack;
+  std::printf("  check %-28s %s (current %.6g vs baseline %.6g, allowed %gx)\n",
+              key.c_str(), ok ? "ok" : "REGRESSED", c->second, b->second,
+              allowed_ratio);
+  return ok;
+}
+
+/// Exact comparison for deterministic counters (committed transactions,
+/// network messages): any change in the execution fails it.
+inline bool CheckExact(const std::map<std::string, double>& baseline,
+                       const std::map<std::string, double>& current,
+                       const std::string& key) {
+  auto b = baseline.find(key);
+  auto c = current.find(key);
+  if (b == baseline.end() || c == current.end()) {
+    std::printf("  check %-28s SKIPPED (missing from %s)\n", key.c_str(),
+                b == baseline.end() ? "baseline" : "current run");
+    return true;
+  }
+  bool ok = b->second == c->second;
+  std::printf("  check %-28s %s (current %.0f vs baseline %.0f, exact)\n",
+              key.c_str(), ok ? "ok" : "REGRESSED", c->second, b->second);
+  return ok;
+}
+
 }  // namespace rainbow::bench
 
 #endif  // RAINBOW_BENCH_BENCH_COMMON_H_

@@ -16,12 +16,14 @@
 // The numbers are written as flat JSON (bench::EmitJson). The repo
 // checks in BENCH_M6.json as the baseline; the CI perf-smoke step runs
 // this binary with --check BENCH_M6.json, which fails on a >2x
-// allocation-count or >1.5x wall-time regression. The wall-time bound
-// is deliberately loose (CI machines are noisy); the allocation counts
-// are exact and are the real gate.
+// allocation-count or >1.5x wall-time regression, or on any change in
+// the macro session's committed transactions or network messages. The
+// wall-time bound is deliberately loose (CI machines are noisy); the
+// allocation and execution counts are exact and are the real gate.
 //
 // Flags:
-//   --out FILE        write the JSON report here (default BENCH_M6.json)
+//   --out FILE        write the JSON report here (nothing is written
+//                     without it)
 //   --check FILE      compare against a baseline JSON; exit 1 on regression
 //   --seed-json FILE  merge a pre-change run's numbers as seed_* keys
 //   --no-gate         skip the zero-allocation steady-state gates (only
@@ -72,6 +74,8 @@ namespace rainbow {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using bench::CheckExact;
+using bench::CheckMetric;
 
 double ElapsedSec(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
@@ -199,10 +203,6 @@ bool RunMacroSession(Report& report) {
   system.seed = 2026;
   system.num_sites = 3;
   system.AddFullyReplicatedItems(12, 100);
-  // M6 measures the simulator/protocol hot path, so pin the legacy map
-  // store: the page engine (B+ tree + buffer pool + store-record
-  // logging) has its own baseline and gates in bench_m8_storage.
-  system.protocols.storage_engine = StorageEngineKind::kMap;
 
   WorkloadConfig workload;
   workload.num_txns = 400;
@@ -230,31 +230,8 @@ bool RunMacroSession(Report& report) {
   return true;
 }
 
-/// One baseline comparison: fails (returns false) when `current` is
-/// worse than `allowed_ratio` times the baseline value. `higher_is_better`
-/// flips the direction for throughput-style metrics. `slack` absorbs
-/// quantization around zero-valued allocation baselines.
-bool CheckMetric(const std::map<std::string, double>& baseline,
-                 const std::map<std::string, double>& current,
-                 const std::string& key, double allowed_ratio,
-                 bool higher_is_better, double slack = 0.0) {
-  auto b = baseline.find(key);
-  auto c = current.find(key);
-  if (b == baseline.end() || c == current.end()) {
-    std::printf("  check %-28s SKIPPED (missing from %s)\n", key.c_str(),
-                b == baseline.end() ? "baseline" : "current run");
-    return true;
-  }
-  bool ok = higher_is_better ? c->second >= b->second / allowed_ratio
-                             : c->second <= b->second * allowed_ratio + slack;
-  std::printf("  check %-28s %s (current %.6g vs baseline %.6g, allowed %gx)\n",
-              key.c_str(), ok ? "ok" : "REGRESSED", c->second, b->second,
-              allowed_ratio);
-  return ok;
-}
-
 int Main(int argc, char** argv) {
-  std::string out_path = "BENCH_M6.json";
+  std::string out_path;
   std::string check_path;
   std::string seed_json_path;
   bool gate = true;
@@ -306,11 +283,7 @@ int Main(int argc, char** argv) {
   }
 
   bench::AddEnvFields(report.fields, /*shards=*/1);
-  if (!bench::EmitJson(out_path, report.fields)) {
-    std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
+  if (!bench::WriteReport(out_path, report.fields)) return 1;
 
   if (!check_path.empty()) {
     std::printf("-- checking against baseline %s --\n", check_path.c_str());
@@ -323,6 +296,10 @@ int Main(int argc, char** argv) {
     std::map<std::string, double> current(report.fields.begin(),
                                           report.fields.end());
     bool pass = true;
+    // The macro session is deterministic: an engine or protocol change
+    // that alters its execution must regenerate the baseline.
+    pass &= CheckExact(baseline, current, "macro_committed");
+    pass &= CheckExact(baseline, current, "macro_net_messages");
     // Wall-time-shaped metrics: loose 1.5x bound (CI machines are noisy).
     pass &= CheckMetric(baseline, current, "micro_msgs_per_sec", 1.5, true);
     pass &= CheckMetric(baseline, current, "micro_events_per_sec", 1.5, true);

@@ -17,7 +17,7 @@
 // tell which kind of machine produced it.
 //
 // Flags:
-//   --out FILE    write the JSON report here (default BENCH_M7.json)
+//   --out FILE    write the JSON report here (nothing is written without it)
 //   --check FILE  compare against a baseline JSON + enforce the speedup
 //                 gate; exit 1 on failure
 //   --shards N    parallel shard count to measure (default 4)
@@ -93,7 +93,7 @@ RunNumbers RunOnce(uint32_t shards, uint32_t txns) {
 }
 
 int Main(int argc, char** argv) {
-  std::string out_path = "BENCH_M7.json";
+  std::string out_path;
   std::string check_path;
   uint32_t txns = 3000;
   uint32_t shards = bench::ShardsFlag(argc, argv, 4);
@@ -154,11 +154,7 @@ int Main(int argc, char** argv) {
   fields.emplace_back("speedup_msgs_per_sec", speedup);
   fields.emplace_back("parity", parity ? 1 : 0);
   bench::AddEnvFields(fields, shards);
-  if (!bench::EmitJson(out_path, fields)) {
-    std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
+  if (!bench::WriteReport(out_path, fields)) return 1;
 
   bool pass = parity;
   if (!check_path.empty()) {
@@ -171,15 +167,9 @@ int Main(int argc, char** argv) {
     }
     // Workload-shape sanity: the run must still drive the same
     // execution the baseline recorded (message totals are exact).
-    auto b = baseline.find("net_messages");
-    if (b != baseline.end() &&
-        static_cast<double>(base.net_messages) != b->second) {
-      std::printf("  check net_messages REGRESSED (current %llu vs baseline "
-                  "%.0f)\n",
-                  static_cast<unsigned long long>(base.net_messages),
-                  b->second);
-      pass = false;
-    }
+    pass &= bench::CheckExact(
+        baseline, {{"net_messages", static_cast<double>(base.net_messages)}},
+        "net_messages");
     // The scaling gate: >= 2x msgs/sec at >= 4 shards, enforced only on
     // machines with enough hardware threads to possibly show it.
     unsigned hw = std::thread::hardware_concurrency();

@@ -28,7 +28,7 @@
 // or pool accounting regressing shows up here immediately).
 //
 // Flags:
-//   --out FILE    write the JSON report here (default BENCH_M8.json)
+//   --out FILE    write the JSON report here (nothing is written without it)
 //   --check FILE  compare against a baseline JSON; exit 1 on regression
 //   --items N     override the item count (default 1,000,000)
 
@@ -47,6 +47,7 @@ namespace rainbow {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using bench::CheckMetric;
 
 double ElapsedSec(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
@@ -77,27 +78,8 @@ struct Report {
   }
 };
 
-bool CheckMetric(const std::map<std::string, double>& baseline,
-                 const std::map<std::string, double>& current,
-                 const std::string& key, double allowed_ratio,
-                 bool higher_is_better, double slack = 0.0) {
-  auto b = baseline.find(key);
-  auto c = current.find(key);
-  if (b == baseline.end() || c == current.end()) {
-    std::printf("  check %-28s SKIPPED (missing from %s)\n", key.c_str(),
-                b == baseline.end() ? "baseline" : "current run");
-    return true;
-  }
-  bool ok = higher_is_better ? c->second >= b->second / allowed_ratio
-                             : c->second <= b->second * allowed_ratio + slack;
-  std::printf("  check %-28s %s (current %.6g vs baseline %.6g, allowed %gx)\n",
-              key.c_str(), ok ? "ok" : "REGRESSED", c->second, b->second,
-              allowed_ratio);
-  return ok;
-}
-
 int Main(int argc, char** argv) {
-  std::string out_path = "BENCH_M8.json";
+  std::string out_path;
   std::string check_path;
   uint32_t num_items = 1000000;
   for (int i = 1; i < argc; ++i) {
@@ -121,7 +103,7 @@ int Main(int argc, char** argv) {
   Report report;
 
   Wal wal;
-  PageStore store(&wal, kPageSize, kPoolPages, kLruK);
+  PageStore store(&wal, PageStoreOptions{kPageSize, kPoolPages, kLruK});
 
   // --- load ---------------------------------------------------------------
   std::printf("-- load: %u items, %u B pages, %zu-frame pool --\n", num_items,
@@ -285,11 +267,7 @@ int Main(int argc, char** argv) {
   }
 
   bench::AddEnvFields(report.fields, /*shards=*/1);
-  if (!bench::EmitJson(out_path, report.fields)) {
-    std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
+  if (!bench::WriteReport(out_path, report.fields)) return 1;
 
   if (!check_path.empty()) {
     std::printf("-- checking against baseline %s --\n", check_path.c_str());

@@ -11,7 +11,7 @@
 // are gated with loose ratio bounds the way M6 gates its macro section.
 //
 // Flags:
-//   --out FILE    write the JSON report here (default BENCH_M9.json)
+//   --out FILE    write the JSON report here (nothing is written without it)
 //   --check FILE  compare against a baseline JSON; exit 1 on regression
 //   --txns N      transactions to drive (default 2000)
 
@@ -63,49 +63,15 @@ namespace rainbow {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using bench::CheckExact;
+using bench::CheckMetric;
 
 constexpr uint32_t kSites = 128;
 constexpr int kItems = 384;  // 3 item classes per site on average
 constexpr int kReplication = 3;
 
-/// One baseline comparison; mirrors M6's CheckMetric. Fails when
-/// `current` is worse than `allowed_ratio` times the baseline value.
-bool CheckMetric(const std::map<std::string, double>& baseline,
-                 const std::map<std::string, double>& current,
-                 const std::string& key, double allowed_ratio,
-                 bool higher_is_better, double slack = 0.0) {
-  auto b = baseline.find(key);
-  auto c = current.find(key);
-  if (b == baseline.end() || c == current.end()) {
-    std::printf("  check %-24s SKIPPED (missing key)\n", key.c_str());
-    return true;
-  }
-  bool ok = higher_is_better ? c->second >= b->second / allowed_ratio
-                             : c->second <= b->second * allowed_ratio + slack;
-  std::printf("  check %-24s %s (current %.6g vs baseline %.6g, allowed %gx)\n",
-              key.c_str(), ok ? "ok" : "REGRESSED", c->second, b->second,
-              allowed_ratio);
-  return ok;
-}
-
-/// Exact comparison for deterministic counters.
-bool CheckExact(const std::map<std::string, double>& baseline,
-                const std::map<std::string, double>& current,
-                const std::string& key) {
-  auto b = baseline.find(key);
-  auto c = current.find(key);
-  if (b == baseline.end() || c == current.end()) {
-    std::printf("  check %-24s SKIPPED (missing key)\n", key.c_str());
-    return true;
-  }
-  bool ok = b->second == c->second;
-  std::printf("  check %-24s %s (current %.0f vs baseline %.0f, exact)\n",
-              key.c_str(), ok ? "ok" : "REGRESSED", c->second, b->second);
-  return ok;
-}
-
 int Main(int argc, char** argv) {
-  std::string out_path = "BENCH_M9.json";
+  std::string out_path;
   std::string check_path;
   uint32_t txns = 2000;
   for (int i = 1; i < argc; ++i) {
@@ -134,9 +100,6 @@ int Main(int argc, char** argv) {
   system.seed = 2026;
   system.num_sites = kSites;
   system.AddUniformItems(kItems, 100, kReplication);
-  // M9 measures the simulator/protocol hot path at scale, so pin the
-  // legacy map store (the page engine has its own gates in M8).
-  system.protocols.storage_engine = StorageEngineKind::kMap;
 
   WorkloadConfig workload;
   workload.seed = 9;
@@ -180,11 +143,7 @@ int Main(int argc, char** argv) {
   add("net_messages", static_cast<double>(result->net_messages));
 
   bench::AddEnvFields(fields, /*shards=*/1);
-  if (!bench::EmitJson(out_path, fields)) {
-    std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
+  if (!bench::WriteReport(out_path, fields)) return 1;
 
   if (!check_path.empty()) {
     std::printf("-- checking against baseline %s --\n", check_path.c_str());

@@ -135,8 +135,6 @@ std::string SystemConfig::ToText() const {
      << "\n";
   os << "ordered_access = "
      << (protocols.ordered_access ? "true" : "false") << "\n";
-  os << "storage_engine = " << StorageEngineKindName(protocols.storage_engine)
-     << "\n";
   os << "page_size = " << protocols.page_size << "\n";
   os << "buffer_pool_pages = " << protocols.buffer_pool_pages << "\n";
   os << "lru_k = " << protocols.lru_k << "\n";
@@ -326,14 +324,6 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
       RAINBOW_ASSIGN_OR_RETURN(p.epoch_fencing, as_bool());
     } else if (key == "ordered_access") {
       RAINBOW_ASSIGN_OR_RETURN(p.ordered_access, as_bool());
-    } else if (key == "storage_engine") {
-      if (value == "map") {
-        p.storage_engine = StorageEngineKind::kMap;
-      } else if (value == "page") {
-        p.storage_engine = StorageEngineKind::kPage;
-      } else {
-        return Status::InvalidArgument("unknown storage_engine: " + value);
-      }
     } else if (key == "page_size") {
       RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
       p.page_size = static_cast<uint32_t>(v);

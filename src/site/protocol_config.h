@@ -8,22 +8,6 @@
 
 namespace rainbow {
 
-/// Which committed-data engine each site runs underneath the protocols.
-enum class StorageEngineKind {
-  kMap,   ///< legacy std::map store (recovery restores from snapshots)
-  kPage,  ///< page/buffer-pool engine with ARIES-style restart (default)
-};
-
-inline const char* StorageEngineKindName(StorageEngineKind k) {
-  switch (k) {
-    case StorageEngineKind::kMap:
-      return "map";
-    case StorageEngineKind::kPage:
-      return "page";
-  }
-  return "?";
-}
-
 /// The "Protocols Configuration" panel of the Rainbow GUI: which RCP /
 /// CCP / ACP variant every site runs, plus the protocol timeouts. One
 /// ProtocolConfig applies uniformly to a Rainbow instance.
@@ -63,10 +47,7 @@ struct ProtocolConfig {
   /// Observable results (read values, installed versions) are unchanged.
   bool ordered_access = false;
 
-  // --- storage engine ---
-  /// Committed-data engine under each site. kPage is the default; kMap
-  /// keeps the legacy map store for comparison in the lab exercises.
-  StorageEngineKind storage_engine = StorageEngineKind::kPage;
+  // --- storage engine (each site's PageStore) ---
   /// Page size in bytes for the page engine (>= 64).
   uint32_t page_size = 4096;
   /// Frames in each site's buffer pool (>= 8).

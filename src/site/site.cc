@@ -8,22 +8,29 @@
 
 namespace rainbow {
 
-Site::Site(SiteId id, Env env) : id_(id), env_(env) {
+namespace {
+
+PageStoreOptions StoreOptions(const ProtocolConfig& config, uint64_t seed,
+                              SiteId id) {
+  PageStoreOptions opts;
+  opts.page_size = config.page_size;
+  opts.pool_pages = config.buffer_pool_pages;
+  opts.lru_k = config.lru_k;
+  opts.checkpoint_interval = config.checkpoint_interval;
+  opts.page_checksums = config.page_checksums;
+  // Every site's disk gets its own fault stream, decorrelated from the
+  // RPC jitter streams that also fork the system seed.
+  opts.fault_seed = seed * 0x9e3779b97f4a7c15ULL + id + 1;
+  return opts;
+}
+
+}  // namespace
+
+Site::Site(SiteId id, Env env)
+    : id_(id),
+      env_(env),
+      store_(&wal_, StoreOptions(*env.config, env.seed, id)) {
   assert(env_.sim && env_.net && env_.config);
-  if (env_.config->storage_engine == StorageEngineKind::kPage) {
-    PageStoreOptions opts;
-    opts.page_size = env_.config->page_size;
-    opts.pool_pages = env_.config->buffer_pool_pages;
-    opts.lru_k = env_.config->lru_k;
-    opts.checkpoint_interval = env_.config->checkpoint_interval;
-    opts.page_checksums = env_.config->page_checksums;
-    // Every site's disk gets its own fault stream, decorrelated from
-    // the RPC jitter streams that also fork env_.seed.
-    opts.fault_seed = env_.seed * 0x9e3779b97f4a7c15ULL + id_ + 1;
-    store_ = std::make_unique<PageStore>(&wal_, opts);
-  } else {
-    store_ = std::make_unique<MapStore>();
-  }
   rpc_ = std::make_unique<RpcEndpoint>(env_.sim, env_.net, id_, env_.seed);
   rpc_->set_collector(env_.collector);
   rpc_->set_late_reply_handler(
@@ -37,7 +44,7 @@ void Site::BuildVolatileState() {
   cc_ = CreateCcEngine(env_.config->cc, env_.config->deadlock);
   if (env_.config->cc == CcKind::kMultiversionTso) {
     auto* mvto = static_cast<MvtoManager*>(cc_.get());
-    for (const auto& [item, copy] : store_->Snapshot()) {
+    for (const auto& [item, copy] : store_.Snapshot()) {
       mvto->LoadInitial(item, copy.value, copy.version);
     }
   }
@@ -48,7 +55,7 @@ void Site::BuildVolatileState() {
 }
 
 void Site::LoadItem(ItemId item, Value initial) {
-  store_->Load(item, initial);
+  store_.Load(item, initial);
   if (env_.config->cc == CcKind::kMultiversionTso) {
     static_cast<MvtoManager*>(cc_.get())->LoadInitial(item, initial, 0);
   }
@@ -60,7 +67,7 @@ void Site::Start() {
   // Checkpoint the freshly loaded database: Load() is not logged, so
   // the initial values must be on disk before the first crash for the
   // restart pass to redo against.
-  store_->FlushAll();
+  store_.FlushAll();
   env_.net->RegisterHandler(id_, [this](const Message& m) {
     if (crashed_) return;  // belt and braces; the network already drops
     // Hearing from a site clears its suspicion — any message counts,
@@ -216,7 +223,7 @@ void Site::Crash() {
   participants_->Shutdown();
   participants_.reset();
   cc_.reset();
-  store_->OnCrash();  // buffer pool frames and pending-txn table die
+  store_.OnCrash();  // buffer pool frames and pending-txn table die
   closers_.clear();
   rpc_->Reset();  // drops every pending call and the duplicate windows
   decided_cache_.clear();
@@ -232,8 +239,8 @@ void Site::Recover() {
 
   // Storage restart first: the page engine's ARIES pass (analysis ->
   // redo -> undo) rebuilds the committed pages from the log before any
-  // protocol-level recovery reads the store. (No-op for the map store.)
-  last_restart_ = store_->Restart();
+  // protocol-level recovery reads the store.
+  last_restart_ = store_.Restart();
   if (tracing()) {
     const RestartSummary& rs = last_restart_;
     TraceRecord rec;
@@ -251,11 +258,14 @@ void Site::Recover() {
   auto scan = wal_.Scan();
   // Redo: apply committed-but-unapplied writes from prepared records
   // (the crash hit between logging/learning the decision and applying).
-  // Store versioning makes re-application idempotent.
+  // A home site that is also a participant logs the commit decision
+  // before its local apply, so restart undoes that storage txn as a
+  // loser and this loop re-applies it. Store versioning makes
+  // re-application idempotent.
   for (const auto& [txn, st] : scan) {
     if (st.prepared && st.decided && st.commit && !st.applied) {
       for (const auto& w : st.prepared_record.writes) {
-        store_->Apply(w.item, w.value, w.version);
+        store_.Apply(w.item, w.value, w.version);
       }
       wal_.Append(WalRecord::Protocol(WalRecordKind::kApplied, txn,
                             st.prepared_record.coordinator, {}, {}, false));
@@ -284,9 +294,9 @@ void Site::Recover() {
 }
 
 void Site::RequestRefresh() {
-  if (store_->size() == 0) return;
+  if (store_.size() == 0) return;
   RefreshRequest req;
-  for (const auto& [item, copy] : store_->Snapshot()) req.items.push_back(item);
+  for (const auto& [item, copy] : store_.Snapshot()) req.items.push_back(item);
   // Ask every other site that could hold copies; peers that hold none of
   // the items reply with an empty list. A site does not know the full
   // schema locally, so it asks its schema cache first and falls back to
@@ -422,7 +432,7 @@ void Site::HandleStateQuery(SiteId from, const StateQuery& q,
 void Site::HandleRefreshRequest(SiteId from, const RefreshRequest& r) {
   RefreshReply reply;
   for (ItemId item : r.items) {
-    auto copy = store_->Get(item);
+    auto copy = store_.Get(item);
     if (copy.ok()) {
       reply.entries.push_back(RefreshReply::Entry{item, copy->value,
                                                   copy->version});
@@ -434,13 +444,13 @@ void Site::HandleRefreshRequest(SiteId from, const RefreshRequest& r) {
 void Site::HandleRefreshReply(const RefreshReply& r) {
   size_t adopted = 0;
   for (const auto& e : r.entries) {
-    if (store_->AdoptIfNewer(e.item, e.value, e.version)) ++adopted;
+    if (store_.AdoptIfNewer(e.item, e.value, e.version)) ++adopted;
   }
   if (adopted > 0) {
     if (env_.config->cc == CcKind::kMultiversionTso) {
       auto* mvto = static_cast<MvtoManager*>(cc_.get());
       for (const auto& e : r.entries) {
-        auto copy = store_->Get(e.item);
+        auto copy = store_.Get(e.item);
         if (copy.ok() && copy->version == e.version) {
           mvto->LoadInitial(e.item, e.value, e.version);
         }

@@ -89,8 +89,7 @@ class Site {
   bool crashed() const { return crashed_; }
 
   /// What the storage engine's restart pass did on the most recent
-  /// Recover() (all zero before the first recovery, and for the map
-  /// store, which has no restart pass).
+  /// Recover() (all zero before the first recovery).
   const RestartSummary& last_restart() const { return last_restart_; }
 
   /// Incarnation number: bumped on every recovery. Copy-access grants
@@ -106,8 +105,8 @@ class Site {
 
   // --- introspection ---
   SiteId id() const { return id_; }
-  const StorageEngine& store() const { return *store_; }
-  StorageEngine& mutable_store() { return *store_; }
+  const PageStore& store() const { return store_; }
+  PageStore& mutable_store() { return store_; }
   const Wal& wal() const { return wal_; }
   CcEngine* cc() { return cc_.get(); }
   size_t active_coordinators() const { return coordinators_.size(); }
@@ -197,7 +196,7 @@ class Site {
   // Durable state. The engine logs into wal_, so wal_ is declared (and
   // constructed) first.
   Wal wal_;
-  std::unique_ptr<StorageEngine> store_;
+  PageStore store_;
 
   // The RPC endpoint outlives coordinators/participants (their
   // destructors cancel pending calls), so it is declared first.

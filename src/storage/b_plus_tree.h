@@ -6,11 +6,19 @@
 #include <utility>
 #include <vector>
 
+#include "common/types.h"
 #include "storage/buffer_pool.h"
-#include "storage/local_store.h"
 #include "storage/page.h"
 
 namespace rainbow {
+
+/// One committed copy of a database item at a site.
+struct ItemCopy {
+  Value value = 0;
+  Version version = 0;
+
+  bool operator==(const ItemCopy&) const = default;
+};
 
 /// B+ tree primary index over ItemId -> ItemCopy {value, version},
 /// stored in fixed-size pages through the buffer pool. Leaves form a

@@ -5,14 +5,6 @@
 
 namespace rainbow {
 
-void MapStore::Range(ItemId from, size_t limit,
-                     std::vector<std::pair<ItemId, ItemCopy>>& out) const {
-  for (auto it = store_.copies().lower_bound(from);
-       it != store_.copies().end() && out.size() < limit; ++it) {
-    out.emplace_back(it->first, it->second);
-  }
-}
-
 PageStore::PageStore(Wal* wal, PageStoreOptions options)
     : wal_(wal),
       opts_(options),

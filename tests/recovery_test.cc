@@ -797,32 +797,6 @@ TEST(RecoveryTest, CrashSweepAlwaysRestartsCleanAndSometimesUndoes) {
   EXPECT_GT(undo_runs, 0u) << "no crash point exercised the undo pass";
 }
 
-TEST(RecoveryTest, MapEngineStillRecoversWithoutRestartPass) {
-  // The legacy engine remains selectable and recovers through the
-  // protocol log alone (no ARIES pass, no store records).
-  SystemConfig cfg = FixedLatencySystem(3, AcpKind::kTwoPhaseCommit);
-  cfg.protocols.storage_engine = StorageEngineKind::kMap;
-  auto sys = RainbowSystem::Create(cfg);
-  ASSERT_TRUE(sys.ok());
-  RainbowSystem& s = **sys;
-  bool committed = false;
-  ASSERT_TRUE(s.Submit(0, TxnProgram{{Op::Write(3, 321)}, ""},
-                       [&](const TxnOutcome& o) { committed = o.committed; })
-                  .ok());
-  s.RunFor(Millis(100));
-  ASSERT_TRUE(committed);
-  EXPECT_EQ(CountStoreKind(s.site(1)->wal(), WalRecordKind::kStoreUpdate), 0u);
-  s.CrashSite(1);
-  s.RunFor(Millis(5));
-  s.RecoverSite(1);
-  s.RunFor(Millis(200));
-  EXPECT_EQ(s.site(1)->epoch(), 1u);
-  EXPECT_EQ(s.site(1)->last_restart().log_scanned, 0u);
-  EXPECT_EQ(s.site(1)->last_restart().redo_applied, 0u);
-  EXPECT_EQ(s.site(1)->store().Get(3)->value, 321);
-  EXPECT_TRUE(s.CheckReplicaConsistency(false).ok());
-}
-
 TEST(RecoveryTest, CrashDuringCheckpointSweep) {
   // Sweep the crash over every phase of a fuzzy checkpoint — before
   // begin, between begin and end, after end, and deep into the next
@@ -1020,12 +994,7 @@ TEST(RecoveryTest, StorageFaultsDuringWorkloadStayInvisible) {
   EXPECT_TRUE(s.CheckReplicaConsistency(false).ok())
       << s.CheckReplicaConsistency(false).ToString();
   // The armed window really tore writes (and survived the crash).
-  EXPECT_GT(s.site(1)->store().name() == std::string("page")
-                ? static_cast<const PageStore&>(s.site(1)->store())
-                      .disk()
-                      .torn_writes()
-                : 0u,
-            0u);
+  EXPECT_GT(s.site(1)->store().disk().torn_writes(), 0u);
 }
 
 }  // namespace

@@ -139,77 +139,79 @@ TEST(StorageBufferPoolTest, UnpinDirtyBitSticks) {
   EXPECT_EQ(check.ReadU32(20), 5u);
 }
 
-// --- engines: parity ------------------------------------------------------
+// --- page store vs a std::map shadow -------------------------------------
 
 constexpr uint32_t kTestPageSize = 128;
 
 std::unique_ptr<PageStore> MakePageStore(Wal* wal, size_t frames = 16) {
-  return std::make_unique<PageStore>(wal, kTestPageSize, frames, 2);
+  return std::make_unique<PageStore>(
+      wal, PageStoreOptions{.page_size = kTestPageSize, .pool_pages = frames});
 }
 
 TEST(StorageEngineTest, MapAndPageAgreeOnApplySequences) {
   Wal wal;
-  MapStore map;
+  std::map<ItemId, ItemCopy> shadow;
   auto page = MakePageStore(&wal);
   for (ItemId i = 0; i < 50; ++i) {
-    map.Load(i, static_cast<Value>(i));
+    shadow[i] = ItemCopy{static_cast<Value>(i), 0};
     page->Load(i, static_cast<Value>(i));
   }
-  // A scripted mix of fresh, duplicate, and stale applies.
-  struct Step { ItemId item; Value value; Version version; };
+  // A scripted mix of fresh, duplicate, and stale applies, with the
+  // return value each must produce.
+  struct Step { ItemId item; Value value; Version version; bool applied; };
   std::vector<Step> steps = {
-      {3, 30, 2}, {3, 31, 2}, {3, 29, 1}, {7, 70, 5}, {7, 71, 6},
-      {49, 1, 1}, {0, -4, 3}, {0, -4, 3}, {25, 8, 9}, {25, 7, 4},
+      {3, 30, 2, true},   {3, 31, 2, false}, {3, 29, 1, false},
+      {7, 70, 5, true},   {7, 71, 6, true},  {49, 1, 1, true},
+      {0, -4, 3, true},   {0, -4, 3, false}, {25, 8, 9, true},
+      {25, 7, 4, false},  {99, 1, 1, false},
   };
   for (const Step& s : steps) {
-    EXPECT_EQ(map.Apply(s.item, s.value, s.version),
-              page->Apply(s.item, s.value, s.version))
+    EXPECT_EQ(page->Apply(s.item, s.value, s.version), s.applied)
         << "item " << s.item << " v" << s.version;
+    if (s.applied) shadow[s.item] = ItemCopy{s.value, s.version};
   }
-  EXPECT_EQ(map.Snapshot(), page->Snapshot());
-  EXPECT_EQ(map.size(), page->size());
-  for (ItemId i = 0; i < 50; ++i) {
-    auto a = map.Get(i);
-    auto b = page->Get(i);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->value, b->value);
-    EXPECT_EQ(a->version, b->version);
+  EXPECT_EQ(page->Snapshot(), shadow);
+  EXPECT_EQ(page->size(), shadow.size());
+  for (const auto& [item, copy] : shadow) {
+    auto got = page->Get(item);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, copy) << "item " << item;
   }
   EXPECT_FALSE(page->Get(99).ok());
-  EXPECT_FALSE(page->Apply(99, 1, 1));
 }
 
 TEST(StorageEngineTest, RangeMatchesBetweenEngines) {
   Wal wal;
-  MapStore map;
+  std::map<ItemId, ItemCopy> shadow;
   auto page = MakePageStore(&wal);
   for (ItemId i = 0; i < 40; ++i) {
-    map.Load(i * 3, static_cast<Value>(i));
+    shadow[i * 3] = ItemCopy{static_cast<Value>(i), 0};
     page->Load(i * 3, static_cast<Value>(i));
   }
-  std::vector<std::pair<ItemId, ItemCopy>> a, b;
-  map.Range(10, 7, a);
-  page->Range(10, 7, b);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].first, b[i].first);
-    EXPECT_EQ(a[i].second.value, b[i].second.value);
+  std::vector<std::pair<ItemId, ItemCopy>> got;
+  page->Range(10, 7, got);
+  // Seven copies from the first item >= 10, ascending: 12, 15, ..., 30.
+  ASSERT_EQ(got.size(), 7u);
+  auto want = shadow.lower_bound(10);
+  EXPECT_EQ(want->first, 12u);
+  for (const auto& [item, copy] : got) {
+    ASSERT_NE(want, shadow.end());
+    EXPECT_EQ(item, want->first);
+    EXPECT_EQ(copy, want->second);
+    ++want;
   }
-  ASSERT_EQ(a.size(), 7u);
-  EXPECT_EQ(a[0].first, 12u);
 }
 
 TEST(StorageEngineTest, AdoptIfNewerParity) {
   Wal wal;
-  MapStore map;
+  std::map<ItemId, ItemCopy> shadow{{1, ItemCopy{5, 0}}};
   auto page = MakePageStore(&wal);
-  map.Load(1, 5);
   page->Load(1, 5);
-  EXPECT_EQ(map.AdoptIfNewer(1, 50, 3), page->AdoptIfNewer(1, 50, 3));
-  EXPECT_EQ(map.AdoptIfNewer(1, 40, 2), page->AdoptIfNewer(1, 40, 2));
-  EXPECT_EQ(map.AdoptIfNewer(9, 1, 1), page->AdoptIfNewer(9, 1, 1));
-  EXPECT_EQ(map.Get(1)->value, page->Get(1)->value);
+  EXPECT_TRUE(page->AdoptIfNewer(1, 50, 3));
+  shadow[1] = ItemCopy{50, 3};
+  EXPECT_FALSE(page->AdoptIfNewer(1, 40, 2));  // older
+  EXPECT_FALSE(page->AdoptIfNewer(9, 1, 1));   // not hosted
+  EXPECT_EQ(page->Snapshot(), shadow);
 }
 
 // --- page store: ARIES crash / restart ------------------------------------

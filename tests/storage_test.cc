@@ -4,14 +4,21 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "storage/local_store.h"
+#include "storage/storage_engine.h"
 #include "storage/wal.h"
 
 namespace rainbow {
 namespace {
 
-TEST(LocalStoreTest, LoadAndGet) {
-  LocalStore store;
+// A small page store over its own log, the way a site owns one.
+struct TestStore {
+  Wal wal;
+  PageStore store{&wal, PageStoreOptions{.page_size = 128, .pool_pages = 16}};
+};
+
+TEST(StoragePageStoreTest, LoadAndGet) {
+  TestStore t;
+  PageStore& store = t.store;
   store.Load(3, 42);
   EXPECT_TRUE(store.Has(3));
   EXPECT_FALSE(store.Has(4));
@@ -22,8 +29,9 @@ TEST(LocalStoreTest, LoadAndGet) {
   EXPECT_FALSE(store.Get(4).ok());
 }
 
-TEST(LocalStoreTest, ApplyAdvancesVersion) {
-  LocalStore store;
+TEST(StoragePageStoreTest, ApplyAdvancesVersion) {
+  TestStore t;
+  PageStore& store = t.store;
   store.Load(1, 0);
   EXPECT_TRUE(store.Apply(1, 10, 1));
   EXPECT_TRUE(store.Apply(1, 20, 2));
@@ -32,8 +40,9 @@ TEST(LocalStoreTest, ApplyAdvancesVersion) {
   EXPECT_EQ(copy->version, 2u);
 }
 
-TEST(LocalStoreTest, StaleApplyIgnored) {
-  LocalStore store;
+TEST(StoragePageStoreTest, StaleApplyIgnored) {
+  TestStore t;
+  PageStore& store = t.store;
   store.Load(1, 0);
   EXPECT_TRUE(store.Apply(1, 10, 2));
   EXPECT_FALSE(store.Apply(1, 99, 2));  // duplicate version
@@ -41,13 +50,15 @@ TEST(LocalStoreTest, StaleApplyIgnored) {
   EXPECT_EQ(store.Get(1)->value, 10);
 }
 
-TEST(LocalStoreTest, ApplyToUnknownItemFails) {
-  LocalStore store;
+TEST(StoragePageStoreTest, ApplyToUnknownItemFails) {
+  TestStore t;
+  PageStore& store = t.store;
   EXPECT_FALSE(store.Apply(7, 1, 1));
 }
 
-TEST(LocalStoreTest, AdoptIfNewer) {
-  LocalStore store;
+TEST(StoragePageStoreTest, AdoptIfNewer) {
+  TestStore t;
+  PageStore& store = t.store;
   store.Load(1, 5);
   EXPECT_TRUE(store.AdoptIfNewer(1, 50, 3));
   EXPECT_FALSE(store.AdoptIfNewer(1, 40, 2));  // older
@@ -214,11 +225,12 @@ TEST(WalTest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(LocalStoreTest, ApplyIsIdempotent) {
+TEST(StoragePageStoreTest, ApplyIsIdempotent) {
   // Recovery replays decisions; re-applying the exact same write must be
   // a no-op (returns false, state unchanged) so replay order/multiplicity
   // cannot change the committed state.
-  LocalStore store;
+  TestStore t;
+  PageStore& store = t.store;
   store.Load(1, 0);
   EXPECT_TRUE(store.Apply(1, 10, 3));
   EXPECT_FALSE(store.Apply(1, 10, 3));  // identical replay
@@ -232,8 +244,9 @@ TEST(LocalStoreTest, ApplyIsIdempotent) {
   EXPECT_EQ(store.Get(1)->version, 5u);
 }
 
-TEST(LocalStoreTest, AdoptIfNewerIsIdempotent) {
-  LocalStore store;
+TEST(StoragePageStoreTest, AdoptIfNewerIsIdempotent) {
+  TestStore t;
+  PageStore& store = t.store;
   store.Load(1, 0);
   EXPECT_TRUE(store.AdoptIfNewer(1, 7, 2));
   EXPECT_FALSE(store.AdoptIfNewer(1, 7, 2));  // identical replay
