@@ -6,6 +6,7 @@
 // (DESIGN.md §4) and prints the rows the paper's progress monitor would
 // display.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -22,6 +23,11 @@
 #include "core/session.h"
 
 namespace rainbow::bench {
+
+/// Number of global operator-new calls so far in this process. Defined
+/// in counting_alloc.cc, which replaces operator new/delete; only the
+/// benches that link it may call this.
+uint64_t Allocs();
 
 inline void PrintHeader(const std::string& id, const std::string& what) {
   std::cout << "==============================================================\n";

@@ -7,40 +7,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdlib>
-#include <new>
 
+#include "bench_common.h"
 #include "common/trace.h"
 #include "core/system.h"
 #include "workload/workload.h"
-
-namespace {
-
-// Global allocation counter: counts every operator-new so a benchmark
-// can assert "no allocations happened inside this region".
-std::atomic<uint64_t> g_allocs{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-// The replacement operator new above is malloc-based, so free() is the
-// matching deallocator; GCC cannot see the pairing and misfires
-// -Wmismatched-new-delete at call sites inlined into these definitions.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace rainbow {
 namespace {
@@ -106,9 +78,9 @@ void RunWorkload(TraceDetail detail, uint64_t* messages, uint64_t* allocs) {
   wl.mpl = 8;
   WorkloadGenerator gen(sys->get(), wl);
   gen.Run();
-  uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  uint64_t before = bench::Allocs();
   (*sys)->RunToQuiescence();
-  *allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  *allocs = bench::Allocs() - before;
   *messages = (*sys)->net().stats().delivered;
 }
 
@@ -136,14 +108,14 @@ BENCHMARK(BM_SystemRunTraced)
 void BM_DisabledEmitZeroAllocs(benchmark::State& state) {
   TraceCollector c;  // kOff
   for (auto _ : state) {
-    uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    uint64_t before = bench::Allocs();
     for (int i = 0; i < 1'000'000; ++i) {
       if (c.enabled()) {
         c.Emit(TraceRecord{i, TraceEventKind::kMsgRecv, TxnId{0, 1}, 0, 1,
                            kInvalidItem, i, "ReadReply"});
       }
     }
-    uint64_t after = g_allocs.load(std::memory_order_relaxed);
+    uint64_t after = bench::Allocs();
     if (after != before) {
       state.SkipWithError("disabled tracing allocated on the hot path");
       return;

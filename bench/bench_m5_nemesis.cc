@@ -8,39 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "bench_common.h"
 #include "net/network.h"
 #include "sim/simulator.h"
-
-namespace {
-
-// Global allocation counter: counts every operator-new so a benchmark
-// can assert "these two regions allocated identically".
-std::atomic<uint64_t> g_allocs{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-// The replacement operator new above is malloc-based, so free() is the
-// matching deallocator; GCC cannot see the pairing and misfires
-// -Wmismatched-new-delete at call sites inlined into these definitions.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace rainbow {
 namespace {
@@ -140,11 +110,11 @@ void BM_ErasedOverridesAllocParity(benchmark::State& state) {
   pristine.Burst(kBurst);
   erased.Burst(kBurst);
   for (auto _ : state) {
-    uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    uint64_t before = bench::Allocs();
     pristine.Burst(kBurst);
-    uint64_t mid = g_allocs.load(std::memory_order_relaxed);
+    uint64_t mid = bench::Allocs();
     erased.Burst(kBurst);
-    uint64_t after = g_allocs.load(std::memory_order_relaxed);
+    uint64_t after = bench::Allocs();
     if (mid - before != after - mid) {
       state.SkipWithError(
           "erased-override fast path allocates differently from the "

@@ -29,11 +29,8 @@
 //   --no-gate         skip the zero-allocation steady-state gates (only
 //                     for measuring pre-change code, which fails them)
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -41,39 +38,11 @@
 #include "net/network.h"
 #include "sim/simulator.h"
 
-namespace {
-
-// Global allocation counter: every operator-new bumps it, so a region
-// of the bench can assert exact allocation behavior.
-std::atomic<uint64_t> g_allocs{0};
-
-uint64_t Allocs() { return g_allocs.load(std::memory_order_relaxed); }
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-// The replacement operator new above is malloc-based, so free() is the
-// matching deallocator; GCC cannot see the pairing and misfires
-// -Wmismatched-new-delete at call sites inlined into these definitions.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 namespace rainbow {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using bench::Allocs;
 using bench::CheckExact;
 using bench::CheckMetric;
 

@@ -19,6 +19,13 @@
 //     complete checkpoint, so the 100k restart must scan at most ~2x
 //     the records of the 20k restart even though the log is 5x longer
 //     (hard in-binary gate on the ratio).
+//   * checkpoint history — a third store whose transactions also log
+//     the commit protocol (kPrepared -> kCommitDecision -> kApplied),
+//     so the WAL's per-transaction digest grows to ~100k entries. A
+//     timed Checkpoint() every few transactions; the median over the
+//     last 10% must stay within 2x the median over the first 10%
+//     (hard in-binary gate): a checkpoint's cost must not grow with
+//     the number of transactions the log has seen.
 //
 // The numbers are written as flat JSON (bench::EmitJson). The repo
 // checks in BENCH_M8.json as the baseline; the CI perf-smoke step runs
@@ -32,6 +39,7 @@
 //   --check FILE  compare against a baseline JSON; exit 1 on regression
 //   --items N     override the item count (default 1,000,000)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -53,6 +61,11 @@ double ElapsedSec(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
 constexpr uint32_t kPageSize = 4096;
 constexpr size_t kPoolPages = 256;  // 1 MiB of pool vs ~20 MiB of data
 constexpr size_t kLruK = 2;
@@ -69,6 +82,14 @@ constexpr uint64_t kCheckpointInterval = 5000;  // LSNs between checkpoints
 constexpr int kCheckpointTxnsSmall = 20700;
 constexpr int kCheckpointTxnsLarge = 100700;
 constexpr double kCheckpointScanRatioGate = 2.0;
+constexpr int kHistoryTxns = 100000;
+constexpr int kHistoryCheckpointEvery = 50;  // transactions per Checkpoint()
+constexpr uint32_t kHistoryItems = 1000;
+// The shipped [protocols] checkpoint_interval: its flush-behind keeps
+// the dirty-page table from pinning the log head, so truncation keeps
+// pace and only the protocol floor is left to grow with history.
+constexpr uint64_t kShippedCheckpointInterval = 256;
+constexpr double kHistoryRatioGate = 2.0;
 
 struct Report {
   std::vector<std::pair<std::string, double>> fields;
@@ -263,6 +284,64 @@ int Main(int argc, char** argv) {
         "GATE FAILED: 100k-commit restart scanned %.2fx the records of the "
         "20k restart (gate %.1fx) — checkpoints are not bounding analysis\n",
         scan_ratio, kCheckpointScanRatioGate);
+    return 1;
+  }
+
+  // --- checkpoint history -------------------------------------------------
+  std::printf(
+      "-- checkpoint history: %d protocol-logged txns, Checkpoint() every "
+      "%d --\n",
+      kHistoryTxns, kHistoryCheckpointEvery);
+  Wal hist_wal;
+  PageStoreOptions hist_opts = ckpt_opts;
+  hist_opts.checkpoint_interval = kShippedCheckpointInterval;
+  PageStore hist_store(&hist_wal, hist_opts);
+  for (uint32_t i = 0; i < kHistoryItems; ++i) {
+    hist_store.Load(i, static_cast<Value>(i));
+  }
+  hist_store.FlushAll();
+  Version hist_version = 1;
+  std::vector<double> ckpt_us;
+  for (int i = 0; i < kHistoryTxns; ++i) {
+    // A participant's commit: prepare, learn the decision, apply, and
+    // close — the digest keeps an entry for the transaction forever.
+    TxnId txn{1, static_cast<uint64_t>(i) + 1};
+    ItemId item = static_cast<ItemId>(rng.NextUint(kHistoryItems));
+    Value value = static_cast<Value>(i);
+    Version v = hist_version++;
+    hist_store.LogPrewrite(txn, item, value);
+    hist_wal.Append(WalRecord::Protocol(WalRecordKind::kPrepared, txn, 0,
+                                        {{item, value, v}}, {0, 1}, false));
+    hist_wal.Append(WalRecord::Protocol(WalRecordKind::kCommitDecision, txn,
+                                        0, {}, {}, false));
+    hist_store.Apply(item, value, v, txn);
+    hist_store.CommitStorageTxn(txn);
+    hist_wal.Append(
+        WalRecord::Protocol(WalRecordKind::kApplied, txn, 0, {}, {}, false));
+    if ((i + 1) % kHistoryCheckpointEvery == 0) {
+      t0 = Clock::now();
+      hist_store.Checkpoint();
+      t1 = Clock::now();
+      ckpt_us.push_back(ElapsedSec(t0, t1) * 1e6);
+    }
+  }
+  const size_t tenth = ckpt_us.size() / 10;
+  double early_us = Median(std::vector<double>(
+      ckpt_us.begin(), ckpt_us.begin() + static_cast<ptrdiff_t>(tenth)));
+  double late_us = Median(std::vector<double>(
+      ckpt_us.end() - static_cast<ptrdiff_t>(tenth), ckpt_us.end()));
+  double history_ratio = early_us > 0.0 ? late_us / early_us : 0.0;
+  std::printf("  checkpoint median first 10%% %.3f us, last 10%% %.3f us, "
+              "wal base %llu of %llu\n",
+              early_us, late_us,
+              static_cast<unsigned long long>(hist_wal.base()),
+              static_cast<unsigned long long>(hist_wal.LastLsn()));
+  report.Add("ckpt_late_early_ratio", history_ratio);
+  if (history_ratio > kHistoryRatioGate) {
+    std::printf(
+        "GATE FAILED: late checkpoints cost %.2fx the early ones (gate "
+        "%.1fx) — checkpoint work grows with transaction history\n",
+        history_ratio, kHistoryRatioGate);
     return 1;
   }
 

@@ -15,12 +15,9 @@
 //   --check FILE  compare against a baseline JSON; exit 1 on regression
 //   --txns N      transactions to drive (default 2000)
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,39 +27,11 @@
 #include "core/system.h"
 #include "workload/workload.h"
 
-namespace {
-
-// Global allocation counter (same scheme as M6): every operator-new
-// bumps it so the bench can report exact allocations per transaction.
-std::atomic<uint64_t> g_allocs{0};
-
-uint64_t Allocs() { return g_allocs.load(std::memory_order_relaxed); }
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-// The replacement operator new above is malloc-based, so free() is the
-// matching deallocator; GCC cannot see the pairing and misfires
-// -Wmismatched-new-delete at call sites inlined into these definitions.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 namespace rainbow {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using bench::Allocs;
 using bench::CheckExact;
 using bench::CheckMetric;
 

@@ -1,0 +1,41 @@
+// Counting replacement for the global operator new/delete, linked into
+// the benches that gate allocation counts (M4, M5, M6, M9). Every
+// operator-new bumps one process-wide counter; bench::Allocs() (declared
+// in bench_common.h) reads it, so a bench can assert exact allocation
+// behaviour over a region.
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+namespace {
+
+std::atomic<uint64_t> g_allocs{0};
+
+}  // namespace
+
+namespace rainbow::bench {
+
+uint64_t Allocs() { return g_allocs.load(std::memory_order_relaxed); }
+
+}  // namespace rainbow::bench
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+// The replacement operator new above is malloc-based, so free() is the
+// matching deallocator; GCC cannot see the pairing and misfires
+// -Wmismatched-new-delete at call sites inlined into these definitions.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif

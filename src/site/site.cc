@@ -277,14 +277,16 @@ void Site::Recover() {
   for (const auto& [txn, st] : scan) {
     if (st.decided) decided_cache_[txn] = st.commit;
   }
-  // Reinstate in-doubt (prepared, undecided) transactions.
-  for (const WalRecord& rec : wal_.InDoubt()) {
+  // Reinstate in-doubt (prepared, undecided) transactions. Both lists
+  // come from the one scan: the kApplied records the redo loop appended
+  // change neither.
+  for (const WalRecord& rec : Wal::InDoubt(scan)) {
     bool precommitted = scan.at(rec.txn).precommitted;
     participants_->ReinstateInDoubt(rec, precommitted);
   }
   // Re-propagate decisions this site made as coordinator but never
   // finished acknowledging.
-  for (const auto& d : wal_.DecidedUnended()) {
+  for (const auto& d : Wal::DecidedUnended(scan)) {
     StartCloser(d.txn, d.commit, d.participants);
   }
   // Refresh item copies from a live peer.

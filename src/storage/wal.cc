@@ -63,6 +63,8 @@ void Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
       return;  // storage records carry no protocol state
   }
   ProtoState& st = proto_index_[record.txn];
+  const bool was_open = st.Open();
+  const Lsn old_first = st.first_lsn;
   if (st.first_lsn == kNoLsn || lsn < st.first_lsn) st.first_lsn = lsn;
   switch (record.kind) {
     case WalRecordKind::kPrepared:
@@ -90,6 +92,22 @@ void Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
     default:
       break;
   }
+  const bool open = st.Open();
+  if (was_open == open && old_first == st.first_lsn) return;
+  if (was_open) open_txns_.erase({old_first, record.txn});
+  if (open) open_txns_.emplace(st.first_lsn, record.txn);
+}
+
+void Wal::Reindex(std::map<TxnId, ProtoState> digest) {
+  proto_index_ = std::move(digest);
+  open_txns_.clear();
+  for (const auto& [txn, st] : proto_index_) {
+    if (st.Open()) open_txns_.emplace(st.first_lsn, txn);
+  }
+  // Retained records rebuild the rest incrementally, min-merging
+  // first_lsn where a digest entry also exists.
+  Lsn lsn = base_;
+  for (const WalRecord& r : records_) IndexRecord(r, ++lsn);
 }
 
 size_t Wal::TruncateBefore(Lsn lsn) {
@@ -109,13 +127,8 @@ size_t Wal::TruncateBefore(Lsn lsn) {
 }
 
 Lsn Wal::ProtocolBarrier() const {
-  Lsn barrier = NextLsn();
-  for (const auto& [txn, st] : proto_index_) {
-    if (!st.Closed() && st.first_lsn != kNoLsn && st.first_lsn < barrier) {
-      barrier = st.first_lsn;
-    }
-  }
-  return barrier;
+  if (open_txns_.empty()) return NextLsn();
+  return std::min(NextLsn(), open_txns_.begin()->first);
 }
 
 bool Wal::IsPreparedUndecided(const TxnId& txn) const {
@@ -188,15 +201,18 @@ std::unordered_map<TxnId, Wal::TxnLogState> Wal::Scan() const {
   return out;
 }
 
-std::vector<WalRecord> Wal::InDoubt() const {
+std::vector<WalRecord> Wal::InDoubt() const { return InDoubt(Scan()); }
+
+std::vector<WalRecord> Wal::InDoubt(
+    const std::unordered_map<TxnId, TxnLogState>& scan) {
   std::vector<WalRecord> out;
   // RAINBOW_LINT(allow:D1 reason=result is sorted by TxnId below)
-  for (const auto& [txn, st] : Scan()) {
+  for (const auto& [txn, st] : scan) {
     if (st.prepared && !st.decided) {
       out.push_back(st.prepared_record);
     }
   }
-  // Scan() iterates a hash map; sort so recovery reinstates in-doubt
+  // The scan is a hash map; sort so recovery reinstates in-doubt
   // transactions in one canonical (TxnId) order on every run.
   std::sort(out.begin(), out.end(),
             [](const WalRecord& a, const WalRecord& b) { return a.txn < b.txn; });
@@ -204,9 +220,14 @@ std::vector<WalRecord> Wal::InDoubt() const {
 }
 
 std::vector<Wal::UnendedDecision> Wal::DecidedUnended() const {
+  return DecidedUnended(Scan());
+}
+
+std::vector<Wal::UnendedDecision> Wal::DecidedUnended(
+    const std::unordered_map<TxnId, TxnLogState>& scan) {
   std::vector<UnendedDecision> out;
   // RAINBOW_LINT(allow:D1 reason=result is sorted by TxnId below)
-  for (const auto& [txn, st] : Scan()) {
+  for (const auto& [txn, st] : scan) {
     if (st.decided && !st.ended && !st.decision_participants.empty()) {
       out.push_back(UnendedDecision{txn, st.commit, st.decision_participants});
     }
@@ -235,6 +256,11 @@ constexpr uint32_t kWalVersion = 4;
 // variable-length (digest), so its record offset is computed from the
 // decoder instead.
 constexpr size_t kWalHeaderBytesV3 = 4 + 4 + 8 + 4;
+// v3+ frame header: [len u32][crc32 u32].
+constexpr size_t kFrameHeaderBytes = 8;
+// Smallest v1/v2 record: kind + txn + coordinator + the writes and
+// participants counts + three_phase.
+constexpr size_t kMinLegacyRecordBytes = 1 + 12 + 4 + 4 + 4 + 1;
 
 // ProtoState flag bits in a serialized digest entry.
 constexpr uint8_t kDigestPrepared = 1u << 0;
@@ -402,9 +428,17 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
     return Status::InvalidArgument("unsupported WAL version " +
                                    std::to_string(version));
   }
+  // A record count the remaining bytes cannot hold is a forged or
+  // corrupt header; reserving it would exhaust memory.
+  auto count_err = [tolerant]() {
+    return tolerant
+               ? Status::IoError("WAL record count exceeds file size")
+               : Status::InvalidArgument("WAL record count exceeds file size");
+  };
   if (version < 3) {
     // Legacy formats: records inline, no framing, no master pointer.
     RAINBOW_ASSIGN_OR_RETURN(uint32_t count, d.GetU32());
+    if (count > d.remaining() / kMinLegacyRecordBytes) return count_err();
     std::vector<WalRecord> records;
     records.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
@@ -417,9 +451,7 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
     records_ = std::move(records);
     base_ = 0;
     master_ = kNoLsn;
-    proto_index_.clear();
-    Lsn lsn = 0;
-    for (const WalRecord& r : records_) IndexRecord(r, ++lsn);
+    Reindex({});
     return Status::OK();
   }
   // A header cut short never finished its very first save; even the
@@ -463,12 +495,17 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
   Result<uint32_t> count_r = d.GetU32();
   if (!count_r.ok()) return header_err();
   uint32_t count = count_r.value();
+  // Every record needs at least its frame header; only a torn final
+  // record may be missing bytes.
+  if (count > d.remaining() / kFrameHeaderBytes + (tolerant ? 1 : 0)) {
+    return count_err();
+  }
   std::vector<WalRecord> records;
   records.reserve(count);
   size_t off = buffer.size() - d.remaining();
   size_t drop = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    if (buffer.size() - off < 8) {
+    if (buffer.size() - off < kFrameHeaderBytes) {
       // Frame header overruns the file: a record that never finished
       // being appended. Tolerant mode truncates the log here.
       if (!tolerant) {
@@ -480,12 +517,12 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
     uint32_t len, crc;
     std::memcpy(&len, buffer.data() + off, sizeof(len));
     std::memcpy(&crc, buffer.data() + off + 4, sizeof(crc));
-    if (buffer.size() - off - 8 < len) {
+    if (buffer.size() - off - kFrameHeaderBytes < len) {
       if (!tolerant) return Status::InvalidArgument("truncated WAL record");
       drop = count - i;
       break;
     }
-    const uint8_t* payload = buffer.data() + off + 8;
+    const uint8_t* payload = buffer.data() + off + kFrameHeaderBytes;
     if (Crc32(payload, len) != crc) {
       if (!tolerant) {
         return Status::InvalidArgument("WAL record CRC mismatch");
@@ -515,7 +552,7 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
                       : Status::InvalidArgument("trailing bytes in WAL record");
     }
     records.push_back(std::move(rec).value());
-    off += 8 + len;
+    off += kFrameHeaderBytes + len;
   }
   if (!tolerant && off != buffer.size()) {
     return Status::InvalidArgument("trailing bytes in WAL file");
@@ -528,11 +565,8 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
   // the head-truncated prefix (a malformed header, not a real save).
   master_ = std::min<Lsn>(master, LastLsn());
   if (master_ <= base_) master_ = kNoLsn;
-  // Digest entries cover the truncated prefix; retained records rebuild
-  // the rest incrementally, min-merging first_lsn where both exist.
-  proto_index_ = std::move(digest);
-  Lsn lsn = base_;
-  for (const WalRecord& r : records_) IndexRecord(r, ++lsn);
+  // Digest entries cover the truncated prefix.
+  Reindex(std::move(digest));
   if (dropped != nullptr) *dropped = drop;
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -165,7 +166,9 @@ class Wal {
   /// decided but not yet applied/acknowledged). NextLsn() when every
   /// logged transaction is closed. Head truncation must never pass
   /// this point, or InDoubt()/DecidedUnended() would lose records they
-  /// still have to return.
+  /// still have to return. O(1): it reads the first entry of the
+  /// ordered open-transaction index, so a checkpoint's cost does not
+  /// grow with the number of transactions the digest remembers.
   Lsn ProtocolBarrier() const;
 
   /// LSN of the kCheckpointBegin record of the last COMPLETE checkpoint
@@ -209,6 +212,9 @@ class Wal {
   /// resolve. Sorted by TxnId so recovery reinstates in a canonical
   /// order regardless of the scan's hash-map iteration order.
   std::vector<WalRecord> InDoubt() const;
+  /// The same list derived from a Scan() the caller already holds.
+  static std::vector<WalRecord> InDoubt(
+      const std::unordered_map<TxnId, TxnLogState>& scan);
 
   /// Decisions this site (as coordinator) logged but never closed with
   /// an End record; after recovery the decision must be re-propagated to
@@ -219,6 +225,9 @@ class Wal {
     std::vector<SiteId> participants;
   };
   std::vector<UnendedDecision> DecidedUnended() const;
+  /// The same list derived from a Scan() the caller already holds.
+  static std::vector<UnendedDecision> DecidedUnended(
+      const std::unordered_map<TxnId, TxnLogState>& scan);
 
   // --- on-disk persistence ---
   // The simulation treats the in-memory Wal as durable; these let a
@@ -271,11 +280,16 @@ class Wal {
     bool Closed() const {
       return decided && (!prepared || applied) && (!coordinator || ended);
     }
+    /// An open transaction pins the protocol barrier at first_lsn.
+    bool Open() const { return first_lsn != kNoLsn && !Closed(); }
   };
 
   Status DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
                          size_t* dropped);
   void IndexRecord(const WalRecord& record, Lsn lsn);
+  /// Replaces the digest with `digest` (the truncated prefix's entries)
+  /// and rebuilds both indexes from it plus the retained records.
+  void Reindex(std::map<TxnId, ProtoState> digest);
 
   std::vector<WalRecord> records_;
   /// Records reclaimed from the head; records_[i] has LSN base_ + i + 1.
@@ -285,6 +299,13 @@ class Wal {
   /// Survives truncation; serialized for transactions whose records
   /// were truncated so a saved log reloads with identical Scan() state.
   std::map<TxnId, ProtoState> proto_index_;
+  /// The Open() entries of proto_index_, ordered by (first_lsn, txn):
+  /// ProtocolBarrier() is the first element. IndexRecord moves an entry
+  /// only when its transaction opens, closes or lowers its first_lsn. A
+  /// closed transaction can reopen (a participant-learned decision
+  /// followed by a coordinator decision with a participant list, or a
+  /// late kPrepared), so this is an ordered set, not a FIFO.
+  std::set<std::pair<Lsn, TxnId>> open_txns_;
 };
 
 }  // namespace rainbow

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 
+#include "common/binary_io.h"
+#include "common/rng.h"
 #include "storage/storage_engine.h"
 #include "storage/wal.h"
 
@@ -744,6 +747,366 @@ TEST(WalTest, PreCommittedTracked) {
   EXPECT_TRUE(scan[txn].precommitted);
   ASSERT_EQ(wal.InDoubt().size(), 1u);
   EXPECT_TRUE(wal.InDoubt()[0].three_phase);
+}
+
+// Overwrites the little-endian u32 header field at `off`.
+void PokeU32(std::vector<uint8_t>& buf, size_t off, uint32_t v) {
+  for (int i = 0; i < 4; ++i) buf[off + i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+uint32_t PeekU32(const std::vector<uint8_t>& buf, size_t off) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(buf[off + i]) << (8 * i);
+  return v;
+}
+
+// A v2 (pre-framing) file: magic, version, record count, then the
+// records inline. Serialize() only writes v4, so the legacy layout is
+// spelled out here.
+std::vector<uint8_t> SerializeV2(const std::vector<WalRecord>& records) {
+  Encoder e;
+  e.PutU32(0x4c415752);  // "RWAL"
+  e.PutU32(2);
+  e.PutU32(static_cast<uint32_t>(records.size()));
+  for (const WalRecord& r : records) {
+    e.PutU8(static_cast<uint8_t>(r.kind));
+    e.PutTxnId(r.txn);
+    e.PutU32(r.coordinator);
+    e.PutVector(r.writes, [&](const WalRecord::Write& w) {
+      e.PutU32(w.item);
+      e.PutI64(w.value);
+      e.PutU64(w.version);
+    });
+    e.PutVector(r.participants, [&](SiteId site) { e.PutU32(site); });
+    e.PutBool(r.three_phase);
+    e.PutU32(r.store.item);
+    e.PutU32(r.store.page_id);
+    e.PutI64(r.store.before_value);
+    e.PutU64(r.store.before_version);
+    e.PutI64(r.store.value);
+    e.PutU64(r.store.version);
+    e.PutBool(r.store.tentative);
+    e.PutU64(r.prev_lsn);
+    e.PutU64(r.undo_next_lsn);
+  }
+  return e.Take();
+}
+
+// v4 header offsets: magic, version, master, base, then the digest
+// count and one 21-byte entry (txn, flags, first_lsn) per digest entry,
+// then the record count.
+constexpr size_t kV4DigestCountOffset = 24;
+constexpr size_t kV4DigestEntryBytes = 12 + 1 + 8;
+constexpr size_t kV2CountOffset = 8;
+
+size_t V4CountOffset(const std::vector<uint8_t>& buf) {
+  return kV4DigestCountOffset + 4 +
+         kV4DigestEntryBytes * PeekU32(buf, kV4DigestCountOffset);
+}
+
+TEST(WalTest, ForgedRecordCountReturnsStatus) {
+  // Regression: the loader reserved the 32-bit record count read from
+  // the file before checking it, so a forged count aborted the process
+  // with std::bad_alloc instead of returning a Status.
+  Wal wal;
+  wal.Append(Prepared(TxnId{0, 1}, {{1, 10, 1}}, {0, 1}));
+  wal.Append(Decision(WalRecordKind::kCommitDecision, TxnId{0, 1}));
+  std::vector<uint8_t> v4 = wal.Serialize();
+  ASSERT_EQ(V4CountOffset(v4), 28u);
+  ASSERT_EQ(PeekU32(v4, 28), 2u);
+  PokeU32(v4, 28, 0xFFFFFFFFu);
+
+  Wal target;
+  target.Append(Prepared(TxnId{9, 9}, {}, {0}));
+  Status strict = target.Deserialize(v4);
+  EXPECT_EQ(strict.code(), StatusCode::kInvalidArgument) << strict;
+  size_t dropped = 77;
+  Status tolerant = target.DeserializeTolerant(v4, &dropped);
+  EXPECT_EQ(tolerant.code(), StatusCode::kIoError) << tolerant;
+  EXPECT_EQ(target.size(), 1u);  // unchanged
+
+  std::vector<uint8_t> v2 = SerializeV2(wal.records());
+  Wal legacy;
+  ASSERT_TRUE(legacy.Deserialize(v2).ok());
+  EXPECT_EQ(legacy.size(), 2u);
+  PokeU32(v2, kV2CountOffset, 0xFFFFFFFFu);
+  EXPECT_EQ(target.Deserialize(v2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(target.DeserializeTolerant(v2).code(), StatusCode::kIoError);
+  EXPECT_EQ(target.size(), 1u);
+}
+
+TEST(WalTest, FuzzedBuffersNeverCrash) {
+  // Hostile-input property for the WAL loaders, in the style of
+  // CodecTest.FuzzedTruncationsAndBitFlipsNeverCrash: truncations, bit
+  // flips and forged digest/record counts over a v2 and a
+  // head-truncated v4 buffer must each return a Status — never crash,
+  // abort on allocation or read out of bounds — and a buffer that does
+  // load must serialize to one that loads again.
+  Wal wal;
+  TxnId closed{0, 1}, open{1, 2}, coord{2, 3};
+  wal.Append(Prepared(closed, {{1, 10, 1}}, {0, 1}));
+  wal.Append(Decision(WalRecordKind::kCommitDecision, closed));
+  wal.Append(Decision(WalRecordKind::kApplied, closed));
+  Lsn open_first = wal.Append(Prepared(open, {{2, 20, 2}, {3, 30, 3}}, {1, 2}));
+  wal.Append(StoreUpdate(open, 2, 0, 0, 20, 2, true, kNoLsn));
+  wal.Append(Decision(WalRecordKind::kAbortDecision, coord, {0, 2}));
+  const std::vector<WalRecord> v2_records = wal.records();
+  wal.TruncateBefore(open_first);
+  ASSERT_GT(wal.base(), 0u);
+
+  const std::vector<uint8_t> v4 = wal.Serialize();
+  ASSERT_EQ(PeekU32(v4, kV4DigestCountOffset), 1u);
+  const std::vector<uint8_t> v2 = SerializeV2(v2_records);
+  struct Case {
+    const char* name;
+    const std::vector<uint8_t>& good;
+    std::vector<size_t> count_offsets;  // forgeable u32 header fields
+  };
+  const Case cases[] = {
+      {"v2", v2, {kV2CountOffset}},
+      {"v4", v4, {kV4DigestCountOffset, V4CountOffset(v4)}},
+  };
+
+  // Loads `buf` both ways. Whatever loads must answer the recovery
+  // queries and re-serialize to a buffer that loads again.
+  auto load_both = [](const std::vector<uint8_t>& buf, const std::string& what) {
+    for (bool tolerant : {false, true}) {
+      Wal target;
+      Status s = tolerant ? target.DeserializeTolerant(buf)
+                          : target.Deserialize(buf);
+      if (!s.ok()) continue;
+      EXPECT_LE(target.ProtocolBarrier(), target.NextLsn()) << what;
+      (void)target.Scan();
+      (void)target.InDoubt();
+      (void)target.DecidedUnended();
+      Wal again;
+      ASSERT_TRUE(again.Deserialize(target.Serialize()).ok()) << what;
+      EXPECT_EQ(again.size(), target.size()) << what;
+      EXPECT_EQ(again.base(), target.base()) << what;
+    }
+  };
+
+  Rng rng(20261017);
+  for (const Case& c : cases) {
+    {
+      Wal target;
+      ASSERT_TRUE(target.Deserialize(c.good).ok()) << c.name;
+    }
+    // (a) Every strict prefix: strict load rejects it; tolerant load
+    // may salvage a torn tail but never crashes.
+    for (size_t len = 0; len < c.good.size(); ++len) {
+      std::vector<uint8_t> cut(c.good.begin(),
+                               c.good.begin() + static_cast<ptrdiff_t>(len));
+      Wal strict;
+      EXPECT_FALSE(strict.Deserialize(cut).ok())
+          << c.name << " prefix " << len;
+      load_both(cut, std::string(c.name) + " prefix " + std::to_string(len));
+    }
+    // (b) Random 1-3 bit flips anywhere in the buffer.
+    for (int round = 0; round < 400; ++round) {
+      std::vector<uint8_t> mut = c.good;
+      for (uint64_t i = 0, n = 1 + rng.NextUint(3); i < n; ++i) {
+        mut[rng.NextUint(mut.size())] ^=
+            static_cast<uint8_t>(1u << rng.NextUint(8));
+      }
+      load_both(mut, std::string(c.name) + " flip round " + std::to_string(round));
+    }
+    // (c) Forged counts: huge ones must be rejected outright, small
+    // ones misframe the rest of the buffer.
+    for (size_t off : c.count_offsets) {
+      const uint32_t real = PeekU32(c.good, off);
+      const uint32_t forged[] = {0u,          1u,          real + 1,
+                                 real + 1000, 0x7FFFFFFFu, 0xFFFFFFFFu,
+                                 static_cast<uint32_t>(rng.Next())};
+      for (uint32_t value : forged) {
+        std::vector<uint8_t> mut = c.good;
+        PokeU32(mut, off, value);
+        const std::string what = std::string(c.name) + " count@" +
+                                 std::to_string(off) + "=" +
+                                 std::to_string(value);
+        load_both(mut, what);
+        if (value >= 0x7FFFFFFFu) {
+          Wal target;
+          EXPECT_FALSE(target.Deserialize(mut).ok()) << what;
+          EXPECT_FALSE(target.DeserializeTolerant(mut).ok()) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(WalTest, ProtocolBarrierMatchesReferenceScan) {
+  // Differential check of ProtocolBarrier() against a reference linear
+  // scan kept in this test: a shadow of each transaction's protocol
+  // bits and first LSN, and the smallest first LSN among the
+  // transactions that are not closed. The random
+  // mix reopens closed transactions (a participant-learned decision
+  // followed by a coordinator decision with a participant list, or by
+  // a late kPrepared), interleaves storage and checkpoint records, and
+  // periodically truncates at the barrier and round-trips the file.
+  struct Shadow {
+    Lsn first = kNoLsn;
+    bool prepared = false, decided = false, applied = false, ended = false,
+         coordinator = false;
+    bool Closed() const {
+      return decided && (!prepared || applied) && (!coordinator || ended);
+    }
+  };
+  std::map<TxnId, Shadow> shadow;
+  auto reference = [&shadow](const Wal& w) {
+    Lsn barrier = w.NextLsn();
+    for (const auto& [txn, st] : shadow) {
+      if (!st.Closed() && st.first < barrier) barrier = st.first;
+    }
+    return barrier;
+  };
+
+  Rng rng(20261017);
+  Wal wal;
+  size_t reopened = 0, truncations = 0, round_trips = 0;
+  // Appends one record, mirrors it into the shadow and compares.
+  auto append = [&](WalRecord rec) {
+    const WalRecordKind kind = rec.kind;
+    const TxnId txn = rec.txn;
+    const bool has_participants = !rec.participants.empty();
+    const Lsn lsn = wal.Append(std::move(rec));
+    if (kind <= WalRecordKind::kEnd) {
+      Shadow& st = shadow[txn];
+      const bool was_closed = st.first != kNoLsn && st.Closed();
+      if (st.first == kNoLsn) st.first = lsn;
+      switch (kind) {
+        case WalRecordKind::kPrepared:
+          st.prepared = true;
+          break;
+        case WalRecordKind::kCommitDecision:
+        case WalRecordKind::kAbortDecision:
+          st.decided = true;
+          if (has_participants) st.coordinator = true;
+          break;
+        case WalRecordKind::kApplied:
+          st.applied = true;
+          break;
+        case WalRecordKind::kEnd:
+          st.ended = true;
+          break;
+        default:
+          break;
+      }
+      if (was_closed && !st.Closed()) ++reopened;
+    }
+    ASSERT_EQ(wal.ProtocolBarrier(), reference(wal)) << "lsn " << lsn;
+  };
+
+  uint64_t next_seq = 1;
+  std::vector<TxnId> live;     // recent transactions the mix draws from
+  std::vector<TxnId> retired;  // closed ones that may still hear late news
+  // Open transactions whose first record is already truncated: only
+  // the file's digest can tell a reload that they pin the barrier.
+  auto truncated_open = [&]() {
+    size_t n = 0;
+    for (const auto& [txn, st] : shadow) {
+      if (!st.Closed() && st.first <= wal.base()) ++n;
+    }
+    return n;
+  };
+  size_t reloads_with_truncated_open = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const bool revive = !retired.empty() && rng.NextBool(0.02);
+    if (live.empty() || revive || rng.NextBool(0.08)) {
+      if (revive) {
+        // A late record reopens a closed transaction, possibly long
+        // after truncation reclaimed its first record.
+        const size_t i = rng.NextUint(retired.size());
+        const TxnId txn = retired[i];
+        retired.erase(retired.begin() + static_cast<ptrdiff_t>(i));
+        append(rng.NextBool(0.5)
+                   ? Prepared(txn, {{1, 1, 1}}, {0, 1})
+                   : Decision(WalRecordKind::kCommitDecision, txn, {0, 1}));
+        live.push_back(txn);
+      } else {
+        live.push_back(
+            TxnId{static_cast<SiteId>(rng.NextUint(4)), next_seq++});
+      }
+      if (live.size() > 12) {
+        // A transaction leaving the window finishes its protocol, so
+        // the barrier advances and truncation has work to do.
+        const TxnId old = live.front();
+        live.erase(live.begin());
+        retired.push_back(old);
+        if (retired.size() > 32) retired.erase(retired.begin());
+        const Shadow& st = shadow[old];
+        if (!st.decided) append(Decision(WalRecordKind::kAbortDecision, old));
+        if (st.prepared && !st.applied) {
+          append(Decision(WalRecordKind::kApplied, old));
+        }
+        if (st.coordinator && !st.ended) {
+          append(Decision(WalRecordKind::kEnd, old));
+        }
+        ASSERT_TRUE(shadow[old].Closed());
+      }
+    }
+    const TxnId txn = live[rng.NextUint(live.size())];
+    WalRecord rec;
+    switch (rng.NextUint(10)) {
+      case 0:
+        rec = Prepared(txn, {{1, 1, 1}}, {0, 1});
+        break;
+      case 1:
+        rec = WalRecord::Protocol(WalRecordKind::kPreCommitted, txn, txn.home,
+                                  {}, {}, true);
+        break;
+      case 2:  // participant-learned decision
+        rec = Decision(rng.NextBool(0.5) ? WalRecordKind::kCommitDecision
+                                         : WalRecordKind::kAbortDecision,
+                       txn);
+        break;
+      case 3:  // coordinator decision with a participant list
+        rec = Decision(rng.NextBool(0.5) ? WalRecordKind::kCommitDecision
+                                         : WalRecordKind::kAbortDecision,
+                       txn, {0, 1, 2});
+        break;
+      case 4:
+        rec = Decision(WalRecordKind::kApplied, txn);
+        break;
+      case 5:
+        rec = Decision(WalRecordKind::kEnd, txn);
+        break;
+      case 6:
+      case 7:
+        rec = StoreUpdate(txn, 3, 0, 0, 1, 1, false, kNoLsn);
+        break;
+      case 8:
+        rec.kind = WalRecordKind::kStoreCommit;
+        rec.txn = txn;
+        break;
+      default:
+        rec.kind = rng.NextBool(0.5) ? WalRecordKind::kCheckpointBegin
+                                     : WalRecordKind::kCheckpointEnd;
+        break;
+    }
+    append(std::move(rec));
+    if (HasFatalFailure()) return;
+
+    if (step % 61 == 60) {
+      wal.TruncateBefore(wal.ProtocolBarrier());
+      ++truncations;
+      ASSERT_EQ(wal.ProtocolBarrier(), reference(wal)) << "truncate " << step;
+    }
+    if (step % 409 == 408) {
+      if (truncated_open() > 0) ++reloads_with_truncated_open;
+      Wal loaded;
+      ASSERT_TRUE(loaded.Deserialize(wal.Serialize()).ok());
+      wal = std::move(loaded);
+      ++round_trips;
+      ASSERT_EQ(wal.ProtocolBarrier(), reference(wal)) << "reload " << step;
+    }
+  }
+  // The mix really exercised what it claims to.
+  EXPECT_GT(reopened, 50u);
+  EXPECT_GT(wal.base(), 1000u);
+  EXPECT_GT(truncations, 300u);
+  EXPECT_GT(round_trips, 40u);
+  EXPECT_GT(reloads_with_truncated_open, 5u);
 }
 
 }  // namespace
