@@ -6,6 +6,8 @@
 // (DESIGN.md §4) and prints the rows the paper's progress monitor would
 // display.
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -14,7 +16,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -47,27 +48,12 @@ inline int RunAndPrint(Experiment& exp,
   return 0;
 }
 
-/// Scans argv for `--shards N` — the sharded-kernel knob shared by the
-/// bench binaries — without disturbing each binary's own flag loop.
-/// Returns `def` when the flag is absent or malformed.
-inline uint32_t ShardsFlag(int argc, char** argv, uint32_t def = 1) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--shards") {
-      unsigned long v = std::strtoul(argv[i + 1], nullptr, 10);
-      if (v >= 1 && v <= 64) return static_cast<uint32_t>(v);
-    }
-  }
-  return def;
-}
-
-/// Environment fields every bench JSON report records: the shard count
-/// the run used and the machine's hardware threads. CI speedup gates
-/// read `hardware_threads` to skip boxes too small to show scaling.
-inline void AddEnvFields(std::vector<std::pair<std::string, double>>& fields,
-                         uint32_t shards) {
-  fields.emplace_back("sim_shards", static_cast<double>(shards));
+/// Environment fields every bench JSON report records: the machine's
+/// hardware threads, so a reader can tell which kind of machine
+/// produced a baseline.
+inline void AddEnvFields(std::vector<std::pair<std::string, double>>& fields) {
   fields.emplace_back("hardware_threads",
-                      static_cast<double>(std::thread::hardware_concurrency()));
+                      static_cast<double>(sysconf(_SC_NPROCESSORS_ONLN)));
 }
 
 /// Writes a flat JSON object of numeric fields, in the given order, to

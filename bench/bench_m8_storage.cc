@@ -345,7 +345,7 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  bench::AddEnvFields(report.fields, /*shards=*/1);
+  bench::AddEnvFields(report.fields);
   if (!bench::WriteReport(out_path, report.fields)) return 1;
 
   if (!check_path.empty()) {

@@ -111,7 +111,7 @@ int Main(int argc, char** argv) {
   add("aborted", static_cast<double>(result->aborted));
   add("net_messages", static_cast<double>(result->net_messages));
 
-  bench::AddEnvFields(fields, /*shards=*/1);
+  bench::AddEnvFields(fields);
   if (!bench::WriteReport(out_path, fields)) return 1;
 
   if (!check_path.empty()) {

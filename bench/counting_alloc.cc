@@ -2,27 +2,27 @@
 // the benches that gate allocation counts (M4, M5, M6, M9). Every
 // operator-new bumps one process-wide counter; bench::Allocs() (declared
 // in bench_common.h) reads it, so a bench can assert exact allocation
-// behaviour over a region.
+// behaviour over a region. The benches are single-threaded, so the
+// counter is a plain integer.
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
 namespace {
 
-std::atomic<uint64_t> g_allocs{0};
+uint64_t g_allocs = 0;
 
 }  // namespace
 
 namespace rainbow::bench {
 
-uint64_t Allocs() { return g_allocs.load(std::memory_order_relaxed); }
+uint64_t Allocs() { return g_allocs; }
 
 }  // namespace rainbow::bench
 
 void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++g_allocs;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }

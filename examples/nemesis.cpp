@@ -25,10 +25,6 @@
 //   --replay-seed N   workload seed for --replay (default: --seed)
 //   --config F        base system config (.rainbow text format); its
 //                     nemesis_* keys seed the defaults
-//   --shards N        run every round on the sharded kernel with N
-//                     shards (default 1 = sequential kernel); results
-//                     are identical either way — CI uses this to fuzz
-//                     the barrier/mailbox machinery under TSan
 //   --no-epoch-fencing    disable the incarnation-epoch fix (plants the
 //                     resurrection bug for bug-hunt demos and labs)
 //   --storage-faults  mix storage-fault windows (torn/short/lost writes,
@@ -69,7 +65,7 @@ int Usage() {
                "               [--seed N] [--txns N] [--mpl N]\n"
                "               [--shrink | --no-shrink] [--shrink-budget N]\n"
                "               [--emit-repro FILE] [--config FILE]\n"
-               "               [--shards N] [--no-epoch-fencing]\n"
+               "               [--no-epoch-fencing]\n"
                "               [--storage-faults] [--no-page-crc]\n"
                "       nemesis --replay FILE [--replay-seed N] ...\n";
   return 2;
@@ -86,7 +82,6 @@ int main(int argc, char** argv) {
   bool have_replay_seed = false;
   bool seed_given = false;
   bool profile_given = false;
-  uint32_t shards = 0;  // 0 = keep the config's sim_shards
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -145,10 +140,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       opts.base_config = *cfg;
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (!v) return Usage();
-      shards = static_cast<uint32_t>(std::stoul(v));
     } else if (arg == "--no-epoch-fencing") {
       opts.base_config.protocols.epoch_fencing = false;
     } else if (arg == "--storage-faults") {
@@ -165,7 +156,6 @@ int main(int argc, char** argv) {
   if (!seed_given) opts.seed = opts.base_config.nemesis_seed;
   if (!profile_given) opts.profile = opts.base_config.nemesis_profile;
   if (opts.rounds == 0) opts.rounds = opts.base_config.nemesis_rounds;
-  if (shards > 0) opts.base_config.sim_shards = shards;
 
   Result<Nemesis> made = Nemesis::Make(opts);
   if (!made.ok()) {
@@ -199,7 +189,6 @@ int main(int argc, char** argv) {
 
   std::cout << "nemesis: profile=" << opts.profile << " seed=" << opts.seed
             << " rounds=" << opts.rounds << " txns=" << opts.txns
-            << " shards=" << opts.base_config.sim_shards
             << " shrink=" << (opts.shrink ? "on" : "off") << "\n";
 
   NemesisResult result = nemesis.Run();

@@ -112,12 +112,6 @@ void TraceCollector::Clear() {
   dropped_ = 0;
 }
 
-void TraceCollector::MergeFrom(const TraceCollector& other) {
-  records_.insert(records_.end(), other.records_.begin(),
-                  other.records_.end());
-  dropped_ += other.dropped_;
-}
-
 void TraceCollector::CanonicalSort() {
   std::stable_sort(records_.begin(), records_.end(),
                    [](const TraceRecord& a, const TraceRecord& b) {

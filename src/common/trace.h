@@ -88,14 +88,9 @@ class TraceCollector {
   size_t dropped() const { return dropped_; }
   void Clear();
 
-  /// Appends another collector's records (per-shard merge). Ignores the
-  /// detail level — merge targets are assembled, not emitted into.
-  void MergeFrom(const TraceCollector& other);
-
-  /// Stable-sorts records by (time, site): the canonical cross-shard
-  /// order. Within one (time, site) pair emission order is preserved —
-  /// and a site's records always sit in a single shard buffer, so the
-  /// merged order is shard-count-invariant.
+  /// Stable-sorts records by (time, site): the canonical order of the
+  /// Chrome-trace export. Within one (time, site) pair emission order is
+  /// preserved.
   void CanonicalSort();
 
   /// Events of one transaction, in emission (= time) order.

@@ -1,5 +1,6 @@
 #include "core/config.h"
 
+#include <cstdint>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -23,12 +24,6 @@ void SystemConfig::AddUniformItems(int count, Value initial,
 Status SystemConfig::Validate() const {
   if (num_sites == 0) {
     return Status::InvalidArgument("num_sites must be >= 1");
-  }
-  if (sim_shards == 0) {
-    return Status::InvalidArgument("sim_shards must be >= 1");
-  }
-  if (sim_shards > 64) {
-    return Status::InvalidArgument("sim_shards must be <= 64");
   }
   if (message_loss < 0 || message_loss >= 1) {
     return Status::InvalidArgument("message_loss must be in [0, 1)");
@@ -94,7 +89,6 @@ std::string SystemConfig::ToText() const {
   os << "[system]\n";
   os << "seed = " << seed << "\n";
   os << "num_sites = " << num_sites << "\n";
-  os << "sim_shards = " << sim_shards << "\n";
   os << "record_history = " << (record_history ? "true" : "false") << "\n";
   os << "stats_bucket = " << stats_bucket << "\n";
   os << "trace_enabled = " << (trace_enabled ? "true" : "false") << "\n";
@@ -189,17 +183,26 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
                      const std::string& key, const std::string& value) {
   auto as_int = [&]() -> Result<int64_t> { return ParseInt(value); };
   auto as_bool = [&]() -> Result<bool> { return ParseBool(value); };
+  // Unsigned knobs reject what they cannot hold instead of wrapping it:
+  // `num_sites = -3` must not become 4294967293 sites.
+  auto as_uint = [&](uint64_t max) -> Result<uint64_t> {
+    RAINBOW_ASSIGN_OR_RETURN(int64_t v, ParseInt(value));
+    if (v < 0 || static_cast<uint64_t>(v) > max) {
+      return Status::InvalidArgument(key + " out of range: " + value);
+    }
+    return static_cast<uint64_t>(v);
+  };
+  auto as_uint32 = [&]() -> Result<uint32_t> {
+    RAINBOW_ASSIGN_OR_RETURN(uint64_t v, as_uint(UINT32_MAX));
+    return static_cast<uint32_t>(v);
+  };
 
   if (section == "system") {
     if (key == "seed") {
       // Full uint64 range: RNG seeds above INT64_MAX must reload.
       RAINBOW_ASSIGN_OR_RETURN(cfg.seed, ParseUint64(value));
     } else if (key == "num_sites") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      cfg.num_sites = static_cast<uint32_t>(v);
-    } else if (key == "sim_shards") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      cfg.sim_shards = static_cast<uint32_t>(v);
+      RAINBOW_ASSIGN_OR_RETURN(cfg.num_sites, as_uint32());
     } else if (key == "record_history") {
       RAINBOW_ASSIGN_OR_RETURN(cfg.record_history, as_bool());
     } else if (key == "stats_bucket") {
@@ -213,8 +216,7 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
     } else if (key == "nemesis_profile") {
       cfg.nemesis_profile = value;
     } else if (key == "nemesis_rounds") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      cfg.nemesis_rounds = static_cast<uint32_t>(v);
+      RAINBOW_ASSIGN_OR_RETURN(cfg.nemesis_rounds, as_uint32());
     } else if (key == "trace_detail") {
       if (value == "off") {
         cfg.trace_detail = TraceDetail::kOff;
@@ -325,17 +327,13 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
     } else if (key == "ordered_access") {
       RAINBOW_ASSIGN_OR_RETURN(p.ordered_access, as_bool());
     } else if (key == "page_size") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      p.page_size = static_cast<uint32_t>(v);
+      RAINBOW_ASSIGN_OR_RETURN(p.page_size, as_uint32());
     } else if (key == "buffer_pool_pages") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      p.buffer_pool_pages = static_cast<uint32_t>(v);
+      RAINBOW_ASSIGN_OR_RETURN(p.buffer_pool_pages, as_uint32());
     } else if (key == "lru_k") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      p.lru_k = static_cast<uint32_t>(v);
+      RAINBOW_ASSIGN_OR_RETURN(p.lru_k, as_uint32());
     } else if (key == "checkpoint_interval") {
-      RAINBOW_ASSIGN_OR_RETURN(int64_t v, as_int());
-      p.checkpoint_interval = static_cast<uint64_t>(v);
+      RAINBOW_ASSIGN_OR_RETURN(p.checkpoint_interval, as_uint(UINT64_MAX));
     } else if (key == "page_checksums") {
       RAINBOW_ASSIGN_OR_RETURN(p.page_checksums, as_bool());
     } else if (key == "op_timeout") {

@@ -31,13 +31,6 @@ struct SystemConfig {
   uint64_t seed = 1;
   uint32_t num_sites = 3;
 
-  /// Simulation kernel shards (worker threads). 1 = the classic
-  /// single-threaded kernel; N > 1 partitions sites across N per-shard
-  /// event queues synchronized at conservative virtual-time barriers
-  /// (sim/sharded_simulator.h). Same seed ⇒ same execution at any
-  /// value; the knob only changes wall-clock speed.
-  uint32_t sim_shards = 1;
-
   LatencyConfig latency;
   double message_loss = 0.0;
   /// Round-trip every message through the binary wire codec (net/codec).

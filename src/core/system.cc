@@ -19,48 +19,17 @@ Result<std::unique_ptr<RainbowSystem>> RainbowSystem::Create(
 }
 
 Status RainbowSystem::Init() {
-  const TraceDetail detail =
-      config_.trace_enabled ? config_.trace_detail : TraceDetail::kOff;
-  collector_.set_detail(detail);
+  collector_.set_detail(config_.trace_enabled ? config_.trace_detail
+                                              : TraceDetail::kOff);
   history_.set_enabled(config_.record_history);
   monitor_.set_bucket_width(config_.stats_bucket);
 
-  const uint32_t shards = config_.sim_shards;
-  if (shards > 1) {
-    sharded_ = std::make_unique<ShardedSimulator>(shards);
-    for (uint32_t k = 0; k < shards; ++k) {
-      auto inst = std::make_unique<ShardInstruments>();
-      inst->collector.set_detail(detail);
-      inst->history.set_enabled(config_.record_history);
-      inst->monitor.set_bucket_width(config_.stats_bucket);
-      shard_inst_.push_back(std::move(inst));
-    }
-  }
-
   Rng root(config_.seed);
-  // Lane 0 (the network's default) is shard 0 in sharded mode so the
-  // name server — pinned to shard 0 by ShardOfSite — lands on its own
-  // simulator and collector.
-  Simulator* lane0_sim = sharded_ ? &sharded_->shard(0) : &sim_;
-  TraceCollector* lane0_collector =
-      sharded_ ? &shard_inst_[0]->collector : &collector_;
-  net_ = std::make_unique<Network>(lane0_sim, config_.latency, root.Fork());
+  net_ = std::make_unique<Network>(&sim_, config_.latency, root.Fork());
   net_->set_loss_probability(config_.message_loss);
-  net_->set_collector(lane0_collector);
+  net_->set_collector(&collector_);
   net_->set_verify_codec(config_.verify_codec);
   net_->set_stats_bucket_width(config_.stats_bucket);
-  if (sharded_) {
-    std::vector<NetworkShardContext> contexts;
-    for (uint32_t k = 0; k < shards; ++k) {
-      contexts.push_back(NetworkShardContext{&sharded_->shard(k),
-                                             &shard_inst_[k]->collector});
-    }
-    net_->EnableSharding(sharded_.get(), contexts);
-    // Conservative lookahead: re-read each barrier so LinkOverrides that
-    // shrink cross-shard latency tighten the window immediately.
-    sharded_->set_lookahead_provider(
-        [this] { return net_->MinCrossShardDelay(); });
-  }
 
   // Register sites and the schema in the catalog (the name server's
   // data), mirroring the administrator's configuration steps.
@@ -83,7 +52,7 @@ Status RainbowSystem::Init() {
   RAINBOW_RETURN_IF_ERROR(catalog_.Validate());
 
   name_server_ = std::make_unique<NameServer>(catalog_, net_.get());
-  name_server_->set_collector(lane0_collector);
+  name_server_->set_collector(&collector_);
   name_server_->Start();
 
   for (uint32_t i = 0; i < config_.num_sites; ++i) {
@@ -91,19 +60,10 @@ Status RainbowSystem::Init() {
     env.net = net_.get();
     env.config = &config_.protocols;
     env.seed = config_.seed;
-    if (sharded_) {
-      uint32_t k = ShardedSimulator::ShardOfSite(static_cast<SiteId>(i),
-                                                 shards);
-      env.sim = &sharded_->shard(k);
-      env.collector = &shard_inst_[k]->collector;
-      env.monitor = &shard_inst_[k]->monitor;
-      env.history = &shard_inst_[k]->history;
-    } else {
-      env.sim = &sim_;
-      env.collector = &collector_;
-      env.monitor = &monitor_;
-      env.history = &history_;
-    }
+    env.sim = &sim_;
+    env.collector = &collector_;
+    env.monitor = &monitor_;
+    env.history = &history_;
     sites_.push_back(std::make_unique<Site>(static_cast<SiteId>(i), env));
   }
   // Load item copies and compute refresh-peer sets (sites sharing items).
@@ -121,45 +81,6 @@ Status RainbowSystem::Init() {
   return Status::OK();
 }
 
-void RainbowSystem::set_keep_outcomes(bool keep) {
-  keep_outcomes_ = keep;
-  monitor_.set_keep_outcomes(keep);
-  for (auto& inst : shard_inst_) inst->monitor.set_keep_outcomes(keep);
-}
-
-void RainbowSystem::RefreshMerged() const {
-  // Rebuild from scratch on every access: runs are the expensive part,
-  // and rebuilding keeps the views correct without threading a dirty
-  // flag through every mutation path. Merge order (control lane first,
-  // then shards in index order) plus the canonical stable sorts makes
-  // the result invariant under shard count.
-  merged_.collector = TraceCollector();
-  merged_.collector.set_detail(config_.trace_enabled ? config_.trace_detail
-                                                     : TraceDetail::kOff);
-  merged_.collector.MergeFrom(collector_);
-  for (const auto& inst : shard_inst_) {
-    merged_.collector.MergeFrom(inst->collector);
-  }
-  merged_.collector.CanonicalSort();
-
-  merged_.monitor = ProgressMonitor();
-  merged_.monitor.set_bucket_width(config_.stats_bucket);
-  merged_.monitor.set_keep_outcomes(keep_outcomes_);
-  merged_.monitor.MergeFrom(monitor_);
-  for (const auto& inst : shard_inst_) {
-    merged_.monitor.MergeFrom(inst->monitor);
-  }
-  merged_.monitor.CanonicalizeOutcomes();
-
-  merged_.history = HistoryRecorder();
-  merged_.history.set_enabled(config_.record_history);
-  merged_.history.MergeFrom(history_);
-  for (const auto& inst : shard_inst_) {
-    merged_.history.MergeFrom(inst->history);
-  }
-  merged_.history.CanonicalSort();
-}
-
 Status RainbowSystem::Submit(SiteId home, TxnProgram program, TxnCallback cb,
                              std::optional<TxnTimestamp> inherit_ts) {
   if (home >= sites_.size()) {
@@ -170,16 +91,11 @@ Status RainbowSystem::Submit(SiteId home, TxnProgram program, TxnCallback cb,
 }
 
 void RainbowSystem::RunFor(SimTime duration) {
-  if (sharded_) {
-    sharded_->RunUntil(sharded_->Now() + duration);
-  } else {
-    sim_.RunUntil(sim_.Now() + duration);
-  }
+  sim_.RunUntil(sim_.Now() + duration);
 }
 
 size_t RainbowSystem::RunToQuiescence(size_t max_events) {
-  return sharded_ ? sharded_->RunToQuiescence(max_events)
-                  : sim_.RunToQuiescence(max_events);
+  return sim_.RunToQuiescence(max_events);
 }
 
 void RainbowSystem::CrashSite(SiteId s) {

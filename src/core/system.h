@@ -13,7 +13,6 @@
 #include "core/config.h"
 #include "nameserver/name_server.h"
 #include "net/network.h"
-#include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 #include "site/site.h"
 #include "stats/progress_monitor.h"
@@ -27,14 +26,8 @@ namespace rainbow {
 /// apparatus. This is the programmatic equivalent of completing every
 /// GUI configuration panel and pressing "start".
 ///
-/// With config.sim_shards > 1 the instance runs on the sharded kernel:
-/// sites are partitioned over N shard simulators driven by worker
-/// threads that synchronize at conservative virtual-time barriers (see
-/// sim/sharded_simulator.h). Each shard gets its own trace collector,
-/// monitor and history recorder so site callbacks never
-/// contend; the accessors below transparently return canonical merged
-/// views, which are byte-identical across shard counts for the same
-/// seed.
+/// Everything runs on one single-threaded discrete-event kernel
+/// (sim/simulator.h), so the same seed gives a byte-identical run.
 class RainbowSystem {
  public:
   /// Validates the configuration and builds the instance.
@@ -45,10 +38,8 @@ class RainbowSystem {
 
   // --- components ---
 
-  /// The control-lane simulator. Scheduling here is always safe from the
-  /// driving thread: in sharded mode control events run at barriers with
-  /// every worker parked; in single-shard mode this is the one kernel.
-  Simulator& sim() { return sharded_ ? sharded_->control() : sim_; }
+  /// The simulation kernel every site, client and fault runs on.
+  Simulator& sim() { return sim_; }
   Network& net() { return *net_; }
   NameServer& name_server() { return *name_server_; }
   Site* site(SiteId id) { return sites_.at(id).get(); }
@@ -57,56 +48,18 @@ class RainbowSystem {
   const SystemConfig& config() const { return config_; }
   Rng& client_rng() { return client_rng_; }
 
-  /// The sharded driver, or nullptr when running single-shard.
-  ShardedSimulator* sharded() { return sharded_.get(); }
+  /// True when no event is pending.
+  bool Idle() const { return sim_.idle(); }
 
-  /// The simulator that owns `site`'s callbacks. Work targeting a site
-  /// (submissions, per-site client timers) must be scheduled here so it
-  /// runs on the owning shard.
-  Simulator& SimForSite(SiteId site) {
-    if (!sharded_) return sim_;
-    return sharded_->shard(
-        ShardedSimulator::ShardOfSite(site, config_.sim_shards));
-  }
+  // --- measurement ---
 
-  /// True when no work is pending anywhere (all shards, the control
-  /// lane, and cross-shard mailboxes).
-  bool Idle() const { return sharded_ ? sharded_->idle() : sim_.idle(); }
+  ProgressMonitor& monitor() { return monitor_; }
+  TraceCollector& collector() { return collector_; }
+  const TraceCollector& collector() const { return collector_; }
+  HistoryRecorder& history() { return history_; }
 
-  // --- measurement views ---
-  //
-  // In sharded mode these return canonical merged snapshots (rebuilt on
-  // access); use the control_*() accessors for intake from control-lane
-  // code such as the fault injector.
-
-  ProgressMonitor& monitor() {
-    if (!sharded_) return monitor_;
-    RefreshMerged();
-    return merged_.monitor;
-  }
-  TraceCollector& collector() {
-    if (!sharded_) return collector_;
-    RefreshMerged();
-    return merged_.collector;
-  }
-  const TraceCollector& collector() const {
-    if (!sharded_) return collector_;
-    RefreshMerged();
-    return merged_.collector;
-  }
-  HistoryRecorder& history() {
-    if (!sharded_) return history_;
-    RefreshMerged();
-    return merged_.history;
-  }
-
-  /// Control-lane intake instruments (always safe to write from the
-  /// driving thread; identical to the merged views when single-shard).
-  TraceCollector& control_collector() { return collector_; }
-  ProgressMonitor& control_monitor() { return monitor_; }
-
-  /// Fans the session-log flag out to every shard's monitor.
-  void set_keep_outcomes(bool keep);
+  /// Keeps per-transaction outcomes for the session log.
+  void set_keep_outcomes(bool keep) { monitor_.set_keep_outcomes(keep); }
 
   // --- convenience ---
   Result<ItemId> ItemByName(const std::string& name) const {
@@ -115,8 +68,6 @@ class RainbowSystem {
 
   /// Submits a transaction at `home`. `inherit_ts` restarts an aborted
   /// transaction under its original timestamp (see Site::Submit).
-  /// In sharded mode, call only from the driving thread between runs or
-  /// from a callback already running on `home`'s shard.
   Status Submit(SiteId home, TxnProgram program, TxnCallback cb,
                 std::optional<TxnTimestamp> inherit_ts = std::nullopt);
 
@@ -148,17 +99,8 @@ class RainbowSystem {
   CheckReport VerifyHistory() const;
 
  private:
-  /// Per-shard measurement instruments. Each shard's sites write only to
-  /// their own set, so shard workers never share mutable state here.
-  struct ShardInstruments {
-    TraceCollector collector;
-    ProgressMonitor monitor;
-    HistoryRecorder history;
-  };
-
   explicit RainbowSystem(SystemConfig config);
   Status Init();
-  void RefreshMerged() const;
 
   SystemConfig config_;
   Simulator sim_;
@@ -167,11 +109,6 @@ class RainbowSystem {
   ProgressMonitor monitor_;
   HistoryRecorder history_;
   Catalog catalog_;
-  std::unique_ptr<ShardedSimulator> sharded_;
-  std::vector<std::unique_ptr<ShardInstruments>> shard_inst_;
-  bool keep_outcomes_ = false;
-  /// Merged snapshots for the sharded accessors, rebuilt lazily.
-  mutable ShardInstruments merged_;
   std::unique_ptr<Network> net_;
   std::unique_ptr<NameServer> name_server_;
   std::vector<std::unique_ptr<Site>> sites_;

@@ -61,8 +61,6 @@ bool FaultInjector::SiteUp(SiteId s) const {
 }
 
 void FaultInjector::Apply(const FaultEvent& e) {
-  // Intake on the control lane: Apply runs as a control-lane event (all
-  // shard workers parked at the barrier in sharded mode).
   Network& net = system_->net();
   switch (e.kind) {
     case FaultEvent::Kind::kCrashSite:
@@ -165,7 +163,7 @@ void FaultInjector::Apply(const FaultEvent& e) {
   }
   // Crash and recover injections are traced by the site (or name server)
   // itself, as kSiteCrash / kSiteRecover.
-  TraceCollector& collector = system_->control_collector();
+  TraceCollector& collector = system_->collector();
   if (collector.enabled() && !IsCrashOrRecover(e.kind)) {
     TraceRecord rec;
     rec.time = system_->sim().Now();
@@ -175,7 +173,7 @@ void FaultInjector::Apply(const FaultEvent& e) {
     rec.detail = FormatFaultEvent(e);
     collector.Emit(std::move(rec));
   }
-  system_->control_monitor().OnFaultInjected(e.kind);
+  system_->monitor().OnFaultInjected(e.kind);
 }
 
 void FaultInjector::EnableRandomFaults(SimTime mttf, SimTime mttr,

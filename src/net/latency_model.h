@@ -1,7 +1,6 @@
 #ifndef RAINBOW_NET_LATENCY_MODEL_H_
 #define RAINBOW_NET_LATENCY_MODEL_H_
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -51,17 +50,10 @@ class LatencyModel {
 
   /// Same, but drawing from a caller-provided stream. The network uses
   /// per-*site* streams so each site's delay sequence is a pure function
-  /// of its own send history — independent of global send interleaving
-  /// and therefore of the shard count.
+  /// of its own send history, independent of how other sites' sends
+  /// interleave with it. Same-seed traces are byte-identical because of
+  /// this fixed stream layout; changing it changes every trace.
   SimTime SampleDelay(SiteId from, SiteId to, size_t bytes, Rng& rng) const;
-
-  /// Lower bound on any cross-site (`from != to`) sample before link
-  /// overrides: every distribution is floored at config.min, and the
-  /// network floors cross-site delays at 1 µs. This is the base of the
-  /// sharded kernel's conservative lookahead.
-  SimTime MinCrossSiteDelay() const {
-    return std::max<SimTime>(1, config_.min);
-  }
 
   const LatencyConfig& config() const { return config_; }
 

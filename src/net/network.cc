@@ -1,11 +1,9 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <cassert>
 #include <sstream>
 
 #include "net/codec.h"
-#include "sim/sharded_simulator.h"
 
 #include "common/string_util.h"
 
@@ -72,32 +70,6 @@ void NetworkStats::RecordDrop(DropCause cause) {
   dropped[static_cast<size_t>(cause)]++;
 }
 
-void NetworkStats::MergeFrom(const NetworkStats& other) {
-  sent += other.sent;
-  delivered += other.delivered;
-  local += other.local;
-  bytes += other.bytes;
-  duplicated += other.duplicated;
-  for (size_t k = 0; k < by_kind.size(); ++k) by_kind[k] += other.by_kind[k];
-  for (size_t c = 0; c < dropped.size(); ++c) dropped[c] += other.dropped[c];
-  if (other.per_bucket.size() > per_bucket.size()) {
-    per_bucket.resize(other.per_bucket.size(), 0);
-  }
-  for (size_t b = 0; b < other.per_bucket.size(); ++b) {
-    per_bucket[b] += other.per_bucket[b];
-  }
-  per_site_delivered.MergeFrom(other.per_site_delivered);
-  codec_failures += other.codec_failures;
-  rpc_calls += other.rpc_calls;
-  rpc_attempts += other.rpc_attempts;
-  rpc_retries += other.rpc_retries;
-  rpc_timeouts += other.rpc_timeouts;
-  rpc_failures += other.rpc_failures;
-  rpc_duplicates_suppressed += other.rpc_duplicates_suppressed;
-  rpc_stale_readmitted += other.rpc_stale_readmitted;
-  rpc_latency.Merge(other.rpc_latency);
-}
-
 std::string NetworkStats::Render() const {
   std::ostringstream os;
   os << StringPrintf(
@@ -144,26 +116,9 @@ std::string NetworkStats::Render() const {
 }
 
 Network::Network(Simulator* sim, LatencyConfig latency, Rng rng)
-    : latency_(latency, rng.Fork()), site_seed_base_(rng.Next()) {
-  lanes_.emplace_back().sim = sim;
-}
-
-void Network::EnableSharding(ShardedSimulator* driver,
-                             const std::vector<NetworkShardContext>& shards) {
-  assert(driver != nullptr && !shards.empty());
-  driver_ = driver;
-  num_shards_ = static_cast<uint32_t>(shards.size());
-  lanes_.clear();
-  for (const NetworkShardContext& ctx : shards) {
-    Lane& lane = lanes_.emplace_back();
-    lane.sim = ctx.sim;
-    lane.collector = ctx.collector;
-  }
-}
-
-uint32_t Network::ShardOf(SiteId site) const {
-  return ShardedSimulator::ShardOfSite(site, num_shards_);
-}
+    : sim_(sim),
+      latency_(latency, rng.Fork()),
+      site_seed_base_(rng.Next()) {}
 
 void Network::EnsureSiteTables(size_t slot) {
   while (site_rng_.size() <= slot) {
@@ -177,18 +132,17 @@ void Network::EnsureSiteTables(size_t slot) {
   }
 }
 
-void Network::EmitMessageEvent(Lane& lane, TraceEventKind kind,
-                               const Message& m, SiteId at, const char* note) {
+void Network::EmitMessageEvent(TraceEventKind kind, const Message& m,
+                               SiteId at, const char* note) {
   std::string detail = MessageKindName(m.kind());
   if (note[0] != '\0') {
     detail += " ";
     detail += note;
   }
-  lane.collector->Emit(TraceRecord{lane.sim->Now(), kind,
-                                   PayloadTxnId(m.payload), at,
-                                   at == m.from ? m.to : m.from, kInvalidItem,
-                                   static_cast<int64_t>(m.rpc_id),
-                                   std::move(detail)});
+  collector_->Emit(TraceRecord{sim_->Now(), kind, PayloadTxnId(m.payload),
+                               at, at == m.from ? m.to : m.from, kInvalidItem,
+                               static_cast<int64_t>(m.rpc_id),
+                               std::move(detail)});
 }
 
 void Network::RegisterHandler(SiteId site, Handler handler) {
@@ -229,21 +183,12 @@ void Network::SetLinkUpOneWay(SiteId from, SiteId to, bool up) {
   }
 }
 
-void Network::RecomputeMinDelayMultiplier() {
-  min_delay_multiplier_ = 1.0;
-  for (const auto& [link, o] : link_overrides_) {
-    (void)link;
-    min_delay_multiplier_ = std::min(min_delay_multiplier_, o.delay_multiplier);
-  }
-}
-
 void Network::SetLinkOverride(SiteId from, SiteId to, LinkOverride o) {
   if (o.identity()) {
     link_overrides_.erase({from, to});
   } else {
     link_overrides_[{from, to}] = o;
   }
-  RecomputeMinDelayMultiplier();
 }
 
 const LinkOverride* Network::FindLinkOverride(SiteId from, SiteId to) const {
@@ -251,17 +196,7 @@ const LinkOverride* Network::FindLinkOverride(SiteId from, SiteId to) const {
   return it == link_overrides_.end() ? nullptr : &it->second;
 }
 
-void Network::ClearLinkOverrides() {
-  link_overrides_.clear();
-  min_delay_multiplier_ = 1.0;
-}
-
-SimTime Network::MinCrossShardDelay() const {
-  double mult = std::min(1.0, min_delay_multiplier_);
-  SimTime floor = static_cast<SimTime>(
-      static_cast<double>(latency_.MinCrossSiteDelay()) * mult);
-  return std::max<SimTime>(1, floor);
-}
+void Network::ClearLinkOverrides() { link_overrides_.clear(); }
 
 void Network::SetPartitions(const std::vector<std::vector<SiteId>>& groups) {
   partitioned_ = true;
@@ -309,20 +244,6 @@ bool Network::Reachable(SiteId a, SiteId b) const {
   return SameGroup(a, b);
 }
 
-const NetworkStats& Network::stats() const {
-  if (lanes_.size() == 1) return lanes_[0].stats;
-  merged_stats_ = NetworkStats{};
-  merged_stats_.bucket_width = lanes_[0].stats.bucket_width;
-  for (const Lane& lane : lanes_) merged_stats_.MergeFrom(lane.stats);
-  return merged_stats_;
-}
-
-NetworkStats& Network::stats_for(SiteId site) { return LaneFor(site).stats; }
-
-void Network::set_stats_bucket_width(SimTime width) {
-  for (Lane& lane : lanes_) lane.stats.bucket_width = width;
-}
-
 void Network::Send(SiteId from, SiteId to, Payload payload) {
   Message msg;
   msg.from = from;
@@ -345,40 +266,39 @@ void Network::SendRpc(SiteId from, SiteId to, Payload payload,
 void Network::SendMessage(Message msg) {
   size_t from_slot = SiteSlot(msg.from);
   EnsureSiteTables(from_slot);
-  Lane& lane = LaneFor(msg.from);
   Rng& rng = SiteRng(from_slot);
   msg.id = NextMsgId(from_slot);
-  msg.sent_at = lane.sim->Now();
+  msg.sent_at = sim_->Now();
 
   size_t size = PayloadSizeBytes(msg.payload);
   if (verify_codec_) {
-    // Arena-backed round trip: encode into the lane's reusable arena
-    // and decode the view in place — no per-message buffer allocation
-    // or copy on codec-verified runs.
-    std::span<const uint8_t> wire = EncodePayloadTo(lane.arena, msg.payload);
+    // Arena-backed round trip: encode into the reusable arena and
+    // decode the view in place — no per-message buffer allocation or
+    // copy on codec-verified runs.
+    std::span<const uint8_t> wire = EncodePayloadTo(arena_, msg.payload);
     size = wire.size() + 33;  // payload bytes + envelope
     Result<Payload> decoded = DecodePayload(wire);
     if (!decoded.ok()) {
-      lane.stats.codec_failures++;
+      stats_.codec_failures++;
       return;
     }
     msg.payload = std::move(decoded).value();
   }
-  lane.stats.RecordSend(msg, lane.sim->Now(), size);
+  stats_.RecordSend(msg, sim_->Now(), size);
 
   if (!IsSiteUp(msg.from)) {
-    lane.stats.RecordDrop(DropCause::kSourceDown);
-    if (lane.collector && lane.collector->full()) {
-      EmitMessageEvent(lane, TraceEventKind::kMsgDrop, msg, msg.from,
+    stats_.RecordDrop(DropCause::kSourceDown);
+    if (collector_ && collector_->full()) {
+      EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.from,
                        DropCauseName(DropCause::kSourceDown));
     }
     return;
   }
   if (msg.from != msg.to && loss_probability_ > 0 &&
       rng.NextBool(loss_probability_)) {
-    lane.stats.RecordDrop(DropCause::kRandomLoss);
-    if (lane.collector && lane.collector->full()) {
-      EmitMessageEvent(lane, TraceEventKind::kMsgDrop, msg, msg.from,
+    stats_.RecordDrop(DropCause::kRandomLoss);
+    if (collector_ && collector_->full()) {
+      EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.from,
                        DropCauseName(DropCause::kRandomLoss));
     }
     return;
@@ -391,9 +311,9 @@ void Network::SendMessage(Message msg) {
   if (!link_overrides_.empty() && msg.from != msg.to) {
     if (const LinkOverride* o = FindLinkOverride(msg.from, msg.to)) {
       if (o->loss > 0 && rng.NextBool(o->loss)) {
-        lane.stats.RecordDrop(DropCause::kLinkLoss);
-        if (lane.collector && lane.collector->full()) {
-          EmitMessageEvent(lane, TraceEventKind::kMsgDrop, msg, msg.from,
+        stats_.RecordDrop(DropCause::kLinkLoss);
+        if (collector_ && collector_->full()) {
+          EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.from,
                            DropCauseName(DropCause::kLinkLoss));
         }
         return;
@@ -412,18 +332,18 @@ void Network::SendMessage(Message msg) {
       duplicate = o->dup_probability > 0 && rng.NextBool(o->dup_probability);
     }
   }
-  // Cross-site messages take at least one tick: MinCrossShardDelay's
-  // guarantee (the conservative lookahead) must hold even when a
-  // delay_multiplier shrinks the sample to zero.
+  // Cross-site messages take at least one tick, even when a
+  // delay_multiplier shrinks the sample to zero, so a request and its
+  // reply never share an instant.
   if (msg.from != msg.to) delay = std::max<SimTime>(delay, 1);
-  if (lane.collector && lane.collector->full()) {
-    EmitMessageEvent(lane, TraceEventKind::kMsgSend, msg, msg.from, "");
+  if (collector_ && collector_->full()) {
+    EmitMessageEvent(TraceEventKind::kMsgSend, msg, msg.from, "");
   }
   if (duplicate) {
     // The duplicate travels independently: its own delay sample (plus
     // the same override treatment minus further duplication), so it can
     // arrive before OR after the original.
-    lane.stats.duplicated++;
+    stats_.duplicated++;
     SimTime dup_delay = latency_.SampleDelay(msg.from, msg.to, size, rng);
     if (const LinkOverride* o = FindLinkOverride(msg.from, msg.to)) {
       if (o->delay_multiplier != 1.0) {
@@ -452,56 +372,40 @@ void Network::SendMessage(Message msg) {
   ScheduleDelivery(std::move(msg), delay);
 }
 
-uint32_t Network::AcquireSlot(Lane& lane) {
-  if (!lane.pool_free.empty()) {
-    uint32_t slot = lane.pool_free.back();
-    lane.pool_free.pop_back();
+uint32_t Network::AcquireSlot() {
+  if (!pool_free_.empty()) {
+    uint32_t slot = pool_free_.back();
+    pool_free_.pop_back();
     return slot;
   }
-  uint32_t slot = static_cast<uint32_t>(lane.pool.size());
-  lane.pool.emplace_back();
-  lane.pool_next.push_back(kNoSlot);
+  uint32_t slot = static_cast<uint32_t>(pool_.size());
+  pool_.emplace_back();
+  pool_next_.push_back(kNoSlot);
   return slot;
 }
 
-void Network::ReleaseSlot(Lane& lane, uint32_t slot) {
-  lane.pool_free.push_back(slot);
-}
-
 void Network::ScheduleDelivery(Message msg, SimTime delay) {
-  uint32_t src_shard = ShardOf(msg.from);
-  uint32_t dst_shard = ShardOf(msg.to);
-  SimTime when = lanes_[src_shard].sim->Now() + delay;
+  SimTime when = sim_->Now() + delay;
   // The delivery's ordering key: same-tick arrivals at a destination
   // execute in (sender, per-sender sequence) order — a pure function of
-  // message identity, independent of shard count and of the real-time
-  // order in which shards inserted them.
+  // message identity.
   uint64_t key = msg.id;
-  if (dst_shard != src_shard) {
-    // Cross-shard hop: post the message (by value) to the destination
-    // shard's mailbox; its worker drains it at the next barrier. The
-    // lookahead rule guarantees `when` is at/after that barrier.
-    driver_->PostToShard(dst_shard, when, key,
-                         [this, m = std::move(msg)] { Deliver(m); });
-    return;
-  }
-  Lane& lane = lanes_[dst_shard];
-  uint32_t slot = AcquireSlot(lane);
+  uint32_t slot = AcquireSlot();
   uint32_t sender_slot = static_cast<uint32_t>(SiteSlot(msg.from));
   uint32_t dst_slot = static_cast<uint32_t>(SiteSlot(msg.to));
-  lane.pool[slot] = std::move(msg);
-  lane.pool_next[slot] = kNoSlot;
+  pool_[slot] = std::move(msg);
+  pool_next_[slot] = kNoSlot;
 
   // Same-tick batching: if the destination's open batch matches this
   // (sender, destination, instant), chain the message onto it — no new
   // event. Appends keep the batch's ids contiguous and increasing (see
   // Batch): SendMessage hands messages over in per-sender id order.
-  if (dst_slot < lane.open_batch.size()) {
-    uint32_t open = lane.open_batch[dst_slot];
+  if (dst_slot < open_batch_.size()) {
+    uint32_t open = open_batch_[dst_slot];
     if (open != kNoSlot) {
-      Batch& b = lane.batches[open];
+      Batch& b = batches_[open];
       if (b.open && b.when == when && b.sender_slot == sender_slot) {
-        lane.pool_next[b.tail] = slot;
+        pool_next_[b.tail] = slot;
         b.tail = slot;
         return;
       }
@@ -511,63 +415,59 @@ void Network::ScheduleDelivery(Message msg, SimTime delay) {
   // Open a new batch for this (sender, destination, instant); it
   // supersedes whatever batch was open for the destination before.
   uint32_t batch_idx;
-  if (!lane.batch_free.empty()) {
-    batch_idx = lane.batch_free.back();
-    lane.batch_free.pop_back();
+  if (!batch_free_.empty()) {
+    batch_idx = batch_free_.back();
+    batch_free_.pop_back();
   } else {
-    batch_idx = static_cast<uint32_t>(lane.batches.size());
-    lane.batches.emplace_back();
+    batch_idx = static_cast<uint32_t>(batches_.size());
+    batches_.emplace_back();
   }
-  Batch& b = lane.batches[batch_idx];
+  Batch& b = batches_[batch_idx];
   b.head = b.tail = slot;
   b.when = when;
   b.sender_slot = sender_slot;
   b.dst_slot = dst_slot;
   b.open = true;
-  if (dst_slot >= lane.open_batch.size()) {
-    lane.open_batch.resize(dst_slot + 1, kNoSlot);
+  if (dst_slot >= open_batch_.size()) {
+    open_batch_.resize(dst_slot + 1, kNoSlot);
   }
-  lane.open_batch[dst_slot] = batch_idx;
+  open_batch_[dst_slot] = batch_idx;
 
-  auto thunk = [this, dst_shard, batch_idx] {
-    DeliverBatch(dst_shard, batch_idx);
-  };
+  auto thunk = [this, batch_idx] { DeliverBatch(batch_idx); };
   static_assert(sizeof(thunk) <= EventQueue::kInlineCallbackBytes,
                 "delivery closure must fit the event queue's inline "
                 "callback storage (the zero-allocation hot path)");
-  lane.sim->AtKeyed(when, key, std::move(thunk));
+  sim_->AtKeyed(when, key, std::move(thunk));
 }
 
-void Network::DeliverBatch(uint32_t lane_idx, uint32_t batch_idx) {
-  Lane& lane = lanes_[lane_idx];
+void Network::DeliverBatch(uint32_t batch_idx) {
   uint32_t slot;
   {
-    // Handlers invoked below may send, growing `batches` — don't hold
+    // Handlers invoked below may send, growing `batches_` — don't hold
     // the reference across the walk.
-    Batch& b = lane.batches[batch_idx];
+    Batch& b = batches_[batch_idx];
     b.open = false;
-    if (lane.open_batch[b.dst_slot] == batch_idx) {
-      lane.open_batch[b.dst_slot] = kNoSlot;
+    if (open_batch_[b.dst_slot] == batch_idx) {
+      open_batch_[b.dst_slot] = kNoSlot;
     }
     slot = b.head;
   }
   while (slot != kNoSlot) {
-    uint32_t next = lane.pool_next[slot];
-    Deliver(lane.pool[slot]);
-    ReleaseSlot(lane, slot);
+    uint32_t next = pool_next_[slot];
+    Deliver(pool_[slot]);
+    ReleaseSlot(slot);
     slot = next;
   }
-  lane.batch_free.push_back(batch_idx);
+  batch_free_.push_back(batch_idx);
 }
 
 void Network::Deliver(const Message& msg) {
-  Lane& lane = LaneFor(msg.to);
   // Connectivity is re-checked at delivery time so that faults striking
   // while a message is in flight drop it.
   if (!IsSiteUp(msg.to)) {
-    lane.stats.RecordDrop(DropCause::kDestinationDown);
-    if (lane.collector && lane.collector->full()) {
-      EmitMessageEvent(lane, TraceEventKind::kMsgDrop, msg, msg.to,
+    stats_.RecordDrop(DropCause::kDestinationDown);
+    if (collector_ && collector_->full()) {
+      EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.to,
                        DropCauseName(DropCause::kDestinationDown));
     }
     return;
@@ -582,17 +482,17 @@ void Network::Deliver(const Message& msg) {
       link_down = down_links_oneway_.contains({msg.from, msg.to});
     }
     if (link_down) {
-      lane.stats.RecordDrop(DropCause::kLinkDown);
-      if (lane.collector && lane.collector->full()) {
-        EmitMessageEvent(lane, TraceEventKind::kMsgDrop, msg, msg.to,
+      stats_.RecordDrop(DropCause::kLinkDown);
+      if (collector_ && collector_->full()) {
+        EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.to,
                          DropCauseName(DropCause::kLinkDown));
       }
       return;
     }
     if (!SameGroup(msg.from, msg.to)) {
-      lane.stats.RecordDrop(DropCause::kPartition);
-      if (lane.collector && lane.collector->full()) {
-        EmitMessageEvent(lane, TraceEventKind::kMsgDrop, msg, msg.to,
+      stats_.RecordDrop(DropCause::kPartition);
+      if (collector_ && collector_->full()) {
+        EmitMessageEvent(TraceEventKind::kMsgDrop, msg, msg.to,
                          DropCauseName(DropCause::kPartition));
       }
       return;
@@ -600,12 +500,12 @@ void Network::Deliver(const Message& msg) {
   }
   size_t slot = SiteSlot(msg.to);
   if (slot >= handlers_.size() || !handlers_[slot]) {
-    lane.stats.RecordDrop(DropCause::kDestinationDown);
+    stats_.RecordDrop(DropCause::kDestinationDown);
     return;
   }
-  lane.stats.RecordDeliver(msg);
-  if (lane.collector && lane.collector->full()) {
-    EmitMessageEvent(lane, TraceEventKind::kMsgRecv, msg, msg.to, "");
+  stats_.RecordDeliver(msg);
+  if (collector_ && collector_->full()) {
+    EmitMessageEvent(TraceEventKind::kMsgRecv, msg, msg.to, "");
   }
   handlers_[slot](msg);
 }

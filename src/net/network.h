@@ -22,8 +22,6 @@
 
 namespace rainbow {
 
-class ShardedSimulator;
-
 /// Why a message never reached its destination.
 enum class DropCause {
   kRandomLoss,
@@ -63,17 +61,6 @@ class PerSiteCounters {
       if (c != 0) return false;
     }
     return true;
-  }
-
-  /// Adds every counter of `other` into this table (per-shard counter
-  /// merge for the sharded kernel).
-  void MergeFrom(const PerSiteCounters& other) {
-    if (other.counts_.size() > counts_.size()) {
-      counts_.resize(other.counts_.size(), 0);
-    }
-    for (size_t i = 0; i < other.counts_.size(); ++i) {
-      counts_[i] += other.counts_[i];
-    }
   }
 
   /// Visits (site, count) for every nonzero counter: regular sites in
@@ -154,19 +141,7 @@ struct NetworkStats {
   void RecordSend(const Message& m, SimTime now, size_t bytes_size);
   void RecordDeliver(const Message& m);
   void RecordDrop(DropCause cause);
-  /// Adds `other`'s counters into this one (sharded-lane merge). All
-  /// sums, histogram merges, and elementwise bucket adds; bucket_width
-  /// is assumed equal.
-  void MergeFrom(const NetworkStats& other);
   std::string Render() const;
-};
-
-/// Per-shard execution context the network records into. In sharded
-/// mode each shard supplies its own simulator and trace collector so a
-/// worker thread only ever writes shard-local state.
-struct NetworkShardContext {
-  Simulator* sim = nullptr;
-  TraceCollector* collector = nullptr;
 };
 
 /// The simulated network: delivers typed messages between registered
@@ -182,19 +157,13 @@ struct NetworkShardContext {
 ///  * Partitions override per-link state: two sites communicate iff they
 ///    are in the same partition group AND the link is up.
 ///
-/// ## Sharding & determinism
-/// With EnableSharding, state splits into per-shard *lanes* (stats,
-/// message pool, trace sinks, simulator) plus shared read-mostly fault
-/// tables (links, partitions, overrides — mutated only from barrier
-/// context, published to workers by the barrier handoff). Every
-/// randomness draw (loss, latency, override jitter) comes from a
+/// ## Determinism
+/// Every randomness draw (loss, latency, override jitter) comes from a
 /// per-*site* RNG stream keyed by site id, and every message id is
-/// (sender slot, per-sender sequence) — so each site's behaviour is a
-/// pure function of its own history and the same seed produces the same
-/// execution at any shard count. Cross-shard deliveries are posted to
-/// the destination shard's mailbox, keyed by message id, and drained at
-/// the next virtual-time barrier; intra-shard deliveries keep the
-/// pooled zero-allocation fast path.
+/// (sender slot, per-sender sequence), which is also the delivery's
+/// event-queue key. Each site's draws are therefore a pure function of
+/// its own send history, same-tick arrivals order by message identity,
+/// and the same seed produces a byte-identical trace.
 class Network {
  public:
   using Handler = std::function<void(const Message&)>;
@@ -204,16 +173,8 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Switches the network to sharded mode: one lane per entry in
-  /// `shards` (shard 0's context replaces the constructor's sim),
-  /// cross-shard sends routed through `driver`'s mailboxes. Call before
-  /// any traffic.
-  void EnableSharding(ShardedSimulator* driver,
-                      const std::vector<NetworkShardContext>& shards);
-
   /// Registers the message handler for `site`. One handler per site.
-  /// Also sizes the per-site RNG / message-id tables — registration must
-  /// precede traffic (workers never grow shared tables).
+  /// Also sizes the per-site RNG / message-id tables.
   void RegisterHandler(SiteId site, Handler handler);
 
   /// Sends `payload` from `from` to `to`. Delivery is asynchronous via
@@ -270,47 +231,21 @@ class Network {
   /// True if a message from `a` to `b` would currently be deliverable.
   bool Reachable(SiteId a, SiteId b) const;
 
-  /// Aggregate traffic counters. With one lane this is the lane itself;
-  /// in sharded mode it is a merge of every lane, rebuilt on each call
-  /// (call from barrier/idle context only).
-  const NetworkStats& stats() const;
+  /// Traffic counters; the RPC sub-layer (net/rpc.h) adds its own.
+  const NetworkStats& stats() const { return stats_; }
+  NetworkStats& stats() { return stats_; }
 
-  /// The stats lane that accounts for `site`'s activity — intake for
-  /// the RPC sub-layer, which runs on the site's own shard.
-  NetworkStats& stats_for(SiteId site);
+  /// Sets the per_bucket histogram granularity.
+  void set_stats_bucket_width(SimTime width) { stats_.bucket_width = width; }
 
-  /// Sets the per_bucket histogram granularity on every lane.
-  void set_stats_bucket_width(SimTime width);
-
-  /// Conservative lower bound (µs) on the delay of any cross-site
-  /// message under the *current* link overrides: the sharded kernel's
-  /// barrier lookahead. Always ≥ 1.
-  SimTime MinCrossShardDelay() const;
-
-  Simulator* sim() { return lanes_[0].sim; }
+  Simulator* sim() { return sim_; }
 
   /// Structured tracing: at kFull detail every send/recv/drop is
   /// recorded against the payload's transaction. Optional; null
-  /// disables. Sets lane 0's collector (sharded mode supplies per-lane
-  /// collectors through EnableSharding). No cost on the hot path below
-  /// kFull.
-  void set_collector(TraceCollector* c) { lanes_[0].collector = c; }
+  /// disables. No cost on the hot path below kFull.
+  void set_collector(TraceCollector* c) { collector_ = c; }
 
  private:
-  /// Per-shard execution lane: everything a worker thread writes while
-  /// delivering traffic for its own sites.
-  ///
-  /// Thread-safety: lanes are *confined*, not locked. Lane `i` is
-  /// touched only by shard `i`'s worker thread inside a barrier window
-  /// (or by the driver thread between windows, when no worker runs), so
-  /// no lane member needs a mutex or a RAINBOW_GUARDED_BY annotation.
-  /// The only cross-thread path is a cross-shard send, which never
-  /// touches the peer's lane: it posts into the destination shard's
-  /// mailbox in sim/sharded_simulator.h — the mutex-protected,
-  /// annotated handoff point — and the owner drains it at the next
-  /// virtual-time barrier. Anything added to Lane must keep this
-  /// property; state shared across shards belongs behind the driver's
-  /// annotated mutexes instead.
   /// A same-tick delivery batch: the chain of pooled messages one
   /// sender addressed to one destination for one delivery instant. All
   /// of them ride a single event-queue entry (keyed by the first
@@ -330,34 +265,6 @@ class Network {
     bool open = false;
   };
 
-  struct Lane {
-    Simulator* sim = nullptr;
-    TraceCollector* collector = nullptr;
-    NetworkStats stats;
-    /// Message pool: ScheduleDelivery parks the message in a pool slot
-    /// and the delivery closure captures only {this, lane, batch} —
-    /// small enough for the event queue's inline callback storage, so
-    /// an intra-shard send→deliver cycle allocates nothing in steady
-    /// state. A deque keeps slots at stable addresses while handlers
-    /// (which may send, acquiring new slots) hold a reference to the
-    /// message being delivered.
-    std::deque<Message> pool;
-    std::vector<uint32_t> pool_free;
-    /// pool_next[slot]: next pool slot in the slot's batch chain
-    /// (kNoSlot terminates). Parallel to `pool`.
-    std::vector<uint32_t> pool_next;
-    /// Free-listed batch records, and the currently open batch per
-    /// destination SiteSlot (kNoSlot when none).
-    std::vector<Batch> batches;
-    std::vector<uint32_t> batch_free;
-    std::vector<uint32_t> open_batch;
-    /// Reusable encode buffer for the codec-verification round trip
-    /// (and any other transient per-lane encode): capacity persists
-    /// across messages, so verified runs stop paying a per-message
-    /// allocation.
-    Arena arena;
-  };
-
   static constexpr uint32_t kNoSlot = 0xffffffffu;
 
   /// Dense table index shared by the flat site tables (handlers, the
@@ -367,11 +274,8 @@ class Network {
     return site == kNameServerId ? 0 : static_cast<size_t>(site) + 1;
   }
 
-  uint32_t ShardOf(SiteId site) const;
-  Lane& LaneFor(SiteId site) { return lanes_[ShardOf(site)]; }
-
   /// Per-site deterministic RNG stream (seeded by site id, not draw
-  /// order — the basis of shard-count invariance).
+  /// order).
   Rng& SiteRng(size_t slot) { return site_rng_[slot]; }
 
   /// (sender slot + 1) << 40 | per-sender sequence: globally unique,
@@ -384,38 +288,54 @@ class Network {
   void EnsureSiteTables(size_t slot);
   void SendMessage(Message msg);
   void ScheduleDelivery(Message msg, SimTime delay);
-  /// Delivers every pooled message chained on lane `lane`'s batch
-  /// `batch`, recycling the slots and the batch record.
-  void DeliverBatch(uint32_t lane, uint32_t batch);
+  /// Delivers every pooled message chained on batch `batch`, recycling
+  /// the slots and the batch record.
+  void DeliverBatch(uint32_t batch);
   void Deliver(const Message& msg);
-  void EmitMessageEvent(Lane& lane, TraceEventKind kind, const Message& m,
-                        SiteId at, const char* note);
+  void EmitMessageEvent(TraceEventKind kind, const Message& m, SiteId at,
+                        const char* note);
   bool SameGroup(SiteId a, SiteId b) const;
-  void RecomputeMinDelayMultiplier();
 
-  uint32_t AcquireSlot(Lane& lane);
-  void ReleaseSlot(Lane& lane, uint32_t slot);
+  uint32_t AcquireSlot();
+  void ReleaseSlot(uint32_t slot) { pool_free_.push_back(slot); }
 
+  Simulator* sim_;
+  TraceCollector* collector_ = nullptr;
+  NetworkStats stats_;
   LatencyModel latency_;
   double loss_probability_ = 0;
   bool verify_codec_ = false;
 
-  /// One lane when single-threaded; one per shard in sharded mode.
-  /// A deque so Lane addresses are stable (closures capture indices,
-  /// but EnableSharding rebuilds in place).
-  std::deque<Lane> lanes_;
-  ShardedSimulator* driver_ = nullptr;
-  uint32_t num_shards_ = 1;
+  /// Message pool: ScheduleDelivery parks the message in a pool slot
+  /// and the delivery closure captures only {this, batch} — small
+  /// enough for the event queue's inline callback storage, so a
+  /// send→deliver cycle allocates nothing in steady state. A deque
+  /// keeps slots at stable addresses while handlers (which may send,
+  /// acquiring new slots) hold a reference to the message being
+  /// delivered.
+  std::deque<Message> pool_;
+  std::vector<uint32_t> pool_free_;
+  /// pool_next_[slot]: next pool slot in the slot's batch chain
+  /// (kNoSlot terminates). Parallel to `pool_`.
+  std::vector<uint32_t> pool_next_;
+  /// Free-listed batch records, and the currently open batch per
+  /// destination SiteSlot (kNoSlot when none).
+  std::vector<Batch> batches_;
+  std::vector<uint32_t> batch_free_;
+  std::vector<uint32_t> open_batch_;
+  /// Reusable encode buffer for the codec-verification round trip:
+  /// capacity persists across messages, so verified runs stop paying a
+  /// per-message allocation.
+  Arena arena_;
 
-  /// Per-site streams indexed by SiteSlot; sized at registration time
-  /// only (shared, read/written by the owning site's shard thereafter).
+  /// Per-site streams indexed by SiteSlot, grown on registration and on
+  /// a site's first send.
   uint64_t site_seed_base_;
   std::vector<Rng> site_rng_;
   std::vector<uint64_t> site_msg_seq_;
 
   /// Flat per-site tables indexed by SiteSlot (consulted on every send
   /// and delivery; the old unordered_map/set cost a hash probe each).
-  /// Read-mostly: mutated only from barrier / between-runs context.
   std::vector<Handler> handlers_;
   std::vector<uint8_t> site_down_;
   /// Partition group per SiteSlot while partitioned_; -1 (also for
@@ -430,13 +350,7 @@ class Network {
   /// path pays one emptiness branch and nothing else (bench_m5_nemesis
   /// holds this to zero allocations and no measurable slowdown).
   std::map<std::pair<SiteId, SiteId>, LinkOverride> link_overrides_;
-  /// Smallest delay_multiplier among installed overrides (1.0 when
-  /// none) — feeds MinCrossShardDelay, recomputed on override changes.
-  double min_delay_multiplier_ = 1.0;
   bool partitioned_ = false;
-
-  /// Merge target for stats() in sharded mode.
-  mutable NetworkStats merged_stats_;
 };
 
 }  // namespace rainbow

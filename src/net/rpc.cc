@@ -32,7 +32,7 @@ uint64_t RpcEndpoint::Call(SiteId to, Payload request,
   c.policy = policy;
   c.cb = std::move(cb);
   c.started_at = sim_->Now();
-  net_->stats_for(self_).rpc_calls++;
+  net_->stats().rpc_calls++;
   SendAttempt(id);
   return id;
 }
@@ -50,7 +50,7 @@ void RpcEndpoint::SendAttempt(uint64_t call_id) {
   if (it == calls_.end()) return;
   PendingCall& c = it->second;
   c.attempts++;
-  NetworkStats& stats = net_->stats_for(self_);
+  NetworkStats& stats = net_->stats();
   stats.rpc_attempts++;
   if (c.attempts > 1) stats.rpc_retries++;
   if (collector_ && collector_->enabled()) {
@@ -72,7 +72,7 @@ void RpcEndpoint::OnAttemptTimeout(uint64_t call_id) {
   auto it = calls_.find(call_id);
   if (it == calls_.end()) return;
   PendingCall& c = it->second;
-  NetworkStats& stats = net_->stats_for(self_);
+  NetworkStats& stats = net_->stats();
   stats.rpc_timeouts++;
   if (c.policy.max_attempts > 0 && c.attempts >= c.policy.max_attempts) {
     stats.rpc_failures++;
@@ -132,7 +132,7 @@ RpcDelivery RpcEndpoint::Accept(const Message& m) {
     PendingCall call = std::move(it->second);
     calls_.erase(it);
     call.timer.Cancel();
-    net_->stats_for(self_).rpc_latency.Add(sim_->Now() - call.started_at);
+    net_->stats().rpc_latency.Add(sim_->Now() - call.started_at);
     if (call.cb) call.cb(Payload(m.payload));
     return out;
   }
@@ -142,7 +142,7 @@ RpcDelivery RpcEndpoint::Accept(const Message& m) {
   auto it = w.entries.find(m.rpc_id);
   if (it != w.entries.end()) {
     out.consumed = true;
-    net_->stats_for(self_).rpc_duplicates_suppressed++;
+    net_->stats().rpc_duplicates_suppressed++;
     if (it->second.done) {
       // The original was already answered; the reply must have been
       // lost — resend the cached one so the exchange stays idempotent.
@@ -158,7 +158,7 @@ RpcDelivery RpcEndpoint::Accept(const Message& m) {
     // retry-forever calls such as decision queries). Request handlers
     // are duplicate-tolerant, so re-admit it as a fresh request and let
     // the application answer again.
-    net_->stats_for(self_).rpc_stale_readmitted++;
+    net_->stats().rpc_stale_readmitted++;
   }
   w.entries[m.rpc_id] = ServedRequest{};
   TrimWindow(w);

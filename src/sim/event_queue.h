@@ -14,14 +14,13 @@ namespace rainbow {
 /// deterministic: two events scheduled for the same instant (and the
 /// same key) fire in the order they were scheduled.
 ///
-/// The explicit ordering `key` exists for the sharded kernel: events
-/// whose relative order must not depend on *when* they were inserted
-/// (message deliveries drained from cross-shard mailboxes vs. scheduled
-/// directly) carry a key derived from their origin — (sender site,
-/// per-sender sequence) — so the execution order at a destination is a
-/// pure function of virtual time, not of shard count or drain order.
-/// Key 0 (the default) sorts before any message key, i.e. local timers
-/// fire before same-tick message deliveries.
+/// The explicit ordering `key` makes same-tick order a function of
+/// event identity rather than of insertion order: message deliveries
+/// carry a key derived from their origin — (sender site, per-sender
+/// sequence) — so the execution order at a destination depends only on
+/// virtual time and message identity, and same-seed runs produce
+/// byte-identical traces. Key 0 (the default) sorts before any message
+/// key, i.e. local timers fire before same-tick message deliveries.
 ///
 /// Implementation: a calendar queue. Near-future events hash into a
 /// ring of time buckets (width 2^kBucketShift ticks) with O(1)

@@ -44,11 +44,6 @@ void Simulator::RunUntil(SimTime t) {
   if (now_ < t) now_ = t;
 }
 
-void Simulator::AdvanceTo(SimTime t) {
-  assert(queue_.NextTime() >= t);
-  if (now_ < t) now_ = t;
-}
-
 size_t Simulator::RunToQuiescence(size_t max_events) {
   size_t n = 0;
   while (n < max_events && Step()) {

@@ -53,10 +53,10 @@ class Simulator {
   TimerHandle At(SimTime when, EventQueue::Callback fn);
 
   /// Schedules `fn` at `when` with an explicit ordering key: events
-  /// fire in (time, key, insertion sequence) order. The sharded kernel
-  /// keys message deliveries by (sender, per-sender sequence) so their
-  /// order is independent of when they were inserted (directly vs.
-  /// drained from a cross-shard mailbox). Key 0 == plain At().
+  /// fire in (time, key, insertion sequence) order. The network keys
+  /// message deliveries by (sender, per-sender sequence), so same-tick
+  /// arrivals order by message identity and same-seed runs produce
+  /// byte-identical traces. Key 0 == plain At().
   TimerHandle AtKeyed(SimTime when, uint64_t key, EventQueue::Callback fn);
 
   /// Runs the next pending event, advancing the clock. Returns false if
@@ -69,21 +69,9 @@ class Simulator {
   /// `t` — so back-to-back RunUntil windows observe contiguous time.
   void RunUntil(SimTime t);
 
-  /// Jumps the clock forward to `t` without running anything. Requires
-  /// that no pending event is earlier than `t` (it would otherwise fire
-  /// in the past). The sharded driver uses this to align every shard's
-  /// clock on the barrier time before a window runs, so events executed
-  /// from a barrier context (control lane, mailbox drains) see a
-  /// current Now().
-  void AdvanceTo(SimTime t);
-
   /// Runs until no events remain. `max_events` guards against livelock
   /// in tests; returns the number of events executed.
   size_t RunToQuiescence(size_t max_events = SIZE_MAX);
-
-  /// Time of the earliest pending event; kSimTimeMax when idle. The
-  /// sharded driver uses this to pick barrier times.
-  SimTime NextEventTime() { return queue_.NextTime(); }
 
   bool idle() const { return queue_.empty(); }
   size_t pending_events() const { return queue_.size(); }

@@ -1,6 +1,5 @@
 #include "stats/progress_monitor.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -237,43 +236,6 @@ void ProgressMonitor::Reset() {
   commit_buckets_.clear();
   homed_per_site_.clear();
   outcomes_.clear();
-}
-
-void ProgressMonitor::MergeFrom(const ProgressMonitor& other) {
-  submitted_ += other.submitted_;
-  committed_ += other.committed_;
-  orphans_ += other.orphans_;
-  round_trips_ += other.round_trips_;
-  for (size_t i = 0; i < aborted_by_cause_.size(); ++i) {
-    aborted_by_cause_[i] += other.aborted_by_cause_[i];
-  }
-  for (size_t i = 0; i < faults_by_kind_.size(); ++i) {
-    faults_by_kind_[i] += other.faults_by_kind_[i];
-  }
-  response_committed_.Merge(other.response_committed_);
-  response_all_.Merge(other.response_all_);
-  blocked_.Merge(other.blocked_);
-  if (other.commit_buckets_.size() > commit_buckets_.size()) {
-    commit_buckets_.resize(other.commit_buckets_.size(), 0);
-  }
-  for (size_t b = 0; b < other.commit_buckets_.size(); ++b) {
-    commit_buckets_[b] += other.commit_buckets_[b];
-  }
-  for (const auto& [site, count] : other.homed_per_site_) {
-    homed_per_site_[site] += count;
-  }
-  outcomes_.insert(outcomes_.end(), other.outcomes_.begin(),
-                   other.outcomes_.end());
-}
-
-void ProgressMonitor::CanonicalizeOutcomes() {
-  std::stable_sort(outcomes_.begin(), outcomes_.end(),
-                   [](const TxnOutcome& a, const TxnOutcome& b) {
-                     if (a.submitted_at != b.submitted_at) {
-                       return a.submitted_at < b.submitted_at;
-                     }
-                     return a.id < b.id;
-                   });
 }
 
 }  // namespace rainbow

@@ -114,15 +114,6 @@ class ProgressMonitor {
 
   void Reset();
 
-  /// Adds another monitor's counters/histograms into this one (per-shard
-  /// merge for the sharded kernel). Outcomes are appended; call
-  /// CanonicalizeOutcomes() after the last merge.
-  void MergeFrom(const ProgressMonitor& other);
-
-  /// Stable-sorts kept outcomes by (submission time, txn id) — the
-  /// canonical, shard-count-invariant session-log order.
-  void CanonicalizeOutcomes();
-
  private:
   SimTime bucket_width_ = Millis(100);
   bool keep_outcomes_ = false;
@@ -139,9 +130,9 @@ class ProgressMonitor {
   Histogram blocked_;
   std::vector<uint64_t> commit_buckets_;
   /// Sorted map, not unordered: home_load_cv() accumulates doubles in
-  /// iteration order and MergeFrom() rebuilds the table shard by shard,
-  /// so hash-order iteration would make the reported CV (and anything
-  /// rendered from this table) depend on shard count (rainbow_lint D1).
+  /// iteration order, so hash-order iteration would make the reported
+  /// CV (and anything rendered from this table) depend on the order
+  /// sites were first seen (rainbow_lint D1).
   std::map<SiteId, uint64_t> homed_per_site_;
   std::vector<TxnOutcome> outcomes_;
 };

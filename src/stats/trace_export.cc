@@ -63,10 +63,9 @@ int64_t TidOf(const TraceRecord& r) {
 }  // namespace
 
 std::string ChromeTraceJson(const TraceCollector& raw) {
-  // Canonicalize: the single kernel stores records in execution order,
-  // the sharded kernel in merge order — (time, site) stable order makes
-  // the export (and the pid first-appearance assignment below) a pure
-  // function of the simulated execution, invariant under sim_shards.
+  // Canonicalize: the collector stores records in execution order;
+  // (time, site) stable order groups each instant by site, and the
+  // export (and the pid first-appearance assignment below) follows it.
   TraceCollector collector = raw;
   collector.CanonicalSort();
   std::map<TxnId, int> pids = AssignPids(collector);
@@ -239,22 +238,6 @@ Result<TraceDiff> SameSeedTraceDiff(const SystemConfig& config,
                            RunAndExportChromeTrace(config, workload, faults));
   RAINBOW_ASSIGN_OR_RETURN(std::string second,
                            RunAndExportChromeTrace(config, workload, faults));
-  return DiffTraceText(first, second);
-}
-
-Result<TraceDiff> ShardCountTraceDiff(const SystemConfig& config,
-                                      const WorkloadConfig& workload,
-                                      uint32_t shards_a, uint32_t shards_b) {
-  WorkloadConfig wl = workload;
-  wl.per_site_clients = true;
-  SystemConfig a = config;
-  a.sim_shards = shards_a;
-  SystemConfig b = config;
-  b.sim_shards = shards_b;
-  RAINBOW_ASSIGN_OR_RETURN(std::string first,
-                           RunAndExportChromeTrace(a, wl));
-  RAINBOW_ASSIGN_OR_RETURN(std::string second,
-                           RunAndExportChromeTrace(b, wl));
   return DiffTraceText(first, second);
 }
 

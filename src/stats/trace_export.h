@@ -21,8 +21,7 @@ struct WorkloadConfig;
 ///   ts  = virtual time in microseconds, ph "i" (instant, scope "t")
 /// One event per line so exports of two runs diff line-by-line. The
 /// records are canonicalized — stable-sorted by (time, site) — before
-/// serialization, so same-seed runs produce byte-identical files at any
-/// sim_shards setting, not just for identical shard counts.
+/// serialization, so same-seed runs produce byte-identical files.
 std::string ChromeTraceJson(const TraceCollector& collector);
 
 /// ASCII timeline of one transaction: its events in time order, one row
@@ -55,16 +54,6 @@ TraceDiff DiffTraceText(const std::string& a, const std::string& b);
 Result<TraceDiff> SameSeedTraceDiff(const SystemConfig& config,
                                     const WorkloadConfig& workload,
                                     const std::vector<FaultEvent>& faults = {});
-
-/// The sharded-kernel determinism gate: runs (config, workload) once
-/// with sim_shards = shards_a and once with shards_b (same seed) and
-/// diffs the canonical Chrome-trace exports. The sharded kernel's
-/// headline claim is `identical == true` for any pair of shard counts.
-/// Forces per-site workload clients so both runs use the same client
-/// model.
-Result<TraceDiff> ShardCountTraceDiff(const SystemConfig& config,
-                                      const WorkloadConfig& workload,
-                                      uint32_t shards_a, uint32_t shards_b);
 
 /// Single run of (config, workload, faults) to quiescence with tracing
 /// forced to kFull; returns the Chrome-trace JSON. Shared by

@@ -9,8 +9,8 @@ namespace rainbow {
 
 /// LRU-K frame replacer for the buffer pool. Tracks, per frame, the
 /// timestamps (a logical access counter, so eviction order is a pure
-/// function of the access sequence — deterministic across runs and
-/// shard counts) of the last K accesses. The eviction victim is the
+/// function of the access sequence — deterministic across runs) of the
+/// last K accesses. The eviction victim is the
 /// evictable frame with the largest backward K-distance: frames with
 /// fewer than K recorded accesses count as +inf distance and are
 /// evicted first, ties broken by the earliest recorded access (classic

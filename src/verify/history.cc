@@ -1,6 +1,5 @@
 #include "verify/history.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -13,12 +12,6 @@ void HistoryRecorder::RecordCommit(TxnId txn,
                                    std::vector<CommittedAccess> accesses) {
   if (!enabled_) return;
   txns_.push_back(CommittedTxn{txn, std::move(accesses)});
-}
-
-void HistoryRecorder::CanonicalSort() {
-  std::stable_sort(
-      txns_.begin(), txns_.end(),
-      [](const CommittedTxn& a, const CommittedTxn& b) { return a.id < b.id; });
 }
 
 namespace {

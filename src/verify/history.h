@@ -31,14 +31,6 @@ class HistoryRecorder {
   const std::vector<CommittedTxn>& transactions() const { return txns_; }
   void Clear() { txns_.clear(); }
 
-  /// Appends another recorder's transactions (per-shard merge). The
-  /// checker is order-insensitive; CanonicalSort() gives renders a
-  /// deterministic, shard-count-invariant order.
-  void MergeFrom(const HistoryRecorder& other) {
-    txns_.insert(txns_.end(), other.txns_.begin(), other.txns_.end());
-  }
-  void CanonicalSort();
-
  private:
   bool enabled_ = false;
   std::vector<CommittedTxn> txns_;

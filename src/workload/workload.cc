@@ -27,10 +27,6 @@ WorkloadGenerator::WorkloadGenerator(RainbowSystem* system,
   if (config_.pattern == AccessPattern::kZipf) {
     zipf_ = std::make_unique<ZipfSampler>(num_items_, config_.zipf_theta);
   }
-  // The sequential driver's draw order depends on the global completion
-  // interleaving, which a sharded run does not reproduce across shard
-  // counts — force the per-site mode there.
-  if (system_->config().sim_shards > 1) config_.per_site_clients = true;
 }
 
 SiteId WorkloadGenerator::PickHome() {
@@ -137,8 +133,8 @@ void WorkloadGenerator::RunPerSite() {
   for (uint32_t i = 0; i < n; ++i) {
     auto c = std::make_unique<Client>();
     c->home = static_cast<SiteId>(i);
-    // One independent stream per site, keyed by the site id alone so the
-    // draws are identical at any shard count.
+    // One independent stream per site, keyed by the site id alone so a
+    // client's draws do not depend on the other clients.
     c->rng = Rng(config_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
     c->target = config_.num_txns / n + (i < config_.num_txns % n ? 1 : 0);
     c->mpl = config_.mpl / n + (i < config_.mpl % n ? 1 : 0);
@@ -154,16 +150,14 @@ void WorkloadGenerator::RunPerSite() {
     }
     if (config_.arrival == WorkloadConfig::Arrival::kClosed) {
       uint32_t initial = std::min(c->mpl, c->target);
-      // Run() is called with no shard worker active, so submitting into
-      // the owning shard's queue directly is safe here.
       for (uint32_t k = 0; k < initial; ++k) ClientSubmitOne(c);
       continue;
     }
     // Open arrivals: each client runs its slice of the Poisson process
-    // (rate split evenly) on its own shard's clock.
+    // (rate split evenly).
     double mean_gap_us =
         1e6 / (config_.arrival_rate_tps / static_cast<double>(n));
-    Simulator& sim = system_->SimForSite(c->home);
+    Simulator& sim = system_->sim();
     SimTime t = sim.Now();
     for (uint32_t k = 0; k < c->target; ++k) {
       t += std::max<SimTime>(
@@ -171,7 +165,7 @@ void WorkloadGenerator::RunPerSite() {
       sim.At(t, [this, c] { ClientSubmitOne(c); });
     }
   }
-  clients_done_.store(idle_clients, std::memory_order_release);
+  clients_done_ = idle_clients;
   if (idle_clients == clients_.size()) {
     done_fired_ = true;
     if (done_) done_();
@@ -201,7 +195,6 @@ void WorkloadGenerator::ClientSubmitProgram(
 
 void WorkloadGenerator::OnClientOutcome(Client* c, const TxnOutcome& outcome,
                                         TxnProgram program, uint32_t attempt) {
-  // Runs on c->home's shard; touches only this client's state.
   if (!outcome.committed && attempt < config_.max_retries) {
     ++c->retries;
     std::optional<TxnTimestamp> inherit;
@@ -210,7 +203,7 @@ void WorkloadGenerator::OnClientOutcome(Client* c, const TxnOutcome& outcome,
     }
     SimTime backoff = RetryBackoffDelay(config_.retry_backoff,
                                         static_cast<int>(attempt) + 1, c->rng);
-    system_->SimForSite(c->home).After(
+    system_->sim().After(
         backoff, [this, c, program = std::move(program), attempt, inherit] {
           ClientSubmitProgram(c, program, attempt + 1, inherit);
         });
@@ -222,8 +215,8 @@ void WorkloadGenerator::OnClientOutcome(Client* c, const TxnOutcome& outcome,
   if (config_.arrival == WorkloadConfig::Arrival::kClosed &&
       c->launched < c->target) {
     if (config_.think_time > 0) {
-      system_->SimForSite(c->home).After(config_.think_time,
-                                         [this, c] { ClientSubmitOne(c); });
+      system_->sim().After(config_.think_time,
+                           [this, c] { ClientSubmitOne(c); });
     } else {
       ClientSubmitOne(c);
     }
@@ -232,8 +225,7 @@ void WorkloadGenerator::OnClientOutcome(Client* c, const TxnOutcome& outcome,
 }
 
 void WorkloadGenerator::ClientFinished() {
-  uint32_t prev = clients_done_.fetch_add(1, std::memory_order_acq_rel);
-  if (prev + 1 == clients_.size()) {
+  if (++clients_done_ == clients_.size()) {
     // Only the last client reaches this branch, so done_ fires once.
     done_fired_ = true;
     if (done_) done_();

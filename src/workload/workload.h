@@ -1,7 +1,6 @@
 #ifndef RAINBOW_WORKLOAD_WORKLOAD_H_
 #define RAINBOW_WORKLOAD_WORKLOAD_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -66,12 +65,10 @@ struct WorkloadConfig {
   /// One independent client per site instead of one sequential driver:
   /// transaction quota, MPL and (open mode) arrival rate are split
   /// across the sites, and every client draws from its own RNG stream
-  /// keyed by its home site. Forced on when the system runs with
-  /// sim_shards > 1 — the sequential driver's draw order would depend
-  /// on cross-shard completion interleaving, per-site clients keep the
-  /// generated workload invariant under shard count. (With very small
-  /// mpl or num_txns the per-site split rounds each busy client up to
-  /// at least one in-flight transaction.)
+  /// keyed by its home site, so a site's workload does not depend on
+  /// the completion order at other sites. (With very small mpl or
+  /// num_txns the per-site split rounds each busy client up to at least
+  /// one in-flight transaction.)
   bool per_site_clients = false;
 
   /// Automatic restarts: an aborted transaction is resubmitted up to
@@ -98,9 +95,7 @@ class WorkloadGenerator {
 
   /// Begins generation. `done` (optional) fires when every generated
   /// transaction (including retries) has completed. Drive the simulator
-  /// (RunFor / RunToQuiescence) to make progress. In per-site-clients
-  /// mode under sharding, `done` fires on the worker thread of the last
-  /// client's shard — prefer polling finished() between runs.
+  /// (RunFor / RunToQuiescence) to make progress.
   void Run(std::function<void()> done = nullptr);
 
   /// Generates one transaction program (exposed for tests and the
@@ -108,8 +103,7 @@ class WorkloadGenerator {
   TxnProgram GenerateProgram() { return GenerateProgram(rng_); }
   TxnProgram GenerateProgram(Rng& rng);
 
-  // Aggregated counters. Under sharding, read these only between runs
-  // (shard workers parked) — they sum per-client tallies.
+  // Aggregated counters: the sequential driver's plus every client's.
   uint64_t submitted() const {
     uint64_t n = submitted_;
     for (const auto& c : clients_) n += c->submitted;
@@ -140,16 +134,13 @@ class WorkloadGenerator {
   }
   bool finished() const {
     if (!clients_.empty()) {
-      return clients_done_.load(std::memory_order_acquire) ==
-             clients_.size();
+      return clients_done_ == clients_.size();
     }
     return done_fired_;
   }
 
  private:
-  /// One independent per-site client (per_site_clients mode). All of a
-  /// client's callbacks run on its home site's shard, so no two shard
-  /// workers ever touch the same client.
+  /// One independent per-site client (per_site_clients mode).
   struct Client {
     SiteId home = 0;
     Rng rng{0};
@@ -193,7 +184,7 @@ class WorkloadGenerator {
   uint64_t gave_up_ = 0;
   uint64_t next_home_ = 0;
   std::vector<std::unique_ptr<Client>> clients_;
-  std::atomic<uint32_t> clients_done_{0};
+  uint32_t clients_done_ = 0;
   std::function<void()> done_;
   bool done_fired_ = false;
 };

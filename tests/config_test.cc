@@ -2,10 +2,14 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/config.h"
 #include "core/session.h"
+#include "core/system.h"
+#include "text_fuzz.h"
 
 namespace rainbow {
 namespace {
@@ -228,8 +232,8 @@ TEST(ConfigTest, ParserRejectsGarbage) {
 
 TEST(ConfigTest, RemovedKeysAreRejected) {
   // Knobs whose mechanism is gone (the free-text trace log, the choice
-  // of storage engine): a config saved before then fails loudly instead
-  // of being half-applied. Each key is spelled in two pieces so the
+  // of storage engine, the sharded kernel): a config saved before then
+  // fails loudly instead of being half-applied. Each key is spelled in two pieces so the
   // removed name appears nowhere whole.
   struct Removed {
     std::string section;
@@ -239,6 +243,7 @@ TEST(ConfigTest, RemovedKeysAreRejected) {
   const Removed removed[] = {
       {"system", std::string("enable_") + "trace", "false"},
       {"protocols", std::string("storage_") + "engine", "map"},
+      {"system", std::string("sim_") + "shards", "4"},
   };
   for (const Removed& r : removed) {
     auto parsed = SystemConfig::FromText("[" + r.section + "]\n" + r.key +
@@ -249,6 +254,30 @@ TEST(ConfigTest, RemovedKeysAreRejected) {
               std::string::npos)
         << parsed.status();
   }
+}
+
+TEST(ConfigTest, UnsignedKnobsRejectValuesTheyCannotHold) {
+  // A negative count used to wrap: `num_sites = -3` parsed as 4294967293
+  // sites, validated, and made Create() throw std::bad_alloc.
+  const std::pair<std::string, std::string> bad[] = {
+      {"system", "num_sites = -3"},
+      {"system", "num_sites = 4294967296"},
+      {"system", "nemesis_rounds = -1"},
+      {"protocols", "page_size = -4096"},
+      {"protocols", "buffer_pool_pages = -64"},
+      {"protocols", "lru_k = -2"},
+      {"protocols", "checkpoint_interval = -256"},
+  };
+  for (const auto& [section, line] : bad) {
+    auto parsed = SystemConfig::FromText("[" + section + "]\n" + line + "\n");
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_NE(parsed.status().message().find("out of range"),
+              std::string::npos)
+        << parsed.status();
+  }
+  auto max = SystemConfig::FromText("[system]\nnum_sites = 4294967295\n");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ(max->num_sites, 4294967295u);
 }
 
 TEST(ConfigTest, ParsesAllProtocolNames) {
@@ -293,6 +322,48 @@ TEST(ConfigTest, ShippedSampleConfigsLoadAndRun) {
     ASSERT_TRUE(result.ok()) << name << ": " << result.status();
     EXPECT_GT(result->committed, 10u) << name;
   }
+}
+
+TEST(ConfigTest, FuzzedTextNeverCrashes) {
+  // Hostile input: mutants of the shipped classroom config (bit flips,
+  // deletions, insertions) must either be rejected with a Status that
+  // says why, or parse into a config that, when it validates, goes
+  // through RainbowSystem::Create. Nothing may crash (the sanitizer
+  // build gives that clause its teeth).
+  const std::string text = ReadFileOrEmpty(std::string(RAINBOW_SOURCE_DIR) +
+                                           "/configs/classroom_default.rainbow");
+  ASSERT_FALSE(text.empty());
+  Rng rng(20261017);
+  int rejected = 0;
+  int built = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const std::string mutant = MutateText(text, rng);
+    Result<SystemConfig> cfg = SystemConfig::FromText(mutant);
+    if (!cfg.ok()) {
+      EXPECT_FALSE(cfg.status().message().empty()) << "round " << round;
+      ++rejected;
+      continue;
+    }
+    if (!cfg->Validate().ok()) {
+      ++rejected;
+      continue;
+    }
+    auto sys = RainbowSystem::Create(*cfg);
+    if (sys.ok()) {
+      ++built;
+      continue;
+    }
+    // Validate() does not repeat the replication-schema checks the
+    // catalog makes while Create() builds it (duplicate item names or
+    // copy sites, quorum bounds), so such a config fails here instead,
+    // with a Status naming the item.
+    EXPECT_NE(sys.status().message().find("item '"), std::string::npos)
+        << "round " << round << ": " << sys.status() << "\n" << mutant;
+    ++rejected;
+  }
+  // Both outcomes occur, so neither clause above is vacuous.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(built, 0);
 }
 
 TEST(ConfigTest, ParserIgnoresCommentsAndBlanks) {

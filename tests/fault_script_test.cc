@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "fault/fault_script.h"
+#include "text_fuzz.h"
 
 namespace rainbow {
 namespace {
@@ -126,6 +131,50 @@ TEST(FaultScriptTest, FormatsCanonically) {
             "2000 tornwrite 1 0.25");
   EXPECT_EQ(FormatFaultEvent(FaultEvent::StorageReadFlip(0, 4, 0.01)),
             "0 readflip 4 0.01");
+}
+
+TEST(FaultScriptTest, FuzzedTextNeverCrashes) {
+  // Hostile input: mutants of a crash/link/partition script (bit flips,
+  // deletions, insertions) must either be rejected with a Status that
+  // names the offending line, or parse into events whose saved form
+  // parses again to the same number of events. Nothing may crash (the
+  // sanitizer build gives that clause its teeth).
+  const std::string script =
+      "0 crash 2\n"
+      "1000 recover 2\n"
+      "2000 crashns\n"
+      "3000 recoverns\n"
+      "4000 linkdown 0 1\n"
+      "5000 linkup 0 1\n"
+      "6000 linkdown1 1 3\n"
+      "7000 linkup1 1 3\n"
+      "8000 loss 0 2 0.25\n"
+      "9000 delay 0 2 4\n"
+      "12000 partition 0 1 | 2 3 4\n"
+      "13000 heal\n"
+      "14000 clearlinks\n";
+  Rng rng(20261017);
+  int rejected = 0;
+  int parsed = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const std::string mutant = MutateText(script, rng);
+    Result<std::vector<FaultEvent>> events = ParseFaultScript(mutant);
+    if (!events.ok()) {
+      EXPECT_EQ(events.status().message().rfind("line ", 0), 0u)
+          << "round " << round << ": " << events.status();
+      ++rejected;
+      continue;
+    }
+    Result<std::vector<FaultEvent>> again =
+        ParseFaultScript(SaveFaultScript(*events));
+    ASSERT_TRUE(again.ok()) << "round " << round << ": " << again.status()
+                            << "\n" << mutant;
+    EXPECT_EQ(again->size(), events->size()) << "round " << round;
+    ++parsed;
+  }
+  // Both outcomes occur, so neither clause above is vacuous.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(parsed, 0);
 }
 
 }  // namespace

@@ -78,9 +78,6 @@ TEST(LintFixtures, GoldenFindingsPerRule) {
   ASSERT_FALSE(fixtures.empty());
   int checked = 0;
   for (const std::string& path : fixtures) {
-    // thread_safety_fail.cc is a clang -Wthread-safety compile-fail
-    // fixture, not a lint fixture.
-    if (path.find("thread_safety_fail") != std::string::npos) continue;
     std::string content = ReadFileOrDie(path);
     Report report = LintSource(path, content);
     EXPECT_EQ(ActualFindings(report), ExpectedFindings(content))

@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 
 namespace rainbow {
@@ -135,80 +133,6 @@ TEST(SimulatorTest, RunUntilAdvancesClockWithEventsRemaining) {
   sim.RunToQuiescence();
   EXPECT_EQ(count, 2);
   EXPECT_EQ(sim.Now(), 100);
-}
-
-TEST(ShardedSimulatorTest, ShardOfSitePartitioner) {
-  EXPECT_EQ(ShardedSimulator::ShardOfSite(0, 1), 0u);
-  EXPECT_EQ(ShardedSimulator::ShardOfSite(7, 1), 0u);
-  EXPECT_EQ(ShardedSimulator::ShardOfSite(0, 4), 0u);
-  EXPECT_EQ(ShardedSimulator::ShardOfSite(5, 4), 1u);
-  EXPECT_EQ(ShardedSimulator::ShardOfSite(6, 4), 2u);
-  // The name server (and any out-of-band id) is pinned to shard 0.
-  EXPECT_EQ(ShardedSimulator::ShardOfSite(kNameServerId, 4), 0u);
-}
-
-TEST(ShardedSimulatorTest, RunsShardEventsAndAlignsClocks) {
-  ShardedSimulator s(2);
-  // Each vector is written only by its own shard's worker.
-  std::vector<SimTime> fired0, fired1;
-  s.shard(0).After(10, [&] { fired0.push_back(s.shard(0).Now()); });
-  s.shard(0).After(30, [&] { fired0.push_back(s.shard(0).Now()); });
-  s.shard(1).After(20, [&] { fired1.push_back(s.shard(1).Now()); });
-  s.RunUntil(100);
-  EXPECT_EQ(fired0, (std::vector<SimTime>{10, 30}));
-  EXPECT_EQ(fired1, (std::vector<SimTime>{20}));
-  EXPECT_EQ(s.Now(), 100);
-  EXPECT_EQ(s.shard(0).Now(), 100);
-  EXPECT_EQ(s.shard(1).Now(), 100);
-  EXPECT_TRUE(s.idle());
-  EXPECT_EQ(s.executed_events(), 3u);
-}
-
-TEST(ShardedSimulatorTest, CrossShardPostDeliversAtRequestedTime) {
-  ShardedSimulator s(2);
-  s.set_lookahead_provider([] { return SimTime{5}; });
-  SimTime seen = -1;
-  s.shard(0).After(10, [&] {
-    // Conservative rule: the delivery time is >= send time + lookahead.
-    s.PostToShard(1, s.shard(0).Now() + 5, /*key=*/1,
-                  [&] { seen = s.shard(1).Now(); });
-  });
-  s.RunUntil(100);
-  EXPECT_EQ(seen, 15);
-  EXPECT_EQ(s.cross_shard_posts(), 1u);
-  EXPECT_GE(s.windows_run(), 2u);
-}
-
-TEST(ShardedSimulatorTest, ControlEventsRunAtBarriers) {
-  ShardedSimulator s(4);
-  s.set_lookahead_provider([] { return SimTime{10}; });
-  std::vector<SimTime> control_times;
-  SimTime shard_seen = -1;
-  s.control().At(25, [&] { control_times.push_back(s.control().Now()); });
-  s.shard(2).After(25, [&] { shard_seen = s.shard(2).Now(); });
-  s.control().At(60, [&] { control_times.push_back(s.control().Now()); });
-  s.RunUntil(80);
-  EXPECT_EQ(control_times, (std::vector<SimTime>{25, 60}));
-  EXPECT_EQ(shard_seen, 25);
-  EXPECT_EQ(s.Now(), 80);
-}
-
-TEST(ShardedSimulatorTest, RunToQuiescenceDrainsChains) {
-  ShardedSimulator s(2);
-  s.set_lookahead_provider([] { return SimTime{3}; });
-  // Ping-pong between shards via cross-shard posts.
-  int hops = 0;
-  std::function<void(uint32_t)> hop = [&](uint32_t k) {
-    ++hops;
-    if (hops >= 10) return;
-    uint32_t next = 1 - k;
-    s.PostToShard(next, s.shard(k).Now() + 3, /*key=*/1,
-                  [&hop, next] { hop(next); });
-  };
-  s.shard(0).After(1, [&] { hop(0); });
-  s.RunToQuiescence();
-  EXPECT_EQ(hops, 10);
-  EXPECT_TRUE(s.idle());
 }
 
 }  // namespace

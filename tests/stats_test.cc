@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "stats/progress_monitor.h"
 
 namespace rainbow {
@@ -77,25 +80,22 @@ TEST(ProgressMonitorTest, LoadCv) {
 }
 
 // Regression (rainbow_lint D1): home_load_cv() accumulates doubles in
-// table-iteration order, and sharded runs MergeFrom() each shard's
-// monitor in turn. With the old unordered_map the rebuilt table's order
-// — and hence the float accumulation order — depended on merge order;
-// with the sorted map the CV is bit-identical either way.
-TEST(ProgressMonitorTest, HomeLoadCvIndependentOfMergeOrder) {
-  ProgressMonitor shard_a, shard_b, shard_c;
-  for (int i = 0; i < 7; ++i) shard_a.OnSubmit(3, 0);
-  for (int i = 0; i < 11; ++i) shard_b.OnSubmit(1, 0);
-  for (int i = 0; i < 5; ++i) shard_c.OnSubmit(2, 0);
-  for (int i = 0; i < 2; ++i) shard_c.OnSubmit(3, 0);
-
+// table-iteration order. With the old unordered_map that order — and
+// hence the float accumulation order — depended on the order sites were
+// first seen; with the sorted map the CV is bit-identical either way.
+TEST(ProgressMonitorTest, HomeLoadCvIndependentOfSubmitOrder) {
+  // (home site, submissions): site 3 appears twice, so the two feeds
+  // below first see the sites in different orders (3,1,2 vs 3,2,1).
+  const std::vector<std::pair<SiteId, int>> batches = {
+      {3, 7}, {1, 11}, {2, 5}, {3, 2}};
   ProgressMonitor forward;
-  forward.MergeFrom(shard_a);
-  forward.MergeFrom(shard_b);
-  forward.MergeFrom(shard_c);
+  for (const auto& [site, n] : batches) {
+    for (int i = 0; i < n; ++i) forward.OnSubmit(site, 0);
+  }
   ProgressMonitor backward;
-  backward.MergeFrom(shard_c);
-  backward.MergeFrom(shard_b);
-  backward.MergeFrom(shard_a);
+  for (auto it = batches.rbegin(); it != batches.rend(); ++it) {
+    for (int i = 0; i < it->second; ++i) backward.OnSubmit(it->first, 0);
+  }
 
   EXPECT_EQ(forward.homed_per_site(), backward.homed_per_site());
   EXPECT_EQ(forward.home_load_cv(), backward.home_load_cv());

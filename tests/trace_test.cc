@@ -16,6 +16,7 @@
 #include "fault/fault_script.h"
 #include "stats/progress_monitor.h"
 #include "stats/trace_export.h"
+#include "verify/history.h"
 #include "workload/workload.h"
 
 namespace rainbow {
@@ -296,6 +297,109 @@ TEST_F(TracedRunTest, DifferentSeedsActuallyDiverge) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(DiffTraceText(*first, *second).identical);
+}
+
+/// Everything observable from one run of the fault-heavy scenario below.
+struct RunArtifacts {
+  std::string records;
+  std::string session_log;
+  std::string history;
+  uint64_t submitted = 0;
+  uint64_t committed = 0;
+  uint64_t aborted = 0;
+  uint64_t net_sent = 0;
+  uint64_t delivered = 0;
+  uint64_t bytes = 0;
+  SimTime end_time = 0;
+  size_t site_crashes = 0;
+  size_t site_recoveries = 0;
+  size_t faults = 0;
+};
+
+/// 8 sites with per-site clients and scans, under a site crash/recover,
+/// a name-server outage and a partition window.
+RunArtifacts RunFaultScenario(uint64_t seed) {
+  SystemConfig cfg;
+  cfg.seed = seed;
+  cfg.num_sites = 8;
+  cfg.trace_enabled = true;
+  cfg.trace_detail = TraceDetail::kFull;
+  cfg.record_history = true;
+  cfg.AddUniformItems(24, 100, 3);
+  auto sys = RainbowSystem::Create(cfg);
+  EXPECT_TRUE(sys.ok()) << sys.status();
+  RainbowSystem& s = **sys;
+  s.set_keep_outcomes(true);
+
+  auto faults = ParseFaultScript(
+      "20003 crash 5\n"
+      "25007 crashns\n"
+      "30011 partition 0 1 2 3 | 4 5 6 7\n"
+      "45001 recoverns\n"
+      "55013 heal\n"
+      "70009 recover 5\n");
+  EXPECT_TRUE(faults.ok()) << faults.status();
+  FaultInjector inject(&s);
+  inject.ScheduleAll(*faults);
+
+  WorkloadConfig wl;
+  wl.seed = seed ^ 0x5eed;
+  wl.num_txns = 96;
+  wl.mpl = 8;
+  wl.max_retries = 2;
+  wl.scan_fraction = 0.15;
+  wl.scan_length = 4;
+  wl.per_site_clients = true;
+  WorkloadGenerator wlg(&s, wl);
+  wlg.Run();
+  while (!wlg.finished() && s.sim().Now() < Seconds(30)) {
+    s.RunFor(Millis(50));
+    if (s.Idle() && !wlg.finished()) break;
+  }
+  s.RunFor(Millis(500));
+  EXPECT_TRUE(wlg.finished());
+
+  RunArtifacts a;
+  const TraceCollector& c = s.collector();
+  a.records = ProgressMonitor::RenderExecutionWindow(c, 0);
+  a.site_crashes = c.CountKind(TraceEventKind::kSiteCrash);
+  a.site_recoveries = c.CountKind(TraceEventKind::kSiteRecover);
+  a.faults = c.CountKind(TraceEventKind::kFault);
+  const ProgressMonitor& m = s.monitor();
+  a.session_log = m.RenderSessionLog();
+  a.submitted = m.submitted();
+  a.committed = m.committed();
+  a.aborted = m.aborted_total();
+  a.history = RenderHistory(s.history().transactions());
+  a.net_sent = s.net().stats().network_sent();
+  a.delivered = s.net().stats().delivered;
+  a.bytes = s.net().stats().bytes;
+  a.end_time = s.sim().Now();
+  return a;
+}
+
+TEST(TraceDeterminismTest, SameSeedRepeatRunsMatchAllArtifacts) {
+  const uint64_t kSeed = 20260808;
+  RunArtifacts a = RunFaultScenario(kSeed);
+  // The whole fault schedule fired inside the run: site 5 and the name
+  // server each crashed and recovered once; partition + heal.
+  EXPECT_EQ(a.site_crashes, 2u);
+  EXPECT_EQ(a.site_recoveries, 2u);
+  EXPECT_EQ(a.faults, 2u);
+  EXPECT_GT(a.committed, 0u);
+  EXPECT_FALSE(a.history.empty());
+
+  RunArtifacts b = RunFaultScenario(kSeed);
+  EXPECT_EQ(a.submitted, b.submitted);
+  EXPECT_EQ(a.committed, b.committed);
+  EXPECT_EQ(a.aborted, b.aborted);
+  EXPECT_EQ(a.net_sent, b.net_sent);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.session_log, b.session_log);
+  EXPECT_EQ(a.history, b.history);
+  EXPECT_EQ(a.records, b.records);
 }
 
 std::string ReadFileOrEmpty(const std::string& path) {
