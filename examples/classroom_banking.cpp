@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "core/system.h"
-#include "verify/history.h"
+#include "verify/checker.h"
 
 int main() {
   using namespace rainbow;
@@ -21,7 +21,7 @@ int main() {
   SystemConfig cfg;
   cfg.seed = 20260705;
   cfg.num_sites = 3;
-  cfg.record_history = true;
+  cfg.trace_enabled = true;  // the trace checker reads the trace
   for (int i = 0; i < kAccounts; ++i) {
     ItemConfig account;
     account.name = "acct" + std::to_string(i);
@@ -82,8 +82,7 @@ int main() {
             << kAccounts * kInitialBalance << ") — money conserved: "
             << (total == kAccounts * kInitialBalance ? "YES" : "NO") << "\n";
 
-  Status ser = CheckConflictSerializable(sys.history().transactions());
-  std::cout << "committed history conflict-serializable: "
-            << (ser.ok() ? "YES" : ser.ToString()) << "\n";
-  return total == kAccounts * kInitialBalance && ser.ok() ? 0 : 1;
+  CheckReport check = sys.VerifyHistory();
+  std::cout << "\n" << check.Render();
+  return total == kAccounts * kInitialBalance && check.ok() ? 0 : 1;
 }

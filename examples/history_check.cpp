@@ -38,7 +38,6 @@ Result<SystemConfig> LoadConfig(const std::string& path) {
 
 SessionOptions FaultOptions(bool faults) {
   SessionOptions options;
-  options.verify_history = true;
   if (faults) {
     options.random_mttf = Millis(600);
     options.random_mttr = Millis(150);

@@ -7,6 +7,21 @@
 
 namespace rainbow {
 
+int ItemConfig::TotalVotes() const {
+  if (votes.empty()) return static_cast<int>(copies.size());
+  int total = 0;
+  for (int v : votes) total += v;
+  return total;
+}
+
+int ItemConfig::EffectiveReadQuorum() const {
+  return read_quorum > 0 ? read_quorum : TotalVotes() / 2 + 1;
+}
+
+int ItemConfig::EffectiveWriteQuorum() const {
+  return write_quorum > 0 ? write_quorum : TotalVotes() / 2 + 1;
+}
+
 void SystemConfig::AddUniformItems(int count, Value initial,
                                    int replication_degree) {
   int degree = std::min<int>(replication_degree, static_cast<int>(num_sites));
@@ -89,7 +104,6 @@ std::string SystemConfig::ToText() const {
   os << "[system]\n";
   os << "seed = " << seed << "\n";
   os << "num_sites = " << num_sites << "\n";
-  os << "record_history = " << (record_history ? "true" : "false") << "\n";
   os << "stats_bucket = " << stats_bucket << "\n";
   os << "trace_enabled = " << (trace_enabled ? "true" : "false") << "\n";
   os << "trace_detail = " << TraceDetailName(trace_detail) << "\n";
@@ -203,8 +217,6 @@ Status ParseKeyValue(SystemConfig& cfg, const std::string& section,
       RAINBOW_ASSIGN_OR_RETURN(cfg.seed, ParseUint64(value));
     } else if (key == "num_sites") {
       RAINBOW_ASSIGN_OR_RETURN(cfg.num_sites, as_uint32());
-    } else if (key == "record_history") {
-      RAINBOW_ASSIGN_OR_RETURN(cfg.record_history, as_bool());
     } else if (key == "stats_bucket") {
       RAINBOW_ASSIGN_OR_RETURN(cfg.stats_bucket, as_int());
     } else if (key == "trace_enabled") {

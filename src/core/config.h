@@ -21,6 +21,14 @@ struct ItemConfig {
   std::vector<int> votes;  ///< empty = one vote per copy
   int read_quorum = 0;     ///< 0 = majority of votes
   int write_quorum = 0;    ///< 0 = majority of votes
+
+  /// Sum of `votes`, or one vote per copy when `votes` is empty.
+  int TotalVotes() const;
+  /// The quorums in force: a configured 0 resolves to a majority of
+  /// TotalVotes(). The schema and the checker's quorum pass share this
+  /// rule.
+  int EffectiveReadQuorum() const;
+  int EffectiveWriteQuorum() const;
 };
 
 /// Everything needed to instantiate a Rainbow instance: the union of the
@@ -40,7 +48,6 @@ struct SystemConfig {
 
   std::vector<ItemConfig> items;
 
-  bool record_history = false;
   SimTime stats_bucket = Millis(100);
 
   /// Structured per-transaction tracing (TraceCollector). Off by default:

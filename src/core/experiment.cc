@@ -11,9 +11,7 @@ void Experiment::AddPoint(Point point) { points_.push_back(std::move(point)); }
 Status Experiment::Run() {
   results_.clear();
   for (const Point& p : points_) {
-    SessionOptions options = p.options;
-    options.verify_history |= verify_history_;
-    auto r = RunSession(p.system, p.workload, options);
+    auto r = RunSession(p.system, p.workload, p.options);
     if (!r.ok()) {
       return Status(r.status().code(),
                     title_ + " point '" + p.label + "': " +

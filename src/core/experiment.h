@@ -33,12 +33,6 @@ class Experiment {
   };
   void AddPoint(Point point);
 
-  /// Gates every point on the protocol-invariant checker: each session
-  /// runs with verify_history on, and any violation aborts the sweep
-  /// with the rendered report. The standing correctness oracle for
-  /// performance experiments.
-  void set_verify_history(bool on) { verify_history_ = on; }
-
   /// Runs every point; failures abort the experiment with the status.
   Status Run();
 
@@ -56,7 +50,6 @@ class Experiment {
 
  private:
   std::string title_;
-  bool verify_history_ = false;
   std::vector<Point> points_;
   std::vector<SessionResult> results_;
 };

@@ -2,7 +2,6 @@
 
 #include "fault/fault_script.h"
 #include "verify/checker.h"
-#include "verify/history.h"
 
 namespace rainbow {
 
@@ -10,8 +9,6 @@ Result<SessionResult> RunSession(const SystemConfig& system_config,
                                  const WorkloadConfig& workload_config,
                                  const SessionOptions& options) {
   SystemConfig sys_cfg = system_config;
-  if (options.check_serializability) sys_cfg.record_history = true;
-  if (options.verify_history) sys_cfg.verify_history = true;
   if (sys_cfg.verify_history && !sys_cfg.trace_enabled) {
     // The checker consumes the structured trace; protocol detail is
     // enough (per-message records are not needed).
@@ -90,15 +87,18 @@ Result<SessionResult> RunSession(const SystemConfig& system_config,
   r.stats_table = pm.RenderStatistics(net, duration);
   if (options.keep_session_log) r.session_log = pm.RenderSessionLog();
 
-  if (options.check_serializability) {
-    RAINBOW_RETURN_IF_ERROR(
-        CheckConflictSerializable(sys.history().transactions()));
-  }
   if (sys_cfg.verify_history) {
     CheckReport report = sys.VerifyHistory();
     r.verify_report = report.Render();
     if (!report.ok()) {
       return Status::Internal("history check failed:\n" + r.verify_report);
+    }
+    if (report.truncated) {
+      // The checker skipped every trace pass, so ok() above proved
+      // nothing: refuse to call an unchecked session verified.
+      return Status::Internal(
+          "history check incomplete: trace truncated, " +
+          std::to_string(report.dropped) + " records dropped");
     }
   }
   return r;

@@ -65,14 +65,6 @@ struct SessionOptions {
   SimTime max_duration = Seconds(600);
   /// Keep per-transaction outcomes for the Figure-5 session log.
   bool keep_session_log = false;
-  /// After the workload drains, verify conflict-serializability of the
-  /// committed history (requires config.record_history).
-  bool check_serializability = false;
-  /// After the workload drains, run the full protocol-invariant checker
-  /// (verify/checker.h) over the structured trace; any violation fails
-  /// the session with the rendered report. Equivalent to setting
-  /// SystemConfig::verify_history.
-  bool verify_history = false;
 };
 
 /// Configures a Rainbow instance, drives a workload through it (with

@@ -21,7 +21,6 @@ Result<std::unique_ptr<RainbowSystem>> RainbowSystem::Create(
 Status RainbowSystem::Init() {
   collector_.set_detail(config_.trace_enabled ? config_.trace_detail
                                               : TraceDetail::kOff);
-  history_.set_enabled(config_.record_history);
   monitor_.set_bucket_width(config_.stats_bucket);
 
   Rng root(config_.seed);
@@ -41,12 +40,9 @@ Status RainbowSystem::Init() {
   for (const ItemConfig& item : config_.items) {
     std::vector<int> votes = item.votes;
     if (votes.empty()) votes.assign(item.copies.size(), 1);
-    int total = 0;
-    for (int v : votes) total += v;
-    int rq = item.read_quorum > 0 ? item.read_quorum : total / 2 + 1;
-    int wq = item.write_quorum > 0 ? item.write_quorum : total / 2 + 1;
-    auto added = catalog_.schema().AddItem(item.name, item.initial,
-                                           item.copies, votes, rq, wq);
+    auto added = catalog_.schema().AddItem(
+        item.name, item.initial, item.copies, votes,
+        item.EffectiveReadQuorum(), item.EffectiveWriteQuorum());
     RAINBOW_RETURN_IF_ERROR(added.status());
   }
   RAINBOW_RETURN_IF_ERROR(catalog_.Validate());
@@ -63,7 +59,6 @@ Status RainbowSystem::Init() {
     env.sim = &sim_;
     env.collector = &collector_;
     env.monitor = &monitor_;
-    env.history = &history_;
     sites_.push_back(std::make_unique<Site>(static_cast<SiteId>(i), env));
   }
   // Load item copies and compute refresh-peer sets (sites sharing items).

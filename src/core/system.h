@@ -17,7 +17,6 @@
 #include "site/site.h"
 #include "stats/progress_monitor.h"
 #include "verify/checker.h"
-#include "verify/history.h"
 
 namespace rainbow {
 
@@ -56,7 +55,6 @@ class RainbowSystem {
   ProgressMonitor& monitor() { return monitor_; }
   TraceCollector& collector() { return collector_; }
   const TraceCollector& collector() const { return collector_; }
-  HistoryRecorder& history() { return history_; }
 
   /// Keeps per-transaction outcomes for the session log.
   void set_keep_outcomes(bool keep) { monitor_.set_keep_outcomes(keep); }
@@ -107,7 +105,6 @@ class RainbowSystem {
   TraceCollector collector_;
   Rng client_rng_;
   ProgressMonitor monitor_;
-  HistoryRecorder history_;
   Catalog catalog_;
   std::unique_ptr<Network> net_;
   std::unique_ptr<NameServer> name_server_;

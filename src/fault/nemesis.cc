@@ -6,7 +6,6 @@
 #include "core/system.h"
 #include "fault/fault_script.h"
 #include "verify/checker.h"
-#include "verify/history.h"
 #include "workload/workload.h"
 
 namespace rainbow {
@@ -140,7 +139,6 @@ SystemConfig Nemesis::MakeConfig() const {
       cfg.protocols.checkpoint_interval = 32;
     }
   }
-  cfg.record_history = true;
   if (!cfg.trace_enabled) {
     cfg.trace_enabled = true;
     cfg.trace_detail = TraceDetail::kProtocol;
@@ -314,18 +312,14 @@ bool Nemesis::ScheduleFails(const std::vector<FaultEvent>& events,
   }
   sys.RunFor(Millis(500));
 
-  // The oracle: the offline invariant checker over the trace, plus the
-  // recorded-history serializability check and replica convergence.
+  // The oracle: the offline invariant checker over the trace, plus
+  // replica convergence.
   CheckReport check = sys.VerifyHistory();
-  Status serializable = CheckConflictSerializable(sys.history().transactions());
   Status replicas = sys.CheckReplicaConsistency(false);
-  const bool fails = !check.ok() || !serializable.ok() || !replicas.ok();
+  const bool fails = !check.ok() || !replicas.ok();
   if (report) {
     std::string out;
     if (!check.ok()) out += check.Render();
-    if (!serializable.ok()) {
-      out += "serializability: " + serializable.ToString() + "\n";
-    }
     if (!replicas.ok()) {
       out += "replica consistency: " + replicas.ToString() + "\n";
     }

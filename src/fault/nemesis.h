@@ -89,7 +89,7 @@ struct NemesisOptions {
   /// Hard cap on simulator re-runs the shrinker may spend.
   uint32_t shrink_budget = 200;
   /// System under test. When it has no items a 5-site fully replicated
-  /// default is built. record_history / tracing are forced on.
+  /// default is built. Tracing is forced on for the trace checker.
   SystemConfig base_config;
 };
 

@@ -413,7 +413,6 @@ void Coordinator::OpQuorumReached() {
   }
   // Read complete.
   read_slots_[cur_op_original_] = cur_best_value_;
-  accesses_.push_back(CommittedAccess{cur_item_, false, cur_max_version_});
   if (site_->tracing()) {
     // The version the transaction logically read (max over the quorum) —
     // the history checker builds wr/rw precedence edges from this.
@@ -438,15 +437,8 @@ void Coordinator::OpQuorumReached() {
 void Coordinator::BeginCommit() {
   if (participants_.empty()) {
     // Nothing was accessed remotely (empty program): trivial commit.
-    if (site_->env().history && site_->env().history->enabled()) {
-      site_->env().history->RecordCommit(id_, accesses_);
-    }
     Finish(true, AbortCause::kNone, "");
     return;
-  }
-  // Finalize the version each written item will install.
-  for (auto& [item, base] : write_base_version_) {
-    accesses_.push_back(CommittedAccess{item, true, base + 1});
   }
   std::vector<SiteId> plist(participants_.begin(), participants_.end());
   votes_ = std::make_unique<VoteCollector>(plist);
@@ -599,9 +591,6 @@ void Coordinator::Decide(bool commit, AbortCause cause, std::string detail) {
   // The closer sends the decision to every participant and keeps
   // resending (via the RPC layer) until each one acks.
   site_->StartCloser(id_, commit, plist);
-  if (commit && site_->env().history && site_->env().history->enabled()) {
-    site_->env().history->RecordCommit(id_, accesses_);
-  }
   Finish(commit, cause, std::move(detail));
 }
 

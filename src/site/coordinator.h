@@ -185,7 +185,6 @@ class Coordinator {
   /// reads; under OCC they are shipped with the prepare for backward
   /// validation.
   std::map<ItemId, std::map<SiteId, Version>> read_site_versions_;
-  std::vector<CommittedAccess> accesses_;
   /// Observed read value per program op (reads/increments only), keyed
   /// by the op's original index so ordered_access does not reorder the
   /// values the client sees.

@@ -20,7 +20,6 @@
 #include "storage/storage_engine.h"
 #include "storage/wal.h"
 #include "txn/transaction.h"
-#include "verify/history.h"
 
 namespace rainbow {
 
@@ -53,7 +52,6 @@ class Site {
     Network* net = nullptr;
     TraceCollector* collector = nullptr;  ///< structured tracing
     ProgressMonitor* monitor = nullptr;
-    HistoryRecorder* history = nullptr;
     const ProtocolConfig* config = nullptr;
     uint64_t seed = 0;  ///< system seed; forked per site for RPC jitter
   };

@@ -82,14 +82,6 @@ struct TxnOutcome {
 /// finishes (commits or aborts).
 using TxnCallback = std::function<void(const TxnOutcome&)>;
 
-/// Committed access record used by the history checker: which version a
-/// committed transaction read / installed per item.
-struct CommittedAccess {
-  ItemId item = kInvalidItem;
-  bool is_write = false;
-  Version version = 0;  ///< read: version observed; write: version installed
-};
-
 }  // namespace rainbow
 
 #endif  // RAINBOW_TXN_TRANSACTION_H_

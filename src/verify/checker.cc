@@ -141,15 +141,9 @@ CheckReport HistoryChecker::Check(const TraceCollector& trace) const {
 void HistoryChecker::CheckQuorumConfig(CheckReport& report) const {
   if (config_.protocols.rcp != RcpKind::kQuorumConsensus) return;
   for (const ItemConfig& item : config_.items) {
-    int total = 0;
-    if (item.votes.empty()) {
-      total = static_cast<int>(item.copies.size());
-    } else {
-      for (int v : item.votes) total += v;
-    }
-    // 0 = majority, mirroring RainbowSystem's schema construction.
-    int rq = item.read_quorum > 0 ? item.read_quorum : total / 2 + 1;
-    int wq = item.write_quorum > 0 ? item.write_quorum : total / 2 + 1;
+    const int total = item.TotalVotes();
+    const int rq = item.EffectiveReadQuorum();
+    const int wq = item.EffectiveWriteQuorum();
     if (rq + wq <= total) {
       Violation v;
       v.invariant = InvariantKind::kQuorumConfig;

@@ -367,14 +367,13 @@ TEST(CodecTest, WholeSystemRunsOverTheWireCodec) {
   system.seed = 202;
   system.num_sites = 4;
   system.verify_codec = true;
+  system.verify_history = true;
   system.protocols.acp = AcpKind::kThreePhaseCommit;  // widest message mix
   system.AddUniformItems(60, 100, 3);
   WorkloadConfig workload;
   workload.num_txns = 150;
   workload.mpl = 6;
-  SessionOptions options;
-  options.check_serializability = true;
-  auto result = RunSession(system, workload, options);
+  auto result = RunSession(system, workload);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(result->committed, 100u);
 }

@@ -121,7 +121,6 @@ SystemConfig RandomConfig(Rng& rng) {
   SystemConfig cfg;
   cfg.seed = rng.Next();
   cfg.num_sites = static_cast<uint32_t>(rng.NextInt(1, 8));
-  cfg.record_history = rng.NextBool(0.5);
   cfg.stats_bucket = Millis(rng.NextInt(1, 1000));
   cfg.trace_enabled = rng.NextBool(0.5);
   cfg.trace_detail = static_cast<TraceDetail>(rng.NextInt(0, 2));
@@ -232,9 +231,10 @@ TEST(ConfigTest, ParserRejectsGarbage) {
 
 TEST(ConfigTest, RemovedKeysAreRejected) {
   // Knobs whose mechanism is gone (the free-text trace log, the choice
-  // of storage engine, the sharded kernel): a config saved before then
-  // fails loudly instead of being half-applied. Each key is spelled in two pieces so the
-  // removed name appears nowhere whole.
+  // of storage engine, the sharded kernel, the second history oracle):
+  // a config saved before then fails loudly instead of being
+  // half-applied. Each key is spelled in two pieces so the removed name
+  // appears nowhere whole.
   struct Removed {
     std::string section;
     std::string key;
@@ -244,6 +244,7 @@ TEST(ConfigTest, RemovedKeysAreRejected) {
       {"system", std::string("enable_") + "trace", "false"},
       {"protocols", std::string("storage_") + "engine", "map"},
       {"system", std::string("sim_") + "shards", "4"},
+      {"system", std::string("record_") + "history", "true"},
   };
   for (const Removed& r : removed) {
     auto parsed = SystemConfig::FromText("[" + r.section + "]\n" + r.key +

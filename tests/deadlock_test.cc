@@ -7,7 +7,7 @@
 
 #include "cc/lock_manager.h"
 #include "core/system.h"
-#include "verify/history.h"
+#include "verify/checker.h"
 #include "workload/workload.h"
 
 namespace rainbow {
@@ -220,7 +220,7 @@ TEST_F(EdgeChasingTest, SerializableUnderContendedWorkload) {
   SystemConfig cfg;
   cfg.seed = 78;
   cfg.num_sites = 4;
-  cfg.record_history = true;
+  cfg.trace_enabled = true;
   cfg.protocols.deadlock = DeadlockPolicy::kEdgeChasing;
   cfg.protocols.probe_delay = Millis(5);
   cfg.protocols.lock_wait_timeout = Millis(200);
@@ -241,7 +241,8 @@ TEST_F(EdgeChasingTest, SerializableUnderContendedWorkload) {
   ASSERT_TRUE(done);
   s.RunFor(Seconds(2));
 
-  EXPECT_TRUE(CheckConflictSerializable(s.history().transactions()).ok());
+  CheckReport report = s.VerifyHistory();
+  EXPECT_TRUE(report.ok()) << report.Render();
   EXPECT_TRUE(s.CheckReplicaConsistency(false).ok());
   for (SiteId id = 0; id < 4; ++id) {
     EXPECT_EQ(s.site(id)->active_coordinators(), 0u);

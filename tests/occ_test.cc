@@ -6,7 +6,7 @@
 
 #include "cc/occ_manager.h"
 #include "core/system.h"
-#include "verify/history.h"
+#include "verify/checker.h"
 #include "workload/workload.h"
 
 namespace rainbow {
@@ -73,7 +73,7 @@ class OccSystemTest : public ::testing::Test {
     cfg.num_sites = 3;
     cfg.latency.distribution = LatencyDistribution::kFixed;
     cfg.latency.mean = Millis(1);
-    cfg.record_history = true;
+    cfg.trace_enabled = true;
     cfg.protocols.cc = CcKind::kOptimistic;
     cfg.AddFullyReplicatedItems(10, 100);
     return cfg;
@@ -95,7 +95,8 @@ TEST_F(OccSystemTest, UncontendedTransactionsCommit) {
     s.RunFor(Millis(100));
   }
   EXPECT_EQ(committed, 5);
-  EXPECT_TRUE(CheckConflictSerializable(s.history().transactions()).ok());
+  CheckReport report = s.VerifyHistory();
+  EXPECT_TRUE(report.ok()) << report.Render();
 }
 
 TEST_F(OccSystemTest, StaleReadFailsValidation) {
@@ -133,7 +134,8 @@ TEST_F(OccSystemTest, StaleReadFailsValidation) {
       << slow.abort_detail;
   // The failed transaction wrote nothing.
   EXPECT_EQ(s.LatestCommitted(1)->version, 0u);
-  EXPECT_TRUE(CheckConflictSerializable(s.history().transactions()).ok());
+  CheckReport report = s.VerifyHistory();
+  EXPECT_TRUE(report.ok()) << report.Render();
 }
 
 TEST_F(OccSystemTest, NoBlockingDuringExecution) {
@@ -179,7 +181,8 @@ TEST_F(OccSystemTest, ContendedWorkloadStaysSerializable) {
   s.RunFor(Seconds(60));
   ASSERT_TRUE(done);
   s.RunFor(Seconds(2));
-  EXPECT_TRUE(CheckConflictSerializable(s.history().transactions()).ok());
+  CheckReport report = s.VerifyHistory();
+  EXPECT_TRUE(report.ok()) << report.Render();
   EXPECT_TRUE(s.CheckReplicaConsistency(false).ok());
   EXPECT_GT(s.monitor().committed(), 30u);
   // Validation failures surface as ACP aborts (NO votes).

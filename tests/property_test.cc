@@ -9,7 +9,6 @@
 #include "core/system.h"
 #include "fault/fault_injector.h"
 #include "verify/checker.h"
-#include "verify/history.h"
 #include "workload/workload.h"
 
 namespace rainbow {
@@ -57,7 +56,7 @@ TEST_P(SerializabilityProperty, CommittedHistoryIsSerializable) {
   SystemConfig cfg;
   cfg.seed = seed;
   cfg.num_sites = 4;
-  cfg.record_history = true;
+  cfg.trace_enabled = true;
   cfg.protocols.rcp = proto.rcp;
   cfg.protocols.cc = proto.cc;
   cfg.protocols.deadlock = proto.deadlock;
@@ -81,10 +80,9 @@ TEST_P(SerializabilityProperty, CommittedHistoryIsSerializable) {
   ASSERT_TRUE(done) << "workload did not drain";
   s.RunFor(Seconds(2));  // let closers/acks settle
 
-  Status ser = CheckConflictSerializable(s.history().transactions());
-  EXPECT_TRUE(ser.ok()) << proto.name << " seed " << seed << ": "
-                        << ser.ToString() << "\n"
-                        << RenderHistory(s.history().transactions());
+  CheckReport report = s.VerifyHistory();
+  EXPECT_TRUE(report.ok()) << proto.name << " seed " << seed << ":\n"
+                           << report.Render();
   // Replica agreement: no two copies disagree at the same version.
   EXPECT_TRUE(s.CheckReplicaConsistency(false).ok());
   // Quiescence: no transaction state left anywhere.
@@ -122,7 +120,7 @@ TEST_P(TransferProperty, TotalBalanceConserved) {
   SystemConfig cfg;
   cfg.seed = seed;
   cfg.num_sites = 3;
-  cfg.record_history = true;
+  cfg.trace_enabled = true;
   cfg.AddFullyReplicatedItems(kAccounts, kInitial);
 
   auto sys = RainbowSystem::Create(cfg);
@@ -159,7 +157,8 @@ TEST_P(TransferProperty, TotalBalanceConserved) {
     total += latest->value;
   }
   EXPECT_EQ(total, kAccounts * kInitial);
-  EXPECT_TRUE(CheckConflictSerializable(s.history().transactions()).ok());
+  CheckReport report = s.VerifyHistory();
+  EXPECT_TRUE(report.ok()) << report.Render();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransferProperty,
@@ -174,7 +173,7 @@ TEST_P(FaultProperty, SerializableAndConsistentUnderRandomFaults) {
   SystemConfig cfg;
   cfg.seed = seed;
   cfg.num_sites = 5;
-  cfg.record_history = true;
+  cfg.trace_enabled = true;
   cfg.AddUniformItems(30, 100, 5);  // full replication, quorum 3
 
   auto sys = RainbowSystem::Create(cfg);
@@ -197,8 +196,8 @@ TEST_P(FaultProperty, SerializableAndConsistentUnderRandomFaults) {
   // the committed prefix must be correct. Give recovery time to settle.
   s.RunFor(Seconds(4));
 
-  Status ser = CheckConflictSerializable(s.history().transactions());
-  EXPECT_TRUE(ser.ok()) << "seed " << seed << ": " << ser.ToString();
+  CheckReport report = s.VerifyHistory();
+  EXPECT_TRUE(report.ok()) << "seed " << seed << ":\n" << report.Render();
   EXPECT_TRUE(s.CheckReplicaConsistency(false).ok())
       << s.CheckReplicaConsistency(false).ToString();
   EXPECT_GT(s.monitor().committed(), 5u) << "seed " << seed;
@@ -219,7 +218,7 @@ TEST_P(LossProperty, SerializableUnderMessageLoss) {
   SystemConfig cfg;
   cfg.seed = seed;
   cfg.num_sites = 4;
-  cfg.record_history = true;
+  cfg.trace_enabled = true;
   cfg.message_loss = 0.03;  // 3% of messages silently vanish
   cfg.verify_codec = true;  // and everything rides the wire codec
   cfg.AddUniformItems(40, 100, 3);
@@ -239,8 +238,8 @@ TEST_P(LossProperty, SerializableUnderMessageLoss) {
   EXPECT_TRUE(done) << "workload did not drain under loss";
   s.RunFor(Seconds(3));
 
-  Status ser = CheckConflictSerializable(s.history().transactions());
-  EXPECT_TRUE(ser.ok()) << "seed " << seed << ": " << ser.ToString();
+  CheckReport report = s.VerifyHistory();
+  EXPECT_TRUE(report.ok()) << "seed " << seed << ":\n" << report.Render();
   EXPECT_TRUE(s.CheckReplicaConsistency(false).ok())
       << s.CheckReplicaConsistency(false).ToString();
   // Losses really happened and the protocols survived them.
@@ -263,7 +262,6 @@ TEST_P(ThreePcFaultProperty, AtomicUnderRandomCrashes) {
   SystemConfig cfg;
   cfg.seed = seed;
   cfg.num_sites = 4;
-  cfg.record_history = true;
   cfg.trace_enabled = true;
   cfg.trace_detail = TraceDetail::kProtocol;
   cfg.protocols.acp = AcpKind::kThreePhaseCommit;
@@ -284,10 +282,9 @@ TEST_P(ThreePcFaultProperty, AtomicUnderRandomCrashes) {
   wlg.Run();
   s.RunFor(Seconds(10));
 
-  // The coordinator-side history check cannot classify transactions the
-  // 3PC termination protocol committed after their coordinator crashed
-  // (no commit ever reaches the history recorder); the trace-based
-  // checker sees participant decisions and handles them.
+  // The trace checker sees participant decisions, so it also classifies
+  // transactions the 3PC termination protocol committed after their
+  // coordinator crashed.
   CheckReport report = s.VerifyHistory();
   EXPECT_TRUE(report.ok()) << "seed " << seed << ":\n" << report.Render();
   EXPECT_TRUE(s.CheckReplicaConsistency(false).ok());

@@ -555,7 +555,6 @@ TEST(RecoveryTest, DupStormDuringVoteCollectionIsHarmless) {
   // collects votes. Duplicate suppression must keep the exchange
   // idempotent: one commit, converged replicas, clean checker.
   SystemConfig cfg = FixedLatencySystem(3, AcpKind::kTwoPhaseCommit);
-  cfg.record_history = true;
   cfg.trace_enabled = true;
   cfg.trace_detail = TraceDetail::kProtocol;
   auto sys = RainbowSystem::Create(cfg);
@@ -592,7 +591,6 @@ TEST(RecoveryTest, AsymmetricLossCoordinatorToParticipant) {
   // retries, times out, and the transaction aborts cleanly; after the
   // link heals the same program commits.
   SystemConfig cfg = FixedLatencySystem(3, AcpKind::kTwoPhaseCommit);
-  cfg.record_history = true;
   cfg.trace_enabled = true;
   cfg.trace_detail = TraceDetail::kProtocol;
   cfg.protocols.rcp = RcpKind::kRowa;  // the write needs every copy
@@ -636,7 +634,6 @@ TEST(RecoveryTest, DelaySpikeBeyondRetryBudgetGivesUp) {
   // The workload's retries also exhaust (gave_up moves), yet the
   // checker stays clean — slow is not incorrect.
   SystemConfig cfg = FixedLatencySystem(3, AcpKind::kTwoPhaseCommit);
-  cfg.record_history = true;
   cfg.trace_enabled = true;
   cfg.trace_detail = TraceDetail::kProtocol;
   cfg.protocols.rcp = RcpKind::kRowa;
@@ -679,7 +676,6 @@ TEST(RecoveryTest, StrandedParticipantReadmitsStaleDecisionQuery) {
                                         RcpKind::kRowa);
   cfg.seed = 9;
   cfg.latency.min = 0;
-  cfg.record_history = true;
   cfg.trace_enabled = true;
   cfg.trace_detail = TraceDetail::kProtocol;
   auto sys = RainbowSystem::Create(cfg);

@@ -3,6 +3,7 @@
 #include "core/session.h"
 #include "core/system.h"
 #include "fault/fault_injector.h"
+#include "verify/checker.h"
 #include "workload/workload.h"
 
 namespace rainbow {
@@ -13,7 +14,6 @@ SystemConfig SmallSystem(uint32_t sites = 3, int items = 10,
   SystemConfig cfg;
   cfg.seed = 1234;
   cfg.num_sites = sites;
-  cfg.record_history = true;
   cfg.AddUniformItems(items, 100, replication);
   return cfg;
 }
@@ -69,7 +69,9 @@ TEST(SystemTest, IncrementReadsThenWrites) {
 }
 
 TEST(SystemTest, SequentialTransactionsSerializable) {
-  auto sys = RainbowSystem::Create(SmallSystem());
+  SystemConfig cfg = SmallSystem();
+  cfg.trace_enabled = true;
+  auto sys = RainbowSystem::Create(cfg);
   ASSERT_TRUE(sys.ok()) << sys.status();
   RainbowSystem& s = **sys;
   for (int i = 0; i < 20; ++i) {
@@ -79,8 +81,8 @@ TEST(SystemTest, SequentialTransactionsSerializable) {
     s.RunToQuiescence(1'000'000);
   }
   EXPECT_EQ(s.monitor().committed(), 20u);
-  EXPECT_TRUE(
-      CheckConflictSerializable(s.history().transactions()).ok());
+  CheckReport report = s.VerifyHistory();
+  EXPECT_TRUE(report.ok()) << report.Render();
   EXPECT_TRUE(s.CheckReplicaConsistency(false).ok());
 }
 
@@ -115,12 +117,11 @@ TEST(SystemTest, WeightedQuorumSingleSiteCanDecide) {
 
 TEST(SessionTest, ClosedLoopWorkloadDrains) {
   SystemConfig sys_cfg = SmallSystem(4, 200, 3);
+  sys_cfg.verify_history = true;
   WorkloadConfig wl;
   wl.num_txns = 100;
   wl.mpl = 4;
-  SessionOptions opt;
-  opt.check_serializability = true;
-  auto r = RunSession(sys_cfg, wl, opt);
+  auto r = RunSession(sys_cfg, wl);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->committed + r->aborted, 100u);
   EXPECT_GT(r->committed, 80u);

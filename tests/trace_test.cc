@@ -16,7 +16,7 @@
 #include "fault/fault_script.h"
 #include "stats/progress_monitor.h"
 #include "stats/trace_export.h"
-#include "verify/history.h"
+#include "verify/checker.h"
 #include "workload/workload.h"
 
 namespace rainbow {
@@ -303,7 +303,8 @@ TEST_F(TracedRunTest, DifferentSeedsActuallyDiverge) {
 struct RunArtifacts {
   std::string records;
   std::string session_log;
-  std::string history;
+  std::string verify_report;
+  bool verify_ok = false;
   uint64_t submitted = 0;
   uint64_t committed = 0;
   uint64_t aborted = 0;
@@ -324,7 +325,6 @@ RunArtifacts RunFaultScenario(uint64_t seed) {
   cfg.num_sites = 8;
   cfg.trace_enabled = true;
   cfg.trace_detail = TraceDetail::kFull;
-  cfg.record_history = true;
   cfg.AddUniformItems(24, 100, 3);
   auto sys = RainbowSystem::Create(cfg);
   EXPECT_TRUE(sys.ok()) << sys.status();
@@ -370,7 +370,9 @@ RunArtifacts RunFaultScenario(uint64_t seed) {
   a.submitted = m.submitted();
   a.committed = m.committed();
   a.aborted = m.aborted_total();
-  a.history = RenderHistory(s.history().transactions());
+  CheckReport report = s.VerifyHistory();
+  a.verify_report = report.Render();
+  a.verify_ok = report.ok() && !report.truncated;
   a.net_sent = s.net().stats().network_sent();
   a.delivered = s.net().stats().delivered;
   a.bytes = s.net().stats().bytes;
@@ -387,7 +389,7 @@ TEST(TraceDeterminismTest, SameSeedRepeatRunsMatchAllArtifacts) {
   EXPECT_EQ(a.site_recoveries, 2u);
   EXPECT_EQ(a.faults, 2u);
   EXPECT_GT(a.committed, 0u);
-  EXPECT_FALSE(a.history.empty());
+  EXPECT_TRUE(a.verify_ok) << a.verify_report;
 
   RunArtifacts b = RunFaultScenario(kSeed);
   EXPECT_EQ(a.submitted, b.submitted);
@@ -398,7 +400,8 @@ TEST(TraceDeterminismTest, SameSeedRepeatRunsMatchAllArtifacts) {
   EXPECT_EQ(a.bytes, b.bytes);
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.session_log, b.session_log);
-  EXPECT_EQ(a.history, b.history);
+  EXPECT_TRUE(b.verify_ok) << b.verify_report;
+  EXPECT_EQ(a.verify_report, b.verify_report);
   EXPECT_EQ(a.records, b.records);
 }
 

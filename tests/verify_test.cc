@@ -136,6 +136,164 @@ TEST(VerifyTest, ViolationOrderIsItemOrderNotInsertionOrder) {
   EXPECT_EQ(flagged, (std::vector<ItemId>{1, 2, 3})) << report.Render();
 }
 
+TEST(VerifyTest, EmptyTracePasses) {
+  CheckReport report = MakeChecker().Check(Collect({}));
+  EXPECT_TRUE(report.ok()) << report.Render();
+  EXPECT_EQ(report.committed, 0u);
+  EXPECT_EQ(report.graph_edges, 0u);
+}
+
+TEST(VerifyTest, ReadModifyWriteChainPasses) {
+  TxnId t1 = Txn(1), t2 = Txn(2), t3 = Txn(3);
+  // Each transaction reads the version its predecessor installed and
+  // installs the next; its own rw edge is a self-loop and is ignored.
+  auto trace = Collect({
+      Rec(TraceEventKind::kReadDone, t1, 0, 0, 0),
+      Rec(TraceEventKind::kWriteApplied, t1, 0, 0, 1),
+      Rec(TraceEventKind::kTxnCommit, t1),
+      Rec(TraceEventKind::kReadDone, t2, 0, 0, 1),
+      Rec(TraceEventKind::kWriteApplied, t2, 0, 0, 2),
+      Rec(TraceEventKind::kTxnCommit, t2),
+      Rec(TraceEventKind::kReadDone, t3, 0, 0, 2),
+      Rec(TraceEventKind::kTxnCommit, t3),
+  });
+  CheckReport report = MakeChecker().Check(trace);
+  EXPECT_TRUE(report.ok()) << report.Render();
+  EXPECT_EQ(report.graph_edges, 2u);  // t1 -> t2 -> t3
+}
+
+TEST(VerifyTest, WwOrderRespected) {
+  TxnId t1 = Txn(1), t2 = Txn(2);
+  // Both items see t1's version before t2's: ww t1 -> t2 twice.
+  auto trace = Collect({
+      Rec(TraceEventKind::kWriteApplied, t1, 0, 0, 1),
+      Rec(TraceEventKind::kWriteApplied, t1, 0, 1, 1),
+      Rec(TraceEventKind::kTxnCommit, t1),
+      Rec(TraceEventKind::kWriteApplied, t2, 0, 0, 2),
+      Rec(TraceEventKind::kWriteApplied, t2, 0, 1, 2),
+      Rec(TraceEventKind::kTxnCommit, t2),
+  });
+  CheckReport report = MakeChecker().Check(trace);
+  EXPECT_TRUE(report.ok()) << report.Render();
+  EXPECT_EQ(report.graph_edges, 1u);
+}
+
+TEST(VerifyTest, WwCrossCycleDetected) {
+  TxnId t1 = Txn(1), t2 = Txn(2);
+  // t1 installs x@1 and y@2, t2 installs y@1 and x@2: ww edges both
+  // ways, a cycle with no read in it.
+  auto trace = Collect({
+      Rec(TraceEventKind::kWriteApplied, t1, 0, 0, 1),
+      Rec(TraceEventKind::kWriteApplied, t2, 0, 1, 1),
+      Rec(TraceEventKind::kWriteApplied, t1, 0, 1, 2),
+      Rec(TraceEventKind::kWriteApplied, t2, 0, 0, 2),
+      Rec(TraceEventKind::kTxnCommit, t1),
+      Rec(TraceEventKind::kTxnCommit, t2),
+  });
+  CheckReport report = MakeChecker().Check(trace);
+  EXPECT_TRUE(HasCode(report, "precedence-cycle")) << report.Render();
+}
+
+TEST(VerifyTest, ConcurrentReadersShareVersion) {
+  TxnId t1 = Txn(1), t2 = Txn(2), t3 = Txn(3);
+  // Two readers of the initial version, then a writer: rw t1 -> t3 and
+  // rw t2 -> t3, no edge between the readers.
+  auto trace = Collect({
+      Rec(TraceEventKind::kReadDone, t1, 0, 0, 0),
+      Rec(TraceEventKind::kReadDone, t2, 1, 0, 0),
+      Rec(TraceEventKind::kTxnCommit, t1),
+      Rec(TraceEventKind::kTxnCommit, t2),
+      Rec(TraceEventKind::kWriteApplied, t3, 0, 0, 1),
+      Rec(TraceEventKind::kTxnCommit, t3),
+  });
+  CheckReport report = MakeChecker().Check(trace);
+  EXPECT_TRUE(report.ok()) << report.Render();
+  EXPECT_EQ(report.graph_edges, 2u);
+}
+
+TEST(VerifyTest, SnapshotStyleReadOk) {
+  TxnId t1 = Txn(1), t2 = Txn(2), t3 = Txn(3);
+  // t3 reads x@1 after t2 installed x@2, as MVTO allows: t3 serializes
+  // between t1 and t2. Edges: ww t1 -> t2, wr t1 -> t3, rw t3 -> t2.
+  auto trace = Collect({
+      Rec(TraceEventKind::kWriteApplied, t1, 0, 0, 1),
+      Rec(TraceEventKind::kTxnCommit, t1),
+      Rec(TraceEventKind::kWriteApplied, t2, 0, 0, 2),
+      Rec(TraceEventKind::kTxnCommit, t2),
+      Rec(TraceEventKind::kReadDone, t3, 1, 0, 1),
+      Rec(TraceEventKind::kTxnCommit, t3),
+  });
+  CheckReport report = MakeChecker().Check(trace);
+  EXPECT_TRUE(report.ok()) << report.Render();
+  EXPECT_EQ(report.graph_edges, 3u);
+}
+
+// The anomaly cases below keep the scenarios of the serializability
+// suite that once ran against a separate access recorder; the trace
+// checker is now the only oracle, so they feed it the same histories.
+
+TEST(SerializabilityTest, RwCycleDetected) {
+  TxnId t1 = Txn(1), t2 = Txn(2);
+  // t1 reads x@0 and writes y@1; t2 reads y@0 and writes x@1.
+  // rw edges: t1 -> t2 (t1 read x@0, t2 wrote x@1)
+  //           t2 -> t1 (t2 read y@0, t1 wrote y@1)  => cycle.
+  auto trace = Collect({
+      Rec(TraceEventKind::kReadDone, t1, 0, 0, 0),
+      Rec(TraceEventKind::kWriteApplied, t1, 0, 1, 1),
+      Rec(TraceEventKind::kTxnCommit, t1),
+      Rec(TraceEventKind::kReadDone, t2, 0, 1, 0),
+      Rec(TraceEventKind::kWriteApplied, t2, 0, 0, 1),
+      Rec(TraceEventKind::kTxnCommit, t2),
+  });
+  CheckReport report = MakeChecker().Check(trace);
+  EXPECT_FALSE(report.ok());
+  ASSERT_TRUE(HasCode(report, "precedence-cycle")) << report.Render();
+  EXPECT_NE(report.Render().find("cycle"), std::string::npos);
+}
+
+TEST(SerializabilityTest, LostUpdateDetected) {
+  TxnId t1 = Txn(1), t2 = Txn(2);
+  // Two committed transactions installed the same version of one item.
+  auto trace = Collect({
+      Rec(TraceEventKind::kWriteApplied, t1, 0, 0, 1),
+      Rec(TraceEventKind::kTxnCommit, t1),
+      Rec(TraceEventKind::kWriteApplied, t2, 0, 0, 1),
+      Rec(TraceEventKind::kTxnCommit, t2),
+  });
+  CheckReport report = MakeChecker().Check(trace);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(HasCode(report, "divergent-install")) << report.Render();
+}
+
+TEST(SerializabilityTest, DirtyReadDetected) {
+  TxnId t1 = Txn(1);
+  // A read of a version nobody committed (other than the initial 0).
+  auto trace = Collect({
+      Rec(TraceEventKind::kReadDone, t1, 0, 0, 5),
+      Rec(TraceEventKind::kTxnCommit, t1),
+  });
+  CheckReport report = MakeChecker().Check(trace);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(HasCode(report, "read-uninstalled-version")) << report.Render();
+}
+
+// Regression (rainbow_lint D1): with two inconsistencies in one history
+// the first one reported must be the lowest ItemId, independent of the
+// order in which the history touches the items.
+TEST(SerializabilityTest, FirstErrorIsLowestItemNotHashOrder) {
+  TxnId t1 = Txn(1), t2 = Txn(2);
+  auto trace = Collect({
+      Rec(TraceEventKind::kReadDone, t1, 0, 3, 7),  // dirty read on item 3, seen first
+      Rec(TraceEventKind::kTxnCommit, t1),
+      Rec(TraceEventKind::kReadDone, t2, 0, 2, 9),  // dirty read on item 2
+      Rec(TraceEventKind::kTxnCommit, t2),
+  });
+  CheckReport report = MakeChecker().Check(trace);
+  ASSERT_FALSE(report.violations.empty()) << report.Render();
+  EXPECT_EQ(report.violations.front().code, "read-uninstalled-version");
+  EXPECT_EQ(report.violations.front().item, 2u) << report.Render();
+}
+
 // --- atomicity ---
 
 TEST(VerifyTest, SplitDecisionDetected) {
@@ -326,14 +484,13 @@ SystemConfig SweepSystemConfig(uint64_t seed, CcKind cc, RcpKind rcp) {
 TEST(VerifyTest, SessionGatePassesOnHealthyRun) {
   SystemConfig cfg = SweepSystemConfig(11, CcKind::kTwoPhaseLocking,
                                        RcpKind::kQuorumConsensus);
+  cfg.verify_history = true;
   WorkloadConfig wl;
   wl.seed = 12;
   wl.num_txns = 60;
   wl.mpl = 4;
   wl.max_retries = 3;
-  SessionOptions opts;
-  opts.verify_history = true;
-  auto r = RunSession(cfg, wl, opts);
+  auto r = RunSession(cfg, wl);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_NE(r->verify_report.find("all invariants hold"), std::string::npos)
       << r->verify_report;
@@ -344,15 +501,45 @@ TEST(VerifyTest, SessionGateEnablesTracingAutomatically) {
                                        RcpKind::kRowa);
   cfg.trace_enabled = false;  // the gate must turn this on itself
   cfg.trace_detail = TraceDetail::kOff;
+  cfg.verify_history = true;
   WorkloadConfig wl;
   wl.seed = 14;
   wl.num_txns = 40;
   wl.mpl = 4;
-  SessionOptions opts;
-  opts.verify_history = true;
-  auto r = RunSession(cfg, wl, opts);
+  auto r = RunSession(cfg, wl);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r->verify_report.empty());
+}
+
+TEST(VerifyTest, SessionGateFailsWhenTraceTruncated) {
+  // A checker that skipped its trace passes reports ok(); the gate must
+  // not pass on that. Full detail records every message: 2500
+  // eight-op transactions over 16 full replicas emit about 1.25 Mi
+  // records, past the collector's default capacity of 1 Mi.
+  SystemConfig cfg;
+  cfg.seed = 15;
+  cfg.num_sites = 16;
+  cfg.protocols.rcp = RcpKind::kRowa;
+  cfg.trace_enabled = true;
+  cfg.trace_detail = TraceDetail::kFull;
+  cfg.verify_history = true;
+  cfg.AddFullyReplicatedItems(1000, 100);
+  WorkloadConfig wl;
+  wl.seed = 16;
+  wl.num_txns = 2500;
+  wl.mpl = 8;
+  wl.ops_min = 8;
+  wl.ops_max = 8;
+  auto r = RunSession(cfg, wl);
+  ASSERT_FALSE(r.ok()) << r->verify_report;
+  const std::string& msg = r.status().message();
+  const std::string prefix = "trace truncated, ";
+  size_t at = msg.find(prefix);
+  ASSERT_NE(at, std::string::npos) << msg;
+  // The dropped count is named and nonzero.
+  size_t dropped = std::stoul(msg.substr(at + prefix.size()));
+  EXPECT_GT(dropped, 0u) << msg;
+  EXPECT_NE(msg.find(" records dropped"), std::string::npos) << msg;
 }
 
 // --- end-to-end: multi-seed sweep across CC x RCP with faults ---
@@ -365,13 +552,13 @@ TEST_P(VerifySweep, InvariantsHoldAcrossSeedsUnderFaults) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     SystemConfig cfg = SweepSystemConfig(seed, cc, rcp);
     cfg.message_loss = 0.01;
+    cfg.verify_history = true;
     WorkloadConfig wl;
     wl.seed = seed * 7919 + 13;
     wl.num_txns = 60;
     wl.mpl = 6;
     wl.max_retries = 3;
     SessionOptions opts;
-    opts.verify_history = true;
     opts.random_mttf = Millis(600);
     opts.random_mttr = Millis(150);
     opts.max_duration = Seconds(120);
