@@ -1,81 +1,88 @@
 // M1: microbenchmark of the 2PL lock manager — grant/release throughput
 // under no contention, shared-lock fan-in, and conflict handling per
-// deadlock policy (google-benchmark).
+// deadlock policy. Not gated: each case prints the median of kReps
+// repetitions with its quartiles.
 
-#include <benchmark/benchmark.h>
+#include <string>
 
+#include "bench_common.h"
 #include "cc/lock_manager.h"
 
 namespace rainbow {
 namespace {
 
-void BM_UncontendedWriteLocks(benchmark::State& state) {
-  LockManager lm(DeadlockPolicy::kWaitDie);
-  uint64_t seq = 1;
-  for (auto _ : state) {
-    TxnId txn{0, seq++};
-    TxnTimestamp ts{static_cast<SimTime>(seq), 0};
-    for (ItemId item = 0; item < 8; ++item) {
-      lm.RequestWrite(txn, ts, item, [](const CcGrant&) {});
-    }
-    lm.Finish(txn, true);
-  }
-  state.SetItemsProcessed(state.iterations() * 8);
-}
-BENCHMARK(BM_UncontendedWriteLocks);
+constexpr int kReps = 9;
+constexpr int kRequestsPerRep = 100000;
 
-void BM_SharedLockFanIn(benchmark::State& state) {
-  const int readers = static_cast<int>(state.range(0));
-  uint64_t seq = 1;
-  for (auto _ : state) {
-    LockManager lm(DeadlockPolicy::kWaitDie);
-    for (int r = 0; r < readers; ++r) {
-      TxnId txn{0, seq++};
-      lm.RequestRead(txn, TxnTimestamp{static_cast<SimTime>(r), 0}, 1,
-                     [](const CcGrant&) {});
-    }
-    for (int r = 0; r < readers; ++r) {
-      lm.Finish(TxnId{0, seq - static_cast<uint64_t>(readers) +
-                             static_cast<uint64_t>(r)},
-                true);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * readers);
-}
-BENCHMARK(BM_SharedLockFanIn)->Arg(4)->Arg(16)->Arg(64);
+void NoGrant(const CcGrant&) {}
 
-void BM_ConflictChainRelease(benchmark::State& state) {
-  // A chain of writers on one item: each release promotes the next.
-  const int chain = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    LockManager lm(DeadlockPolicy::kTimeoutOnly);
-    for (int i = 0; i < chain; ++i) {
-      lm.RequestWrite(TxnId{0, static_cast<uint64_t>(i + 1)},
-                      TxnTimestamp{i, 0}, 1, [](const CcGrant&) {});
-    }
-    for (int i = 0; i < chain; ++i) {
-      lm.Finish(TxnId{0, static_cast<uint64_t>(i + 1)}, true);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * chain);
+// Times kRequestsPerRep lock requests per repetition, issued
+// `per_round` at a time by `round`.
+template <typename Round>
+void RequestCase(bench::Report& report, const std::string& name,
+                 int per_round, Round&& round) {
+  const int rounds = kRequestsPerRep / per_round;
+  bench::Spread secs = bench::TimeReps(kReps, [&] {
+    for (int n = 0; n < rounds; ++n) round();
+  });
+  report.Add(name + "_requests_per_sec",
+             secs.Rate(static_cast<double>(rounds) * per_round));
 }
-BENCHMARK(BM_ConflictChainRelease)->Arg(8)->Arg(64);
-
-void BM_WaitDieDenialPath(benchmark::State& state) {
-  LockManager lm(DeadlockPolicy::kWaitDie);
-  lm.RequestWrite(TxnId{0, 1}, TxnTimestamp{1, 0}, 1, [](const CcGrant&) {});
-  uint64_t seq = 2;
-  for (auto _ : state) {
-    // Younger requester dies instantly: measures the denial fast path.
-    TxnId txn{0, seq++};
-    lm.RequestWrite(txn, TxnTimestamp{static_cast<SimTime>(seq), 0}, 1,
-                    [](const CcGrant&) {});
-    lm.Finish(txn, false);
-  }
-}
-BENCHMARK(BM_WaitDieDenialPath);
 
 }  // namespace
 }  // namespace rainbow
 
-BENCHMARK_MAIN();
+int main() {
+  using namespace rainbow;
+  bench::PrintHeader("M1", "2PL lock manager (median of repetitions)");
+  bench::Report report;
+  LockManager wait_die(DeadlockPolicy::kWaitDie);
+  uint64_t seq = 1;
+
+  RequestCase(report, "uncontended_write", 8, [&] {
+    TxnId txn{0, seq++};
+    TxnTimestamp ts{static_cast<SimTime>(seq), 0};
+    for (ItemId item = 0; item < 8; ++item) {
+      wait_die.RequestWrite(txn, ts, item, NoGrant);
+    }
+    wait_die.Finish(txn, true);
+  });
+
+  for (int readers : {4, 16, 64}) {
+    RequestCase(report, "shared_fan_in_" + std::to_string(readers), readers,
+                [&] {
+                  LockManager lm(DeadlockPolicy::kWaitDie);
+                  uint64_t first = seq;
+                  for (int r = 0; r < readers; ++r) {
+                    lm.RequestRead(TxnId{0, seq++}, TxnTimestamp{r, 0}, 1,
+                                   NoGrant);
+                  }
+                  while (first < seq) lm.Finish(TxnId{0, first++}, true);
+                });
+  }
+
+  // A chain of writers on one item: each release promotes the next.
+  for (int chain : {8, 64}) {
+    RequestCase(report, "conflict_chain_" + std::to_string(chain), chain, [&] {
+      LockManager lm(DeadlockPolicy::kTimeoutOnly);
+      for (int i = 0; i < chain; ++i) {
+        lm.RequestWrite(TxnId{0, static_cast<uint64_t>(i + 1)},
+                        TxnTimestamp{i, 0}, 1, NoGrant);
+      }
+      for (int i = 0; i < chain; ++i) {
+        lm.Finish(TxnId{0, static_cast<uint64_t>(i + 1)}, true);
+      }
+    });
+  }
+
+  // An old holder makes every younger requester die instantly: the
+  // denial fast path.
+  wait_die.RequestWrite(TxnId{1, 1}, TxnTimestamp{0, 0}, 1, NoGrant);
+  RequestCase(report, "wait_die_denial", 1, [&] {
+    TxnId txn{0, seq++};
+    wait_die.RequestWrite(txn, TxnTimestamp{static_cast<SimTime>(seq), 0}, 1,
+                          NoGrant);
+    wait_die.Finish(txn, false);
+  });
+  return 0;
+}

@@ -1,11 +1,11 @@
 // M3: microbenchmark of the typed RPC sub-layer (net/rpc.h) — call
 // dispatch overhead vs raw Network::Send, retry/timeout machinery under
-// a slow link, and duplicate-suppression window cost (google-benchmark).
+// a slow link, and duplicate-suppression window cost. Not gated: each
+// case prints the median of kReps repetitions with its quartiles.
 
-#include <benchmark/benchmark.h>
+#include <string>
 
-#include <memory>
-
+#include "bench_common.h"
 #include "common/rng.h"
 #include "net/network.h"
 #include "net/rpc.h"
@@ -13,6 +13,10 @@
 
 namespace rainbow {
 namespace {
+
+constexpr int kReps = 9;
+// Round trips per repetition in the ping-pong cases.
+constexpr int kCallsPerRep = 65536;
 
 LatencyConfig FastLink() {
   LatencyConfig lat;
@@ -25,92 +29,69 @@ LatencyConfig FastLink() {
 
 /// Baseline: raw request/reply ping-pong over Network::Send, no RPC
 /// layer. Measures the floor the RPC layer adds overhead on top of.
-void BM_RawSendPingPong(benchmark::State& state) {
-  const int pairs = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Simulator sim;
-    Network net(&sim, FastLink(), Rng(1));
-    int completed = 0;
-    net.RegisterHandler(1, [&](const Message& m) {
-      net.Send(1, 0, Ack{std::get<AbortRequest>(m.payload).txn});
-    });
-    net.RegisterHandler(0, [&](const Message&) { ++completed; });
-    for (int i = 0; i < pairs; ++i) {
-      net.Send(0, 1, AbortRequest{TxnId{0, static_cast<uint64_t>(i)}});
-    }
-    sim.RunToQuiescence();
-    benchmark::DoNotOptimize(completed);
+void RunRawSendPingPong(int pairs) {
+  Simulator sim;
+  Network net(&sim, FastLink(), Rng(1));
+  net.RegisterHandler(1, [&](const Message& m) {
+    net.Send(1, 0, Ack{std::get<AbortRequest>(m.payload).txn});
+  });
+  net.RegisterHandler(0, [](const Message&) {});
+  for (int i = 0; i < pairs; ++i) {
+    net.Send(0, 1, AbortRequest{TxnId{0, static_cast<uint64_t>(i)}});
   }
-  state.SetItemsProcessed(state.iterations() * pairs);
+  sim.RunToQuiescence();
 }
-BENCHMARK(BM_RawSendPingPong)->Arg(64)->Arg(1024);
 
 /// The same ping-pong through RpcEndpoint::Call / Reply: correlation
 /// ids, per-call timers, and the duplicate window are all in the path.
-void BM_RpcCallPingPong(benchmark::State& state) {
-  const int pairs = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Simulator sim;
-    Network net(&sim, FastLink(), Rng(1));
-    RpcEndpoint client(&sim, &net, 0, 1);
-    RpcEndpoint server(&sim, &net, 1, 2);
-    int completed = 0;
-    net.RegisterHandler(0, [&](const Message& m) { client.Accept(m); });
-    net.RegisterHandler(1, [&](const Message& m) {
-      RpcDelivery d = server.Accept(m);
-      if (d.consumed) return;
-      server.Reply(d.ctx, Ack{std::get<AbortRequest>(m.payload).txn});
-    });
-    RpcPolicy policy;  // generous timeout: no retries on the fast link
-    for (int i = 0; i < pairs; ++i) {
-      client.Call(1, AbortRequest{TxnId{0, static_cast<uint64_t>(i)}},
-                  policy, [&](Result<Payload>) { ++completed; });
-    }
-    sim.RunToQuiescence();
-    benchmark::DoNotOptimize(completed);
-  }
-  state.SetItemsProcessed(state.iterations() * pairs);
-}
-BENCHMARK(BM_RpcCallPingPong)->Arg(64)->Arg(1024);
-
-/// Worst case for the retry machinery: the one-way delay exceeds the
-/// per-attempt timeout, so every call burns several attempts and the
-/// server's duplicate window absorbs the retransmissions.
-void BM_RpcRetryStorm(benchmark::State& state) {
-  const int calls = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Simulator sim;
-    LatencyConfig lat = FastLink();
+/// With `slow_link` the one-way delay exceeds the per-attempt timeout,
+/// the worst case for the retry machinery: every call burns several
+/// attempts and the server's duplicate window absorbs the
+/// retransmissions.
+void RunRpcPingPong(int calls, bool slow_link) {
+  Simulator sim;
+  LatencyConfig lat = FastLink();
+  RpcPolicy policy;  // generous timeout: no retries on the fast link
+  if (slow_link) {
     lat.mean = Millis(30);
-    Network net(&sim, lat, Rng(1));
-    RpcEndpoint client(&sim, &net, 0, 1);
-    RpcEndpoint server(&sim, &net, 1, 2);
-    int completed = 0;
-    net.RegisterHandler(0, [&](const Message& m) { client.Accept(m); });
-    net.RegisterHandler(1, [&](const Message& m) {
-      RpcDelivery d = server.Accept(m);
-      if (d.consumed) return;
-      server.Reply(d.ctx, Ack{std::get<AbortRequest>(m.payload).txn});
-    });
-    RpcPolicy policy;
     policy.timeout = Millis(10);
     policy.max_attempts = 0;
     policy.backoff_base = Millis(2);
-    for (int i = 0; i < calls; ++i) {
-      client.Call(1, AbortRequest{TxnId{0, static_cast<uint64_t>(i)}},
-                  policy, [&](Result<Payload>) { ++completed; });
-    }
-    sim.RunToQuiescence();
-    benchmark::DoNotOptimize(completed);
   }
-  state.SetItemsProcessed(state.iterations() * calls);
+  Network net(&sim, lat, Rng(1));
+  RpcEndpoint client(&sim, &net, 0, 1);
+  RpcEndpoint server(&sim, &net, 1, 2);
+  net.RegisterHandler(0, [&](const Message& m) { client.Accept(m); });
+  net.RegisterHandler(1, [&](const Message& m) {
+    RpcDelivery d = server.Accept(m);
+    if (d.consumed) return;
+    server.Reply(d.ctx, Ack{std::get<AbortRequest>(m.payload).txn});
+  });
+  for (int i = 0; i < calls; ++i) {
+    client.Call(1, AbortRequest{TxnId{0, static_cast<uint64_t>(i)}}, policy,
+                [](Result<Payload>) {});
+  }
+  sim.RunToQuiescence();
 }
-BENCHMARK(BM_RpcRetryStorm)->Arg(256);
+
+/// Times `rounds` runs of `run` per repetition; `calls` is the work one
+/// run does.
+template <typename Run>
+void PingPongCase(bench::Report& report, const std::string& name, int calls,
+                  int rounds, Run&& run) {
+  bench::Spread secs = bench::TimeReps(kReps, [&] {
+    for (int n = 0; n < rounds; ++n) run();
+  });
+  report.Add(name + "_" + std::to_string(calls) + "_calls_per_sec",
+             secs.Rate(static_cast<double>(calls) * rounds));
+}
 
 /// Duplicate-suppression window under sustained one-way traffic: every
 /// request is served and cached, so the bounded window constantly
-/// trims. Measures Accept()+Reply() bookkeeping cost alone.
-void BM_RpcDuplicateWindow(benchmark::State& state) {
+/// trims. Measures Accept()+Reply() bookkeeping cost alone; the
+/// replies are drained after timing.
+void RpcDuplicateWindow(bench::Report& report) {
+  constexpr int kRequests = 20000;
   Simulator sim;
   Network net(&sim, FastLink(), Rng(1));
   RpcEndpoint server(&sim, &net, 1, 2);
@@ -120,17 +101,34 @@ void BM_RpcDuplicateWindow(benchmark::State& state) {
   m.from = 0;
   m.to = 1;
   m.payload = AbortRequest{TxnId{0, 1}};
-  for (auto _ : state) {
-    m.rpc_id = ++rpc_id;
-    RpcDelivery d = server.Accept(m);
-    server.Reply(d.ctx, Ack{TxnId{0, 1}});
-  }
+  bench::Spread secs = bench::TimeReps(kReps, [&] {
+    for (int i = 0; i < kRequests; ++i) {
+      m.rpc_id = ++rpc_id;
+      RpcDelivery d = server.Accept(m);
+      server.Reply(d.ctx, Ack{TxnId{0, 1}});
+    }
+  });
   sim.RunToQuiescence();
-  state.SetItemsProcessed(state.iterations());
+  report.Add("duplicate_window_requests_per_sec", secs.Rate(kRequests));
 }
-BENCHMARK(BM_RpcDuplicateWindow);
 
 }  // namespace
 }  // namespace rainbow
 
-BENCHMARK_MAIN();
+int main() {
+  using namespace rainbow;
+  bench::PrintHeader("M3", "typed RPC sub-layer (median of repetitions)");
+  bench::Report report;
+  for (int pairs : {64, 1024}) {
+    PingPongCase(report, "raw_send_ping_pong", pairs, kCallsPerRep / pairs,
+                 [pairs] { RunRawSendPingPong(pairs); });
+  }
+  for (int pairs : {64, 1024}) {
+    PingPongCase(report, "rpc_call_ping_pong", pairs, kCallsPerRep / pairs,
+                 [pairs] { RunRpcPingPong(pairs, /*slow_link=*/false); });
+  }
+  PingPongCase(report, "rpc_retry_storm", 256, 20,
+               [] { RunRpcPingPong(256, /*slow_link=*/true); });
+  RpcDuplicateWindow(report);
+  return 0;
+}

@@ -3,11 +3,12 @@
 // (b) does *disabled* tracing stay free on the message hot path — the
 // acceptance bar is zero allocations per message when trace_detail is
 // off, since every Network::Deliver and RpcEndpoint::SendAttempt runs
-// through the collector guard.
+// through the collector guard. (b) is a hard gate: the process exits 1
+// when it fails. Timings are the median of kReps repetitions.
 
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "bench_common.h"
 #include "common/trace.h"
@@ -17,51 +18,53 @@
 namespace rainbow {
 namespace {
 
+constexpr int kReps = 9;
+constexpr int kEmitsPerRep = 200000;
+
 // --- (a) raw Emit() cost per detail level -----------------------------
 
-void BM_EmitDisabled(benchmark::State& state) {
-  TraceCollector c;  // kOff
-  for (auto _ : state) {
+// Times kEmitsPerRep calls of `emit` per repetition.
+template <typename Emit>
+void EmitCase(bench::Report& report, const std::string& name, Emit&& emit) {
+  bench::Spread secs = bench::TimeReps(kReps, [&] {
+    for (int i = 0; i < kEmitsPerRep; ++i) emit();
+  });
+  report.Add(name, secs.Scaled(1e9 / kEmitsPerRep));
+}
+
+void EmitCost(bench::Report& report) {
+  TraceCollector off;  // kOff
+  EmitCase(report, "emit_disabled_ns", [&] {
     // The caller-side pattern: one branch, no record constructed.
-    if (c.enabled()) {
-      c.Emit(TraceRecord{0, TraceEventKind::kMsgSend, TxnId{0, 1}, 0, 1,
-                         kInvalidItem, 0, "ReadRequest"});
+    if (off.enabled()) {
+      off.Emit(TraceRecord{0, TraceEventKind::kMsgSend, TxnId{0, 1}, 0, 1,
+                           kInvalidItem, 0, "ReadRequest"});
     }
-    benchmark::DoNotOptimize(&c);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EmitDisabled);
+    bench::DoNotOptimize(&off);
+  });
 
-void BM_EmitProtocol(benchmark::State& state) {
-  TraceCollector c;
-  c.set_detail(TraceDetail::kProtocol);
-  c.set_capacity(1 << 16);
-  for (auto _ : state) {
-    if (c.enabled()) {
-      c.Emit(TraceRecord{0, TraceEventKind::kCcGrant, TxnId{0, 1}, 0,
-                         kInvalidSite, 3, 0, std::string()});
+  TraceCollector protocol;
+  protocol.set_detail(TraceDetail::kProtocol);
+  protocol.set_capacity(1 << 16);
+  EmitCase(report, "emit_protocol_ns", [&] {
+    if (protocol.enabled()) {
+      protocol.Emit(TraceRecord{0, TraceEventKind::kCcGrant, TxnId{0, 1}, 0,
+                                kInvalidSite, 3, 0, std::string()});
     }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EmitProtocol);
+  });
 
-void BM_EmitFullWithDetailString(benchmark::State& state) {
-  TraceCollector c;
-  c.set_detail(TraceDetail::kFull);
-  c.set_capacity(1 << 16);
-  for (auto _ : state) {
-    if (c.full()) {
-      c.Emit(TraceRecord{0, TraceEventKind::kMsgSend, TxnId{0, 1}, 0, 1,
-                         kInvalidItem, 42, "PrewriteRequest"});
+  TraceCollector full;
+  full.set_detail(TraceDetail::kFull);
+  full.set_capacity(1 << 16);
+  EmitCase(report, "emit_full_detail_string_ns", [&] {
+    if (full.full()) {
+      full.Emit(TraceRecord{0, TraceEventKind::kMsgSend, TxnId{0, 1}, 0, 1,
+                            kInvalidItem, 42, "PrewriteRequest"});
     }
-  }
-  state.SetItemsProcessed(state.iterations());
+  });
 }
-BENCHMARK(BM_EmitFullWithDetailString);
 
-// --- (b) whole-system message hot path --------------------------------
+// --- whole-system message hot path per detail level --------------------
 
 void RunWorkload(TraceDetail detail, uint64_t* messages, uint64_t* allocs) {
   SystemConfig cfg;
@@ -84,48 +87,54 @@ void RunWorkload(TraceDetail detail, uint64_t* messages, uint64_t* allocs) {
   *messages = (*sys)->net().stats().delivered;
 }
 
-void BM_SystemRunTraced(benchmark::State& state) {
-  auto detail = static_cast<TraceDetail>(state.range(0));
-  uint64_t messages = 0, allocs = 0;
-  for (auto _ : state) {
-    RunWorkload(detail, &messages, &allocs);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(messages));
-  state.counters["msgs"] = static_cast<double>(messages);
-  state.counters["allocs_per_msg"] =
-      static_cast<double>(allocs) / static_cast<double>(messages);
+void SystemRunTraced(bench::Report& report, TraceDetail detail,
+                     const std::string& name) {
+  uint64_t messages = 0;
+  uint64_t allocs = 0;
+  bench::Spread secs = bench::TimeReps(
+      kReps, [&] { RunWorkload(detail, &messages, &allocs); });
+  report.Add("system_" + name + "_msgs_per_sec",
+             secs.Rate(static_cast<double>(messages)));
+  report.Add("system_" + name + "_allocs_per_msg",
+             static_cast<double>(allocs) / static_cast<double>(messages));
 }
-BENCHMARK(BM_SystemRunTraced)
-    ->Arg(static_cast<int>(TraceDetail::kOff))
-    ->Arg(static_cast<int>(TraceDetail::kProtocol))
-    ->Arg(static_cast<int>(TraceDetail::kFull));
 
-// Not a timing benchmark: hard assertion that the disabled collector
-// adds zero allocations per emitted-site check. Runs the caller-side
-// guard a million times against a steady-state collector and verifies
-// the allocation counter did not move.
-void BM_DisabledEmitZeroAllocs(benchmark::State& state) {
+// --- (b) the zero-allocation gate --------------------------------------
+
+// Not a timing: runs the caller-side guard a million times against a
+// disabled collector and requires the allocation counter not to move.
+bool DisabledEmitZeroAllocs() {
   TraceCollector c;  // kOff
-  for (auto _ : state) {
-    uint64_t before = bench::Allocs();
-    for (int i = 0; i < 1'000'000; ++i) {
-      if (c.enabled()) {
-        c.Emit(TraceRecord{i, TraceEventKind::kMsgRecv, TxnId{0, 1}, 0, 1,
-                           kInvalidItem, i, "ReadReply"});
-      }
+  uint64_t before = bench::Allocs();
+  for (int i = 0; i < 1'000'000; ++i) {
+    if (c.enabled()) {
+      c.Emit(TraceRecord{i, TraceEventKind::kMsgRecv, TxnId{0, 1}, 0, 1,
+                         kInvalidItem, i, "ReadReply"});
     }
-    uint64_t after = bench::Allocs();
-    if (after != before) {
-      state.SkipWithError("disabled tracing allocated on the hot path");
-      return;
-    }
+    bench::DoNotOptimize(&c);
   }
-  state.SetItemsProcessed(state.iterations() * 1'000'000);
+  uint64_t after = bench::Allocs();
+  if (after != before) {
+    std::printf("GATE FAILED: disabled tracing allocated on the hot path "
+                "(%llu allocations over 1M guarded emits)\n",
+                static_cast<unsigned long long>(after - before));
+    return false;
+  }
+  std::printf("gate ok: disabled tracing made 0 allocations over 1M "
+              "guarded emits\n");
+  return true;
 }
-BENCHMARK(BM_DisabledEmitZeroAllocs);
 
 }  // namespace
 }  // namespace rainbow
 
-BENCHMARK_MAIN();
+int main() {
+  using namespace rainbow;
+  bench::PrintHeader("M4", "structured tracing (emit cost + zero-alloc gate)");
+  bench::Report report;
+  EmitCost(report);
+  SystemRunTraced(report, TraceDetail::kOff, "off");
+  SystemRunTraced(report, TraceDetail::kProtocol, "protocol");
+  SystemRunTraced(report, TraceDetail::kFull, "full");
+  return DisabledEmitZeroAllocs() ? 0 : 1;
+}

@@ -4,9 +4,12 @@
 // fast path genuinely free — the acceptance bar is that a network that
 // has never seen an override and one whose overrides were erased back
 // to identity run the hot path with byte-identical allocation behavior,
-// since every Network::Send runs through the override check.
+// since every Network::Send runs through the override check. (b) is a
+// hard gate: the process exits 1 when it fails. Timings are the median
+// of kReps repetitions.
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
+#include <string>
 
 #include "bench_common.h"
 #include "net/network.h"
@@ -45,54 +48,48 @@ struct Harness {
 };
 
 constexpr int kBurst = 1000;
+constexpr int kReps = 9;
+constexpr int kBurstsPerRep = 100;
+constexpr int kParityRounds = 100;
 
 // --- (a) Send() cost across override states ---------------------------
 
-void BM_SendNoOverrides(benchmark::State& state) {
-  Harness h;
-  for (auto _ : state) {
-    h.Burst(kBurst);
-  }
-  state.SetItemsProcessed(state.iterations() * kBurst);
+void SendCase(bench::Report& report, const std::string& name, Harness& h) {
+  bench::Spread secs = bench::TimeReps(kReps, [&] {
+    for (int i = 0; i < kBurstsPerRep; ++i) h.Burst(kBurst);
+  });
+  report.Add(name, secs.Rate(static_cast<double>(kBurstsPerRep) * kBurst));
 }
-BENCHMARK(BM_SendNoOverrides);
 
-void BM_SendWithUnrelatedOverride(benchmark::State& state) {
+void SendCost(bench::Report& report) {
+  Harness plain;
+  SendCase(report, "send_no_overrides_per_sec", plain);
+
   // An override on 2->3 makes the map non-empty: sends on 0->1 now pay
   // the hash lookup (the "someone else is being faulted" cost).
-  Harness h;
-  LinkOverride o;
-  o.loss = 0.5;
-  h.net.SetLinkOverride(2, 3, o);
-  for (auto _ : state) {
-    h.Burst(kBurst);
-  }
-  state.SetItemsProcessed(state.iterations() * kBurst);
-}
-BENCHMARK(BM_SendWithUnrelatedOverride);
+  Harness unrelated;
+  LinkOverride loss;
+  loss.loss = 0.5;
+  unrelated.net.SetLinkOverride(2, 3, loss);
+  SendCase(report, "send_unrelated_override_per_sec", unrelated);
 
-void BM_SendThroughDupOverride(benchmark::State& state) {
   // The full slow path: every message duplicated with its own delay
   // sample, both copies delivered.
-  Harness h;
-  LinkOverride o;
-  o.dup_probability = 1.0;
-  h.net.SetLinkOverride(0, 1, o);
-  for (auto _ : state) {
-    h.Burst(kBurst);
-  }
-  state.SetItemsProcessed(state.iterations() * kBurst);
+  Harness dup;
+  LinkOverride dup_all;
+  dup_all.dup_probability = 1.0;
+  dup.net.SetLinkOverride(0, 1, dup_all);
+  SendCase(report, "send_dup_override_per_sec", dup);
 }
-BENCHMARK(BM_SendThroughDupOverride);
 
 // --- (b) the fast path is genuinely restored --------------------------
 
-// Not a timing benchmark: hard assertion that a network whose overrides
-// were installed and then erased (identity install + ClearLinkOverrides)
-// allocates exactly as much per burst as one that never had any. If the
-// erased map left residue — a tombstone, a capacity check, anything that
-// allocates — the counters diverge and the benchmark fails.
-void BM_ErasedOverridesAllocParity(benchmark::State& state) {
+// Not a timing: a network whose overrides were installed and then
+// erased (identity install + ClearLinkOverrides) must allocate exactly
+// as much per burst as one that never had any. If the erased map left
+// residue — a tombstone, a capacity check, anything that allocates —
+// the counters diverge and the gate fails.
+bool ErasedOverridesAllocParity() {
   Harness pristine;
   Harness erased;
   LinkOverride o;
@@ -103,30 +100,41 @@ void BM_ErasedOverridesAllocParity(benchmark::State& state) {
   erased.net.SetLinkOverride(2, 3, o);
   erased.net.ClearLinkOverrides();
   if (erased.net.has_link_overrides()) {
-    state.SkipWithError("identity/clear did not empty the override map");
-    return;
+    std::printf("GATE FAILED: identity/clear did not empty the override "
+                "map\n");
+    return false;
   }
   // Warm both harnesses so steady-state container capacity is reached.
   pristine.Burst(kBurst);
   erased.Burst(kBurst);
-  for (auto _ : state) {
+  for (int round = 0; round < kParityRounds; ++round) {
     uint64_t before = bench::Allocs();
     pristine.Burst(kBurst);
     uint64_t mid = bench::Allocs();
     erased.Burst(kBurst);
     uint64_t after = bench::Allocs();
     if (mid - before != after - mid) {
-      state.SkipWithError(
-          "erased-override fast path allocates differently from the "
-          "never-overridden path");
-      return;
+      std::printf("GATE FAILED: erased-override fast path allocates "
+                  "differently from the never-overridden path (%llu vs "
+                  "%llu allocations per burst)\n",
+                  static_cast<unsigned long long>(after - mid),
+                  static_cast<unsigned long long>(mid - before));
+      return false;
     }
   }
-  state.SetItemsProcessed(state.iterations() * kBurst * 2);
+  std::printf("gate ok: erased-override bursts allocate like pristine ones "
+              "over %d rounds\n",
+              kParityRounds);
+  return true;
 }
-BENCHMARK(BM_ErasedOverridesAllocParity);
 
 }  // namespace
 }  // namespace rainbow
 
-BENCHMARK_MAIN();
+int main() {
+  using namespace rainbow;
+  bench::PrintHeader("M5", "link fault overrides (send cost + parity gate)");
+  bench::Report report;
+  SendCost(report);
+  return ErasedOverridesAllocParity() ? 0 : 1;
+}

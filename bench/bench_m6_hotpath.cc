@@ -13,6 +13,11 @@
 //     (3 sites, QC + 2PL + 2PC, 12 fully replicated items), reporting
 //     wall time and allocations per finished transaction.
 //
+// Each section's time is the median of kReps repetitions (the macro
+// session after one untimed warm-up run). Every repetition must read
+// the same allocation count, and the macro session the same committed
+// transactions and messages; the gates read that count.
+//
 // The numbers are written as flat JSON (bench::EmitJson). The repo
 // checks in BENCH_M6.json as the baseline; the CI perf-smoke step runs
 // this binary with --check BENCH_M6.json, which fails on a >2x
@@ -22,17 +27,8 @@
 // allocation and execution counts are exact and are the real gate.
 //
 // Flags:
-//   --out FILE        write the JSON report here (nothing is written
-//                     without it)
-//   --check FILE      compare against a baseline JSON; exit 1 on regression
-//   --seed-json FILE  merge a pre-change run's numbers as seed_* keys
-//   --no-gate         skip the zero-allocation steady-state gates (only
-//                     for measuring pre-change code, which fails them)
-
-#include <chrono>
-#include <cstring>
-#include <string>
-#include <vector>
+//   --out FILE    write the JSON report here (nothing is written without it)
+//   --check FILE  compare against a baseline JSON; exit 1 on regression
 
 #include "bench_common.h"
 #include "net/network.h"
@@ -41,14 +37,9 @@
 namespace rainbow {
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using bench::Allocs;
 using bench::CheckExact;
 using bench::CheckMetric;
-
-double ElapsedSec(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double>(t1 - t0).count();
-}
 
 LatencyConfig BenchLatency() {
   LatencyConfig cfg;
@@ -81,22 +72,23 @@ struct MsgHarness {
   }
 };
 
+constexpr int kReps = 9;
 constexpr int kBurst = 1000;
 constexpr int kMsgBursts = 500;
 constexpr int kEventBatch = 4096;
 constexpr int kEventRounds = 300;
 
-struct Report {
-  std::vector<std::pair<std::string, double>> fields;
-  void Add(const std::string& key, double value) {
-    fields.emplace_back(key, value);
-    std::printf("  %-28s %.6g\n", key.c_str(), value);
-  }
-};
+bool SteadyStateGate(uint64_t steady, const char* unit) {
+  if (steady == 0) return true;
+  std::printf("  GATE FAILED: steady-state %s performed %llu heap "
+              "allocations (expected 0)\n",
+              unit, static_cast<unsigned long long>(steady));
+  return false;
+}
 
-bool RunMicroMessages(bool gate, Report& report) {
-  std::printf("-- micro/messages: %d bursts x %d sends (0 -> 1) --\n",
-              kMsgBursts, kBurst);
+bool RunMicroMessages(bench::Report& report) {
+  std::printf("-- micro/messages: %d reps x %d bursts x %d sends (0 -> 1) --\n",
+              kReps, kMsgBursts, kBurst);
   MsgHarness h;
   for (int i = 0; i < 10; ++i) h.Burst(kBurst);  // warm pools/tables
 
@@ -106,32 +98,29 @@ bool RunMicroMessages(bool gate, Report& report) {
   h.Burst(kBurst);
   uint64_t steady = Allocs() - gate_before;
 
-  uint64_t received_before = h.received;
-  uint64_t allocs_before = Allocs();
-  Clock::time_point t0 = Clock::now();
-  for (int i = 0; i < kMsgBursts; ++i) h.Burst(kBurst);
-  Clock::time_point t1 = Clock::now();
-  uint64_t delivered = h.received - received_before;
-  uint64_t allocs = Allocs() - allocs_before;
+  bench::RepeatedCount delivered;
+  bench::RepeatedCount allocs;
+  bench::Spread secs = bench::TimeReps(kReps, [&] {
+    uint64_t received_before = h.received;
+    uint64_t allocs_before = Allocs();
+    for (int i = 0; i < kMsgBursts; ++i) h.Burst(kBurst);
+    allocs.Record(Allocs() - allocs_before);
+    delivered.Record(h.received - received_before);
+  });
 
   report.Add("micro_msgs_per_sec",
-             static_cast<double>(delivered) / ElapsedSec(t0, t1));
-  report.Add("micro_allocs_per_msg",
-             static_cast<double>(allocs) / static_cast<double>(delivered));
+             secs.Rate(static_cast<double>(delivered.value)));
+  report.Add("micro_allocs_per_msg", static_cast<double>(allocs.value) /
+                                         static_cast<double>(delivered.value));
   report.Add("micro_steady_allocs_per_burst", static_cast<double>(steady));
-  if (steady != 0) {
-    std::printf("  %s: steady-state burst performed %llu heap allocations "
-                "(expected 0)\n",
-                gate ? "GATE FAILED" : "note (gate skipped)",
-                static_cast<unsigned long long>(steady));
-    if (gate) return false;
-  }
-  return true;
+  bool ok = SteadyStateGate(steady, "burst");
+  ok = delivered.Check("delivered messages") && ok;
+  return allocs.Check("allocation count") && ok;
 }
 
-bool RunMicroEvents(bool gate, Report& report) {
-  std::printf("-- micro/events: %d rounds x %d schedule+fire --\n",
-              kEventRounds, kEventBatch);
+bool RunMicroEvents(bench::Report& report) {
+  std::printf("-- micro/events: %d reps x %d rounds x %d schedule+fire --\n",
+              kReps, kEventRounds, kEventBatch);
   EventQueue q;
   auto round = [&q] {
     for (int i = 0; i < kEventBatch; ++i) q.Schedule(i, [] {});
@@ -143,31 +132,26 @@ bool RunMicroEvents(bool gate, Report& report) {
   round();
   uint64_t steady = Allocs() - gate_before;
 
-  uint64_t allocs_before = Allocs();
-  Clock::time_point t0 = Clock::now();
-  for (int i = 0; i < kEventRounds; ++i) round();
-  Clock::time_point t1 = Clock::now();
-  uint64_t events =
-      static_cast<uint64_t>(kEventRounds) * static_cast<uint64_t>(kEventBatch);
-  uint64_t allocs = Allocs() - allocs_before;
+  bench::RepeatedCount allocs;
+  bench::Spread secs = bench::TimeReps(kReps, [&] {
+    uint64_t allocs_before = Allocs();
+    for (int i = 0; i < kEventRounds; ++i) round();
+    allocs.Record(Allocs() - allocs_before);
+  });
+  double events =
+      static_cast<double>(kEventRounds) * static_cast<double>(kEventBatch);
 
-  report.Add("micro_events_per_sec",
-             static_cast<double>(events) / ElapsedSec(t0, t1));
+  report.Add("micro_events_per_sec", secs.Rate(events));
   report.Add("micro_allocs_per_event",
-             static_cast<double>(allocs) / static_cast<double>(events));
+             static_cast<double>(allocs.value) / events);
   report.Add("micro_steady_allocs_per_round", static_cast<double>(steady));
-  if (steady != 0) {
-    std::printf("  %s: steady-state round performed %llu heap allocations "
-                "(expected 0)\n",
-                gate ? "GATE FAILED" : "note (gate skipped)",
-                static_cast<unsigned long long>(steady));
-    if (gate) return false;
-  }
-  return true;
+  bool ok = SteadyStateGate(steady, "round");
+  return allocs.Check("allocation count") && ok;
 }
 
-bool RunMacroSession(Report& report) {
-  std::printf("-- macro/session: classroom_default workload --\n");
+bool RunMacroSession(bench::Report& report) {
+  std::printf("-- macro/session: classroom_default workload, %d reps --\n",
+              kReps);
   SystemConfig system;
   system.seed = 2026;
   system.num_sites = 3;
@@ -178,128 +162,45 @@ bool RunMacroSession(Report& report) {
   workload.mpl = 8;
   workload.read_fraction = 0.6;
 
-  uint64_t allocs_before = Allocs();
-  Clock::time_point t0 = Clock::now();
-  auto result = RunSession(system, workload);
-  Clock::time_point t1 = Clock::now();
-  uint64_t allocs = Allocs() - allocs_before;
-
-  if (!result.ok()) {
-    std::printf("GATE FAILED: session failed: %s\n",
-                result.status().ToString().c_str());
-    return false;
-  }
-  uint64_t finished = result->committed + result->aborted;
-  report.Add("macro_wall_ms", ElapsedSec(t0, t1) * 1e3);
-  report.Add("macro_allocs_per_txn",
-             static_cast<double>(allocs) /
-                 static_cast<double>(finished == 0 ? 1 : finished));
-  report.Add("macro_committed", static_cast<double>(result->committed));
-  report.Add("macro_net_messages", static_cast<double>(result->net_messages));
-  return true;
+  bench::SessionReps s = bench::TimeSession(kReps, system, workload);
+  report.Add("macro_wall_ms", s.secs.Scaled(1e3));
+  report.Add("macro_allocs_per_txn", s.AllocsPerTxn());
+  report.Add("macro_committed", static_cast<double>(s.committed.value));
+  report.Add("macro_net_messages", static_cast<double>(s.messages.value));
+  return s.Check();
 }
 
 int Main(int argc, char** argv) {
-  std::string out_path;
-  std::string check_path;
-  std::string seed_json_path;
-  bool gate = true;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < argc ? argv[++i] : std::string();
-    };
-    if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--check") {
-      check_path = next();
-    } else if (arg == "--seed-json") {
-      seed_json_path = next();
-    } else if (arg == "--no-gate") {
-      gate = false;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Args args;
+  if (!bench::ParseArgs(argc, argv, args)) return 2;
 
   bench::PrintHeader("M6", "event/message hot path (alloc counts + throughput)");
-  Report report;
-  bool ok = RunMicroMessages(gate, report);
-  ok = RunMicroEvents(gate, report) && ok;
+  bench::Report report;
+  bool ok = RunMicroMessages(report);
+  ok = RunMicroEvents(report) && ok;
   ok = RunMacroSession(report) && ok;
 
-  // Merge a pre-change run (--seed-json) as seed_* keys plus the two
-  // headline ratios the acceptance criteria track.
-  if (!seed_json_path.empty()) {
-    std::map<std::string, double> seed = bench::ParseFlatJson(seed_json_path);
-    std::map<std::string, double> current(report.fields.begin(),
-                                          report.fields.end());
-    for (const auto& [key, value] : seed) {
-      report.fields.emplace_back("seed_" + key, value);
-    }
-    if (seed.count("micro_msgs_per_sec") != 0 &&
-        seed["micro_msgs_per_sec"] > 0) {
-      report.Add("speedup_msgs_per_sec",
-                 current["micro_msgs_per_sec"] / seed["micro_msgs_per_sec"]);
-    }
-    if (seed.count("micro_allocs_per_msg") != 0 &&
-        seed["micro_allocs_per_msg"] > 0) {
-      report.Add("alloc_reduction_per_msg",
-                 1.0 - current["micro_allocs_per_msg"] /
-                           seed["micro_allocs_per_msg"]);
-    }
-  }
-
-  bench::AddEnvFields(report.fields);
-  if (!bench::WriteReport(out_path, report.fields)) return 1;
-
-  if (!check_path.empty()) {
-    std::printf("-- checking against baseline %s --\n", check_path.c_str());
-    std::map<std::string, double> baseline = bench::ParseFlatJson(check_path);
-    if (baseline.empty()) {
-      std::fprintf(stderr, "baseline %s missing or unreadable\n",
-                   check_path.c_str());
-      return 1;
-    }
-    std::map<std::string, double> current(report.fields.begin(),
-                                          report.fields.end());
-    bool pass = true;
-    // The macro session is deterministic: an engine or protocol change
-    // that alters its execution must regenerate the baseline.
-    pass &= CheckExact(baseline, current, "macro_committed");
-    pass &= CheckExact(baseline, current, "macro_net_messages");
-    // Wall-time-shaped metrics: loose 1.5x bound (CI machines are noisy).
-    pass &= CheckMetric(baseline, current, "micro_msgs_per_sec", 1.5, true);
-    pass &= CheckMetric(baseline, current, "micro_events_per_sec", 1.5, true);
-    pass &= CheckMetric(baseline, current, "macro_wall_ms", 1.5, false);
-    // Allocation counts: exact measurements, 2x bound. The small
-    // absolute slack absorbs ratio-vs-zero edge cases.
-    pass &= CheckMetric(baseline, current, "micro_allocs_per_msg", 2.0, false,
-                        /*slack=*/0.5);
-    pass &= CheckMetric(baseline, current, "macro_allocs_per_txn", 2.0, false,
-                        /*slack=*/16.0);
-    // Acceptance floor from the calendar-queue/batching/arena pass: the
-    // hot path must hold >= 2x the frozen PR-5 seed throughput (the
-    // seed_* keys are historical measurements and are never re-run).
-    // The checked-in run sits near 3x, so the floor leaves ~33%
-    // headroom for CI machine noise.
-    auto seed = baseline.find("seed_micro_msgs_per_sec");
-    if (seed != baseline.end() && seed->second > 0 &&
-        current.count("micro_msgs_per_sec") != 0) {
-      double ratio = current["micro_msgs_per_sec"] / seed->second;
-      bool ok = ratio >= 2.0;
-      std::printf("  check %-28s %s (%.2fx over PR-5 seed, need >= 2x)\n",
-                  "speedup_vs_seed", ok ? "ok" : "REGRESSED", ratio);
-      pass &= ok;
-    }
-    if (!pass) {
-      std::printf("perf-smoke: REGRESSION against %s\n", check_path.c_str());
-      return 1;
-    }
-    std::printf("perf-smoke: ok\n");
-  }
-  return ok ? 0 : 1;
+  return bench::RunChecks(
+      args, report, ok,
+      [](const bench::Fields& baseline, const bench::Fields& current) {
+        bool pass = true;
+        // The macro session is deterministic: an engine or protocol
+        // change that alters its execution must regenerate the baseline.
+        pass &= CheckExact(baseline, current, "macro_committed");
+        pass &= CheckExact(baseline, current, "macro_net_messages");
+        // Wall-time-shaped metrics (medians): loose 1.5x bound.
+        pass &= CheckMetric(baseline, current, "micro_msgs_per_sec", 1.5, true);
+        pass &=
+            CheckMetric(baseline, current, "micro_events_per_sec", 1.5, true);
+        pass &= CheckMetric(baseline, current, "macro_wall_ms", 1.5, false);
+        // Allocation counts: exact measurements, 2x bound. The small
+        // absolute slack absorbs ratio-vs-zero edge cases.
+        pass &= CheckMetric(baseline, current, "micro_allocs_per_msg", 2.0,
+                            false, /*slack=*/0.5);
+        pass &= CheckMetric(baseline, current, "macro_allocs_per_txn", 2.0,
+                            false, /*slack=*/16.0);
+        return pass;
+      });
 }
 
 }  // namespace

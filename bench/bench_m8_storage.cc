@@ -39,11 +39,7 @@
 //   --check FILE  compare against a baseline JSON; exit 1 on regression
 //   --items N     override the item count (default 1,000,000)
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -54,17 +50,9 @@
 namespace rainbow {
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
 using bench::CheckMetric;
-
-double ElapsedSec(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v.empty() ? 0.0 : v[v.size() / 2];
-}
+using bench::ElapsedSec;
 
 constexpr uint32_t kPageSize = 4096;
 constexpr size_t kPoolPages = 256;  // 1 MiB of pool vs ~20 MiB of data
@@ -91,37 +79,15 @@ constexpr uint32_t kHistoryItems = 1000;
 constexpr uint64_t kShippedCheckpointInterval = 256;
 constexpr double kHistoryRatioGate = 2.0;
 
-struct Report {
-  std::vector<std::pair<std::string, double>> fields;
-  void Add(const std::string& key, double value) {
-    fields.emplace_back(key, value);
-    std::printf("  %-28s %.6g\n", key.c_str(), value);
-  }
-};
-
 int Main(int argc, char** argv) {
-  std::string out_path;
-  std::string check_path;
+  bench::Args args;
   uint32_t num_items = 1000000;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < argc ? argv[++i] : std::string();
-    };
-    if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--check") {
-      check_path = next();
-    } else if (arg == "--items") {
-      num_items = static_cast<uint32_t>(std::stoul(next()));
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
+  if (!bench::ParseArgs(argc, argv, args, {{"--items", &num_items}})) {
+    return 2;
   }
 
   bench::PrintHeader("M8", "page storage engine (B+ tree / buffer pool / ARIES)");
-  Report report;
+  bench::Report report;
 
   Wal wal;
   PageStore store(&wal, PageStoreOptions{kPageSize, kPoolPages, kLruK});
@@ -326,10 +292,10 @@ int Main(int argc, char** argv) {
     }
   }
   const size_t tenth = ckpt_us.size() / 10;
-  double early_us = Median(std::vector<double>(
-      ckpt_us.begin(), ckpt_us.begin() + static_cast<ptrdiff_t>(tenth)));
-  double late_us = Median(std::vector<double>(
-      ckpt_us.end() - static_cast<ptrdiff_t>(tenth), ckpt_us.end()));
+  double early_us = bench::Quartiles(std::vector<double>(
+      ckpt_us.begin(), ckpt_us.begin() + static_cast<ptrdiff_t>(tenth))).median;
+  double late_us = bench::Quartiles(std::vector<double>(
+      ckpt_us.end() - static_cast<ptrdiff_t>(tenth), ckpt_us.end())).median;
   double history_ratio = early_us > 0.0 ? late_us / early_us : 0.0;
   std::printf("  checkpoint median first 10%% %.3f us, last 10%% %.3f us, "
               "wal base %llu of %llu\n",
@@ -345,43 +311,33 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  bench::AddEnvFields(report.fields);
-  if (!bench::WriteReport(out_path, report.fields)) return 1;
-
-  if (!check_path.empty()) {
-    std::printf("-- checking against baseline %s --\n", check_path.c_str());
-    std::map<std::string, double> baseline = bench::ParseFlatJson(check_path);
-    if (baseline.empty()) {
-      std::fprintf(stderr, "baseline %s missing or unreadable\n",
-                   check_path.c_str());
-      return 1;
-    }
-    std::map<std::string, double> current(report.fields.begin(),
-                                          report.fields.end());
-    bool pass = true;
-    // Wall-time-shaped metrics: loose 1.5x bound (CI machines are noisy).
-    pass &= CheckMetric(baseline, current, "load_items_per_sec", 1.5, true);
-    pass &= CheckMetric(baseline, current, "point_ops_per_sec", 1.5, true);
-    pass &= CheckMetric(baseline, current, "scan_items_per_sec", 1.5, true);
-    pass &= CheckMetric(baseline, current, "restart_ms", 1.5, false);
-    // Deterministic pool behavior: these move only when the replacer,
-    // pool accounting, or tree layout changes — tight bounds.
-    pass &= CheckMetric(baseline, current, "point_hit_rate", 1.1, true);
-    pass &= CheckMetric(baseline, current, "point_pages_evicted", 1.2, false);
-    pass &= CheckMetric(baseline, current, "pages_allocated", 1.1, false);
-    pass &= CheckMetric(baseline, current, "restart_tentative_leaks", 1.0,
-                        false, /*slack=*/0.0);
-    // Checkpointed restart: wall-time loose, scan counts deterministic.
-    pass &= CheckMetric(baseline, current, "ckpt_restart20_ms", 1.5, false);
-    pass &= CheckMetric(baseline, current, "ckpt_restart100_ms", 1.5, false);
-    pass &= CheckMetric(baseline, current, "ckpt_scan_ratio", 1.2, false);
-    if (!pass) {
-      std::printf("perf-smoke: REGRESSION against %s\n", check_path.c_str());
-      return 1;
-    }
-    std::printf("perf-smoke: ok\n");
-  }
-  return 0;
+  return bench::RunChecks(
+      args, report, /*gates_ok=*/true,
+      [](const bench::Fields& baseline, const bench::Fields& current) {
+        bool pass = true;
+        // Wall-time-shaped metrics: loose 1.5x bound (CI machines are
+        // noisy).
+        pass &= CheckMetric(baseline, current, "load_items_per_sec", 1.5, true);
+        pass &= CheckMetric(baseline, current, "point_ops_per_sec", 1.5, true);
+        pass &= CheckMetric(baseline, current, "scan_items_per_sec", 1.5, true);
+        pass &= CheckMetric(baseline, current, "restart_ms", 1.5, false);
+        // Deterministic pool behavior: these move only when the
+        // replacer, pool accounting, or tree layout changes — tight
+        // bounds.
+        pass &= CheckMetric(baseline, current, "point_hit_rate", 1.1, true);
+        pass &=
+            CheckMetric(baseline, current, "point_pages_evicted", 1.2, false);
+        pass &= CheckMetric(baseline, current, "pages_allocated", 1.1, false);
+        pass &= CheckMetric(baseline, current, "restart_tentative_leaks", 1.0,
+                            false, /*slack=*/0.0);
+        // Checkpointed restart: wall-time loose, scan counts
+        // deterministic.
+        pass &= CheckMetric(baseline, current, "ckpt_restart20_ms", 1.5, false);
+        pass &=
+            CheckMetric(baseline, current, "ckpt_restart100_ms", 1.5, false);
+        pass &= CheckMetric(baseline, current, "ckpt_scan_ratio", 1.2, false);
+        return pass;
+      });
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // operator-new bumps one process-wide counter; bench::Allocs() (declared
 // in bench_common.h) reads it, so a bench can assert exact allocation
 // behaviour over a region. The benches are single-threaded, so the
-// counter is a plain integer.
+// counter is a plain integer. The nothrow form is replaced too, so
+// that every scalar operator new is malloc-based and pairs with the
+// free() below even where a sanitizer intercepts the forms left alone.
 
 #include <cstdint>
 #include <cstdlib>
@@ -25,6 +27,11 @@ void* operator new(std::size_t size) {
   ++g_allocs;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
+}
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(size);
 }
 
 // The replacement operator new above is malloc-based, so free() is the
