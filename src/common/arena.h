@@ -9,11 +9,11 @@ namespace rainbow {
 
 /// Reusable flat byte arena for transient encodes. Reset() drops the
 /// contents but keeps the capacity, so a hot loop that encodes into the
-/// same arena (one per network lane, one per codec-heavy tool) performs
-/// no heap allocation once the high-water mark is reached.
+/// same arena (the network's codec check) performs no heap allocation
+/// once the high-water mark is reached.
 ///
 /// Views handed out over the arena (std::span — see net/codec.h's
-/// EncodePayloadTo / EncodeMessageTo) are invalidated by the next
+/// EncodePayloadTo) are invalidated by the next
 /// Reset() or write; callers must finish reading before reusing the
 /// arena.
 class Arena {

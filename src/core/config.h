@@ -41,7 +41,10 @@ struct SystemConfig {
 
   LatencyConfig latency;
   double message_loss = 0.0;
-  /// Round-trip every message through the binary wire codec (net/codec).
+  /// Round-trip every message through the binary wire codec (net/codec)
+  /// and count failures in NetworkStats::codec_failures. A check only:
+  /// message sizes come from the codec either way, so a seed simulates
+  /// the same execution with the flag on or off.
   bool verify_codec = false;
 
   ProtocolConfig protocols;

@@ -340,27 +340,31 @@ std::vector<FaultWindow> Nemesis::Shrink(std::vector<FaultWindow> windows,
   };
 
   // Phase 1 — ddmin over whole windows: drop chunks, halving the chunk
-  // size down to single windows, restarting after progress.
-  for (size_t chunk = std::max<size_t>(windows.size() / 2, 1); chunk >= 1;) {
-    bool removed = false;
-    for (size_t i = 0; i + chunk <= windows.size() && budget_left();) {
-      if (windows.size() <= 1) break;
-      std::vector<FaultWindow> cand;
-      cand.reserve(windows.size() - chunk);
-      for (size_t j = 0; j < windows.size(); ++j) {
-        if (j < i || j >= i + chunk) cand.push_back(windows[j]);
+  // size down to single windows, restarting after progress. It ends
+  // when dropping any single window loses the failure.
+  auto drop_windows = [&] {
+    for (size_t chunk = std::max<size_t>(windows.size() / 2, 1); chunk >= 1;) {
+      bool removed = false;
+      for (size_t i = 0; i + chunk <= windows.size() && budget_left();) {
+        if (windows.size() <= 1) break;
+        std::vector<FaultWindow> cand;
+        cand.reserve(windows.size() - chunk);
+        for (size_t j = 0; j < windows.size(); ++j) {
+          if (j < i || j >= i + chunk) cand.push_back(windows[j]);
+        }
+        if (!cand.empty() && fails(cand)) {
+          windows = std::move(cand);
+          removed = true;
+        } else {
+          i += chunk;
+        }
       }
-      if (!cand.empty() && fails(cand)) {
-        windows = std::move(cand);
-        removed = true;
-      } else {
-        i += chunk;
-      }
+      if (!budget_left()) break;
+      if (chunk == 1 && !removed) break;
+      chunk = removed ? std::max<size_t>(windows.size() / 2, 1) : chunk / 2;
     }
-    if (!budget_left()) break;
-    if (chunk == 1 && !removed) break;
-    chunk = removed ? std::max<size_t>(windows.size() / 2, 1) : chunk / 2;
-  }
+  };
+  drop_windows();
 
   // Phase 2 — halve override intensities toward the identity.
   for (size_t i = 0; i < windows.size() && budget_left(); ++i) {
@@ -412,6 +416,9 @@ std::vector<FaultWindow> Nemesis::Shrink(std::vector<FaultWindow> windows,
     }
   }
 
+  // Narrower windows can make a whole window unnecessary: drop windows
+  // again so the result stays minimal in the phase-1 sense.
+  drop_windows();
   return windows;
 }
 

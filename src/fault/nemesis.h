@@ -139,8 +139,9 @@ class Nemesis {
 
   /// Delta-debugs `windows` (which must fail) down to a smaller failing
   /// schedule: drops windows ddmin-style, halves override intensities
-  /// toward the identity, then halves window durations — re-running the
-  /// simulator each step, within options.shrink_budget runs.
+  /// toward the identity, halves window durations, then drops windows
+  /// again — re-running the simulator each step, within
+  /// options.shrink_budget runs.
   std::vector<FaultWindow> Shrink(std::vector<FaultWindow> windows,
                                   uint64_t workload_seed);
 

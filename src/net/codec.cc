@@ -36,8 +36,37 @@ Result<std::vector<int>> GetVotes(Decoder& d) {
   return out;
 }
 
+/// The Put* surface of Encoder without the writes: adds up the bytes an
+/// Encoder would append, so EncodedPayloadSize() follows the same
+/// per-field description as the encoder itself.
+class SizeCounter {
+ public:
+  void PutU8(uint8_t) { n_ += 1; }
+  void PutU32(uint32_t) { n_ += 4; }
+  void PutU64(uint64_t) { n_ += 8; }
+  void PutI64(int64_t) { n_ += 8; }
+  void PutBool(bool) { n_ += 1; }
+  void PutTxnId(const TxnId&) { n_ += 4 + 8; }
+  void PutTimestamp(const TxnTimestamp&) { n_ += 8 + 4; }
+
+  template <typename T, typename F>
+  void PutVector(const std::vector<T>& v, F put_one) {
+    PutU32(0);
+    for (const T& x : v) put_one(x);
+  }
+
+  size_t size() const { return n_; }
+
+ private:
+  size_t n_ = 0;
+};
+
+/// One overload per payload type: the only per-field description of a
+/// message. `Sink` is Encoder (writes the bytes) or SizeCounter (counts
+/// them).
+template <typename Sink>
 struct EncodeVisitor {
-  Encoder& e;
+  Sink& e;
 
   void operator()(const NsLookupRequest& m) {
     e.PutTxnId(m.txn);
@@ -354,9 +383,10 @@ Result<Payload> DecodeBody(MessageKind kind, Decoder& d) {
   return Status::InvalidArgument("bad message kind");
 }
 
-void EncodePayloadBody(Encoder& e, const Payload& payload) {
+template <typename Sink>
+void EncodePayloadBody(Sink& e, const Payload& payload) {
   e.PutU8(static_cast<uint8_t>(MessageKindOf(payload)));
-  std::visit(EncodeVisitor{e}, payload);
+  std::visit(EncodeVisitor<Sink>{e}, payload);
 }
 
 void EncodeEnvelope(Encoder& e, const Message& message) {
@@ -374,6 +404,12 @@ std::vector<uint8_t> EncodePayload(const Payload& payload) {
   Encoder e;
   EncodePayloadBody(e, payload);
   return e.Take();
+}
+
+size_t EncodedPayloadSize(const Payload& payload) {
+  SizeCounter c;
+  EncodePayloadBody(c, payload);
+  return c.size();
 }
 
 std::span<const uint8_t> EncodePayloadTo(Arena& arena,
@@ -407,19 +443,6 @@ std::vector<uint8_t> EncodeMessage(const Message& message) {
   EncodePayloadBody(e, message.payload);
   e.PatchU32(len_pos, static_cast<uint32_t>(e.size() - payload_start));
   return e.Take();
-}
-
-std::span<const uint8_t> EncodeMessageTo(Arena& arena,
-                                         const Message& message) {
-  arena.Reset();
-  Encoder e(&arena.storage());
-  EncodeEnvelope(e, message);
-  size_t len_pos = e.size();
-  e.PutU32(0);  // payload length, backpatched below
-  size_t payload_start = e.size();
-  EncodePayloadBody(e, message.payload);
-  e.PatchU32(len_pos, static_cast<uint32_t>(e.size() - payload_start));
-  return e.written();
 }
 
 Result<Message> DecodeMessage(std::span<const uint8_t> buf) {

@@ -12,21 +12,30 @@
 
 namespace rainbow {
 
-// The wire format Rainbow messages would use on a real network; the
-// simulator can round-trip every message through it to guarantee the
-// codec stays complete (SystemConfig::verify_codec).
+// The wire format Rainbow messages would use on a real network. It is
+// also the only description of a message's size: the network charges
+// EncodedPayloadSize() + kEnvelopeBytes for every send, and
+// SystemConfig::verify_codec additionally round-trips every message
+// through the encoder and decoder to prove the codec stays complete.
 //
 // Two encode surfaces: the vector-returning forms allocate a fresh
-// buffer per call (convenient for tests and tools), and the arena forms
-// append into a caller-owned reusable Arena and return a view — the hot
-// path (per-lane codec verification, trace export at full detail) pays
-// no per-message allocation or copy. Decoding is zero-copy throughout:
-// both decoders take a span-style view (a const vector binds
-// implicitly), and DecodeMessage parses the payload region in place
-// instead of copying it out.
+// buffer per call (convenient for tests and tools), and the arena form
+// appends into a caller-owned reusable Arena and returns a view — the
+// codec-verified send path pays no per-message allocation or copy.
+// Decoding is zero-copy throughout: both decoders take a span-style
+// view (a const vector binds implicitly), and DecodeMessage parses the
+// payload region in place instead of copying it out.
+
+/// Bytes EncodeMessage writes before the payload-length prefix: id,
+/// from, to, sent_at, rpc_id and rpc_is_reply.
+inline constexpr size_t kEnvelopeBytes = 33;
 
 /// Serializes a payload: one kind byte followed by the fields.
 std::vector<uint8_t> EncodePayload(const Payload& payload);
+
+/// Exactly EncodePayload(payload).size(), computed without writing or
+/// allocating anything.
+size_t EncodedPayloadSize(const Payload& payload);
 
 /// Serializes a payload into `arena` (resetting it first). The returned
 /// view is valid until the arena's next Reset() or write.
@@ -38,9 +47,6 @@ Result<Payload> DecodePayload(std::span<const uint8_t> buf);
 
 /// Serializes a full message (envelope + payload) in one pass.
 std::vector<uint8_t> EncodeMessage(const Message& message);
-
-/// Arena form of EncodeMessage; same lifetime rule as EncodePayloadTo.
-std::span<const uint8_t> EncodeMessageTo(Arena& arena, const Message& message);
 
 Result<Message> DecodeMessage(std::span<const uint8_t> buf);
 

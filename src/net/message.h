@@ -10,8 +10,9 @@
 
 namespace rainbow {
 
-/// Message kinds, used for traffic accounting and tracing. Kept in sync
-/// with the payload variant below (MessageKindOf).
+/// Message kinds, used for traffic accounting, tracing and the wire
+/// codec's kind byte. Declared in the order of the Payload variant's
+/// alternatives: a payload's kind is its variant index (MessageKindOf).
 enum class MessageKind {
   kNsLookupRequest,
   kNsLookupReply,
@@ -276,16 +277,19 @@ using Payload =
                  RemoteAbortNotify, RefreshRequest, RefreshReply,
                  DeadlockProbe, DeadlockProbeCheck>;
 
+static_assert(std::variant_size_v<Payload> ==
+                  static_cast<size_t>(MessageKind::kCount),
+              "one MessageKind per Payload alternative, in the same order");
+
 /// Returns the MessageKind tag for a payload.
-MessageKind MessageKindOf(const Payload& p);
+inline MessageKind MessageKindOf(const Payload& p) {
+  return static_cast<MessageKind>(p.index());
+}
 
 /// The transaction a payload belongs to, or an invalid TxnId for
 /// payloads that are not transaction-scoped (refresh traffic). Deadlock
 /// probes are attributed to the initiator whose cycle they chase.
 TxnId PayloadTxnId(const Payload& p);
-
-/// Approximate wire size in bytes, for byte-traffic statistics.
-size_t PayloadSizeBytes(const Payload& p);
 
 /// A message in flight: envelope plus typed payload.
 struct Message {

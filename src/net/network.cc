@@ -270,15 +270,15 @@ void Network::SendMessage(Message msg) {
   msg.id = NextMsgId(from_slot);
   msg.sent_at = sim_->Now();
 
-  size_t size = PayloadSizeBytes(msg.payload);
+  const size_t size = EncodedPayloadSize(msg.payload) + kEnvelopeBytes;
   if (verify_codec_) {
     // Arena-backed round trip: encode into the reusable arena and
     // decode the view in place — no per-message buffer allocation or
-    // copy on codec-verified runs.
+    // copy on codec-verified runs. A pure check: `size` is the same
+    // with the flag off, so the simulated execution does not change.
     std::span<const uint8_t> wire = EncodePayloadTo(arena_, msg.payload);
-    size = wire.size() + 33;  // payload bytes + envelope
     Result<Payload> decoded = DecodePayload(wire);
-    if (!decoded.ok()) {
+    if (!decoded.ok() || wire.size() + kEnvelopeBytes != size) {
       stats_.codec_failures++;
       return;
     }

@@ -190,8 +190,11 @@ class Network {
 
   /// Round-trips every payload through the binary wire codec
   /// (net/codec.h) and delivers the decoded copy — proves the codec can
-  /// carry the full protocol. Codec failures drop the message and are
-  /// counted in stats().codec_failures.
+  /// carry the full protocol. A pure check: message sizes come from the
+  /// codec whether or not it is on, so it never changes the simulated
+  /// execution. A failed decode, or an encoding whose length disagrees
+  /// with EncodedPayloadSize(), drops the message and is counted in
+  /// stats().codec_failures.
   void set_verify_codec(bool on) { verify_codec_ = on; }
 
   /// Marks a site up/down. Down sites send and receive nothing.

@@ -186,6 +186,9 @@ TEST(CodecTest, EveryPayloadKindRoundTrips) {
           << "no random generator for " << MessageKindName(kind)
           << " — add one when introducing a new message kind";
       std::vector<uint8_t> wire = EncodePayload(*p);
+      EXPECT_EQ(EncodedPayloadSize(*p), wire.size())
+          << MessageKindName(kind) << " size mismatch (round " << round
+          << ")";
       auto decoded = DecodePayload(wire);
       ASSERT_TRUE(decoded.ok())
           << MessageKindName(kind) << ": " << decoded.status();
@@ -358,6 +361,28 @@ TEST(CodecTest, FullMessageRoundTrip) {
   EXPECT_EQ(decoded->to, kNameServerId);
   EXPECT_EQ(decoded->sent_at, Millis(17));
   EXPECT_EQ(decoded->kind(), MessageKind::kNsLookupRequest);
+}
+
+TEST(CodecTest, EnvelopeConstantMatchesTheEncoding) {
+  // The network charges EncodedPayloadSize() + kEnvelopeBytes per
+  // message; EncodeMessage adds a 4-byte payload-length prefix on top.
+  Message m;
+  m.id = 7;
+  m.from = 1;
+  m.to = 2;
+  m.sent_at = Millis(3);
+  m.rpc_id = 99;
+  m.rpc_is_reply = true;
+  PrepareRequest prepare;
+  prepare.versions.resize(3);
+  prepare.participants = {0, 1, 2};
+  for (const Payload& p :
+       {Payload{Ack{TxnId{1, 2}}}, Payload{prepare}, Payload{RefreshReply{}}}) {
+    m.payload = p;
+    EXPECT_EQ(EncodeMessage(m).size(),
+              kEnvelopeBytes + 4 + EncodedPayloadSize(m.payload))
+        << MessageKindName(m.kind());
+  }
 }
 
 TEST(CodecTest, WholeSystemRunsOverTheWireCodec) {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "fault/fault_script.h"
 #include "fault/nemesis.h"
 
@@ -118,6 +121,27 @@ TEST(NemesisTest, CleanUnderFlakyProfileWithFencing) {
   EXPECT_EQ(r.total_runs, 5u);
 }
 
+/// True if `e` ends the fault window that `start` opens: the matching
+/// recover, heal or link-up, or the reset of the same override.
+bool Undoes(const FaultEvent& start, const FaultEvent& e) {
+  using Kind = FaultEvent::Kind;
+  const bool same_link = e.site == start.site && e.peer == start.peer;
+  switch (start.kind) {
+    case Kind::kCrashSite:
+      return e.kind == Kind::kRecoverSite && e.site == start.site;
+    case Kind::kCrashNameServer:
+      return e.kind == Kind::kRecoverNameServer;
+    case Kind::kPartition:
+      return e.kind == Kind::kHeal;
+    case Kind::kLinkDown:
+      return e.kind == Kind::kLinkUp && same_link;
+    case Kind::kLinkDownOneWay:
+      return e.kind == Kind::kLinkUpOneWay && same_link;
+    default:
+      return e.kind == start.kind && same_link;
+  }
+}
+
 TEST(NemesisTest, FindsAndShrinksResurrectionBugWithoutFencing) {
   // The acceptance hunt: disable the incarnation-epoch fence (the PR-3
   // fix for the replica-resurrection bug) and let havoc-profile fuzzing
@@ -135,10 +159,39 @@ TEST(NemesisTest, FindsAndShrinksResurrectionBugWithoutFencing) {
   ASSERT_TRUE(r.found_violation);
   EXPECT_FALSE(r.report.empty());
   EXPECT_NE(r.report, "ok");
-  // Shrunk to a minimal repro: a crash/recover blip or little more.
-  EXPECT_LE(r.minimized.size(), 5u);
   EXPECT_LE(r.minimized.size(), r.failing_schedule.size());
   EXPECT_FALSE(r.repro_script.empty());
+
+  // Shrunk to a minimal repro: the bug needs a replica crash and its
+  // recovery, and every window left is needed — dropping any one of them
+  // (its start event and the end that undoes it) loses the violation.
+  using Kind = FaultEvent::Kind;
+  auto has = [&](Kind k) {
+    return std::any_of(r.minimized.begin(), r.minimized.end(),
+                       [k](const FaultEvent& e) { return e.kind == k; });
+  };
+  EXPECT_TRUE(has(Kind::kCrashSite));
+  EXPECT_TRUE(has(Kind::kRecoverSite));
+  std::vector<bool> paired(r.minimized.size(), false);
+  for (size_t i = 0; i < r.minimized.size(); ++i) {
+    if (paired[i]) continue;
+    const FaultEvent& start = r.minimized[i];
+    size_t end = i + 1;
+    while (end < r.minimized.size() &&
+           (paired[end] || !Undoes(start, r.minimized[end]))) {
+      ++end;
+    }
+    ASSERT_LT(end, r.minimized.size())
+        << "no end event for window starting at " << start.at;
+    paired[i] = paired[end] = true;
+    std::vector<FaultEvent> without;
+    for (size_t j = 0; j < r.minimized.size(); ++j) {
+      if (j != i && j != end) without.push_back(r.minimized[j]);
+    }
+    EXPECT_FALSE(n->ScheduleFails(without, r.failing_seed, nullptr))
+        << "the window starting at " << start.at << " is not needed:\n"
+        << r.repro_script;
+  }
 
   // The emitted script reproduces the violation on replay...
   Result<Nemesis> replayer = Nemesis::Make(opts);

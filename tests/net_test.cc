@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "net/codec.h"
 #include "net/latency_model.h"
 #include "net/message.h"
 #include "net/network.h"
@@ -384,7 +385,12 @@ TEST(MessageTest, PayloadSizeGrowsWithContent) {
   PrepareRequest big;
   big.versions.resize(10);
   big.participants.resize(10);
-  EXPECT_GT(PayloadSizeBytes(Payload{big}), PayloadSizeBytes(Payload{small}));
+  // The size the network charges is the codec's exact encoding.
+  for (const PrepareRequest& p : {small, big}) {
+    EXPECT_EQ(EncodedPayloadSize(Payload{p}), EncodePayload(Payload{p}).size());
+  }
+  EXPECT_GT(EncodedPayloadSize(Payload{big}),
+            EncodedPayloadSize(Payload{small}));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/trace.h"
@@ -431,6 +432,65 @@ TEST(TraceDeterminismTest, ClassroomDefaultConfigIsByteIdentical) {
   auto diff = SameSeedTraceDiff(*cfg, wl);
   ASSERT_TRUE(diff.ok()) << diff.status();
   EXPECT_TRUE(diff->identical) << diff->Describe();
+}
+
+TEST(TraceDeterminismTest, VerifyCodecDoesNotChangeTheRun) {
+  // Message sizes feed the latency model and always come from the wire
+  // codec, so the codec round trip is a pure check: the same seed runs
+  // the same execution with it on or off.
+  std::string text = ReadFileOrEmpty(std::string(RAINBOW_SOURCE_DIR) +
+                                     "/configs/classroom_default.rainbow");
+  ASSERT_FALSE(text.empty());
+  auto cfg = SystemConfig::FromText(text);
+  ASSERT_TRUE(cfg.ok()) << cfg.status();
+  cfg->trace_enabled = true;
+  cfg->trace_detail = TraceDetail::kFull;
+
+  WorkloadConfig wl;
+  wl.seed = cfg->seed;
+  wl.num_txns = 300;
+  wl.mpl = 4;
+  wl.max_retries = 3;
+
+  struct Run {
+    std::vector<TraceRecord> records;
+    std::string chrome;
+    NetworkStats net;
+  };
+  auto run = [&](bool verify_codec) {
+    SystemConfig c = *cfg;
+    c.verify_codec = verify_codec;
+    auto sys = RainbowSystem::Create(c);
+    EXPECT_TRUE(sys.ok()) << sys.status();
+    WorkloadGenerator gen(sys->get(), wl);
+    gen.Run();
+    (*sys)->RunToQuiescence();
+    EXPECT_TRUE(gen.finished());
+    return Run{(*sys)->collector().records(),
+               ChromeTraceJson((*sys)->collector()), (*sys)->net().stats()};
+  };
+  const Run off = run(false);
+  const Run on = run(true);
+
+  EXPECT_EQ(on.net.codec_failures, 0u);
+  EXPECT_GT(off.net.bytes, 0u);
+  EXPECT_EQ(off.net.bytes, on.net.bytes);
+  EXPECT_EQ(off.net.sent, on.net.sent);
+  EXPECT_EQ(off.net.delivered, on.net.delivered);
+  EXPECT_EQ(off.net.local, on.net.local);
+  EXPECT_EQ(off.net.by_kind, on.net.by_kind);
+  EXPECT_EQ(off.net.per_bucket, on.net.per_bucket);
+  auto fields = [](const TraceRecord& r) {
+    return std::tie(r.time, r.kind, r.txn.home, r.txn.seq, r.site, r.peer,
+                    r.item, r.arg, r.detail);
+  };
+  ASSERT_EQ(off.records.size(), on.records.size());
+  for (size_t i = 0; i < off.records.size(); ++i) {
+    ASSERT_TRUE(fields(off.records[i]) == fields(on.records[i]))
+        << "first differing trace record: " << i;
+  }
+  TraceDiff diff = DiffTraceText(off.chrome, on.chrome);
+  EXPECT_TRUE(diff.identical) << diff.Describe();
 }
 
 }  // namespace
