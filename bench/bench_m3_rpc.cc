@@ -1,8 +1,11 @@
 // M3: microbenchmark of the typed RPC sub-layer (net/rpc.h) — call
 // dispatch overhead vs raw Network::Send, retry/timeout machinery under
-// a slow link, and duplicate-suppression window cost. Not gated: each
-// case prints the median of kReps repetitions with its quartiles.
+// a slow link, and duplicate-suppression window cost. Each case prints
+// the median of kReps repetitions with its quartiles. One gate sets the
+// exit code: a warmed-up, rotating duplicate window serves a repetition
+// of requests without a single heap allocation.
 
+#include <cstdio>
 #include <string>
 
 #include "bench_common.h"
@@ -87,13 +90,17 @@ void PingPongCase(bench::Report& report, const std::string& name, int calls,
 }
 
 /// Duplicate-suppression window under sustained one-way traffic: every
-/// request is served and cached, so the bounded window constantly
-/// trims. Measures Accept()+Reply() bookkeeping cost alone; the
-/// replies are drained after timing.
-void RpcDuplicateWindow(bench::Report& report) {
+/// request is served and its reply cached, so the bounded window
+/// constantly rotates. Measures Accept()+Reply() plus the delivery of
+/// the replies, which each repetition drains. Gate: once warmed up, a
+/// repetition allocates nothing.
+bool RpcDuplicateWindow(bench::Report& report) {
   constexpr int kRequests = 20000;
   Simulator sim;
   Network net(&sim, FastLink(), Rng(1));
+  // One giant stats bucket: sim time advancing during the bench must
+  // not grow the per-bucket histogram mid-measurement.
+  net.set_stats_bucket_width(Seconds(1000000));
   RpcEndpoint server(&sim, &net, 1, 2);
   net.RegisterHandler(0, [](const Message&) {});
   uint64_t rpc_id = 0;
@@ -101,15 +108,70 @@ void RpcDuplicateWindow(bench::Report& report) {
   m.from = 0;
   m.to = 1;
   m.payload = AbortRequest{TxnId{0, 1}};
-  bench::Spread secs = bench::TimeReps(kReps, [&] {
+  auto rep = [&] {
     for (int i = 0; i < kRequests; ++i) {
       m.rpc_id = ++rpc_id;
       RpcDelivery d = server.Accept(m);
       server.Reply(d.ctx, Ack{TxnId{0, 1}});
     }
-  });
-  sim.RunToQuiescence();
+    sim.RunToQuiescence();
+  };
+  rep();  // warm the window, the network tables and the event queue
+  uint64_t allocs_before = bench::Allocs();
+  rep();
+  uint64_t steady = bench::Allocs() - allocs_before;
+  bench::Spread secs = bench::TimeReps(kReps, rep);
   report.Add("duplicate_window_requests_per_sec", secs.Rate(kRequests));
+  report.Add("duplicate_window_steady_allocs_per_request",
+             static_cast<double>(steady) / kRequests);
+  if (steady == 0) return true;
+  std::printf("  GATE FAILED: a steady-state repetition of %d requests "
+              "performed %llu heap allocations (expected 0)\n",
+              kRequests, static_cast<unsigned long long>(steady));
+  return false;
+}
+
+/// The shape most windows have on a large topology: a replica hears
+/// from many senders a few times each (512 senders x 4 requests), on a
+/// fresh endpoint per repetition. Prints the allocations per request
+/// that the endpoint and its windows cost; not gated.
+bool RpcSparseWindows(bench::Report& report) {
+  constexpr SiteId kSenders = 512;
+  constexpr uint64_t kPerSender = 4;
+  constexpr double kRequests = kSenders * kPerSender;
+  Simulator sim;
+  Network net(&sim, FastLink(), Rng(1));
+  net.set_stats_bucket_width(Seconds(1000000));
+  for (SiteId s = 0; s < kSenders; ++s) {
+    net.RegisterHandler(s, [](const Message&) {});
+  }
+  Message m;
+  m.to = kSenders;
+  m.payload = AbortRequest{TxnId{0, 1}};
+  bench::RepeatedCount allocs;
+  auto rep = [&] {
+    uint64_t allocs_before = bench::Allocs();
+    {
+      RpcEndpoint server(&sim, &net, kSenders, 2);
+      for (uint64_t id = 1; id <= kPerSender; ++id) {
+        for (SiteId s = 0; s < kSenders; ++s) {
+          m.from = s;
+          m.rpc_id = id;
+          RpcDelivery d = server.Accept(m);
+          server.Reply(d.ctx, Ack{TxnId{s, id}});
+        }
+      }
+      sim.RunToQuiescence();
+    }
+    allocs.Record(bench::Allocs() - allocs_before);
+  };
+  rep();  // warm the network tables and the event queue
+  allocs = {};
+  bench::Spread secs = bench::TimeReps(kReps, rep);
+  report.Add("sparse_windows_requests_per_sec", secs.Rate(kRequests));
+  report.Add("sparse_windows_allocs_per_request",
+             static_cast<double>(allocs.value) / kRequests);
+  return allocs.Check("sparse-window allocation count");
 }
 
 }  // namespace
@@ -129,6 +191,7 @@ int main() {
   }
   PingPongCase(report, "rpc_retry_storm", 256, 20,
                [] { RunRpcPingPong(256, /*slow_link=*/true); });
-  RpcDuplicateWindow(report);
-  return 0;
+  bool ok = RpcDuplicateWindow(report);
+  ok = RpcSparseWindows(report) && ok;
+  return ok ? 0 : 1;
 }

@@ -1,5 +1,5 @@
 // Counting replacement for the global operator new/delete, linked into
-// the benches that gate allocation counts (M4, M5, M6, M9). Every
+// the benches that gate allocation counts (M3, M4, M5, M6, M9). Every
 // operator-new bumps one process-wide counter; bench::Allocs() (declared
 // in bench_common.h) reads it, so a bench can assert exact allocation
 // behaviour over a region. The benches are single-threaded, so the

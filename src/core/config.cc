@@ -40,6 +40,10 @@ Status SystemConfig::Validate() const {
   if (num_sites == 0) {
     return Status::InvalidArgument("num_sites must be >= 1");
   }
+  if (num_sites > kMaxSites) {
+    return Status::InvalidArgument("num_sites must be <= " +
+                                   std::to_string(kMaxSites));
+  }
   if (message_loss < 0 || message_loss >= 1) {
     return Status::InvalidArgument("message_loss must be in [0, 1)");
   }
@@ -48,6 +52,10 @@ Status SystemConfig::Validate() const {
   }
   if (protocols.page_size < 64) {
     return Status::InvalidArgument("page_size must be >= 64");
+  }
+  if (protocols.page_size > kMaxPageSize) {
+    return Status::InvalidArgument("page_size must be <= " +
+                                   std::to_string(kMaxPageSize));
   }
   if (protocols.buffer_pool_pages < 8) {
     return Status::InvalidArgument("buffer_pool_pages must be >= 8");

@@ -31,6 +31,13 @@ struct ItemConfig {
   int EffectiveWriteQuorum() const;
 };
 
+/// Resource limits SystemConfig::Validate() enforces, so that a config
+/// that validates is one RainbowSystem::Create() can afford. Create()
+/// costs about 24 KB per site before any item is placed (4096 sites:
+/// about 94 MB), and each buffer-pool frame holds one page.
+inline constexpr uint32_t kMaxSites = 4096;
+inline constexpr uint32_t kMaxPageSize = 65536;
+
 /// Everything needed to instantiate a Rainbow instance: the union of the
 /// GUI's configuration panels (network simulation, sites, protocols,
 /// database items and replication scheme). "The configuration data can

@@ -1,9 +1,11 @@
 #include "net/rpc.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "common/status.h"
+#include "net/codec.h"
 
 namespace rainbow {
 
@@ -11,6 +13,12 @@ namespace {
 /// Bounds each per-sender duplicate window; evicted ids fall below the
 /// floor and are treated as old duplicates.
 constexpr size_t kWindowCapacity = 256;
+/// First capacity of a window's entry and reply-byte arrays. On a large
+/// topology most windows stay sparse (a replica hears from most senders
+/// only a few times), and growing both arrays one step at a time from
+/// empty would allocate more often than one node per request.
+constexpr size_t kFirstEntries = 4;
+constexpr size_t kFirstReplyBytes = 128;
 }  // namespace
 
 RpcEndpoint::RpcEndpoint(Simulator* sim, Network* net, SiteId self,
@@ -139,15 +147,21 @@ RpcDelivery RpcEndpoint::Accept(const Message& m) {
 
   // Request leg: suppress retransmitted duplicates per sender.
   SenderWindow& w = windows_[m.from];
-  auto it = w.entries.find(m.rpc_id);
-  if (it != w.entries.end()) {
+  if (const Served* s = FindServed(w, m.rpc_id)) {
     out.consumed = true;
-    net_->stats().rpc_duplicates_suppressed++;
-    if (it->second.done) {
+    NetworkStats& stats = net_->stats();
+    stats.rpc_duplicates_suppressed++;
+    if (s->size != 0) {
       // The original was already answered; the reply must have been
       // lost — resend the cached one so the exchange stays idempotent.
-      net_->SendRpc(self_, m.from, it->second.reply, m.rpc_id,
-                    /*is_reply=*/true);
+      Result<Payload> reply = DecodePayload(
+          std::span<const uint8_t>(w.replies).subspan(s->offset, s->size));
+      if (reply.ok()) {
+        net_->SendRpc(self_, m.from, std::move(reply).value(), m.rpc_id,
+                      /*is_reply=*/true);
+      } else {
+        stats.codec_failures++;
+      }
     }
     return out;
   }
@@ -157,22 +171,30 @@ RpcDelivery RpcEndpoint::Accept(const Message& m) {
     // suppressing silently would starve it forever (fatal for
     // retry-forever calls such as decision queries). Request handlers
     // are duplicate-tolerant, so re-admit it as a fresh request and let
-    // the application answer again.
+    // the application answer again. It is not recorded: the window is
+    // full of higher ids, so it would be the next one evicted anyway.
     net_->stats().rpc_stale_readmitted++;
+  } else {
+    Admit(w, m.rpc_id);
   }
-  w.entries[m.rpc_id] = ServedRequest{};
-  TrimWindow(w);
   out.ctx = RpcContext{m.from, m.rpc_id};
   return out;
 }
 
 void RpcEndpoint::Reply(const RpcContext& ctx, Payload payload) {
   if (!ctx.valid()) return;
-  SenderWindow& w = windows_[ctx.from];
-  auto it = w.entries.find(ctx.rpc_id);
-  if (it != w.entries.end()) {
-    it->second.done = true;
-    it->second.reply = payload;
+  auto wit = windows_.find(ctx.from);
+  Served* s = wit == windows_.end() ? nullptr
+                                    : FindServed(wit->second, ctx.rpc_id);
+  if (s != nullptr) {
+    SenderWindow& w = wit->second;
+    std::span<const uint8_t> wire = EncodePayloadTo(encode_, payload);
+    w.live_bytes += static_cast<uint32_t>(wire.size()) - s->size;
+    s->offset = static_cast<uint32_t>(w.replies.size());
+    s->size = static_cast<uint32_t>(wire.size());
+    if (w.replies.capacity() == 0) w.replies.reserve(kFirstReplyBytes);
+    w.replies.insert(w.replies.end(), wire.begin(), wire.end());
+    MaybeCompact(w);
   }
   net_->SendRpc(self_, ctx.from, std::move(payload), ctx.rpc_id,
                 /*is_reply=*/true);
@@ -184,11 +206,62 @@ void RpcEndpoint::Reset() {
   windows_.clear();
 }
 
-void RpcEndpoint::TrimWindow(SenderWindow& w) {
-  while (w.entries.size() > kWindowCapacity) {
-    w.floor = std::max(w.floor, w.entries.begin()->first);
-    w.entries.erase(w.entries.begin());
+std::vector<RpcEndpoint::Served>::iterator RpcEndpoint::FirstAtOrAbove(
+    SenderWindow& w, uint64_t id) {
+  return std::lower_bound(
+      w.entries.begin() + w.head, w.entries.end(), id,
+      [](const Served& s, uint64_t v) { return s.id < v; });
+}
+
+RpcEndpoint::Served* RpcEndpoint::FindServed(SenderWindow& w,
+                                              uint64_t id) {
+  if (w.entries.size() == w.head || id > w.entries.back().id) return nullptr;
+  auto it = FirstAtOrAbove(w, id);
+  return it->id == id ? &*it : nullptr;
+}
+
+void RpcEndpoint::Admit(SenderWindow& w, uint64_t id) {
+  if (w.entries.capacity() == 0) w.entries.reserve(kFirstEntries);
+  // One sender's ids arrive almost in order, so the new id usually goes
+  // at the end; FindServed() has already ruled out a duplicate.
+  auto pos = w.entries.end();
+  if (w.entries.size() > w.head && id < w.entries.back().id) {
+    pos = FirstAtOrAbove(w, id);
   }
+  w.entries.insert(pos, Served{id, 0, 0});
+  if (w.entries.size() - w.head > kWindowCapacity) {
+    const Served& oldest = w.entries[w.head++];
+    w.floor = oldest.id;  // every live id is above the old floor
+    w.live_bytes -= oldest.size;
+    MaybeCompact(w);
+  }
+}
+
+void RpcEndpoint::MaybeCompact(SenderWindow& w) {
+  // Compacts once the evicted entries and the dead reply bytes take half
+  // as much room as the live ones, so a window holds about 1.5 times its
+  // live part at most. A compaction copies the live part once, and at
+  // least half as much died since the last one: amortized O(1) per
+  // request.
+  size_t live = (w.entries.size() - w.head) * sizeof(Served) + w.live_bytes;
+  size_t dead = w.head * sizeof(Served) + (w.replies.size() - w.live_bytes);
+  if (dead == 0 || 2 * dead < live) return;
+  compact_.clear();
+  size_t out = 0;
+  for (size_t i = w.head; i < w.entries.size(); ++i) {
+    Served s = w.entries[i];
+    if (s.size != 0) {
+      auto bytes = w.replies.begin() + s.offset;
+      s.offset = static_cast<uint32_t>(compact_.size());
+      compact_.insert(compact_.end(), bytes, bytes + s.size);
+    }
+    w.entries[out++] = s;
+  }
+  w.entries.resize(out);
+  w.head = 0;
+  // Copied back rather than swapped, so each window keeps its own
+  // capacity and a rotating window stops allocating.
+  w.replies.assign(compact_.begin(), compact_.end());
 }
 
 }  // namespace rainbow

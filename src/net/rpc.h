@@ -6,7 +6,9 @@
 #include <map>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "common/arena.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/trace.h"
@@ -134,24 +136,38 @@ class RpcEndpoint {
     TimerHandle timer;
   };
 
-  /// Replica-side record of a request: in-progress until Reply() caches
-  /// the answer for duplicate resends.
-  struct ServedRequest {
-    bool done = false;
-    Payload reply;
+  /// Replica-side record of one admitted request: in progress while
+  /// `size == 0`; once Reply() caches the answer, its wire encoding is
+  /// the window's `replies[offset, offset + size)` (never empty: every
+  /// encoding starts with a kind byte).
+  struct Served {
+    uint64_t id = 0;
+    uint32_t offset = 0;
+    uint32_t size = 0;
   };
 
-  /// Per-sender duplicate-suppression window, bounded in size: ids at
-  /// or below `floor` have been evicted and are treated as duplicates.
+  /// Per-sender duplicate-suppression window holding the
+  /// kWindowCapacity highest ids admitted: ids at or below `floor` have
+  /// been evicted. `entries[head..]` are live and sorted by id. Evicted
+  /// entries and the bytes of evicted or overwritten replies stay in
+  /// place until MaybeCompact() drops them, once they take half as much
+  /// room as the live ones.
   struct SenderWindow {
     uint64_t floor = 0;
-    std::map<uint64_t, ServedRequest> entries;
+    uint32_t head = 0;
+    uint32_t live_bytes = 0;  ///< reply bytes of the live entries
+    std::vector<Served> entries;
+    std::vector<uint8_t> replies;
   };
 
   void SendAttempt(uint64_t call_id);
   void OnAttemptTimeout(uint64_t call_id);
   SimTime BackoffDelay(const RpcPolicy& policy, int retries_so_far);
-  void TrimWindow(SenderWindow& w);
+  static std::vector<Served>::iterator FirstAtOrAbove(SenderWindow& w,
+                                                       uint64_t id);
+  static Served* FindServed(SenderWindow& w, uint64_t id);
+  void Admit(SenderWindow& w, uint64_t id);
+  void MaybeCompact(SenderWindow& w);
 
   Simulator* sim_;
   Network* net_;
@@ -162,6 +178,10 @@ class RpcEndpoint {
   LateReplyHandler late_reply_;
   std::map<uint64_t, PendingCall> calls_;
   std::unordered_map<SiteId, SenderWindow> windows_;
+  /// Reused buffers: Reply() encodes into `encode_`, MaybeCompact()
+  /// repacks a window's live reply bytes through `compact_`.
+  Arena encode_;
+  std::vector<uint8_t> compact_;
 };
 
 }  // namespace rainbow

@@ -281,6 +281,36 @@ TEST(ConfigTest, UnsignedKnobsRejectValuesTheyCannotHold) {
   EXPECT_EQ(max->num_sites, 4294967295u);
 }
 
+TEST(ConfigTest, ValidateEnforcesResourceLimits) {
+  // In-range values the parser accepts but no machine should try to
+  // build: Validate() rejects them and names the key and the limit.
+  const std::pair<std::string, std::string> bad[] = {
+      {"[system]\nnum_sites = 4097\n", "num_sites must be <= 4096"},
+      // kNameServerId: the last site would alias the name server.
+      {"[system]\nnum_sites = 4294967294\n", "num_sites must be <= 4096"},
+      {"[protocols]\npage_size = 2147483648\n",
+       "page_size must be <= 65536"},
+  };
+  for (const auto& [text, why] : bad) {
+    auto parsed = SystemConfig::FromText(text);
+    ASSERT_TRUE(parsed.ok()) << text << parsed.status();
+    parsed->AddUniformItems(4, 0, 3);
+    Status s = parsed->Validate();
+    ASSERT_FALSE(s.ok()) << text;
+    EXPECT_NE(s.message().find(why), std::string::npos) << s;
+  }
+  for (uint32_t sites : {512u, kMaxSites}) {
+    SystemConfig cfg;
+    cfg.num_sites = sites;
+    cfg.AddUniformItems(4, 0, 3);
+    EXPECT_TRUE(cfg.Validate().ok()) << sites << " sites";
+  }
+  SystemConfig cfg;
+  cfg.AddUniformItems(4, 0, 3);
+  cfg.protocols.page_size = kMaxPageSize;
+  EXPECT_TRUE(cfg.Validate().ok());
+}
+
 TEST(ConfigTest, ParsesAllProtocolNames) {
   for (const char* rcp : {"QC", "ROWA", "ROWA-A", "PRIMARY"}) {
     auto parsed = SystemConfig::FromText(std::string("[protocols]\nrcp = ") +

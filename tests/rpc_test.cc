@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/system.h"
+#include "net/codec.h"
 #include "net/network.h"
 #include "net/rpc.h"
+#include "random_payload.h"
 #include "sim/simulator.h"
 #include "workload/workload.h"
 
@@ -48,6 +53,15 @@ TEST(RpcPolicyTest, JitterStaysWithinBounds) {
 // Endpoint behaviour on a two-node network
 // ---------------------------------------------------------------------------
 
+LatencyConfig FixedLatency(SimTime one_way) {
+  LatencyConfig lat;
+  lat.distribution = LatencyDistribution::kFixed;
+  lat.mean = one_way;
+  lat.min = 0;
+  lat.per_kb = 0;
+  return lat;
+}
+
 /// A client endpoint at site 0 and an echo server at site 1 with a
 /// fixed, deterministic one-way delay.
 struct RpcHarness {
@@ -59,12 +73,7 @@ struct RpcHarness {
   int late_replies = 0;
 
   explicit RpcHarness(SimTime one_way) {
-    LatencyConfig lat;
-    lat.distribution = LatencyDistribution::kFixed;
-    lat.mean = one_way;
-    lat.min = 0;
-    lat.per_kb = 0;
-    net = std::make_unique<Network>(&sim, lat, Rng(99));
+    net = std::make_unique<Network>(&sim, FixedLatency(one_way), Rng(99));
     client = std::make_unique<RpcEndpoint>(&sim, net.get(), 0, 1);
     server = std::make_unique<RpcEndpoint>(&sim, net.get(), 1, 2);
     client->set_late_reply_handler(
@@ -271,6 +280,203 @@ TEST(RpcEndpointTest, RetryForeverCallSurvivesWindowRotation) {
   EXPECT_EQ(callbacks, 1) << "retry-forever call starved after rotation";
   EXPECT_GT(h.net->stats().rpc_stale_readmitted, 0u);
   EXPECT_EQ(h.client->pending_calls(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Replies cached in wire form
+// ---------------------------------------------------------------------------
+
+/// A server endpoint at site 1 fed forged requests by the test; senders
+/// 0, 2 and 3 record every message the server sends them.
+struct ServerHarness {
+  static constexpr SiteId kSenders[] = {0, 2, 3};
+
+  Simulator sim;
+  Network net{&sim, FixedLatency(Millis(1)), Rng(5)};
+  RpcEndpoint server{&sim, &net, 1, 3};
+  std::vector<Message> received;
+
+  ServerHarness() {
+    for (SiteId s : kSenders) {
+      net.RegisterHandler(s,
+                          [this](const Message& m) { received.push_back(m); });
+    }
+  }
+
+  /// Delivers everything in flight and returns what the senders got.
+  std::vector<Message> Flush() {
+    sim.RunToQuiescence();
+    return std::exchange(received, {});
+  }
+};
+
+TEST(RpcEndpointTest, EveryReplyKindIsResentByteForByte) {
+  ServerHarness h;
+  Rng rng(20261017);
+  uint64_t id = 0;
+  for (int k = 0; k < static_cast<int>(MessageKind::kCount); ++k) {
+    MessageKind kind = static_cast<MessageKind>(k);
+    for (int round = 0; round < 20; ++round) {
+      Payload p = *RandomPayload(kind, rng);
+      RpcDelivery first = h.server.Accept(ForgedRequest(0, 1, ++id));
+      ASSERT_TRUE(first.ctx.valid());
+      h.server.Reply(first.ctx, p);
+      ASSERT_EQ(h.Flush().size(), 1u);
+
+      RpcDelivery dup = h.server.Accept(ForgedRequest(0, 1, id));
+      EXPECT_TRUE(dup.consumed);
+      std::vector<Message> resent = h.Flush();
+      ASSERT_EQ(resent.size(), 1u) << MessageKindName(kind);
+      EXPECT_TRUE(resent[0].rpc_is_reply);
+      EXPECT_EQ(resent[0].rpc_id, id);
+      EXPECT_EQ(EncodePayload(resent[0].payload), EncodePayload(p))
+          << MessageKindName(kind) << " round " << round;
+    }
+  }
+}
+
+/// The duplicate window as a std::map per sender that holds each
+/// answered request's reply as a Payload: the representation RpcEndpoint
+/// used before it cached replies in wire form, kept as the reference
+/// model of the behaviour that representation must reproduce.
+class MapWindowModel {
+ public:
+  struct Outcome {
+    bool consumed = false;
+    bool fresh = false;             ///< Accept surfaced a valid context
+    std::optional<Payload> resent;  ///< the cached reply sent back
+  };
+
+  Outcome Accept(SiteId from, uint64_t id) {
+    Window& w = windows_[from];
+    auto it = w.entries.find(id);
+    if (it != w.entries.end()) {
+      ++duplicates;
+      return {true, false, it->second};
+    }
+    if (id <= w.floor) ++stale;
+    w.entries[id] = std::nullopt;
+    while (w.entries.size() > 256) {
+      w.floor = std::max(w.floor, w.entries.begin()->first);
+      w.entries.erase(w.entries.begin());
+    }
+    return {false, true, std::nullopt};
+  }
+
+  void Reply(SiteId from, uint64_t id, const Payload& p) {
+    Window& w = windows_[from];
+    auto it = w.entries.find(id);
+    if (it != w.entries.end()) it->second = p;
+  }
+
+  void Reset() { windows_.clear(); }
+
+  uint64_t Floor(SiteId from) {
+    auto it = windows_.find(from);
+    return it == windows_.end() ? 0 : it->second.floor;
+  }
+
+  uint64_t duplicates = 0;
+  uint64_t stale = 0;
+
+ private:
+  struct Window {
+    uint64_t floor = 0;
+    /// nullopt while the request is in progress.
+    std::map<uint64_t, std::optional<Payload>> entries;
+  };
+  std::map<SiteId, Window> windows_;
+};
+
+TEST(RpcEndpointTest, DuplicateWindowMatchesMapModel) {
+  // Seeded random traffic from three senders: fresh ids with gaps, ids
+  // that arrive out of order, duplicates of answered and unanswered
+  // requests, ids long evicted below the floor and ids on either side
+  // of it, second replies to one request, and the odd crash. Each
+  // sender's window rotates several times between crashes. The endpoint
+  // must agree with the model at every step.
+  constexpr MessageKind kReplyKinds[] = {
+      MessageKind::kAck, MessageKind::kVoteReply, MessageKind::kPrewriteReply,
+      MessageKind::kReadReply, MessageKind::kNsLookupReply};
+  ServerHarness h;
+  MapWindowModel model;
+  Rng rng(7);
+  std::map<SiteId, uint64_t> top;  // highest id each sender has issued
+  struct Surfaced {
+    RpcContext ctx;
+    bool answered = false;
+  };
+  std::vector<Surfaced> surfaced;
+  uint64_t resends = 0;
+  uint64_t second_replies = 0;
+  for (int step = 0; step < 40000; ++step) {
+    SCOPED_TRACE(step);
+    SiteId from = ServerHarness::kSenders[rng.NextUint(3)];
+    double r = rng.NextDouble();
+    if (r < 0.0002) {
+      h.server.Reset();
+      model.Reset();
+      continue;
+    }
+    if (r < 0.3 && !surfaced.empty()) {
+      // Answer a surfaced request, mostly a recent one; a third stay
+      // surfaced and are answered again later, some after the window
+      // evicted them.
+      size_t n = surfaced.size();
+      size_t i = rng.NextBool(0.8)
+                     ? n - 1 - rng.NextUint(std::min<size_t>(n, 8))
+                     : rng.NextUint(n);
+      RpcContext ctx = surfaced[i].ctx;
+      if (surfaced[i].answered) ++second_replies;
+      surfaced[i].answered = true;
+      if (rng.NextBool(0.67)) {
+        surfaced[i] = surfaced.back();
+        surfaced.pop_back();
+      }
+      Payload p = *RandomPayload(kReplyKinds[rng.NextUint(5)], rng);
+      h.server.Reply(ctx, p);
+      model.Reply(ctx.from, ctx.rpc_id, p);
+      std::vector<Message> sent = h.Flush();
+      ASSERT_EQ(sent.size(), 1u);
+      EXPECT_EQ(EncodePayload(sent[0].payload), EncodePayload(p));
+      continue;
+    }
+    uint64_t& hi = top[from];
+    uint64_t id;
+    if (r < 0.75) {
+      id = hi += 1 + rng.NextUint(3);  // fresh, leaving gaps
+    } else if (r < 0.9) {
+      id = 1 + hi - std::min<uint64_t>(hi, rng.NextUint(12));  // recent
+    } else if (r < 0.95 && model.Floor(from) > 0) {
+      id = model.Floor(from) + rng.NextUint(2);  // either side of the floor
+    } else {
+      id = 1 + rng.NextUint(hi + 1);  // anywhere, often below the floor
+    }
+    RpcDelivery got = h.server.Accept(ForgedRequest(from, 1, id));
+    MapWindowModel::Outcome want = model.Accept(from, id);
+    ASSERT_EQ(got.consumed, want.consumed);
+    ASSERT_EQ(got.ctx.valid(), want.fresh);
+    if (got.ctx.valid()) {
+      EXPECT_EQ(got.ctx.from, from);
+      EXPECT_EQ(got.ctx.rpc_id, id);
+      surfaced.push_back({got.ctx});
+    }
+    std::vector<Message> sent = h.Flush();
+    ASSERT_EQ(sent.size(), want.resent ? 1u : 0u);
+    if (want.resent) {
+      ++resends;
+      EXPECT_TRUE(sent[0].rpc_is_reply);
+      EXPECT_EQ(sent[0].rpc_id, id);
+      EXPECT_EQ(EncodePayload(sent[0].payload), EncodePayload(*want.resent));
+    }
+    ASSERT_EQ(h.net.stats().rpc_duplicates_suppressed, model.duplicates);
+    ASSERT_EQ(h.net.stats().rpc_stale_readmitted, model.stale);
+  }
+  // Every branch was exercised, many times.
+  EXPECT_GT(resends, 500u);
+  EXPECT_GT(model.duplicates, resends + 500);
+  EXPECT_GT(model.stale, 500u);
+  EXPECT_GT(second_replies, 500u);
 }
 
 // ---------------------------------------------------------------------------
