@@ -580,7 +580,6 @@ void Coordinator::Decide(bool commit, AbortCause cause, std::string detail) {
       {},
       plist,
       false));
-  site_->RememberDecision(id_, commit);
   if (site_->tracing()) {
     TraceRecord rec;
     rec.kind = TraceEventKind::kDecision;

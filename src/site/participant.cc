@@ -463,7 +463,6 @@ void ParticipantManager::ApplyDecision(TxnId txn, bool commit,
       {},
       {},
       t.three_phase));
-  site_->RememberDecision(txn, commit);
 
   if ((t.state == AcpState::kPrepared || t.state == AcpState::kPreCommitted) &&
       site_->env().monitor) {
@@ -546,7 +545,7 @@ void ParticipantManager::OnCcVictim(TxnId txn, DenyReason reason) {
 AcpState ParticipantManager::StateOf(TxnId txn) const {
   auto it = txns_.find(txn);
   if (it != txns_.end()) return it->second.state;
-  auto decided = site_->KnownDecision(txn);
+  auto decided = site_->wal().Decision(txn);
   if (decided.has_value()) {
     return *decided ? AcpState::kCommitted : AcpState::kAborted;
   }

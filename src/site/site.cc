@@ -136,16 +136,6 @@ void Site::CacheView(ItemId item, ReplicaView view) {
   schema_cache_[item] = std::move(view);
 }
 
-std::optional<bool> Site::KnownDecision(TxnId txn) const {
-  auto it = decided_cache_.find(txn);
-  if (it == decided_cache_.end()) return std::nullopt;
-  return it->second;
-}
-
-void Site::RememberDecision(TxnId txn, bool commit) {
-  decided_cache_[txn] = commit;
-}
-
 size_t Site::active_participants() const {
   return participants_ ? participants_->size() : 0;
 }
@@ -226,7 +216,6 @@ void Site::Crash() {
   store_.OnCrash();  // buffer pool frames and pending-txn table die
   closers_.clear();
   rpc_->Reset();  // drops every pending call and the duplicate windows
-  decided_cache_.clear();
   schema_cache_.clear();
   suspected_until_.clear();
 }
@@ -255,38 +244,30 @@ void Site::Recover() {
     EmitTrace(std::move(rec));
   }
 
-  auto scan = wal_.Scan();
   // Redo: apply committed-but-unapplied writes from prepared records
   // (the crash hit between logging/learning the decision and applying).
   // A home site that is also a participant logs the commit decision
   // before its local apply, so restart undoes that storage txn as a
   // loser and this loop re-applies it. Store versioning makes
   // re-application idempotent.
-  for (const auto& [txn, st] : scan) {
-    if (st.prepared && st.decided && st.commit && !st.applied) {
-      for (const auto& w : st.prepared_record.writes) {
-        store_.Apply(w.item, w.value, w.version);
-      }
-      wal_.Append(WalRecord::Protocol(WalRecordKind::kApplied, txn,
-                            st.prepared_record.coordinator, {}, {}, false));
+  for (const WalRecord& prepared : wal_.CommittedUnapplied()) {
+    for (const auto& w : prepared.writes) {
+      store_.Apply(w.item, w.value, w.version);
     }
+    wal_.Append(WalRecord::Protocol(WalRecordKind::kApplied, prepared.txn,
+                                    prepared.coordinator, {}, {}, false));
   }
   // Fresh volatile state (the CC engine seeds itself from the redone
-  // store), then decision knowledge from the log.
+  // store). Decision knowledge needs no rebuild: the WAL digest answers
+  // it. Reinstate in-doubt (prepared, undecided) transactions; the
+  // kApplied records the redo loop appended change neither list below.
   BuildVolatileState();
-  for (const auto& [txn, st] : scan) {
-    if (st.decided) decided_cache_[txn] = st.commit;
-  }
-  // Reinstate in-doubt (prepared, undecided) transactions. Both lists
-  // come from the one scan: the kApplied records the redo loop appended
-  // change neither.
-  for (const WalRecord& rec : Wal::InDoubt(scan)) {
-    bool precommitted = scan.at(rec.txn).precommitted;
-    participants_->ReinstateInDoubt(rec, precommitted);
+  for (const WalRecord& rec : wal_.InDoubt()) {
+    participants_->ReinstateInDoubt(rec, wal_.Scan().at(rec.txn).precommitted);
   }
   // Re-propagate decisions this site made as coordinator but never
   // finished acknowledging.
-  for (const auto& d : Wal::DecidedUnended(scan)) {
+  for (const auto& d : wal_.DecidedUnended()) {
     StartCloser(d.txn, d.commit, d.participants);
   }
   // Refresh item copies from a live peer.
@@ -398,7 +379,7 @@ void Site::OnLateRpcReply(const Message& m) {
     it->second->OnStrayGrant(m.from);
     return;
   }
-  auto decided = KnownDecision(txn);
+  auto decided = wal_.Decision(txn);
   if (!decided.has_value() || !*decided) {
     SendTo(m.from, AbortRequest{txn});
   }
@@ -408,7 +389,7 @@ void Site::HandleDecisionQuery(SiteId from, const DecisionQuery& q,
                                const RpcContext& ctx) {
   DecisionInfo info;
   info.txn = q.txn;
-  auto decided = KnownDecision(q.txn);
+  auto decided = wal_.Decision(q.txn);
   if (decided.has_value()) {
     info.known = true;
     info.commit = *decided;

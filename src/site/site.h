@@ -146,11 +146,6 @@ class Site {
   const ReplicaView* CachedView(ItemId item) const;
   void CacheView(ItemId item, ReplicaView view);
 
-  /// Decision knowledge: decisions this site logged (as coordinator or
-  /// participant). Used to answer DecisionQuery.
-  std::optional<bool> KnownDecision(TxnId txn) const;
-  void RememberDecision(TxnId txn, bool commit);
-
   /// Registers the post-decision "closer": one Decision RPC per
   /// participant (the RPC layer retries until acked), then logs kEnd.
   void StartCloser(TxnId txn, bool commit, std::vector<SiteId> participants);
@@ -205,7 +200,6 @@ class Site {
   std::unique_ptr<ParticipantManager> participants_;
   std::map<TxnId, std::unique_ptr<Coordinator>> coordinators_;
   std::map<TxnId, Closer> closers_;
-  std::map<TxnId, bool> decided_cache_;
   std::map<ItemId, ReplicaView> schema_cache_;
   std::map<SiteId, SimTime> suspected_until_;
   std::set<SiteId> refresh_peers_;

@@ -62,26 +62,26 @@ void Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
     default:
       return;  // storage records carry no protocol state
   }
-  ProtoState& st = proto_index_[record.txn];
+  TxnLogState& st = proto_index_[record.txn];
   const bool was_open = st.Open();
   const Lsn old_first = st.first_lsn;
   if (st.first_lsn == kNoLsn || lsn < st.first_lsn) st.first_lsn = lsn;
   switch (record.kind) {
     case WalRecordKind::kPrepared:
       st.prepared = true;
+      st.prepared_lsn = lsn;
       break;
     case WalRecordKind::kPreCommitted:
       st.precommitted = true;
       break;
     case WalRecordKind::kCommitDecision:
-      st.decided = true;
-      st.commit = true;
-      if (!record.participants.empty()) st.coordinator = true;
-      break;
     case WalRecordKind::kAbortDecision:
       st.decided = true;
-      st.commit = false;
-      if (!record.participants.empty()) st.coordinator = true;
+      st.commit = record.kind == WalRecordKind::kCommitDecision;
+      if (!record.participants.empty()) {
+        st.coordinator = true;
+        st.decision_lsn = lsn;
+      }
       break;
     case WalRecordKind::kApplied:
       st.applied = true;
@@ -98,7 +98,7 @@ void Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
   if (open) open_txns_.emplace(st.first_lsn, record.txn);
 }
 
-void Wal::Reindex(std::map<TxnId, ProtoState> digest) {
+void Wal::Reindex(std::map<TxnId, TxnLogState> digest) {
   proto_index_ = std::move(digest);
   open_txns_.clear();
   for (const auto& [txn, st] : proto_index_) {
@@ -137,105 +137,38 @@ bool Wal::IsPreparedUndecided(const TxnId& txn) const {
          !it->second.decided;
 }
 
-std::unordered_map<TxnId, Wal::TxnLogState> Wal::Scan() const {
-  std::unordered_map<TxnId, TxnLogState> out;
-  // Seed from the per-transaction digest so transactions whose records
-  // were head-truncated still report their (closed) protocol state —
-  // recovery's decision-cache rebuild must see the same answers before
-  // and after a truncation. The record walk below then overlays the
-  // payload-bearing fields (prepared_record, decision_participants),
-  // which only recovery paths for non-truncatable transactions read.
+std::optional<bool> Wal::Decision(const TxnId& txn) const {
+  auto it = proto_index_.find(txn);
+  if (it == proto_index_.end() || !it->second.decided) return std::nullopt;
+  return it->second.commit;
+}
+
+std::vector<WalRecord> Wal::CommittedUnapplied() const {
+  std::vector<WalRecord> out;
   for (const auto& [txn, st] : proto_index_) {
-    TxnLogState& s = out[txn];
-    s.prepared = st.prepared;
-    s.precommitted = st.precommitted;
-    s.decided = st.decided;
-    s.commit = st.commit;
-    s.applied = st.applied;
-    s.ended = st.ended;
-  }
-  for (const WalRecord& r : records_) {
-    switch (r.kind) {
-      case WalRecordKind::kPrepared: {
-        TxnLogState& st = out[r.txn];
-        st.prepared = true;
-        st.prepared_record = r;
-        break;
-      }
-      case WalRecordKind::kPreCommitted:
-        out[r.txn].precommitted = true;
-        break;
-      case WalRecordKind::kCommitDecision: {
-        TxnLogState& st = out[r.txn];
-        st.decided = true;
-        st.commit = true;
-        if (!r.participants.empty()) st.decision_participants = r.participants;
-        break;
-      }
-      case WalRecordKind::kAbortDecision: {
-        TxnLogState& st = out[r.txn];
-        st.decided = true;
-        st.commit = false;
-        if (!r.participants.empty()) st.decision_participants = r.participants;
-        break;
-      }
-      case WalRecordKind::kApplied:
-        out[r.txn].applied = true;
-        break;
-      case WalRecordKind::kEnd:
-        out[r.txn].ended = true;
-        break;
-      case WalRecordKind::kStoreBegin:
-      case WalRecordKind::kStoreUpdate:
-      case WalRecordKind::kStoreCommit:
-      case WalRecordKind::kStoreAbort:
-      case WalRecordKind::kStoreClr:
-      case WalRecordKind::kStoreEnd:
-      case WalRecordKind::kCheckpointBegin:
-      case WalRecordKind::kCheckpointEnd:
-        // Storage-engine records are not protocol state; the page
-        // engine's restart analysis scans them itself.
-        break;
+    if (st.prepared && st.decided && st.commit && !st.applied) {
+      out.push_back(At(st.prepared_lsn));
     }
   }
   return out;
 }
 
-std::vector<WalRecord> Wal::InDoubt() const { return InDoubt(Scan()); }
-
-std::vector<WalRecord> Wal::InDoubt(
-    const std::unordered_map<TxnId, TxnLogState>& scan) {
+std::vector<WalRecord> Wal::InDoubt() const {
   std::vector<WalRecord> out;
-  // RAINBOW_LINT(allow:D1 reason=result is sorted by TxnId below)
-  for (const auto& [txn, st] : scan) {
-    if (st.prepared && !st.decided) {
-      out.push_back(st.prepared_record);
-    }
+  for (const auto& [txn, st] : proto_index_) {
+    if (st.prepared && !st.decided) out.push_back(At(st.prepared_lsn));
   }
-  // The scan is a hash map; sort so recovery reinstates in-doubt
-  // transactions in one canonical (TxnId) order on every run.
-  std::sort(out.begin(), out.end(),
-            [](const WalRecord& a, const WalRecord& b) { return a.txn < b.txn; });
   return out;
 }
 
 std::vector<Wal::UnendedDecision> Wal::DecidedUnended() const {
-  return DecidedUnended(Scan());
-}
-
-std::vector<Wal::UnendedDecision> Wal::DecidedUnended(
-    const std::unordered_map<TxnId, TxnLogState>& scan) {
   std::vector<UnendedDecision> out;
-  // RAINBOW_LINT(allow:D1 reason=result is sorted by TxnId below)
-  for (const auto& [txn, st] : scan) {
-    if (st.decided && !st.ended && !st.decision_participants.empty()) {
-      out.push_back(UnendedDecision{txn, st.commit, st.decision_participants});
+  for (const auto& [txn, st] : proto_index_) {
+    if (st.decided && st.coordinator && !st.ended) {
+      out.push_back(
+          UnendedDecision{txn, st.commit, At(st.decision_lsn).participants});
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const UnendedDecision& a, const UnendedDecision& b) {
-              return a.txn < b.txn;
-            });
   return out;
 }
 
@@ -262,7 +195,7 @@ constexpr size_t kFrameHeaderBytes = 8;
 // participants counts + three_phase.
 constexpr size_t kMinLegacyRecordBytes = 1 + 12 + 4 + 4 + 4 + 1;
 
-// ProtoState flag bits in a serialized digest entry.
+// TxnLogState flag bits in a serialized digest entry.
 constexpr uint8_t kDigestPrepared = 1u << 0;
 constexpr uint8_t kDigestPrecommitted = 1u << 1;
 constexpr uint8_t kDigestDecided = 1u << 2;
@@ -375,7 +308,11 @@ std::vector<uint8_t> Wal::Serialize() const {
   header.PutU64(base_);
   // Digest: only transactions with truncated records need their bits
   // carried in the header — everything else is rebuilt from the
-  // retained records on load.
+  // retained records on load. Each such transaction was closed when its
+  // head was truncated. If a retained kPrepared or coordinator decision
+  // has reopened it since, the bit that record sets is written cleared:
+  // every entry in the file is closed, and the reload sets the bit
+  // again from the record.
   uint32_t digest_count = 0;
   for (const auto& [txn, st] : proto_index_) {
     if (st.first_lsn != kNoLsn && st.first_lsn <= base_) ++digest_count;
@@ -384,14 +321,18 @@ std::vector<uint8_t> Wal::Serialize() const {
   for (const auto& [txn, st] : proto_index_) {
     if (st.first_lsn == kNoLsn || st.first_lsn > base_) continue;
     header.PutTxnId(txn);
+    const bool reprepared =
+        st.prepared && !st.applied && st.prepared_lsn > base_;
+    const bool recoordinated =
+        st.coordinator && !st.ended && st.decision_lsn > base_;
     uint8_t flags = 0;
-    if (st.prepared) flags |= kDigestPrepared;
+    if (st.prepared && !reprepared) flags |= kDigestPrepared;
     if (st.precommitted) flags |= kDigestPrecommitted;
     if (st.decided) flags |= kDigestDecided;
     if (st.commit) flags |= kDigestCommit;
     if (st.applied) flags |= kDigestApplied;
     if (st.ended) flags |= kDigestEnded;
-    if (st.coordinator) flags |= kDigestCoordinator;
+    if (st.coordinator && !recoordinated) flags |= kDigestCoordinator;
     header.PutU8(flags);
     header.PutU64(st.first_lsn);
   }
@@ -465,7 +406,7 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
   if (!master_r.ok()) return header_err();
   uint64_t master = master_r.value();
   uint64_t base = 0;
-  std::map<TxnId, ProtoState> digest;
+  std::map<TxnId, TxnLogState> digest;
   if (version >= 4) {
     Result<uint64_t> base_r = d.GetU64();
     if (!base_r.ok()) return header_err();
@@ -480,7 +421,7 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
       Result<uint64_t> first = d.GetU64();
       if (!first.ok()) return header_err();
       uint8_t flags = flags_r.value();
-      ProtoState st;
+      TxnLogState st;
       st.first_lsn = first.value();
       st.prepared = (flags & kDigestPrepared) != 0;
       st.precommitted = (flags & kDigestPrecommitted) != 0;
@@ -489,6 +430,14 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
       st.applied = (flags & kDigestApplied) != 0;
       st.ended = (flags & kDigestEnded) != 0;
       st.coordinator = (flags & kDigestCoordinator) != 0;
+      // Truncation only reclaims closed transactions' records, and
+      // recovery reads an open transaction's records back by LSN: an
+      // open entry, or one anchored outside the truncated prefix, is a
+      // forged header.
+      if (!st.Closed() || st.first_lsn == kNoLsn || st.first_lsn > base) {
+        return tolerant ? Status::IoError("bad WAL digest entry")
+                        : Status::InvalidArgument("bad WAL digest entry");
+      }
       digest[txn.value()] = st;
     }
   }

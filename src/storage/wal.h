@@ -3,9 +3,9 @@
 
 #include <cassert>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -117,7 +117,8 @@ struct WalRecord {
 
 /// Per-site write-ahead log. In this simulation "durable" means the Wal
 /// object intentionally survives Site::Crash() (which wipes all volatile
-/// protocol state); recovery scans it to find transactions that were
+/// protocol state). Its per-transaction protocol digest answers every
+/// decision query and gives recovery the transactions that were
 /// prepared but undecided, and decisions that were made but not fully
 /// acknowledged. The page storage engine shares this log: its kStore*
 /// records interleave with the protocol records in one LSN space.
@@ -152,23 +153,22 @@ class Wal {
 
   /// Reclaims every record with LSN < `lsn` (clamped to the retained
   /// range) and returns how many were dropped. LSNs of the surviving
-  /// records do not change. Protocol state of the dropped records stays
-  /// queryable: the incremental per-transaction index keeps their
-  /// prepared/decided/applied/ended bits, so Scan() (and with it the
-  /// recovery paths that rebuild decision caches) answers exactly as it
-  /// did before the truncation — only the raw record bodies are gone.
-  /// The caller owns the safety argument that nothing will dereference
-  /// the dropped LSNs (see PageStore::EndCheckpoint's barrier).
+  /// records do not change. The protocol digest keeps every dropped
+  /// transaction's entry, so Scan(), Decision() and the recovery lists
+  /// answer exactly as they did before the truncation — only the raw
+  /// record bodies are gone. The caller owns the safety argument that
+  /// nothing will dereference the dropped LSNs (see
+  /// PageStore::EndCheckpoint's barrier).
   size_t TruncateBefore(Lsn lsn);
 
   /// Earliest LSN still needed by commit-protocol recovery: the first
   /// record of any transaction that is not yet closed (undecided, or
   /// decided but not yet applied/acknowledged). NextLsn() when every
   /// logged transaction is closed. Head truncation must never pass
-  /// this point, or InDoubt()/DecidedUnended() would lose records they
-  /// still have to return. O(1): it reads the first entry of the
-  /// ordered open-transaction index, so a checkpoint's cost does not
-  /// grow with the number of transactions the digest remembers.
+  /// this point: the recovery lists read open transactions' records
+  /// back by LSN. O(1): it reads the first entry of the ordered
+  /// open-transaction index, so a checkpoint's cost does not grow with
+  /// the number of transactions the digest remembers.
   Lsn ProtocolBarrier() const;
 
   /// LSN of the kCheckpointBegin record of the last COMPLETE checkpoint
@@ -183,51 +183,69 @@ class Wal {
   /// records to classify in-doubt transactions.
   bool IsPreparedUndecided(const TxnId& txn) const;
 
-  /// Recovery summary for one transaction found in the log.
+  /// One transaction's entry in the protocol digest: the cumulative
+  /// bits of its protocol records, which outlive head truncation, and
+  /// the LSNs of the records recovery reads back. Only an open
+  /// transaction's LSNs are dereferenced, and truncation never passes
+  /// an open transaction's first record.
   struct TxnLogState {
+    Lsn first_lsn = kNoLsn;     ///< anchors ProtocolBarrier()
+    Lsn prepared_lsn = kNoLsn;  ///< latest kPrepared
+    Lsn decision_lsn = kNoLsn;  ///< latest decision with a participant list
     bool prepared = false;
     bool precommitted = false;
     bool decided = false;
     bool commit = false;  ///< valid if decided
     bool applied = false;
     bool ended = false;
-    WalRecord prepared_record;  ///< valid if prepared
-    /// Non-empty iff this site logged the decision as the coordinator
-    /// (coordinator decision records carry the participant list).
-    std::vector<SiteId> decision_participants;
+    /// This site logged the decision with a participant list (as
+    /// coordinator), so kEnd, not kApplied, closes the transaction here.
+    bool coordinator = false;
+
+    /// A closed transaction's records are safe to truncate: the digest
+    /// alone answers every later query about it.
+    bool Closed() const {
+      return decided && (!prepared || applied) && (!coordinator || ended);
+    }
+    /// An open transaction pins the protocol barrier at first_lsn.
+    bool Open() const { return first_lsn != kNoLsn && !Closed(); }
   };
 
-  /// Scans the log and summarizes every transaction that appears in it.
-  /// Storage-engine records (kStore*) are invisible here — the page
-  /// engine's restart pass scans them separately. Transactions whose
-  /// records were head-truncated still appear, reconstructed from the
-  /// incremental digest (truncation only ever drops closed
-  /// transactions' records, so the digest bits are the whole story;
-  /// prepared_record / decision_participants are only populated from
-  /// retained records, which is exactly the set recovery dereferences).
-  std::unordered_map<TxnId, TxnLogState> Scan() const;
+  /// The digest: one entry per transaction that ever logged a protocol
+  /// record here, head-truncated or not, in TxnId order. Storage-engine
+  /// records (kStore*) are invisible here — the page engine's restart
+  /// pass scans them itself.
+  const std::map<TxnId, TxnLogState>& Scan() const { return proto_index_; }
 
-  /// Transactions that this site prepared (voted YES) but whose outcome
-  /// it never learned — the "in doubt" set the recovery protocol must
-  /// resolve. Sorted by TxnId so recovery reinstates in a canonical
-  /// order regardless of the scan's hash-map iteration order.
+  /// The decision this site logged for `txn`, as coordinator or as
+  /// participant (true = commit); nullopt if it logged none. This is
+  /// the site's one answer to "what happened to T?": it survives crashes
+  /// and head truncation.
+  std::optional<bool> Decision(const TxnId& txn) const;
+
+  // Recovery lists, each sorted by TxnId so recovery acts in one
+  // canonical order on every run. All three read open transactions
+  // only.
+
+  /// Prepared records of transactions that committed but were never
+  /// applied here: the crash hit between learning the decision and
+  /// applying it, so recovery re-applies their writes.
+  std::vector<WalRecord> CommittedUnapplied() const;
+
+  /// Prepared records of transactions that this site voted YES on but
+  /// whose outcome it never learned — the "in doubt" set the recovery
+  /// protocol must resolve.
   std::vector<WalRecord> InDoubt() const;
-  /// The same list derived from a Scan() the caller already holds.
-  static std::vector<WalRecord> InDoubt(
-      const std::unordered_map<TxnId, TxnLogState>& scan);
 
   /// Decisions this site (as coordinator) logged but never closed with
   /// an End record; after recovery the decision must be re-propagated to
-  /// the recorded participants. Sorted by TxnId (see InDoubt()).
+  /// the recorded participants.
   struct UnendedDecision {
     TxnId txn;
     bool commit = false;
     std::vector<SiteId> participants;
   };
   std::vector<UnendedDecision> DecidedUnended() const;
-  /// The same list derived from a Scan() the caller already holds.
-  static std::vector<UnendedDecision> DecidedUnended(
-      const std::unordered_map<TxnId, TxnLogState>& scan);
 
   // --- on-disk persistence ---
   // The simulation treats the in-memory Wal as durable; these let a
@@ -261,44 +279,21 @@ class Wal {
   Status LoadFromFile(const std::string& path, size_t* dropped = nullptr);
 
  private:
-  /// Cumulative protocol bits for one transaction — the digest that
-  /// outlives head truncation. first_lsn anchors ProtocolBarrier();
-  /// coordinator means this site logged the decision with a participant
-  /// list (so kEnd, not kApplied, closes the transaction here).
-  struct ProtoState {
-    Lsn first_lsn = kNoLsn;
-    bool prepared = false;
-    bool precommitted = false;
-    bool decided = false;
-    bool commit = false;
-    bool applied = false;
-    bool ended = false;
-    bool coordinator = false;
-
-    /// A closed transaction's records are safe to truncate: the digest
-    /// alone answers every later query about it.
-    bool Closed() const {
-      return decided && (!prepared || applied) && (!coordinator || ended);
-    }
-    /// An open transaction pins the protocol barrier at first_lsn.
-    bool Open() const { return first_lsn != kNoLsn && !Closed(); }
-  };
-
   Status DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
                          size_t* dropped);
   void IndexRecord(const WalRecord& record, Lsn lsn);
   /// Replaces the digest with `digest` (the truncated prefix's entries)
   /// and rebuilds both indexes from it plus the retained records.
-  void Reindex(std::map<TxnId, ProtoState> digest);
+  void Reindex(std::map<TxnId, TxnLogState> digest);
 
   std::vector<WalRecord> records_;
   /// Records reclaimed from the head; records_[i] has LSN base_ + i + 1.
   Lsn base_ = 0;
   Lsn master_ = kNoLsn;
-  /// Incremental per-transaction protocol digest (see ProtoState).
+  /// Incremental per-transaction protocol digest (see TxnLogState).
   /// Survives truncation; serialized for transactions whose records
   /// were truncated so a saved log reloads with identical Scan() state.
-  std::map<TxnId, ProtoState> proto_index_;
+  std::map<TxnId, TxnLogState> proto_index_;
   /// The Open() entries of proto_index_, ordered by (first_lsn, txn):
   /// ProtocolBarrier() is the first element. IndexRecord moves an entry
   /// only when its transaction opens, closes or lowers its first_lsn. A

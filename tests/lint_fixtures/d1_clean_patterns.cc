@@ -43,3 +43,13 @@ std::string RenderMap(const std::map<unsigned, int>& ordered) {
   for (const auto& [k, v] : ordered) out.append(std::to_string(k));
   return out;
 }
+
+// `auto` from a function returning an ordered container stays clean,
+// even when the loop over it emits.
+std::map<unsigned, int> Snapshot();
+std::string RenderSnapshot() {
+  auto snap = Snapshot();
+  std::string out;
+  for (const auto& [k, v] : snap) out.append(std::to_string(k));
+  return out;
+}

@@ -2,7 +2,7 @@
 // hash map and pushed the in-doubt transactions into the reinstatement
 // list in iteration order — so the order recovery re-prepared them (and
 // every trace line downstream) depended on the standard library's hash
-// layout. rainbow_lint rule D1 must flag both loop shapes.
+// layout. rainbow_lint rule D1 must flag every loop shape below.
 //
 // EXPECT-LINT lines are consumed by tests/lint_test.cc: each names the
 // rule that must fire on that exact line.
@@ -33,6 +33,16 @@ std::vector<unsigned> InDoubtViaCall() {
   // Iterating the returned temporary is exactly as hash-ordered as the
   // named variable above.
   for (const auto& [txn, st] : Scan()) {  // EXPECT-LINT: D1
+    if (st.prepared && !st.decided) out.push_back(txn);
+  }
+  return out;
+}
+
+std::vector<unsigned> InDoubtViaAuto() {
+  // `auto` takes the hash map type from Scan()'s declaration.
+  auto recovered = Scan();
+  std::vector<unsigned> out;
+  for (const auto& [txn, st] : recovered) {  // EXPECT-LINT: D1
     if (st.prepared && !st.decided) out.push_back(txn);
   }
   return out;

@@ -89,7 +89,7 @@ TEST(LintFixtures, GoldenFindingsPerRule) {
 
 // The acceptance fixture: the exact Wal::InDoubt shape PR 7 fixed
 // (hash-map scan pushed into a recovery-visible list) must be caught
-// by D1 in both its range-for and iterator-loop forms.
+// by D1 in its range-for, `auto`-variable and iterator-loop forms.
 TEST(LintFixtures, WalInDoubtHashOrderPatternIsFlaggedByD1) {
   Report report =
       LintFile(FixtureDir() + "/d1_wal_indoubt_hash_order.cc");
@@ -97,8 +97,9 @@ TEST(LintFixtures, WalInDoubtHashOrderPatternIsFlaggedByD1) {
   for (const Finding& f : report.findings) {
     if (f.rule == "D1" && !f.suppressed) ++d1;
   }
-  EXPECT_EQ(d1, 3) << "range-for over a named hash map, over a returned "
-                      "temporary, and an iterator loop must all be flagged";
+  EXPECT_EQ(d1, 4) << "range-for over a named hash map, over a returned "
+                      "temporary, over an `auto` copy of one, and an "
+                      "iterator loop must all be flagged";
 }
 
 TEST(LintFixtures, CleanPatternsStayClean) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "core/system.h"
 #include "workload/workload.h"
@@ -87,6 +88,64 @@ TEST_F(SiteTest, PresumedAbortForUnknownHomeTxn) {
   const auto& info = std::get<DecisionInfo>(infos[0].payload);
   EXPECT_TRUE(info.known);
   EXPECT_FALSE(info.commit);
+}
+
+TEST_F(SiteTest, DecisionsSurviveHeadTruncationAndCrash) {
+  // A site answers "what happened to T?" from its WAL digest alone.
+  // Commit transactions under a short checkpoint interval until the
+  // head of both logs is truncated past one of them, crash and recover
+  // its home and a participant, and both must still answer for it.
+  SystemConfig cfg = BaseConfig();
+  cfg.protocols.checkpoint_interval = 8;
+  Build(std::move(cfg));
+  std::vector<TxnId> committed;
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(sys_->Submit(0, TxnProgram{{Op::Write(i % 10, i)}, ""},
+                             [&](const TxnOutcome& o) {
+                               if (o.committed) committed.push_back(o.id);
+                             })
+                    .ok());
+    sys_->RunFor(Millis(20));
+  }
+  // A transaction site 1 prepared, whose records both logs reclaimed.
+  auto truncated = [](const Wal& wal, TxnId t) {
+    auto it = wal.Scan().find(t);
+    return it != wal.Scan().end() && it->second.first_lsn <= wal.base();
+  };
+  const Wal& home_wal = sys_->site(0)->wal();
+  const Wal& part_wal = sys_->site(1)->wal();
+  auto it = std::find_if(committed.begin(), committed.end(), [&](TxnId t) {
+    return truncated(home_wal, t) && truncated(part_wal, t) &&
+           part_wal.Scan().at(t).prepared;
+  });
+  ASSERT_NE(it, committed.end());
+  const TxnId txn = *it;
+
+  for (SiteId s : {0u, 1u}) sys_->CrashSite(s);
+  sys_->RunFor(Millis(10));
+  for (SiteId s : {0u, 1u}) sys_->RecoverSite(s);
+  sys_->RunFor(Millis(10));
+
+  const TxnId stranger{0, 999};
+  sys_->net().Send(kProbe, 0, DecisionQuery{txn, kProbe});
+  sys_->net().Send(kProbe, 0, DecisionQuery{stranger, kProbe});
+  sys_->net().Send(kProbe, 1, StateQuery{txn, kProbe});
+  sys_->RunFor(Millis(10));
+  std::map<TxnId, DecisionInfo> infos;
+  for (const Message& m : ProbeReceived(MessageKind::kDecisionInfo)) {
+    const auto& info = std::get<DecisionInfo>(m.payload);
+    infos[info.txn] = info;
+  }
+  ASSERT_EQ(infos.size(), 2u);
+  EXPECT_TRUE(infos[txn].known);
+  EXPECT_TRUE(infos[txn].commit);
+  // Presumed abort still covers a transaction the home never logged.
+  EXPECT_TRUE(infos[stranger].known);
+  EXPECT_FALSE(infos[stranger].commit);
+  auto states = ProbeReceived(MessageKind::kStateReply);
+  ASSERT_EQ(states.size(), 1u);
+  EXPECT_EQ(std::get<StateReply>(states[0].payload).state,
+            AcpState::kCommitted);
 }
 
 TEST_F(SiteTest, PeerWithoutRecordAnswersUnknown) {

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <optional>
+#include <utility>
 
 #include "common/binary_io.h"
 #include "common/rng.h"
@@ -607,9 +609,9 @@ TEST(WalTest, TruncateBeforeKeepsLsnsStable) {
 
 TEST(WalTest, ScanAnswersFromDigestAfterTruncation) {
   // Close a transaction completely (prepared -> commit -> applied),
-  // truncate its records away, and the scan-backed recovery queries
-  // must answer exactly as before: decided_cache_ rebuilds depend on
-  // this surviving checkpoint-time head reclamation.
+  // truncate its records away, and the digest-backed queries must
+  // answer exactly as before: a site answers decision queries from the
+  // digest, so it must survive checkpoint-time head reclamation.
   Wal wal;
   TxnId closed{0, 1}, open{0, 2};
   wal.Append(Prepared(closed, {{1, 10, 1}}, {0, 1}));
@@ -629,6 +631,8 @@ TEST(WalTest, ScanAnswersFromDigestAfterTruncation) {
   EXPECT_TRUE(scan[closed].commit);
   EXPECT_TRUE(scan[closed].applied);
   EXPECT_FALSE(wal.IsPreparedUndecided(closed));
+  EXPECT_EQ(wal.Decision(closed), std::optional<bool>(true));
+  EXPECT_EQ(wal.Decision(open), std::nullopt);
 
   // The in-doubt txn kept its full prepared record.
   auto doubts = wal.InDoubt();
@@ -833,6 +837,91 @@ TEST(WalTest, ForgedRecordCountReturnsStatus) {
   EXPECT_EQ(target.Deserialize(v2).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(target.DeserializeTolerant(v2).code(), StatusCode::kIoError);
   EXPECT_EQ(target.size(), 1u);
+}
+
+TEST(WalTest, DigestEntryForOpenTruncatedTxnRejected) {
+  // Regression: the v4 loader accepted a digest entry for an open
+  // transaction whose records were truncated. Nothing can resolve such
+  // an entry — InDoubt() returned a default record for it and
+  // ProtocolBarrier() fell below the retained log — so the loader must
+  // reject it, and any entry anchored outside the truncated prefix.
+  constexpr uint8_t kPrepared = 1u << 0, kDecided = 1u << 2,
+                    kCommit = 1u << 3, kApplied = 1u << 4,
+                    kCoordinator = 1u << 6;
+  auto forge = [](uint8_t flags, Lsn first_lsn) {
+    Encoder e;
+    e.PutU32(0x4c415752);  // "RWAL"
+    e.PutU32(4);
+    e.PutU64(kNoLsn);  // master
+    e.PutU64(5);       // base
+    e.PutU32(1);       // digest entries
+    e.PutTxnId(TxnId{2, 7});
+    e.PutU8(flags);
+    e.PutU64(first_lsn);
+    e.PutU32(0);  // records
+    return e.Take();
+  };
+  const uint8_t closed = kPrepared | kDecided | kCommit | kApplied;
+  const std::pair<uint8_t, Lsn> hostile[] = {
+      {kPrepared, 3},                     // in doubt
+      {kPrepared | kDecided | kCommit, 3},  // committed, not applied
+      {kDecided | kCoordinator, 3},       // coordinator, no kEnd
+      {closed, kNoLsn},
+      {closed, 6},  // past base
+  };
+  Wal target;
+  target.Append(Prepared(TxnId{9, 9}, {}, {0}));
+  for (const auto& [flags, first_lsn] : hostile) {
+    std::vector<uint8_t> buf = forge(flags, first_lsn);
+    EXPECT_EQ(target.Deserialize(buf).code(), StatusCode::kInvalidArgument)
+        << int{flags} << "@" << first_lsn;
+    EXPECT_EQ(target.DeserializeTolerant(buf).code(), StatusCode::kIoError)
+        << int{flags} << "@" << first_lsn;
+    EXPECT_EQ(target.size(), 1u);  // unchanged
+  }
+  // A closed entry inside the truncated prefix is what a save writes.
+  ASSERT_TRUE(target.Deserialize(forge(closed, 3)).ok());
+  EXPECT_EQ(target.base(), 5u);
+  EXPECT_EQ(target.Decision(TxnId{2, 7}), std::optional<bool>(true));
+  EXPECT_TRUE(target.InDoubt().empty());
+  EXPECT_EQ(target.ProtocolBarrier(), target.NextLsn());
+}
+
+TEST(WalTest, ReopenedTruncatedTxnSavesAsClosedDigestEntry) {
+  // Two transactions close and are truncated away, then a late
+  // kPrepared and a late coordinator decision reopen them. The save
+  // writes their digest entries closed (the loader rejects open ones),
+  // and the reload rebuilds the reopened state from the retained
+  // records.
+  Wal wal;
+  TxnId part{0, 1}, coord{1, 2};
+  wal.Append(Decision(WalRecordKind::kAbortDecision, part));
+  wal.Append(Decision(WalRecordKind::kCommitDecision, coord));
+  wal.TruncateBefore(wal.ProtocolBarrier());
+  ASSERT_EQ(wal.base(), 2u);
+  wal.Append(Prepared(part, {{1, 10, 1}}, {0, 1}));
+  wal.Append(Decision(WalRecordKind::kCommitDecision, coord, {0, 2}));
+  ASSERT_TRUE(wal.Scan().at(part).Open());
+  ASSERT_TRUE(wal.Scan().at(coord).Open());
+
+  Wal loaded;
+  ASSERT_TRUE(loaded.Deserialize(wal.Serialize()).ok());
+  EXPECT_EQ(loaded.ProtocolBarrier(), wal.ProtocolBarrier());
+  for (TxnId t : {part, coord}) {
+    const Wal::TxnLogState& a = wal.Scan().at(t);
+    const Wal::TxnLogState& b = loaded.Scan().at(t);
+    EXPECT_EQ(b.first_lsn, a.first_lsn);
+    EXPECT_EQ(b.prepared, a.prepared);
+    EXPECT_EQ(b.decided, a.decided);
+    EXPECT_EQ(b.commit, a.commit);
+    EXPECT_EQ(b.applied, a.applied);
+    EXPECT_EQ(b.coordinator, a.coordinator);
+    EXPECT_EQ(b.ended, a.ended);
+  }
+  auto unended = loaded.DecidedUnended();
+  ASSERT_EQ(unended.size(), 1u);
+  EXPECT_EQ(unended[0].txn, coord);
+  EXPECT_EQ(unended[0].participants, (std::vector<SiteId>{0, 2}));
 }
 
 TEST(WalTest, FuzzedBuffersNeverCrash) {

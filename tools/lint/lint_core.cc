@@ -346,6 +346,25 @@ Decls ScanDecls(const std::vector<Token>& t) {
       d.unordered_vars.insert(last);
     }
   }
+  // `auto [const] [&*] name = obj.Fn(` where Fn returns an unordered
+  // container: the variable is as hash-ordered as a declared map. A
+  // second pass, so a function defined below its first use counts too.
+  for (size_t i = 0; i < t.size(); ++i) {
+    if (!Is(t, i, "auto")) continue;
+    size_t j = i + 1;
+    while (Is(t, j, "&") || Is(t, j, "*") || Is(t, j, "const")) ++j;
+    if (!IsIdent(t, j) || !Is(t, j + 1, "=")) continue;
+    const std::string& name = t[j].text;
+    size_t k = j + 2;
+    while (IsIdent(t, k) &&
+           (Is(t, k + 1, ".") || Is(t, k + 1, "->") || Is(t, k + 1, "::"))) {
+      k += 2;
+    }
+    if (IsIdent(t, k) && Is(t, k + 1, "(") &&
+        d.unordered_fns.count(t[k].text)) {
+      d.unordered_vars.insert(name);
+    }
+  }
   return d;
 }
 
