@@ -145,6 +145,7 @@ struct SessionReps {
   RepeatedCount committed;
   RepeatedCount aborted;
   RepeatedCount messages;
+  RepeatedCount wal_bytes;  ///< WAL bytes held at the end of the session
   std::string failure;
 
   double AllocsPerTxn() const {
@@ -161,6 +162,7 @@ struct SessionReps {
     bool ok = allocs.Check("allocation count");
     ok = committed.Check("committed transactions") && ok;
     ok = aborted.Check("aborted transactions") && ok;
+    ok = wal_bytes.Check("WAL bytes") && ok;
     return messages.Check("network messages") && ok;
   }
 };
@@ -183,6 +185,7 @@ inline SessionReps TimeSession(int reps, const SystemConfig& system,
     s.committed.Record(result->committed);
     s.aborted.Record(result->aborted);
     s.messages.Record(result->net_messages);
+    s.wal_bytes.Record(result->wal_resident_bytes);
   });
   return s;
 }

@@ -11,7 +11,10 @@
 // are gated with loose ratio bounds the way M6 gates its macro section.
 // Wall time is the median of kReps repetitions after one untimed
 // warm-up run; every repetition must read the same committed
-// transactions, messages and allocations.
+// transactions, messages, allocations and WAL bytes. wal_bytes_max, the
+// bytes the 128 sites' logs hold at the end of the drive, is gated
+// exactly: it moves only when the log's in-memory form or the
+// checkpoint/truncation cadence does.
 //
 // Flags:
 //   --out FILE    write the JSON report here (nothing is written without it)
@@ -71,6 +74,7 @@ int Main(int argc, char** argv) {
   report.Add("committed", static_cast<double>(s.committed.value));
   report.Add("aborted", static_cast<double>(s.aborted.value));
   report.Add("net_messages", static_cast<double>(s.messages.value));
+  report.Add("wal_bytes_max", static_cast<double>(s.wal_bytes.value));
 
   return bench::RunChecks(
       args, report, s.Check(),
@@ -80,6 +84,7 @@ int Main(int argc, char** argv) {
         // must regenerate the baseline in the same PR (bench/README.md).
         pass &= CheckExact(baseline, current, "committed");
         pass &= CheckExact(baseline, current, "net_messages");
+        pass &= CheckExact(baseline, current, "wal_bytes_max");
         // Wall-time-shaped metrics (medians): 2x bounds — this run is an
         // order of magnitude longer than M6's macro section and its wall
         // time swings ~40% between cold and warm runs on small CI boxes.

@@ -70,6 +70,32 @@ class Encoder {
   size_t base_ = 0;
 };
 
+/// The Put* surface of Encoder without the writes: adds up the bytes an
+/// Encoder would append, so a payload's size follows the same per-field
+/// description as its encoding (the message codec's EncodedPayloadSize,
+/// the WAL's pre-sized record append).
+class SizeCounter {
+ public:
+  void PutU8(uint8_t) { n_ += 1; }
+  void PutU32(uint32_t) { n_ += 4; }
+  void PutU64(uint64_t) { n_ += 8; }
+  void PutI64(int64_t) { n_ += 8; }
+  void PutBool(bool) { n_ += 1; }
+  void PutTxnId(const TxnId&) { n_ += 4 + 8; }
+  void PutTimestamp(const TxnTimestamp&) { n_ += 8 + 4; }
+
+  template <typename T, typename F>
+  void PutVector(const std::vector<T>& v, F put_one) {
+    PutU32(0);
+    for (const T& x : v) put_one(x);
+  }
+
+  size_t size() const { return n_; }
+
+ private:
+  size_t n_ = 0;
+};
+
 /// Bounds-checked binary reader over an encoded buffer. Every getter
 /// fails with kInvalidArgument on truncation instead of reading past
 /// the end.

@@ -44,6 +44,9 @@ struct SessionResult {
   int64_t max_blocked_us = 0;
 
   double load_cv = 0;
+  /// Bytes the sites' write-ahead logs hold at the end of the session
+  /// (Wal::resident_bytes summed over sites).
+  uint64_t wal_resident_bytes = 0;
 
   std::string stats_table;   ///< full §3 rendering
   std::string session_log;   ///< Figure-5 lines (when kept)

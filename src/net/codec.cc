@@ -36,31 +36,6 @@ Result<std::vector<int>> GetVotes(Decoder& d) {
   return out;
 }
 
-/// The Put* surface of Encoder without the writes: adds up the bytes an
-/// Encoder would append, so EncodedPayloadSize() follows the same
-/// per-field description as the encoder itself.
-class SizeCounter {
- public:
-  void PutU8(uint8_t) { n_ += 1; }
-  void PutU32(uint32_t) { n_ += 4; }
-  void PutU64(uint64_t) { n_ += 8; }
-  void PutI64(int64_t) { n_ += 8; }
-  void PutBool(bool) { n_ += 1; }
-  void PutTxnId(const TxnId&) { n_ += 4 + 8; }
-  void PutTimestamp(const TxnTimestamp&) { n_ += 8 + 4; }
-
-  template <typename T, typename F>
-  void PutVector(const std::vector<T>& v, F put_one) {
-    PutU32(0);
-    for (const T& x : v) put_one(x);
-  }
-
-  size_t size() const { return n_; }
-
- private:
-  size_t n_ = 0;
-};
-
 /// One overload per payload type: the only per-field description of a
 /// message. `Sink` is Encoder (writes the bytes) or SizeCounter (counts
 /// them).

@@ -120,25 +120,35 @@ std::optional<PageId> BPlusTree::LeafOf(ItemId item) const {
   return leaf;
 }
 
-void BPlusTree::Scan(ItemId from, size_t limit,
-                     std::vector<std::pair<ItemId, ItemCopy>>& out) const {
+void BPlusTree::ForEach(
+    ItemId from, size_t limit,
+    const std::function<void(ItemId, const ItemCopy&)>& visit) const {
   PageId cur = FindLeaf(from);
   if (cur == kInvalidPageId) cur = leftmost_leaf_;
   // Leaf-chain hop bound, for the same reason as FindLeaf's.
   uint32_t hops = disk_->allocated_pages() + 1;
-  while (cur != kInvalidPageId && out.size() < limit && hops-- > 0) {
+  size_t visited = 0;
+  while (cur != kInvalidPageId && visited < limit && hops-- > 0) {
     Page* page = pool_->FetchPage(cur);
     if (page == nullptr) return;
     uint32_t count = std::min(Count(*page), leaf_cap_);
     for (uint32_t i = LeafLowerBound(*page, count, from);
-         i < count && out.size() < limit; ++i) {
+         i < count && visited < limit; ++i, ++visited) {
       LeafEntry e = ReadLeaf(*page, i);
-      out.emplace_back(e.item, ItemCopy{e.value, e.version});
+      visit(e.item, ItemCopy{e.value, e.version});
     }
     PageId next = page->ReadU32(kOffLink);
     pool_->UnpinPage(cur, false);
     cur = next;
   }
+}
+
+void BPlusTree::Scan(ItemId from, size_t limit,
+                     std::vector<std::pair<ItemId, ItemCopy>>& out) const {
+  ForEach(from, limit > out.size() ? limit - out.size() : 0,
+          [&out](ItemId item, const ItemCopy& copy) {
+            out.emplace_back(item, copy);
+          });
 }
 
 uint32_t BPlusTree::height() const {

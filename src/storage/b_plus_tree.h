@@ -2,6 +2,7 @@
 #define RAINBOW_STORAGE_B_PLUS_TREE_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -72,8 +73,13 @@ class BPlusTree {
   /// The leaf page currently holding `item` (for logging page ids).
   std::optional<PageId> LeafOf(ItemId item) const;
 
-  /// Appends up to `limit` entries with item >= `from`, ascending,
-  /// walking the leaf chain.
+  /// Calls `visit` on up to `limit` entries with item >= `from`,
+  /// ascending, walking the leaf chain.
+  void ForEach(ItemId from, size_t limit,
+               const std::function<void(ItemId, const ItemCopy&)>& visit) const;
+
+  /// Appends entries with item >= `from`, ascending, until `out` holds
+  /// `limit` entries or the leaf chain ends.
   void Scan(ItemId from, size_t limit,
             std::vector<std::pair<ItemId, ItemCopy>>& out) const;
 

@@ -460,13 +460,12 @@ RestartSummary PageStore::Restart() {
 
   // Invariant sweep: after undo no page may hold a tentative version.
   // (With checksums disabled a storage fault can forge arbitrary page
-  // bytes, so the invariant only binds when the defense is on.)
-  std::vector<std::pair<ItemId, ItemCopy>> all;
-  tree_.Scan(0, tree_.size(), all);
-  for (const auto& [item, copy] : all) {
-    (void)item;
+  // bytes, so the invariant only binds when the defense is on.) It
+  // counts in place: a copy of the tree would cost restart a fresh
+  // allocation the size of the data.
+  tree_.ForEach(0, tree_.size(), [&summary](ItemId, const ItemCopy& copy) {
     if ((copy.version & kTentativeBit) != 0) ++summary.tentative_leaks;
-  }
+  });
   assert(summary.tentative_leaks == 0 || !opts_.page_checksums);
   return summary;
 }

@@ -1,6 +1,8 @@
 #include "storage/wal.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstdio>
 #include <cstring>
 
@@ -41,13 +43,6 @@ const char* WalRecordKindName(WalRecordKind k) {
       return "checkpoint_end";
   }
   return "?";
-}
-
-Lsn Wal::Append(WalRecord record) {
-  Lsn lsn = NextLsn();
-  IndexRecord(record, lsn);
-  records_.push_back(std::move(record));
-  return lsn;
 }
 
 void Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
@@ -98,24 +93,15 @@ void Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
   if (open) open_txns_.emplace(st.first_lsn, record.txn);
 }
 
-void Wal::Reindex(std::map<TxnId, TxnLogState> digest) {
-  proto_index_ = std::move(digest);
-  open_txns_.clear();
-  for (const auto& [txn, st] : proto_index_) {
-    if (st.Open()) open_txns_.emplace(st.first_lsn, txn);
-  }
-  // Retained records rebuild the rest incrementally, min-merging
-  // first_lsn where a digest entry also exists.
-  Lsn lsn = base_;
-  for (const WalRecord& r : records_) IndexRecord(r, ++lsn);
-}
-
 size_t Wal::TruncateBefore(Lsn lsn) {
   if (lsn <= base_ + 1) return 0;
   Lsn limit = std::min(lsn, NextLsn());
   size_t drop = static_cast<size_t>(limit - base_ - 1);
-  records_.erase(records_.begin(),
-                 records_.begin() + static_cast<ptrdiff_t>(drop));
+  const uint64_t cut = drop < offsets_.size() ? offsets_[drop] : log_.size();
+  log_.erase(log_.begin(), log_.begin() + static_cast<ptrdiff_t>(cut));
+  offsets_.erase(offsets_.begin(),
+                 offsets_.begin() + static_cast<ptrdiff_t>(drop));
+  for (uint64_t& off : offsets_) off -= cut;
   base_ = limit - 1;
   // A master inside the reclaimed prefix no longer names a record;
   // analysis would fall back to a full (retained-log) scan anyway, so
@@ -204,7 +190,99 @@ constexpr uint8_t kDigestApplied = 1u << 4;
 constexpr uint8_t kDigestEnded = 1u << 5;
 constexpr uint8_t kDigestCoordinator = 1u << 6;
 
-void EncodeRecordPayload(Encoder& e, const WalRecord& r) {
+/// A Result<T> stand-in that is always ok: what LogReader's getters
+/// return, so RAINBOW_ASSIGN_OR_RETURN's error branch folds away.
+template <typename T>
+struct AlwaysOk {
+  T v;
+  static constexpr bool ok() { return true; }
+  Status status() const { return Status::OK(); }
+  T value() && { return v; }
+};
+
+/// Decoder's Get* surface over the payloads a Wal holds. Append wrote
+/// them, or a loader validated them with the checked Decoder first, so
+/// no read can fail or run past its record.
+class LogReader {
+ public:
+  explicit LogReader(const uint8_t* p) : p_(p) {}
+
+  AlwaysOk<uint8_t> GetU8() { return {*p_++}; }
+  AlwaysOk<uint32_t> GetU32() { return {Load<uint32_t>()}; }
+  AlwaysOk<uint64_t> GetU64() { return {Load<uint64_t>()}; }
+  AlwaysOk<int64_t> GetI64() {
+    return {static_cast<int64_t>(Load<uint64_t>())};
+  }
+  AlwaysOk<bool> GetBool() { return {*p_++ != 0}; }
+  AlwaysOk<TxnId> GetTxnId() {
+    TxnId id;
+    id.home = Load<uint32_t>();
+    id.seq = Load<uint64_t>();
+    return {id};
+  }
+
+ private:
+  // The payloads are little-endian; on a little-endian host one memcpy
+  // reads a field.
+  template <typename T>
+  T Load() {
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, p_, sizeof(T));
+    } else {
+      for (size_t i = 0; i < sizeof(T); ++i) {
+        v |= static_cast<T>(p_[i]) << (8 * i);
+      }
+    }
+    p_ += sizeof(T);
+    return v;
+  }
+
+  const uint8_t* p_;
+};
+
+/// Encoder's Put* surface over a slot already sized with SizeCounter.
+class SlotWriter {
+ public:
+  explicit SlotWriter(uint8_t* p) : p_(p) {}
+
+  void PutU8(uint8_t v) { *p_++ = v; }
+  void PutU32(uint32_t v) { Store(v); }
+  void PutU64(uint64_t v) { Store(v); }
+  void PutI64(int64_t v) { Store(static_cast<uint64_t>(v)); }
+  void PutBool(bool v) { PutU8(v ? 1 : 0); }
+  void PutTxnId(const TxnId& id) {
+    PutU32(id.home);
+    PutU64(id.seq);
+  }
+  template <typename T, typename F>
+  void PutVector(const std::vector<T>& v, F put_one) {
+    PutU32(static_cast<uint32_t>(v.size()));
+    for (const T& x : v) put_one(x);
+  }
+
+  const uint8_t* end() const { return p_; }
+
+ private:
+  template <typename T>
+  void Store(T v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(p_, &v, sizeof(T));
+    } else {
+      for (size_t i = 0; i < sizeof(T); ++i) {
+        p_[i] = static_cast<uint8_t>(v >> (8 * i));
+      }
+    }
+    p_ += sizeof(T);
+  }
+
+  uint8_t* p_;
+};
+
+/// The only per-field description of a record. `Sink` is SizeCounter
+/// (sizes the slot) or SlotWriter (fills it).
+template <typename Sink>
+void EncodeRecordPayload(Sink& e, const WalRecord& r) {
   e.PutU8(static_cast<uint8_t>(r.kind));
   e.PutTxnId(r.txn);
   e.PutU32(r.coordinator);
@@ -236,8 +314,24 @@ void EncodeRecordPayload(Encoder& e, const WalRecord& r) {
   }
 }
 
-Result<WalRecord> DecodeRecordPayload(Decoder& d, uint32_t version) {
-  WalRecord r;
+/// Reserves room for `n` vector elements of `bytes_each` encoded bytes.
+/// A count read from a file is trusted only as far as the bytes left
+/// can hold it, so a forged count cannot exhaust memory.
+template <typename T>
+void Reserve(const Decoder& d, std::vector<T>& v, uint32_t n,
+             size_t bytes_each) {
+  if (n <= d.remaining() / bytes_each) v.reserve(n);
+}
+template <typename T>
+void Reserve(const LogReader&, std::vector<T>& v, uint32_t n, size_t) {
+  v.reserve(n);
+}
+
+/// Decodes one record payload of the given file version into `r`.
+/// `Source` is Decoder (files and hostile input: every read checked) or
+/// LogReader (the log's own bytes).
+template <typename Source>
+Status DecodeRecordPayload(Source& d, uint32_t version, WalRecord& r) {
   RAINBOW_ASSIGN_OR_RETURN(uint8_t kind, d.GetU8());
   uint8_t max_kind = static_cast<uint8_t>(WalRecordKind::kCheckpointEnd);
   if (version == 1) max_kind = static_cast<uint8_t>(WalRecordKind::kEnd);
@@ -249,6 +343,7 @@ Result<WalRecord> DecodeRecordPayload(Decoder& d, uint32_t version) {
   RAINBOW_ASSIGN_OR_RETURN(r.txn, d.GetTxnId());
   RAINBOW_ASSIGN_OR_RETURN(r.coordinator, d.GetU32());
   RAINBOW_ASSIGN_OR_RETURN(uint32_t writes, d.GetU32());
+  Reserve(d, r.writes, writes, 4 + 8 + 8);
   for (uint32_t w = 0; w < writes; ++w) {
     WalRecord::Write write;
     RAINBOW_ASSIGN_OR_RETURN(write.item, d.GetU32());
@@ -257,6 +352,7 @@ Result<WalRecord> DecodeRecordPayload(Decoder& d, uint32_t version) {
     r.writes.push_back(write);
   }
   RAINBOW_ASSIGN_OR_RETURN(uint32_t participants, d.GetU32());
+  Reserve(d, r.participants, participants, 4);
   for (uint32_t p = 0; p < participants; ++p) {
     RAINBOW_ASSIGN_OR_RETURN(SiteId s, d.GetU32());
     r.participants.push_back(s);
@@ -275,6 +371,7 @@ Result<WalRecord> DecodeRecordPayload(Decoder& d, uint32_t version) {
   }
   if (r.kind == WalRecordKind::kCheckpointEnd) {
     RAINBOW_ASSIGN_OR_RETURN(uint32_t att, d.GetU32());
+    Reserve(d, r.checkpoint.att, att, 4 + 8 + 8);
     for (uint32_t a = 0; a < att; ++a) {
       std::pair<TxnId, Lsn> entry;
       RAINBOW_ASSIGN_OR_RETURN(entry.first, d.GetTxnId());
@@ -282,6 +379,7 @@ Result<WalRecord> DecodeRecordPayload(Decoder& d, uint32_t version) {
       r.checkpoint.att.push_back(entry);
     }
     RAINBOW_ASSIGN_OR_RETURN(uint32_t dpt, d.GetU32());
+    Reserve(d, r.checkpoint.dpt, dpt, 4 + 8);
     for (uint32_t p = 0; p < dpt; ++p) {
       std::pair<uint32_t, Lsn> entry;
       RAINBOW_ASSIGN_OR_RETURN(entry.first, d.GetU32());
@@ -289,7 +387,7 @@ Result<WalRecord> DecodeRecordPayload(Decoder& d, uint32_t version) {
       r.checkpoint.dpt.push_back(entry);
     }
   }
-  return r;
+  return Status::OK();
 }
 
 void AppendU32(std::vector<uint8_t>& out, uint32_t v) {
@@ -299,6 +397,39 @@ void AppendU32(std::vector<uint8_t>& out, uint32_t v) {
 }
 
 }  // namespace
+
+Lsn Wal::Append(const WalRecord& record) {
+  SizeCounter size;
+  EncodeRecordPayload(size, record);
+  SlotWriter slot(Extend(size.size()));
+  EncodeRecordPayload(slot, record);
+  assert(slot.end() == log_.data() + log_.size());
+  IndexRecord(record, LastLsn());
+  return LastLsn();
+}
+
+uint8_t* Wal::Extend(size_t n) {
+  const size_t start = log_.size();
+  log_.resize(start + n);
+  offsets_.push_back(start);
+  return log_.data() + start;
+}
+
+std::span<const uint8_t> Wal::Payload(size_t i) const {
+  const uint64_t end = i + 1 < offsets_.size() ? offsets_[i + 1] : log_.size();
+  return {log_.data() + offsets_[i], static_cast<size_t>(end - offsets_[i])};
+}
+
+WalRecord Wal::At(Lsn lsn) const {
+  assert(Contains(lsn));
+  const size_t i = static_cast<size_t>(lsn - base_ - 1);
+  LogReader reader(log_.data() + offsets_[i]);
+  WalRecord r;
+  [[maybe_unused]] Status decoded =
+      DecodeRecordPayload(reader, kWalVersion, r);
+  assert(decoded.ok());
+  return r;
+}
 
 std::vector<uint8_t> Wal::Serialize() const {
   Encoder header;
@@ -336,12 +467,11 @@ std::vector<uint8_t> Wal::Serialize() const {
     header.PutU8(flags);
     header.PutU64(st.first_lsn);
   }
-  header.PutU32(static_cast<uint32_t>(records_.size()));
+  header.PutU32(static_cast<uint32_t>(size()));
   std::vector<uint8_t> out = header.Take();
-  for (const WalRecord& r : records_) {
-    Encoder pe;
-    EncodeRecordPayload(pe, r);
-    std::vector<uint8_t> payload = pe.Take();
+  out.reserve(out.size() + log_.size() + size() * kFrameHeaderBytes);
+  for (size_t i = 0; i < size(); ++i) {
+    std::span<const uint8_t> payload = Payload(i);
     AppendU32(out, static_cast<uint32_t>(payload.size()));
     AppendU32(out, Crc32(payload.data(), payload.size()));
     out.insert(out.end(), payload.begin(), payload.end());
@@ -378,21 +508,19 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
   };
   if (version < 3) {
     // Legacy formats: records inline, no framing, no master pointer.
+    // Their records are re-encoded in the v4 form the log holds.
     RAINBOW_ASSIGN_OR_RETURN(uint32_t count, d.GetU32());
     if (count > d.remaining() / kMinLegacyRecordBytes) return count_err();
-    std::vector<WalRecord> records;
-    records.reserve(count);
+    Wal loaded;
     for (uint32_t i = 0; i < count; ++i) {
-      RAINBOW_ASSIGN_OR_RETURN(WalRecord r, DecodeRecordPayload(d, version));
-      records.push_back(std::move(r));
+      WalRecord r;
+      RAINBOW_RETURN_IF_ERROR(DecodeRecordPayload(d, version, r));
+      loaded.Append(r);
     }
     if (!d.exhausted()) {
       return Status::InvalidArgument("trailing bytes in WAL file");
     }
-    records_ = std::move(records);
-    base_ = 0;
-    master_ = kNoLsn;
-    Reindex({});
+    *this = std::move(loaded);
     return Status::OK();
   }
   // A header cut short never finished its very first save; even the
@@ -449,8 +577,14 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
   if (count > d.remaining() / kFrameHeaderBytes + (tolerant ? 1 : 0)) {
     return count_err();
   }
-  std::vector<WalRecord> records;
-  records.reserve(count);
+  // The digest entries cover the truncated prefix; each retained record
+  // is indexed on top of them as it loads, min-merging first_lsn where
+  // an entry also exists. Every entry is closed, so none opens a
+  // protocol barrier by itself.
+  Wal loaded;
+  loaded.base_ = static_cast<Lsn>(base);
+  loaded.proto_index_ = std::move(digest);
+  loaded.offsets_.reserve(count);
   size_t off = buffer.size() - d.remaining();
   size_t drop = 0;
   for (uint32_t i = 0; i < count; ++i) {
@@ -489,33 +623,33 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
                              std::to_string(count));
     }
     Decoder pd(payload, len);
-    Result<WalRecord> rec = DecodeRecordPayload(pd, version);
-    if (!rec.ok()) {
+    WalRecord rec;
+    Status decoded = DecodeRecordPayload(pd, version, rec);
+    if (!decoded.ok()) {
       // The CRC matched, so the bytes are what was written — the record
       // itself is malformed. Never a torn tail.
-      return tolerant ? Status::IoError("bad WAL record payload")
-                      : rec.status();
+      return tolerant ? Status::IoError("bad WAL record payload") : decoded;
     }
     if (!pd.exhausted()) {
       return tolerant ? Status::IoError("trailing bytes in WAL record")
                       : Status::InvalidArgument("trailing bytes in WAL record");
     }
-    records.push_back(std::move(rec).value());
+    // A v3/v4 payload that decodes cleanly and exactly is the v4
+    // encoding of `rec`, so the log keeps the file's bytes.
+    std::memcpy(loaded.Extend(len), payload, len);
+    loaded.IndexRecord(rec, loaded.LastLsn());
     off += kFrameHeaderBytes + len;
   }
   if (!tolerant && off != buffer.size()) {
     return Status::InvalidArgument("trailing bytes in WAL file");
   }
-  records_ = std::move(records);
-  base_ = static_cast<Lsn>(base);
   // The master is advisory (analysis falls back to a full scan when it
   // finds no checkpoint); clamp rather than fail if the tail truncation
   // dropped the records it pointed at, and clear it if it points into
   // the head-truncated prefix (a malformed header, not a real save).
-  master_ = std::min<Lsn>(master, LastLsn());
-  if (master_ <= base_) master_ = kNoLsn;
-  // Digest entries cover the truncated prefix.
-  Reindex(std::move(digest));
+  loaded.master_ = std::min<Lsn>(master, loaded.LastLsn());
+  if (loaded.master_ <= loaded.base_) loaded.master_ = kNoLsn;
+  *this = std::move(loaded);
   if (dropped != nullptr) *dropped = drop;
   return Status::OK();
 }

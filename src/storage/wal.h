@@ -1,10 +1,10 @@
 #ifndef RAINBOW_STORAGE_WAL_H_
 #define RAINBOW_STORAGE_WAL_H_
 
-#include <cassert>
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,10 +15,10 @@
 namespace rainbow {
 
 /// Log sequence number: 1-based position in the site's WAL. LSNs are
-/// stable across head truncation: after TruncateBefore() the record at
-/// records()[i] has LSN base() + i + 1, and At(lsn) resolves an LSN
-/// regardless of how much head has been reclaimed. kNoLsn marks "no
-/// record" in backward chains and in freshly loaded page headers.
+/// stable across head truncation: the i-th retained record (0-based)
+/// has LSN base() + i + 1, and At(lsn) resolves an LSN regardless of how
+/// much head has been reclaimed. kNoLsn marks "no record" in backward
+/// chains and in freshly loaded page headers.
 using Lsn = uint64_t;
 inline constexpr Lsn kNoLsn = 0;
 
@@ -122,22 +122,33 @@ struct WalRecord {
 /// prepared but undecided, and decisions that were made but not fully
 /// acknowledged. The page storage engine shares this log: its kStore*
 /// records interleave with the protocol records in one LSN space.
+///
+/// In memory the retained records are kept in their wire form: one byte
+/// log holding each record's v4 file payload back to back (83 bytes
+/// plus 20 per write, 4 per participant, and for kCheckpointEnd 8 more
+/// plus 20 per ATT and 12 per dirty-page entry), and one 8-byte offset
+/// per record. Append() encodes a record once; At() decodes a copy.
+/// Serialize() only frames the stored payloads.
 class Wal {
  public:
   /// Appends and returns the record's LSN (1-based, truncation-stable).
-  Lsn Append(WalRecord record);
+  Lsn Append(const WalRecord& record);
 
-  /// The retained records: records()[i] has LSN base() + i + 1.
-  const std::vector<WalRecord>& records() const { return records_; }
   /// Number of retained (not truncated) records.
-  size_t size() const { return records_.size(); }
+  size_t size() const { return offsets_.size(); }
+
+  /// Bytes the retained records occupy in memory: their payloads plus
+  /// one offset each (vector capacity not counted).
+  size_t resident_bytes() const {
+    return log_.size() + offsets_.size() * sizeof(uint64_t);
+  }
 
   /// Number of records reclaimed from the head by TruncateBefore();
   /// the oldest retained record has LSN base() + 1.
   Lsn base() const { return base_; }
 
   /// LSN of the newest record (== base() when the log is empty).
-  Lsn LastLsn() const { return base_ + static_cast<Lsn>(records_.size()); }
+  Lsn LastLsn() const { return base_ + static_cast<Lsn>(offsets_.size()); }
 
   /// LSN the next appended record will get.
   Lsn NextLsn() const { return LastLsn() + 1; }
@@ -145,11 +156,10 @@ class Wal {
   /// True iff `lsn` names a retained record.
   bool Contains(Lsn lsn) const { return lsn > base_ && lsn <= LastLsn(); }
 
-  /// The retained record with the given LSN; asserts Contains(lsn).
-  const WalRecord& At(Lsn lsn) const {
-    assert(Contains(lsn));
-    return records_[static_cast<size_t>(lsn - base_ - 1)];
-  }
+  /// A decoded copy of the retained record with the given LSN; asserts
+  /// Contains(lsn). `const WalRecord& r = wal.At(lsn);` binds the copy,
+  /// which lives as long as `r`.
+  WalRecord At(Lsn lsn) const;
 
   /// Reclaims every record with LSN < `lsn` (clamped to the retained
   /// range) and returns how many were dropped. LSNs of the surviving
@@ -281,13 +291,20 @@ class Wal {
  private:
   Status DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
                          size_t* dropped);
+  /// Appends an `n`-byte record slot to the log and returns it; the
+  /// caller fills it with the record's payload and indexes the record.
+  uint8_t* Extend(size_t n);
+  /// The stored payload of the i-th retained record.
+  std::span<const uint8_t> Payload(size_t i) const;
   void IndexRecord(const WalRecord& record, Lsn lsn);
-  /// Replaces the digest with `digest` (the truncated prefix's entries)
-  /// and rebuilds both indexes from it plus the retained records.
-  void Reindex(std::map<TxnId, TxnLogState> digest);
 
-  std::vector<WalRecord> records_;
-  /// Records reclaimed from the head; records_[i] has LSN base_ + i + 1.
+  /// The retained records' v4 payloads, back to back.
+  std::vector<uint8_t> log_;
+  /// offsets_[i] is where the i-th retained record starts in log_; it
+  /// ends where the next one starts, the last one at log_.size().
+  std::vector<uint64_t> offsets_;
+  /// Records reclaimed from the head; the i-th retained record has LSN
+  /// base_ + i + 1.
   Lsn base_ = 0;
   Lsn master_ = kNoLsn;
   /// Incremental per-transaction protocol digest (see TxnLogState).

@@ -713,8 +713,8 @@ TEST(RecoveryTest, StrandedParticipantReadmitsStaleDecisionQuery) {
 
 size_t CountStoreKind(const Wal& wal, WalRecordKind kind) {
   size_t n = 0;
-  for (const auto& rec : wal.records()) {
-    if (rec.kind == kind) ++n;
+  for (Lsn lsn = wal.base() + 1; lsn <= wal.LastLsn(); ++lsn) {
+    if (wal.At(lsn).kind == kind) ++n;
   }
   return n;
 }

@@ -345,10 +345,13 @@ TEST_F(SiteTest, TraceRecordsProtocolFlow) {
   EXPECT_GT(CountIf(trace, TraceEventKind::kVote, yes), 0u);
   EXPECT_EQ(CountIf(trace, TraceEventKind::kDecision, yes), 1u);
   // Every participant acknowledged: the home site logged kEnd.
-  const std::vector<WalRecord>& log = sys_->site(0)->wal().records();
-  EXPECT_TRUE(std::any_of(log.begin(), log.end(), [&](const WalRecord& r) {
-    return r.kind == WalRecordKind::kEnd && r.txn == txn;
-  }));
+  const Wal& wal = sys_->site(0)->wal();
+  bool ended = false;
+  for (Lsn lsn = wal.base() + 1; lsn <= wal.LastLsn(); ++lsn) {
+    const WalRecord r = wal.At(lsn);
+    ended = ended || (r.kind == WalRecordKind::kEnd && r.txn == txn);
+  }
+  EXPECT_TRUE(ended);
   // Every record above belongs to the one transaction.
   EXPECT_EQ(trace.Transactions(), std::vector<TxnId>{txn});
 }

@@ -227,8 +227,8 @@ WalRecord Prepared(TxnId txn) {
 
 size_t CountKind(const Wal& wal, WalRecordKind kind) {
   size_t n = 0;
-  for (const auto& rec : wal.records()) {
-    if (rec.kind == kind) ++n;
+  for (Lsn lsn = wal.base() + 1; lsn <= wal.LastLsn(); ++lsn) {
+    if (wal.At(lsn).kind == kind) ++n;
   }
   return n;
 }
@@ -667,7 +667,7 @@ TEST(StoragePageStoreTest, CheckpointBoundsRestartScan) {
   ASSERT_GT(wal.size(), 1u);
   ASSERT_TRUE(wal.Contains(master));
   EXPECT_EQ(wal.At(master).kind, WalRecordKind::kCheckpointBegin);
-  EXPECT_EQ(wal.records().back().kind, WalRecordKind::kCheckpointEnd);
+  EXPECT_EQ(wal.At(wal.LastLsn()).kind, WalRecordKind::kCheckpointEnd);
 
   for (ItemId i = 0; i < 4; ++i) commit(i, static_cast<Value>(i + 200));
   auto before = store->Snapshot();

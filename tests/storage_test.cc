@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <set>
+#include <string>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -167,21 +169,19 @@ TEST(WalTest, SerializeRoundTrip) {
   Wal loaded;
   ASSERT_TRUE(loaded.Deserialize(wal.Serialize()).ok());
   ASSERT_EQ(loaded.size(), wal.size());
-  for (size_t i = 0; i < wal.size(); ++i) {
-    EXPECT_EQ(loaded.records()[i].kind, wal.records()[i].kind);
-    EXPECT_EQ(loaded.records()[i].txn, wal.records()[i].txn);
-    EXPECT_EQ(loaded.records()[i].participants,
-              wal.records()[i].participants);
-    EXPECT_EQ(loaded.records()[i].writes.size(),
-              wal.records()[i].writes.size());
+  for (Lsn lsn = wal.base() + 1; lsn <= wal.LastLsn(); ++lsn) {
+    EXPECT_EQ(loaded.At(lsn).kind, wal.At(lsn).kind);
+    EXPECT_EQ(loaded.At(lsn).txn, wal.At(lsn).txn);
+    EXPECT_EQ(loaded.At(lsn).participants, wal.At(lsn).participants);
+    EXPECT_EQ(loaded.At(lsn).writes.size(), wal.At(lsn).writes.size());
   }
   // Derived views agree too.
   EXPECT_EQ(loaded.InDoubt().size(), wal.InDoubt().size());
   EXPECT_EQ(loaded.DecidedUnended().size(), wal.DecidedUnended().size());
   // Record contents survive.
-  EXPECT_EQ(loaded.records()[0].writes[1].value, -5);
-  EXPECT_EQ(loaded.records()[0].writes[1].version, 7u);
-  EXPECT_TRUE(loaded.records()[0].three_phase);
+  EXPECT_EQ(loaded.At(1).writes[1].value, -5);
+  EXPECT_EQ(loaded.At(1).writes[1].version, 7u);
+  EXPECT_TRUE(loaded.At(1).three_phase);
 }
 
 TEST(WalTest, DeserializeRejectsCorruption) {
@@ -376,7 +376,7 @@ TEST(WalTest, StoreRecordsRoundTrip) {
   Wal loaded;
   ASSERT_TRUE(loaded.Deserialize(wal.Serialize()).ok());
   ASSERT_EQ(loaded.size(), 4u);
-  const WalRecord& lu = loaded.records()[1];
+  const WalRecord& lu = loaded.At(2);
   EXPECT_EQ(lu.kind, WalRecordKind::kStoreUpdate);
   EXPECT_EQ(lu.store.item, 4u);
   EXPECT_EQ(lu.store.before_value, 10);
@@ -385,7 +385,7 @@ TEST(WalTest, StoreRecordsRoundTrip) {
   EXPECT_EQ(lu.store.version, (1ull << 63) | 2);
   EXPECT_TRUE(lu.store.tentative);
   EXPECT_EQ(lu.prev_lsn, b);
-  const WalRecord& lc = loaded.records()[2];
+  const WalRecord& lc = loaded.At(3);
   EXPECT_EQ(lc.kind, WalRecordKind::kStoreClr);
   EXPECT_EQ(lc.undo_next_lsn, b);
 }
@@ -418,7 +418,7 @@ TEST(WalTest, DeserializePrefixPropertyNeverPartiallyApplies) {
     Status s = target.Deserialize(cut);
     EXPECT_FALSE(s.ok()) << "prefix length " << len;
     ASSERT_EQ(target.size(), 1u) << "partial apply at length " << len;
-    EXPECT_EQ(target.records()[0].kind, WalRecordKind::kStoreCommit);
+    EXPECT_EQ(target.At(1).kind, WalRecordKind::kStoreCommit);
   }
   // The full buffer still parses (the loop didn't poison the target).
   ASSERT_TRUE(target.Deserialize(good).ok());
@@ -439,8 +439,8 @@ TEST(WalTest, TolerantLoadTruncatesTornTail) {
   // Find where the last record's frame begins: serialize a 2-record log
   // of the same prefix and measure.
   Wal prefix;
-  prefix.Append(wal.records()[0]);
-  prefix.Append(wal.records()[1]);
+  prefix.Append(wal.At(1));
+  prefix.Append(wal.At(2));
   const size_t last_frame = prefix.Serialize().size();
 
   for (size_t len = last_frame; len < good.size(); ++len) {
@@ -472,7 +472,7 @@ TEST(WalTest, TolerantLoadDropsCorruptFinalRecord) {
   ASSERT_TRUE(loaded.DeserializeTolerant(bad, &dropped).ok());
   EXPECT_EQ(loaded.size(), 1u);
   EXPECT_EQ(dropped, 1u);
-  EXPECT_EQ(loaded.records()[0].txn, (TxnId{0, 1}));
+  EXPECT_EQ(loaded.At(1).txn, (TxnId{0, 1}));
 }
 
 TEST(WalTest, TolerantLoadRejectsMidLogCorruption) {
@@ -517,7 +517,7 @@ TEST(WalTest, MasterAndCheckpointRoundTrip) {
   Wal loaded;
   ASSERT_TRUE(loaded.Deserialize(wal.Serialize()).ok());
   EXPECT_EQ(loaded.master(), b);
-  const WalRecord& got = loaded.records()[2];
+  const WalRecord& got = loaded.At(3);
   EXPECT_EQ(got.kind, WalRecordKind::kCheckpointEnd);
   EXPECT_EQ(got.prev_lsn, b);
   ASSERT_EQ(got.checkpoint.att.size(), 1u);
@@ -767,12 +767,13 @@ uint32_t PeekU32(const std::vector<uint8_t>& buf, size_t off) {
 // A v2 (pre-framing) file: magic, version, record count, then the
 // records inline. Serialize() only writes v4, so the legacy layout is
 // spelled out here.
-std::vector<uint8_t> SerializeV2(const std::vector<WalRecord>& records) {
+std::vector<uint8_t> SerializeV2(const Wal& wal) {
   Encoder e;
   e.PutU32(0x4c415752);  // "RWAL"
   e.PutU32(2);
-  e.PutU32(static_cast<uint32_t>(records.size()));
-  for (const WalRecord& r : records) {
+  e.PutU32(static_cast<uint32_t>(wal.size()));
+  for (Lsn lsn = wal.base() + 1; lsn <= wal.LastLsn(); ++lsn) {
+    const WalRecord r = wal.At(lsn);
     e.PutU8(static_cast<uint8_t>(r.kind));
     e.PutTxnId(r.txn);
     e.PutU32(r.coordinator);
@@ -829,7 +830,7 @@ TEST(WalTest, ForgedRecordCountReturnsStatus) {
   EXPECT_EQ(tolerant.code(), StatusCode::kIoError) << tolerant;
   EXPECT_EQ(target.size(), 1u);  // unchanged
 
-  std::vector<uint8_t> v2 = SerializeV2(wal.records());
+  std::vector<uint8_t> v2 = SerializeV2(wal);
   Wal legacy;
   ASSERT_TRUE(legacy.Deserialize(v2).ok());
   EXPECT_EQ(legacy.size(), 2u);
@@ -939,13 +940,13 @@ TEST(WalTest, FuzzedBuffersNeverCrash) {
   Lsn open_first = wal.Append(Prepared(open, {{2, 20, 2}, {3, 30, 3}}, {1, 2}));
   wal.Append(StoreUpdate(open, 2, 0, 0, 20, 2, true, kNoLsn));
   wal.Append(Decision(WalRecordKind::kAbortDecision, coord, {0, 2}));
-  const std::vector<WalRecord> v2_records = wal.records();
+  const Wal untruncated = wal;
   wal.TruncateBefore(open_first);
   ASSERT_GT(wal.base(), 0u);
 
   const std::vector<uint8_t> v4 = wal.Serialize();
   ASSERT_EQ(PeekU32(v4, kV4DigestCountOffset), 1u);
-  const std::vector<uint8_t> v2 = SerializeV2(v2_records);
+  const std::vector<uint8_t> v2 = SerializeV2(untruncated);
   struct Case {
     const char* name;
     const std::vector<uint8_t>& good;
@@ -1199,4 +1200,358 @@ TEST(WalTest, ProtocolBarrierMatchesReferenceScan) {
 }
 
 }  // namespace
+// --- the log's wire form ---------------------------------------------------
+
+// Field-by-field equality, naming the first field that differs.
+::testing::AssertionResult SameRecord(const WalRecord& got,
+                                      const WalRecord& want) {
+  auto differs = [](const char* field) {
+    return ::testing::AssertionFailure() << field << " differs";
+  };
+  if (got.kind != want.kind) return differs("kind");
+  if (!(got.txn == want.txn)) return differs("txn");
+  if (got.coordinator != want.coordinator) return differs("coordinator");
+  if (got.writes.size() != want.writes.size()) return differs("writes.size");
+  for (size_t i = 0; i < got.writes.size(); ++i) {
+    if (got.writes[i].item != want.writes[i].item ||
+        got.writes[i].value != want.writes[i].value ||
+        got.writes[i].version != want.writes[i].version) {
+      return differs("writes");
+    }
+  }
+  if (got.participants != want.participants) return differs("participants");
+  if (got.three_phase != want.three_phase) return differs("three_phase");
+  if (got.store.item != want.store.item) return differs("store.item");
+  if (got.store.page_id != want.store.page_id) return differs("store.page_id");
+  if (got.store.before_value != want.store.before_value) {
+    return differs("store.before_value");
+  }
+  if (got.store.before_version != want.store.before_version) {
+    return differs("store.before_version");
+  }
+  if (got.store.value != want.store.value) return differs("store.value");
+  if (got.store.version != want.store.version) return differs("store.version");
+  if (got.store.tentative != want.store.tentative) {
+    return differs("store.tentative");
+  }
+  if (got.prev_lsn != want.prev_lsn) return differs("prev_lsn");
+  if (got.undo_next_lsn != want.undo_next_lsn) return differs("undo_next_lsn");
+  if (got.checkpoint.att != want.checkpoint.att) {
+    return differs("checkpoint.att");
+  }
+  if (got.checkpoint.dpt != want.checkpoint.dpt) {
+    return differs("checkpoint.dpt");
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The v4 payload size of `r`, spelled out independently of the codec:
+// 83 fixed bytes, 20 per write, 4 per participant, and for
+// kCheckpointEnd two counts plus 20 per ATT and 12 per dirty-page entry.
+size_t PayloadBytes(const WalRecord& r) {
+  size_t n = 83 + 20 * r.writes.size() + 4 * r.participants.size();
+  if (r.kind == WalRecordKind::kCheckpointEnd) {
+    n += 8 + 20 * r.checkpoint.att.size() + 12 * r.checkpoint.dpt.size();
+  }
+  return n;
+}
+
+TEST(WalTest, WireLogMatchesRecordModel) {
+  // Model check of the byte log against a plain vector of records. A
+  // seeded mix appends records of all 14 kinds with random vector sizes
+  // (0 included) and random 64-bit field values, truncates the head at
+  // random points up to the protocol barrier, and round-trips the log
+  // through Serialize and both loaders, one of them over a torn tail.
+  // After every step each retained LSN must decode to exactly the
+  // model's record, and the resident size must be the sum of the
+  // records' payload sizes plus one 8-byte offset each.
+  constexpr int kSteps = 24000;
+  constexpr uint64_t kKinds =
+      static_cast<uint64_t>(WalRecordKind::kCheckpointEnd) + 1;
+  Rng rng(20261018);
+  Wal wal;
+  std::vector<WalRecord> model;  // model[i] has LSN wal.base() + i + 1
+  auto size_of = [&rng]() -> size_t {
+    if (rng.NextBool(0.3)) return 0;
+    return rng.NextBool(0.05) ? 40 + rng.NextUint(40) : 1 + rng.NextUint(5);
+  };
+  uint64_t next_seq = 1;
+  std::vector<TxnId> live;  // transactions the mix draws from
+  auto append = [&](const WalRecord& r) {
+    wal.Append(r);
+    model.push_back(r);
+  };
+  auto random_record = [&](TxnId txn) {
+    WalRecord r;
+    r.kind = static_cast<WalRecordKind>(rng.NextUint(kKinds));
+    r.txn = txn;
+    r.coordinator = rng.NextBool(0.1) ? kInvalidSite
+                                      : static_cast<SiteId>(rng.Next());
+    r.writes.resize(size_of());
+    for (WalRecord::Write& w : r.writes) {
+      w = {static_cast<ItemId>(rng.Next()), static_cast<Value>(rng.Next()),
+           rng.Next()};
+    }
+    r.participants.resize(size_of());
+    for (SiteId& s : r.participants) s = static_cast<SiteId>(rng.Next());
+    r.three_phase = rng.NextBool(0.5);
+    r.store = {static_cast<ItemId>(rng.Next()),
+               static_cast<uint32_t>(rng.Next()),
+               static_cast<Value>(rng.Next()),
+               rng.Next(),
+               static_cast<Value>(rng.Next()),
+               rng.Next(),
+               rng.NextBool(0.5)};
+    r.prev_lsn = rng.Next();
+    r.undo_next_lsn = rng.Next();
+    if (r.kind == WalRecordKind::kCheckpointEnd) {
+      r.checkpoint.att.resize(size_of());
+      for (auto& [t, lsn] : r.checkpoint.att) {
+        t = TxnId{static_cast<SiteId>(rng.Next()), rng.Next()};
+        lsn = rng.Next();
+      }
+      r.checkpoint.dpt.resize(size_of());
+      for (auto& [page, lsn] : r.checkpoint.dpt) {
+        page = static_cast<uint32_t>(rng.Next());
+        lsn = rng.Next();
+      }
+    }
+    return r;
+  };
+
+  std::set<WalRecordKind> kinds_seen;
+  size_t truncations = 0, strict_trips = 0, tolerant_trips = 0, torn = 0,
+         max_retained = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    const uint64_t action = rng.NextUint(100);
+    if (action < 80) {
+      if (live.empty() || rng.NextBool(0.05)) {
+        live.push_back(TxnId{static_cast<SiteId>(rng.NextUint(4)), next_seq++});
+      }
+      if (live.size() > 8) {
+        // A transaction leaving the mix closes its protocol, so the
+        // barrier advances and truncation has a prefix to reclaim.
+        const TxnId old = live.front();
+        live.erase(live.begin());
+        append(Decision(WalRecordKind::kAbortDecision, old));
+        append(Decision(WalRecordKind::kApplied, old));
+        append(Decision(WalRecordKind::kEnd, old));
+      }
+      WalRecord r = random_record(live[rng.NextUint(live.size())]);
+      kinds_seen.insert(r.kind);
+      append(r);
+    } else if (action < 92) {
+      const Lsn target = std::min<Lsn>(
+          wal.base() + rng.NextUint(wal.size() + 2), wal.ProtocolBarrier());
+      const size_t dropped = wal.TruncateBefore(target);
+      ASSERT_LE(dropped, model.size());
+      model.erase(model.begin(),
+                  model.begin() + static_cast<ptrdiff_t>(dropped));
+      truncations += dropped > 0 ? 1 : 0;
+    } else {
+      const std::vector<uint8_t> bytes = wal.Serialize();
+      Wal loaded;
+      const uint64_t how = rng.NextUint(3);
+      if (how == 0) {
+        ASSERT_TRUE(loaded.Deserialize(bytes).ok()) << "step " << step;
+        // The loaded log keeps the file's bytes and writes them back.
+        ASSERT_EQ(loaded.Serialize(), bytes) << "step " << step;
+        ++strict_trips;
+      } else if (how == 1 || model.empty()) {
+        size_t dropped = 99;
+        ASSERT_TRUE(loaded.DeserializeTolerant(bytes, &dropped).ok());
+        ASSERT_EQ(dropped, 0u) << "step " << step;
+        ++tolerant_trips;
+      } else {
+        // Cut into the last record's frame: exactly it is dropped.
+        const size_t frame = 8 + PayloadBytes(model.back());
+        const size_t cut = 1 + rng.NextUint(frame);
+        const std::vector<uint8_t> torn_bytes(
+            bytes.begin(), bytes.end() - static_cast<ptrdiff_t>(cut));
+        size_t dropped = 0;
+        ASSERT_TRUE(loaded.DeserializeTolerant(torn_bytes, &dropped).ok())
+            << "step " << step << " cut " << cut;
+        ASSERT_EQ(dropped, 1u) << "step " << step;
+        model.pop_back();
+        ++torn;
+      }
+      wal = std::move(loaded);
+    }
+
+    ASSERT_EQ(wal.size(), model.size()) << "step " << step;
+    ASSERT_EQ(wal.LastLsn(), wal.base() + model.size()) << "step " << step;
+    size_t expect_bytes = 0;
+    for (size_t i = 0; i < model.size(); ++i) {
+      const Lsn lsn = wal.base() + i + 1;
+      ASSERT_TRUE(SameRecord(wal.At(lsn), model[i]))
+          << "step " << step << " lsn " << lsn << " ("
+          << WalRecordKindName(model[i].kind) << ")";
+      expect_bytes += PayloadBytes(model[i]) + sizeof(uint64_t);
+    }
+    ASSERT_EQ(wal.resident_bytes(), expect_bytes) << "step " << step;
+    max_retained = std::max(max_retained, model.size());
+  }
+  // The mix really exercised what it claims to.
+  EXPECT_EQ(kinds_seen.size(), kKinds);
+  EXPECT_GT(wal.base(), 10000u);
+  EXPECT_GT(truncations, 500u);
+  EXPECT_GT(strict_trips, 300u);
+  EXPECT_GT(tolerant_trips, 300u);
+  EXPECT_GT(torn, 300u);
+  EXPECT_GT(max_retained, 100u);
+}
+
+// The golden log: a head-truncated closed transaction, so the file
+// carries a digest entry, then one record of every kind, including a
+// kCheckpointEnd with both an ATT and a dirty-page table, and the
+// master pointing at its checkpoint.
+Wal GoldenLog() {
+  const TxnId closed{0, 1}, t2{1, 2}, t3{2, 3}, store{0, 4}, other{1, 5};
+  Wal wal;
+  wal.Append(Prepared(closed, {{1, 10, 1}}, {0, 1}));
+  wal.Append(Decision(WalRecordKind::kCommitDecision, closed, {0, 1}));
+  wal.Append(Decision(WalRecordKind::kApplied, closed));
+  wal.Append(Decision(WalRecordKind::kEnd, closed));
+  wal.TruncateBefore(wal.NextLsn());
+
+  wal.Append(Prepared(t2, {{2, -5, 7}, {3, 30, (1ull << 63) | 9}}, {0, 1, 2},
+                      /*three_phase=*/true));
+  wal.Append(WalRecord::Protocol(WalRecordKind::kPreCommitted, t2, t2.home, {},
+                                 {}, true));
+  wal.Append(Decision(WalRecordKind::kCommitDecision, t2));
+  wal.Append(Decision(WalRecordKind::kAbortDecision, t3, {0, 2}));
+  wal.Append(Decision(WalRecordKind::kApplied, t2));
+  wal.Append(Decision(WalRecordKind::kEnd, t3));
+  WalRecord begin;
+  begin.kind = WalRecordKind::kStoreBegin;
+  begin.txn = store;
+  const Lsn b = wal.Append(begin);
+  const Lsn u = wal.Append(
+      StoreUpdate(store, 7, 1, 1, -2, (1ull << 63) | 5, /*tentative=*/true, b));
+  WalRecord ckpt_begin;
+  ckpt_begin.kind = WalRecordKind::kCheckpointBegin;
+  const Lsn cb = wal.Append(ckpt_begin);
+  WalRecord ckpt_end;
+  ckpt_end.kind = WalRecordKind::kCheckpointEnd;
+  ckpt_end.prev_lsn = cb;
+  ckpt_end.checkpoint.att = {{store, u}};
+  ckpt_end.checkpoint.dpt = {{3, u}, {9, 2}};
+  wal.Append(ckpt_end);
+  wal.SetMaster(cb);
+  WalRecord abort;
+  abort.kind = WalRecordKind::kStoreAbort;
+  abort.txn = store;
+  abort.prev_lsn = u;
+  const Lsn a = wal.Append(abort);
+  WalRecord clr;
+  clr.kind = WalRecordKind::kStoreClr;
+  clr.txn = store;
+  clr.prev_lsn = a;
+  clr.undo_next_lsn = b;
+  clr.store.item = 7;
+  clr.store.page_id = 3;
+  clr.store.value = 1;
+  clr.store.version = 1;
+  clr.store.before_value = -2;
+  clr.store.before_version = (1ull << 63) | 5;
+  const Lsn c = wal.Append(clr);
+  WalRecord end;
+  end.kind = WalRecordKind::kStoreEnd;
+  end.txn = store;
+  end.prev_lsn = c;
+  wal.Append(end);
+  WalRecord commit;
+  commit.kind = WalRecordKind::kStoreCommit;
+  commit.txn = other;
+  commit.coordinator = 1;
+  wal.Append(commit);
+  return wal;
+}
+
+std::vector<uint8_t> FromHex(const std::string& hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(
+        static_cast<uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(WalTest, SerializeBytesMatchV4Golden) {
+  // The v4 file bytes of a fixed log, captured while the log still held
+  // its records as WalRecord structs. Serialize() must still write
+  // exactly these bytes, and LoadFromFile must read them back into the
+  // same log: files written before and after the byte log are
+  // interchangeable.
+  const std::vector<uint8_t> golden = FromHex(
+      "5257414c040000000d0000000000000004000000000000000100000000000000"
+      "01000000000000007d01000000000000000e000000870000001e5add62000100"
+      "00000200000000000000010000000200000002000000fbffffffffffffff0700"
+      "000000000000030000001e000000000000000900000000000080030000000000"
+      "0000010000000200000001ffffffff0000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "00000000530000000e95f4ac0101000000020000000000000001000000000000"
+      "000000000001ffffffff00000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000053"
+      "0000009fe7b3ec02010000000200000000000000010000000000000000000000"
+      "00ffffffff000000000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000000000000005b000000aa0f"
+      "6898030200000003000000000000000200000000000000020000000000000002"
+      "00000000ffffffff000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000530000"
+      "009b1db3f90401000000020000000000000001000000000000000000000000ff"
+      "ffffff0000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000005300000073b21669"
+      "0502000000030000000000000002000000000000000000000000ffffffff0000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000530000007860970a0600000000"
+      "0400000000000000ffffffff000000000000000000ffffffff00000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "000000000000000000000000000053000000fa764eeb07000000000400000000"
+      "000000ffffffff00000000000000000007000000030000000100000000000000"
+      "0100000000000000feffffffffffffff0500000000000080010b000000000000"
+      "000000000000000000530000007d9596d00cffffffff0000000000000000ffff"
+      "ffff000000000000000000ffffffff0000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "000000008700000035d489240dffffffff0000000000000000ffffffff000000"
+      "000000000000ffffffff00000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000d00000000000000000000000000000001"
+      "0000000000000004000000000000000c0000000000000002000000030000000c"
+      "0000000000000009000000020000000000000053000000ba3a348d0900000000"
+      "0400000000000000ffffffff000000000000000000ffffffff00000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000c00"
+      "000000000000000000000000000053000000418c5b990a000000000400000000"
+      "000000ffffffff0000000000000000000700000003000000feffffffffffffff"
+      "050000000000008001000000000000000100000000000000000f000000000000"
+      "000b0000000000000053000000107ecec00b000000000400000000000000ffff"
+      "ffff000000000000000000ffffffff0000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000100000000000000000000000"
+      "0000000053000000ab81484e0801000000050000000000000001000000000000"
+      "000000000000ffffffff00000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000000000000000000000000");
+  const Wal wal = GoldenLog();
+  ASSERT_EQ(wal.base(), 4u);
+  ASSERT_EQ(wal.Serialize(), golden);
+
+  const std::string path = ::testing::TempDir() + "/rainbow_wal_golden_v4.bin";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(golden.data(), 1, golden.size(), f), golden.size());
+  ASSERT_EQ(std::fclose(f), 0);
+  Wal loaded;
+  size_t dropped = 99;
+  ASSERT_TRUE(loaded.LoadFromFile(path, &dropped).ok());
+  std::remove(path.c_str());
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(loaded.base(), wal.base());
+  EXPECT_EQ(loaded.master(), wal.master());
+  ASSERT_EQ(loaded.LastLsn(), wal.LastLsn());
+  for (Lsn lsn = wal.base() + 1; lsn <= wal.LastLsn(); ++lsn) {
+    EXPECT_TRUE(SameRecord(loaded.At(lsn), wal.At(lsn))) << "lsn " << lsn;
+  }
+  EXPECT_EQ(loaded.Scan().size(), wal.Scan().size());
+  EXPECT_EQ(loaded.Decision(TxnId{0, 1}), std::optional<bool>(true));
+  EXPECT_EQ(loaded.Serialize(), golden);
+}
+
 }  // namespace rainbow
