@@ -1,44 +1,22 @@
 #ifndef RAINBOW_CATALOG_CATALOG_H_
 #define RAINBOW_CATALOG_CATALOG_H_
 
-#include <string>
-#include <vector>
+#include <utility>
 
-#include "common/result.h"
-#include "common/types.h"
 #include "catalog/schema.h"
 
 namespace rainbow {
 
-/// Metadata for one Rainbow site, as stored in the name server ("the id
-/// and end point specifications"). In the simulation the endpoint is the
-/// site's network address (its SiteId) plus a display name.
-struct SiteInfo {
-  SiteId id = kInvalidSite;
-  std::string name;
-};
-
-/// The name server's data: the site registry plus the replication
-/// schema. Kept as a separate value type so it can be unit-tested and
-/// snapshot-copied into site-local caches without touching the actor.
+/// The name server's data: the replication schema SystemConfig::Validate()
+/// built. A RainbowSystem holds the one copy; the name server answers
+/// lookups from it by reference.
 class Catalog {
  public:
-  /// Registers a site; ids must be dense from 0.
-  Result<SiteId> RegisterSite(const std::string& name);
+  explicit Catalog(ReplicationSchema schema) : schema_(std::move(schema)) {}
 
-  Result<const SiteInfo*> FindSite(SiteId id) const;
-  const std::vector<SiteInfo>& sites() const { return sites_; }
-  size_t num_sites() const { return sites_.size(); }
-
-  ReplicationSchema& schema() { return schema_; }
   const ReplicationSchema& schema() const { return schema_; }
 
-  /// Validates sites + schema consistency (every copy placed on a
-  /// registered site).
-  Status Validate() const;
-
  private:
-  std::vector<SiteInfo> sites_;
   ReplicationSchema schema_;
 };
 

@@ -1,48 +1,55 @@
 #include "catalog/schema.h"
 
-#include <numeric>
+#include <climits>
 
 namespace rainbow {
-
-int ItemSchema::total_votes() const {
-  return std::accumulate(votes.begin(), votes.end(), 0);
-}
-
-int ItemSchema::VoteOf(SiteId site) const {
-  for (size_t i = 0; i < copies.size(); ++i) {
-    if (copies[i] == site) return votes[i];
-  }
-  return 0;
-}
-
-bool ItemSchema::HasCopyAt(SiteId site) const { return VoteOf(site) > 0; }
 
 Result<ItemId> ReplicationSchema::AddItem(const std::string& name,
                                           Value initial_value,
                                           std::vector<SiteId> copies,
                                           std::vector<int> votes,
                                           int read_quorum, int write_quorum) {
+  auto bad = [&name](const std::string& why) {
+    return Status::InvalidArgument("item '" + name + "'" + why);
+  };
   if (by_name_.contains(name)) {
     return Status::AlreadyExists("item '" + name + "' already defined");
   }
-  if (copies.empty()) {
-    return Status::InvalidArgument("item '" + name + "' has no copies");
-  }
-  if (votes.size() != copies.size()) {
-    return Status::InvalidArgument("item '" + name +
-                                   "': votes/copies size mismatch");
-  }
+  if (copies.empty()) return bad(" has no copies");
   for (size_t i = 0; i < copies.size(); ++i) {
-    if (votes[i] < 1) {
-      return Status::InvalidArgument("item '" + name +
-                                     "': vote weights must be >= 1");
+    if (copies[i] >= num_sites_) {
+      return bad(" placed on unknown site " + std::to_string(copies[i]));
     }
     for (size_t j = i + 1; j < copies.size(); ++j) {
-      if (copies[i] == copies[j]) {
-        return Status::InvalidArgument("item '" + name +
-                                       "': duplicate copy site");
-      }
+      if (copies[i] == copies[j]) return bad(": duplicate copy site");
     }
+  }
+  if (votes.size() != copies.size()) {
+    return bad(": votes/copies size mismatch");
+  }
+  int64_t total = 0;
+  for (int w : votes) {
+    if (w < 1) return bad(": vote weights must be >= 1");
+    total += w;
+  }
+  if (total > INT_MAX) {
+    return bad(": total votes exceed " + std::to_string(INT_MAX));
+  }
+  const int v = static_cast<int>(total);
+  if (read_quorum < 1 || write_quorum < 1) {
+    return bad(": quorums must be >= 1");
+  }
+  if (read_quorum > v || write_quorum > v) {
+    return bad(": quorum exceeds total votes");
+  }
+  // int64 sums: each quorum is at most INT_MAX.
+  if (int64_t{read_quorum} + write_quorum <= v) {
+    return bad(
+        ": R + W must exceed total votes (read/write quorums must "
+        "intersect)");
+  }
+  if (2 * int64_t{write_quorum} <= v) {
+    return bad(": 2W must exceed total votes (write quorums must intersect)");
   }
   ItemSchema item;
   item.id = static_cast<ItemId>(items_.size());
@@ -55,42 +62,6 @@ Result<ItemId> ReplicationSchema::AddItem(const std::string& name,
   by_name_[name] = item.id;
   items_.push_back(std::move(item));
   return items_.back().id;
-}
-
-Result<ItemId> ReplicationSchema::AddItemMajority(const std::string& name,
-                                                  Value initial_value,
-                                                  std::vector<SiteId> copies) {
-  int n = static_cast<int>(copies.size());
-  int majority = n / 2 + 1;
-  std::vector<int> votes(copies.size(), 1);
-  return AddItem(name, initial_value, std::move(copies), std::move(votes),
-                 majority, majority);
-}
-
-Status ReplicationSchema::Validate() const {
-  for (const ItemSchema& item : items_) {
-    int v = item.total_votes();
-    if (item.read_quorum < 1 || item.write_quorum < 1) {
-      return Status::InvalidArgument("item '" + item.name +
-                                     "': quorums must be >= 1");
-    }
-    if (item.read_quorum > v || item.write_quorum > v) {
-      return Status::InvalidArgument("item '" + item.name +
-                                     "': quorum exceeds total votes");
-    }
-    if (item.read_quorum + item.write_quorum <= v) {
-      return Status::InvalidArgument(
-          "item '" + item.name +
-          "': R + W must exceed total votes (read/write quorums must "
-          "intersect)");
-    }
-    if (2 * item.write_quorum <= v) {
-      return Status::InvalidArgument(
-          "item '" + item.name +
-          "': 2W must exceed total votes (write quorums must intersect)");
-    }
-  }
-  return Status::OK();
 }
 
 Result<ItemId> ReplicationSchema::IdOf(const std::string& name) const {
@@ -106,14 +77,6 @@ Result<const ItemSchema*> ReplicationSchema::Find(ItemId id) const {
     return Status::NotFound("no item with id " + std::to_string(id));
   }
   return &items_[id];
-}
-
-std::vector<ItemId> ReplicationSchema::ItemsAt(SiteId site) const {
-  std::vector<ItemId> out;
-  for (const ItemSchema& item : items_) {
-    if (item.HasCopyAt(site)) out.push_back(item.id);
-  }
-  return out;
 }
 
 }  // namespace rainbow

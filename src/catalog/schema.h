@@ -1,6 +1,7 @@
 #ifndef RAINBOW_CATALOG_SCHEMA_H_
 #define RAINBOW_CATALOG_SCHEMA_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -22,42 +23,35 @@ struct ItemSchema {
   std::vector<int> votes;  ///< parallel to `copies`; all >= 1
   int read_quorum = 0;     ///< in votes
   int write_quorum = 0;    ///< in votes
-
-  int total_votes() const;
-  /// Vote weight of `site`'s copy, 0 if no copy there.
-  int VoteOf(SiteId site) const;
-  bool HasCopyAt(SiteId site) const;
 };
 
 /// The database schema: items, their placement, and quorum parameters.
 /// Configured once per Rainbow instance ("Database Replication
 /// Configuration panel") and then distributed via the name server.
+/// SystemConfig::Validate() builds it; every item in it passed
+/// AddItem's checks.
 class ReplicationSchema {
  public:
-  /// Adds an item with explicit copies/votes/quorums. Returns the id.
+  /// A schema whose copies may be placed on sites [0, num_sites).
+  explicit ReplicationSchema(uint32_t num_sites) : num_sites_(num_sites) {}
+
+  /// Adds an item with explicit copies/votes/quorums and returns its id,
+  /// or says why the item is malformed: a duplicate name; no copies, a
+  /// duplicate copy site or one at or above num_sites; votes not one per
+  /// copy, below 1, or summing past INT_MAX; quorums outside
+  /// [1, total votes], or failing R + W > V and 2W > V (the quorum
+  /// intersection conditions). This is the only per-item check.
   Result<ItemId> AddItem(const std::string& name, Value initial_value,
                          std::vector<SiteId> copies, std::vector<int> votes,
                          int read_quorum, int write_quorum);
-
-  /// Adds an item replicated at `copies` with one vote per copy and
-  /// majority read/write quorums (the common classroom configuration).
-  Result<ItemId> AddItemMajority(const std::string& name, Value initial_value,
-                                 std::vector<SiteId> copies);
-
-  /// Checks every item: copies non-empty, votes positive, quorums
-  /// satisfiable and correct (R + W > V and 2W > V, the quorum
-  /// intersection conditions).
-  Status Validate() const;
 
   Result<ItemId> IdOf(const std::string& name) const;
   Result<const ItemSchema*> Find(ItemId id) const;
   const std::vector<ItemSchema>& items() const { return items_; }
   size_t num_items() const { return items_.size(); }
 
-  /// Items hosted at `site`.
-  std::vector<ItemId> ItemsAt(SiteId site) const;
-
  private:
+  uint32_t num_sites_;
   std::vector<ItemSchema> items_;
   std::unordered_map<std::string, ItemId> by_name_;
 };

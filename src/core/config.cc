@@ -1,5 +1,7 @@
 #include "core/config.h"
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <sstream>
 
@@ -9,9 +11,11 @@ namespace rainbow {
 
 int ItemConfig::TotalVotes() const {
   if (votes.empty()) return static_cast<int>(copies.size());
-  int total = 0;
+  // Summed wide and clamped: hostile vote weights must not overflow
+  // before the schema's AddItem rejects them.
+  int64_t total = 0;
   for (int v : votes) total += v;
-  return total;
+  return static_cast<int>(std::clamp<int64_t>(total, INT_MIN, INT_MAX));
 }
 
 int ItemConfig::EffectiveReadQuorum() const {
@@ -36,7 +40,7 @@ void SystemConfig::AddUniformItems(int count, Value initial,
   }
 }
 
-Status SystemConfig::Validate() const {
+Result<ReplicationSchema> SystemConfig::Validate() const {
   if (num_sites == 0) {
     return Status::InvalidArgument("num_sites must be >= 1");
   }
@@ -66,23 +70,18 @@ Status SystemConfig::Validate() const {
   if (protocols.checkpoint_interval != 0 && protocols.checkpoint_interval < 8) {
     return Status::InvalidArgument("checkpoint_interval must be 0 or >= 8");
   }
+  // The schema's AddItem is the only per-item check: the schema a
+  // config validates with is the one RainbowSystem::Create() runs on.
+  ReplicationSchema schema(num_sites);
   for (const ItemConfig& item : items) {
-    if (item.copies.empty()) {
-      return Status::InvalidArgument("item '" + item.name + "' has no copies");
-    }
-    for (SiteId s : item.copies) {
-      if (s >= num_sites) {
-        return Status::InvalidArgument("item '" + item.name +
-                                       "' placed on unknown site " +
-                                       std::to_string(s));
-      }
-    }
-    if (!item.votes.empty() && item.votes.size() != item.copies.size()) {
-      return Status::InvalidArgument("item '" + item.name +
-                                     "': votes/copies size mismatch");
-    }
+    std::vector<int> votes = item.votes;
+    if (votes.empty()) votes.assign(item.copies.size(), 1);
+    auto added = schema.AddItem(item.name, item.initial, item.copies,
+                                std::move(votes), item.EffectiveReadQuorum(),
+                                item.EffectiveWriteQuorum());
+    RAINBOW_RETURN_IF_ERROR(added.status());
   }
-  return Status::OK();
+  return schema;
 }
 
 namespace {

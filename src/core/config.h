@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/schema.h"
 #include "common/result.h"
 #include "common/trace.h"
 #include "common/types.h"
@@ -90,7 +91,10 @@ struct SystemConfig {
     AddUniformItems(count, initial, static_cast<int>(num_sites));
   }
 
-  Status Validate() const;
+  /// Checks every knob and builds the replication schema from `items`
+  /// (ReplicationSchema::AddItem checks each item). A config that
+  /// validates is one RainbowSystem::Create() builds, on this schema.
+  Result<ReplicationSchema> Validate() const;
 
   /// Serializes to the textual session-config format.
   std::string ToText() const;

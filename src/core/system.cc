@@ -7,18 +7,10 @@
 
 namespace rainbow {
 
-RainbowSystem::RainbowSystem(SystemConfig config)
-    : config_(std::move(config)), client_rng_(config_.seed ^ 0xc11e47) {}
-
-Result<std::unique_ptr<RainbowSystem>> RainbowSystem::Create(
-    SystemConfig config) {
-  RAINBOW_RETURN_IF_ERROR(config.Validate());
-  std::unique_ptr<RainbowSystem> sys(new RainbowSystem(std::move(config)));
-  RAINBOW_RETURN_IF_ERROR(sys->Init());
-  return sys;
-}
-
-Status RainbowSystem::Init() {
+RainbowSystem::RainbowSystem(SystemConfig config, ReplicationSchema schema)
+    : config_(std::move(config)),
+      client_rng_(config_.seed ^ 0xc11e47),
+      catalog_(std::move(schema)) {
   collector_.set_detail(config_.trace_enabled ? config_.trace_detail
                                               : TraceDetail::kOff);
   monitor_.set_bucket_width(config_.stats_bucket);
@@ -29,23 +21,6 @@ Status RainbowSystem::Init() {
   net_->set_collector(&collector_);
   net_->set_verify_codec(config_.verify_codec);
   net_->set_stats_bucket_width(config_.stats_bucket);
-
-  // Register sites and the schema in the catalog (the name server's
-  // data), mirroring the administrator's configuration steps.
-  for (uint32_t i = 0; i < config_.num_sites; ++i) {
-    RAINBOW_ASSIGN_OR_RETURN(SiteId id,
-                             catalog_.RegisterSite("site" + std::to_string(i)));
-    (void)id;
-  }
-  for (const ItemConfig& item : config_.items) {
-    std::vector<int> votes = item.votes;
-    if (votes.empty()) votes.assign(item.copies.size(), 1);
-    auto added = catalog_.schema().AddItem(
-        item.name, item.initial, item.copies, votes,
-        item.EffectiveReadQuorum(), item.EffectiveWriteQuorum());
-    RAINBOW_RETURN_IF_ERROR(added.status());
-  }
-  RAINBOW_RETURN_IF_ERROR(catalog_.Validate());
 
   name_server_ = std::make_unique<NameServer>(catalog_, net_.get());
   name_server_->set_collector(&collector_);
@@ -73,7 +48,13 @@ Status RainbowSystem::Init() {
   }
   for (auto& [s, set] : peers) sites_[s]->SetRefreshPeers(std::move(set));
   for (auto& site : sites_) site->Start();
-  return Status::OK();
+}
+
+Result<std::unique_ptr<RainbowSystem>> RainbowSystem::Create(
+    SystemConfig config) {
+  RAINBOW_ASSIGN_OR_RETURN(ReplicationSchema schema, config.Validate());
+  return std::unique_ptr<RainbowSystem>(
+      new RainbowSystem(std::move(config), std::move(schema)));
 }
 
 Status RainbowSystem::Submit(SiteId home, TxnProgram program, TxnCallback cb,

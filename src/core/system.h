@@ -29,7 +29,8 @@ namespace rainbow {
 /// (sim/simulator.h), so the same seed gives a byte-identical run.
 class RainbowSystem {
  public:
-  /// Validates the configuration and builds the instance.
+  /// Validates the configuration and builds the instance on the schema
+  /// Validate() built.
   static Result<std::unique_ptr<RainbowSystem>> Create(SystemConfig config);
 
   RainbowSystem(const RainbowSystem&) = delete;
@@ -97,14 +98,16 @@ class RainbowSystem {
   CheckReport VerifyHistory() const;
 
  private:
-  explicit RainbowSystem(SystemConfig config);
-  Status Init();
+  /// Assembles the instance on `schema`, which `config` validated with.
+  RainbowSystem(SystemConfig config, ReplicationSchema schema);
 
   SystemConfig config_;
   Simulator sim_;
   TraceCollector collector_;
   Rng client_rng_;
   ProgressMonitor monitor_;
+  /// The one schema. name_server_ reads it by reference, so it is
+  /// declared before the name server and outlives it.
   Catalog catalog_;
   std::unique_ptr<Network> net_;
   std::unique_ptr<NameServer> name_server_;

@@ -2,8 +2,8 @@
 
 namespace rainbow {
 
-NameServer::NameServer(Catalog catalog, Network* net)
-    : catalog_(std::move(catalog)),
+NameServer::NameServer(const Catalog& catalog, Network* net)
+    : catalog_(catalog),
       net_(net),
       rpc_(std::make_unique<RpcEndpoint>(net->sim(), net, kNameServerId,
                                          /*seed=*/0)) {}

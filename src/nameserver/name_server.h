@@ -12,9 +12,9 @@
 namespace rainbow {
 
 /// The Rainbow name server: a network actor (addressable at
-/// kNameServerId) holding the site registry and the replication schema.
-/// Coordinators query it per item; "any site can query the name server
-/// to get pertinent information" (paper §2).
+/// kNameServerId) answering from the replication schema. Coordinators
+/// query it per item; "any site can query the name server to get
+/// pertinent information" (paper §2).
 ///
 /// There is exactly one name server per Rainbow instance. It can be
 /// crashed and recovered by the fault injector like any site; while
@@ -22,7 +22,8 @@ namespace rainbow {
 /// this in the default configuration).
 class NameServer {
  public:
-  NameServer(Catalog catalog, Network* net);
+  /// Reads `catalog` by reference; it must outlive the name server.
+  NameServer(const Catalog& catalog, Network* net);
 
   /// Registers the network handler. Call once.
   void Start();
@@ -35,14 +36,13 @@ class NameServer {
   /// Optional; null disables.
   void set_collector(TraceCollector* c) { collector_ = c; }
 
-  const Catalog& catalog() const { return catalog_; }
   uint64_t lookups_served() const { return lookups_served_; }
 
  private:
   void HandleMessage(const Message& m, const RpcContext& ctx);
   void Emit(TraceEventKind kind);
 
-  Catalog catalog_;
+  const Catalog& catalog_;
   Network* net_;
   TraceCollector* collector_ = nullptr;
   /// Replica-side RPC endpoint: suppresses retransmitted lookups and

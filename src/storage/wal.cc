@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "common/binary_io.h"
 #include "common/crc32.h"
@@ -159,27 +160,16 @@ std::vector<Wal::UnendedDecision> Wal::DecidedUnended() const {
 }
 
 namespace {
-// "RWAL". Version 2 added the storage-engine record kinds with their
-// per-record StoreOp payload and LSN chain fields. Version 3 frames
-// every record as [len u32][crc32 u32][payload] (so a torn tail is
-// detectable and truncatable), adds the checkpoint master pointer to
-// the header, and adds the checkpoint record kinds with their ATT /
-// dirty-page-table payload. Version 4 supports head-truncated logs:
-// the header gains the base LSN (records reclaimed before the first
-// retained one) and a protocol digest — one compact entry per
-// transaction whose records were truncated — so Scan() answers
-// identically after a save/load round trip of a truncated log.
+// "RWAL", version 4: a fixed part (magic, version, master, base LSN),
+// then the protocol digest (one compact entry per transaction whose
+// records were head-truncated, so Scan() answers identically after a
+// save/load round trip of a truncated log), then the record count and
+// each record framed as [len u32][crc32 u32][payload] so a torn tail is
+// detectable and truncatable. Earlier versions are not read.
 constexpr uint32_t kWalMagic = 0x4c415752;
 constexpr uint32_t kWalVersion = 4;
-// v3 fixed header: magic + version + master + count. v4's header is
-// variable-length (digest), so its record offset is computed from the
-// decoder instead.
-constexpr size_t kWalHeaderBytesV3 = 4 + 4 + 8 + 4;
-// v3+ frame header: [len u32][crc32 u32].
+// Frame header: [len u32][crc32 u32].
 constexpr size_t kFrameHeaderBytes = 8;
-// Smallest v1/v2 record: kind + txn + coordinator + the writes and
-// participants counts + three_phase.
-constexpr size_t kMinLegacyRecordBytes = 1 + 12 + 4 + 4 + 4 + 1;
 
 // TxnLogState flag bits in a serialized digest entry.
 constexpr uint8_t kDigestPrepared = 1u << 0;
@@ -327,16 +317,13 @@ void Reserve(const LogReader&, std::vector<T>& v, uint32_t n, size_t) {
   v.reserve(n);
 }
 
-/// Decodes one record payload of the given file version into `r`.
-/// `Source` is Decoder (files and hostile input: every read checked) or
-/// LogReader (the log's own bytes).
+/// Decodes one v4 record payload into `r`. `Source` is Decoder (files
+/// and hostile input: every read checked) or LogReader (the log's own
+/// bytes).
 template <typename Source>
-Status DecodeRecordPayload(Source& d, uint32_t version, WalRecord& r) {
+Status DecodeRecordPayload(Source& d, WalRecord& r) {
   RAINBOW_ASSIGN_OR_RETURN(uint8_t kind, d.GetU8());
-  uint8_t max_kind = static_cast<uint8_t>(WalRecordKind::kCheckpointEnd);
-  if (version == 1) max_kind = static_cast<uint8_t>(WalRecordKind::kEnd);
-  if (version == 2) max_kind = static_cast<uint8_t>(WalRecordKind::kStoreEnd);
-  if (kind > max_kind) {
+  if (kind > static_cast<uint8_t>(WalRecordKind::kCheckpointEnd)) {
     return Status::InvalidArgument("bad record kind");
   }
   r.kind = static_cast<WalRecordKind>(kind);
@@ -358,17 +345,15 @@ Status DecodeRecordPayload(Source& d, uint32_t version, WalRecord& r) {
     r.participants.push_back(s);
   }
   RAINBOW_ASSIGN_OR_RETURN(r.three_phase, d.GetBool());
-  if (version >= 2) {
-    RAINBOW_ASSIGN_OR_RETURN(r.store.item, d.GetU32());
-    RAINBOW_ASSIGN_OR_RETURN(r.store.page_id, d.GetU32());
-    RAINBOW_ASSIGN_OR_RETURN(r.store.before_value, d.GetI64());
-    RAINBOW_ASSIGN_OR_RETURN(r.store.before_version, d.GetU64());
-    RAINBOW_ASSIGN_OR_RETURN(r.store.value, d.GetI64());
-    RAINBOW_ASSIGN_OR_RETURN(r.store.version, d.GetU64());
-    RAINBOW_ASSIGN_OR_RETURN(r.store.tentative, d.GetBool());
-    RAINBOW_ASSIGN_OR_RETURN(r.prev_lsn, d.GetU64());
-    RAINBOW_ASSIGN_OR_RETURN(r.undo_next_lsn, d.GetU64());
-  }
+  RAINBOW_ASSIGN_OR_RETURN(r.store.item, d.GetU32());
+  RAINBOW_ASSIGN_OR_RETURN(r.store.page_id, d.GetU32());
+  RAINBOW_ASSIGN_OR_RETURN(r.store.before_value, d.GetI64());
+  RAINBOW_ASSIGN_OR_RETURN(r.store.before_version, d.GetU64());
+  RAINBOW_ASSIGN_OR_RETURN(r.store.value, d.GetI64());
+  RAINBOW_ASSIGN_OR_RETURN(r.store.version, d.GetU64());
+  RAINBOW_ASSIGN_OR_RETURN(r.store.tentative, d.GetBool());
+  RAINBOW_ASSIGN_OR_RETURN(r.prev_lsn, d.GetU64());
+  RAINBOW_ASSIGN_OR_RETURN(r.undo_next_lsn, d.GetU64());
   if (r.kind == WalRecordKind::kCheckpointEnd) {
     RAINBOW_ASSIGN_OR_RETURN(uint32_t att, d.GetU32());
     Reserve(d, r.checkpoint.att, att, 4 + 8 + 8);
@@ -425,8 +410,7 @@ WalRecord Wal::At(Lsn lsn) const {
   const size_t i = static_cast<size_t>(lsn - base_ - 1);
   LogReader reader(log_.data() + offsets_[i]);
   WalRecord r;
-  [[maybe_unused]] Status decoded =
-      DecodeRecordPayload(reader, kWalVersion, r);
+  [[maybe_unused]] Status decoded = DecodeRecordPayload(reader, r);
   assert(decoded.ok());
   return r;
 }
@@ -495,33 +479,9 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
   RAINBOW_ASSIGN_OR_RETURN(uint32_t magic, d.GetU32());
   if (magic != kWalMagic) return Status::InvalidArgument("not a WAL file");
   RAINBOW_ASSIGN_OR_RETURN(uint32_t version, d.GetU32());
-  if (version < 1 || version > kWalVersion) {
+  if (version != kWalVersion) {
     return Status::InvalidArgument("unsupported WAL version " +
                                    std::to_string(version));
-  }
-  // A record count the remaining bytes cannot hold is a forged or
-  // corrupt header; reserving it would exhaust memory.
-  auto count_err = [tolerant]() {
-    return tolerant
-               ? Status::IoError("WAL record count exceeds file size")
-               : Status::InvalidArgument("WAL record count exceeds file size");
-  };
-  if (version < 3) {
-    // Legacy formats: records inline, no framing, no master pointer.
-    // Their records are re-encoded in the v4 form the log holds.
-    RAINBOW_ASSIGN_OR_RETURN(uint32_t count, d.GetU32());
-    if (count > d.remaining() / kMinLegacyRecordBytes) return count_err();
-    Wal loaded;
-    for (uint32_t i = 0; i < count; ++i) {
-      WalRecord r;
-      RAINBOW_RETURN_IF_ERROR(DecodeRecordPayload(d, version, r));
-      loaded.Append(r);
-    }
-    if (!d.exhausted()) {
-      return Status::InvalidArgument("trailing bytes in WAL file");
-    }
-    *this = std::move(loaded);
-    return Status::OK();
   }
   // A header cut short never finished its very first save; even the
   // tolerant path has nothing to salvage.
@@ -529,53 +489,58 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
     return tolerant ? Status::IoError("truncated WAL header")
                     : Status::InvalidArgument("truncated WAL header");
   };
-  if (buffer.size() < kWalHeaderBytesV3) return header_err();
   Result<uint64_t> master_r = d.GetU64();
   if (!master_r.ok()) return header_err();
   uint64_t master = master_r.value();
-  uint64_t base = 0;
+  Result<uint64_t> base_r = d.GetU64();
+  if (!base_r.ok()) return header_err();
+  const uint64_t base = base_r.value();
   std::map<TxnId, TxnLogState> digest;
-  if (version >= 4) {
-    Result<uint64_t> base_r = d.GetU64();
-    if (!base_r.ok()) return header_err();
-    base = base_r.value();
-    Result<uint32_t> digest_count = d.GetU32();
-    if (!digest_count.ok()) return header_err();
-    for (uint32_t i = 0; i < digest_count.value(); ++i) {
-      Result<TxnId> txn = d.GetTxnId();
-      if (!txn.ok()) return header_err();
-      Result<uint8_t> flags_r = d.GetU8();
-      if (!flags_r.ok()) return header_err();
-      Result<uint64_t> first = d.GetU64();
-      if (!first.ok()) return header_err();
-      uint8_t flags = flags_r.value();
-      TxnLogState st;
-      st.first_lsn = first.value();
-      st.prepared = (flags & kDigestPrepared) != 0;
-      st.precommitted = (flags & kDigestPrecommitted) != 0;
-      st.decided = (flags & kDigestDecided) != 0;
-      st.commit = (flags & kDigestCommit) != 0;
-      st.applied = (flags & kDigestApplied) != 0;
-      st.ended = (flags & kDigestEnded) != 0;
-      st.coordinator = (flags & kDigestCoordinator) != 0;
-      // Truncation only reclaims closed transactions' records, and
-      // recovery reads an open transaction's records back by LSN: an
-      // open entry, or one anchored outside the truncated prefix, is a
-      // forged header.
-      if (!st.Closed() || st.first_lsn == kNoLsn || st.first_lsn > base) {
-        return tolerant ? Status::IoError("bad WAL digest entry")
-                        : Status::InvalidArgument("bad WAL digest entry");
-      }
-      digest[txn.value()] = st;
+  Result<uint32_t> digest_count = d.GetU32();
+  if (!digest_count.ok()) return header_err();
+  for (uint32_t i = 0; i < digest_count.value(); ++i) {
+    Result<TxnId> txn = d.GetTxnId();
+    if (!txn.ok()) return header_err();
+    Result<uint8_t> flags_r = d.GetU8();
+    if (!flags_r.ok()) return header_err();
+    Result<uint64_t> first = d.GetU64();
+    if (!first.ok()) return header_err();
+    uint8_t flags = flags_r.value();
+    TxnLogState st;
+    st.first_lsn = first.value();
+    st.prepared = (flags & kDigestPrepared) != 0;
+    st.precommitted = (flags & kDigestPrecommitted) != 0;
+    st.decided = (flags & kDigestDecided) != 0;
+    st.commit = (flags & kDigestCommit) != 0;
+    st.applied = (flags & kDigestApplied) != 0;
+    st.ended = (flags & kDigestEnded) != 0;
+    st.coordinator = (flags & kDigestCoordinator) != 0;
+    // Truncation only reclaims closed transactions' records, and
+    // recovery reads an open transaction's records back by LSN: an
+    // open entry, or one anchored outside the truncated prefix, is a
+    // forged header.
+    if (!st.Closed() || st.first_lsn == kNoLsn || st.first_lsn > base) {
+      return tolerant ? Status::IoError("bad WAL digest entry")
+                      : Status::InvalidArgument("bad WAL digest entry");
     }
+    digest[txn.value()] = st;
   }
   Result<uint32_t> count_r = d.GetU32();
   if (!count_r.ok()) return header_err();
   uint32_t count = count_r.value();
   // Every record needs at least its frame header; only a torn final
-  // record may be missing bytes.
+  // record may be missing bytes. A count the remaining bytes cannot hold
+  // is a forged or corrupt header; reserving it would exhaust memory.
   if (count > d.remaining() / kFrameHeaderBytes + (tolerant ? 1 : 0)) {
-    return count_err();
+    return tolerant
+               ? Status::IoError("WAL record count exceeds file size")
+               : Status::InvalidArgument("WAL record count exceeds file size");
+  }
+  // Every LSN the log hands out must stay above base(): a base at which
+  // NextLsn() would wrap is a forged header.
+  if (base > std::numeric_limits<uint64_t>::max() - 1 - count) {
+    return tolerant ? Status::IoError("WAL base LSN out of range")
+                    : Status::InvalidArgument("WAL base LSN out of range");
   }
   // The digest entries cover the truncated prefix; each retained record
   // is indexed on top of them as it loads, min-merging first_lsn where
@@ -624,7 +589,7 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
     }
     Decoder pd(payload, len);
     WalRecord rec;
-    Status decoded = DecodeRecordPayload(pd, version, rec);
+    Status decoded = DecodeRecordPayload(pd, rec);
     if (!decoded.ok()) {
       // The CRC matched, so the bytes are what was written — the record
       // itself is malformed. Never a torn tail.
@@ -634,8 +599,8 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
       return tolerant ? Status::IoError("trailing bytes in WAL record")
                       : Status::InvalidArgument("trailing bytes in WAL record");
     }
-    // A v3/v4 payload that decodes cleanly and exactly is the v4
-    // encoding of `rec`, so the log keeps the file's bytes.
+    // A payload that decodes cleanly and exactly is the v4 encoding of
+    // `rec`, so the log keeps the file's bytes.
     std::memcpy(loaded.Extend(len), payload, len);
     loaded.IndexRecord(rec, loaded.LastLsn());
     off += kFrameHeaderBytes + len;

@@ -267,10 +267,11 @@ class Wal {
   /// Serializes all records.
   std::vector<uint8_t> Serialize() const;
 
-  /// Parses a buffer produced by Serialize(), replacing the current
-  /// records. Fails (leaving the log unchanged) on any corruption,
-  /// including a truncated tail — the strict mode for archives that are
-  /// supposed to be complete.
+  /// Parses a buffer produced by Serialize() (format v4; older versions
+  /// are rejected), replacing the current records. Fails (leaving the
+  /// log unchanged) on any corruption, including a truncated tail or a
+  /// base LSN at which NextLsn() would wrap — the strict mode for
+  /// archives that are supposed to be complete.
   Status Deserialize(const std::vector<uint8_t>& buffer);
 
   /// Like Deserialize(), but treats a torn tail the way a real database

@@ -144,7 +144,8 @@ void HistoryChecker::CheckQuorumConfig(CheckReport& report) const {
     const int total = item.TotalVotes();
     const int rq = item.EffectiveReadQuorum();
     const int wq = item.EffectiveWriteQuorum();
-    if (rq + wq <= total) {
+    // Widened: a config that validates can hold quorums near INT_MAX.
+    if (int64_t{rq} + wq <= total) {
       Violation v;
       v.invariant = InvariantKind::kQuorumConfig;
       v.code = "rw-no-intersect";
@@ -154,7 +155,7 @@ void HistoryChecker::CheckQuorumConfig(CheckReport& report) const {
           item.name.c_str(), rq, wq, total);
       report.violations.push_back(std::move(v));
     }
-    if (2 * wq <= total) {
+    if (2 * int64_t{wq} <= total) {
       Violation v;
       v.invariant = InvariantKind::kQuorumConfig;
       v.code = "ww-no-intersect";

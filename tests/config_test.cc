@@ -295,7 +295,7 @@ TEST(ConfigTest, ValidateEnforcesResourceLimits) {
     auto parsed = SystemConfig::FromText(text);
     ASSERT_TRUE(parsed.ok()) << text << parsed.status();
     parsed->AddUniformItems(4, 0, 3);
-    Status s = parsed->Validate();
+    Status s = parsed->Validate().status();
     ASSERT_FALSE(s.ok()) << text;
     EXPECT_NE(s.message().find(why), std::string::npos) << s;
   }
@@ -356,45 +356,112 @@ TEST(ConfigTest, ShippedSampleConfigsLoadAndRun) {
 }
 
 TEST(ConfigTest, FuzzedTextNeverCrashes) {
-  // Hostile input: mutants of the shipped classroom config (bit flips,
-  // deletions, insertions) must either be rejected with a Status that
-  // says why, or parse into a config that, when it validates, goes
-  // through RainbowSystem::Create. Nothing may crash (the sanitizer
-  // build gives that clause its teeth).
-  const std::string text = ReadFileOrEmpty(std::string(RAINBOW_SOURCE_DIR) +
-                                           "/configs/classroom_default.rainbow");
-  ASSERT_FALSE(text.empty());
-  Rng rng(20261017);
-  int rejected = 0;
-  int built = 0;
-  for (int round = 0; round < 2000; ++round) {
-    const std::string mutant = MutateText(text, rng);
-    Result<SystemConfig> cfg = SystemConfig::FromText(mutant);
-    if (!cfg.ok()) {
-      EXPECT_FALSE(cfg.status().message().empty()) << "round " << round;
-      ++rejected;
-      continue;
-    }
-    if (!cfg->Validate().ok()) {
-      ++rejected;
-      continue;
-    }
-    auto sys = RainbowSystem::Create(*cfg);
-    if (sys.ok()) {
+  // Hostile input: mutants of the shipped configs (bit flips, deletions,
+  // insertions) must either be rejected with a Status that says why, or
+  // parse into a config that, when it validates, RainbowSystem::Create
+  // builds. Validate() builds the replication schema, so a config that
+  // validates always creates. The georeplicated sample's weighted votes
+  // and explicit quorums take mutants into the quorum checks. Nothing
+  // may crash (the sanitizer build gives that clause its teeth).
+  for (const char* name :
+       {"classroom_default.rainbow", "georeplicated.rainbow"}) {
+    const std::string text = ReadFileOrEmpty(std::string(RAINBOW_SOURCE_DIR) +
+                                             "/configs/" + name);
+    ASSERT_FALSE(text.empty()) << name;
+    Rng rng(20261017);
+    int rejected = 0;
+    int built = 0;
+    for (int round = 0; round < 2000; ++round) {
+      const std::string mutant = MutateText(text, rng);
+      Result<SystemConfig> cfg = SystemConfig::FromText(mutant);
+      if (!cfg.ok()) {
+        EXPECT_FALSE(cfg.status().message().empty()) << "round " << round;
+        ++rejected;
+        continue;
+      }
+      Status valid = cfg->Validate().status();
+      if (!valid.ok()) {
+        EXPECT_FALSE(valid.message().empty()) << "round " << round;
+        ++rejected;
+        continue;
+      }
+      auto sys = RainbowSystem::Create(*cfg);
+      ASSERT_TRUE(sys.ok()) << name << " round " << round << ": "
+                            << sys.status() << "\n" << mutant;
       ++built;
-      continue;
     }
-    // Validate() does not repeat the replication-schema checks the
-    // catalog makes while Create() builds it (duplicate item names or
-    // copy sites, quorum bounds), so such a config fails here instead,
-    // with a Status naming the item.
-    EXPECT_NE(sys.status().message().find("item '"), std::string::npos)
-        << "round " << round << ": " << sys.status() << "\n" << mutant;
-    ++rejected;
+    // Both outcomes occur, so neither clause above is vacuous.
+    EXPECT_GT(rejected, 0) << name;
+    EXPECT_GT(built, 0) << name;
   }
-  // Both outcomes occur, so neither clause above is vacuous.
-  EXPECT_GT(rejected, 0);
-  EXPECT_GT(built, 0);
+}
+
+TEST(ConfigTest, ValidateRejectsMalformedItems) {
+  // Every per-item rule fails in Validate(), naming the item, and
+  // Create() fails with the same Status. Each row starts from one valid
+  // item "ok" on three sites and adds the malformed one.
+  auto item = [](const char* name, std::vector<SiteId> copies,
+                 std::vector<int> votes, int r, int w) {
+    ItemConfig it;
+    it.name = name;
+    it.copies = std::move(copies);
+    it.votes = std::move(votes);
+    it.read_quorum = r;
+    it.write_quorum = w;
+    return it;
+  };
+  struct Row {
+    ItemConfig item;
+    const char* why;
+  };
+  const Row rows[] = {
+      {item("ok", {1}, {}, 0, 0), "item 'ok' already defined"},
+      {item("twice", {0, 1, 1}, {}, 0, 0),
+       "item 'twice': duplicate copy site"},
+      {item("zero", {0, 1}, {1, 0}, 0, 0),
+       "item 'zero': vote weights must be >= 1"},
+      {item("negative", {0}, {-2}, 1, 1),
+       "item 'negative': vote weights must be >= 1"},
+      {item("above", {0, 1}, {}, 3, 2),
+       "item 'above': quorum exceeds total votes"},
+      {item("missed", {0, 1, 2}, {}, 1, 2),
+       "item 'missed': R + W must exceed total votes"},
+      {item("split", {0, 1, 2}, {}, 3, 1),
+       "item 'split': 2W must exceed total votes"},
+      {item("weighted", {0, 1, 2}, {2, 1, 1}, 3, 2),
+       "item 'weighted': 2W must exceed total votes"},
+      {item("far", {0, 3}, {}, 0, 0), "item 'far' placed on unknown site 3"},
+      {item("nowhere", {}, {}, 0, 0), "item 'nowhere' has no copies"},
+      {item("short", {0, 1}, {1}, 0, 0),
+       "item 'short': votes/copies size mismatch"},
+      {item("heavy", {0, 1}, {2147483647, 2}, 0, 0),
+       "item 'heavy': total votes exceed 2147483647"},
+  };
+  for (const Row& row : rows) {
+    SystemConfig cfg;
+    cfg.num_sites = 3;
+    cfg.items.push_back(item("ok", {0, 1, 2}, {}, 0, 0));
+    cfg.items.push_back(row.item);
+    Status s = cfg.Validate().status();
+    ASSERT_FALSE(s.ok()) << row.why;
+    EXPECT_NE(s.message().find(row.why), std::string::npos) << s;
+    auto sys = RainbowSystem::Create(cfg);
+    ASSERT_FALSE(sys.ok()) << row.why;
+    EXPECT_EQ(sys.status().message(), s.message());
+  }
+  // Weighted votes 2,1,1 with R = 2, W = 3 intersect (R + W = 5 > 4,
+  // 2W = 6 > 4); zero quorums resolve to a majority of the votes.
+  SystemConfig cfg;
+  cfg.num_sites = 5;
+  cfg.items.push_back(item("w", {0, 1, 2}, {2, 1, 1}, 2, 3));
+  cfg.items.push_back(item("m", {0, 1, 2, 3, 4}, {}, 0, 0));
+  auto schema = cfg.Validate();
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  ASSERT_EQ(schema->num_items(), 2u);
+  const ItemSchema& m = schema->items()[1];
+  EXPECT_EQ(m.votes, (std::vector<int>{1, 1, 1, 1, 1}));
+  EXPECT_EQ(m.read_quorum, 3);
+  EXPECT_EQ(m.write_quorum, 3);
 }
 
 TEST(ConfigTest, ParserIgnoresCommentsAndBlanks) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -194,6 +195,15 @@ TEST(WalTest, DeserializeRejectsCorruption) {
   std::vector<uint8_t> bad = good;
   bad[0] ^= 0xff;
   EXPECT_FALSE(target.Deserialize(bad).ok());
+  // Any version but 4, the older formats included (the u32 at byte 4).
+  for (uint8_t version : {1, 2, 3, 5}) {
+    bad = good;
+    bad[4] = version;
+    Status s = target.Deserialize(bad);
+    EXPECT_NE(s.message().find("unsupported WAL version"), std::string::npos)
+        << s;
+    EXPECT_FALSE(target.DeserializeTolerant(bad).ok()) << int{version};
+  }
   // Truncations at every length must fail cleanly.
   for (size_t len = 0; len < good.size(); ++len) {
     std::vector<uint8_t> cut(good.begin(),
@@ -758,51 +768,29 @@ void PokeU32(std::vector<uint8_t>& buf, size_t off, uint32_t v) {
   for (int i = 0; i < 4; ++i) buf[off + i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
+// Overwrites the little-endian u64 header field at `off`.
+void PokeU64(std::vector<uint8_t>& buf, size_t off, uint64_t v) {
+  for (int i = 0; i < 8; ++i) buf[off + i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
 uint32_t PeekU32(const std::vector<uint8_t>& buf, size_t off) {
   uint32_t v = 0;
   for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(buf[off + i]) << (8 * i);
   return v;
 }
 
-// A v2 (pre-framing) file: magic, version, record count, then the
-// records inline. Serialize() only writes v4, so the legacy layout is
-// spelled out here.
-std::vector<uint8_t> SerializeV2(const Wal& wal) {
-  Encoder e;
-  e.PutU32(0x4c415752);  // "RWAL"
-  e.PutU32(2);
-  e.PutU32(static_cast<uint32_t>(wal.size()));
-  for (Lsn lsn = wal.base() + 1; lsn <= wal.LastLsn(); ++lsn) {
-    const WalRecord r = wal.At(lsn);
-    e.PutU8(static_cast<uint8_t>(r.kind));
-    e.PutTxnId(r.txn);
-    e.PutU32(r.coordinator);
-    e.PutVector(r.writes, [&](const WalRecord::Write& w) {
-      e.PutU32(w.item);
-      e.PutI64(w.value);
-      e.PutU64(w.version);
-    });
-    e.PutVector(r.participants, [&](SiteId site) { e.PutU32(site); });
-    e.PutBool(r.three_phase);
-    e.PutU32(r.store.item);
-    e.PutU32(r.store.page_id);
-    e.PutI64(r.store.before_value);
-    e.PutU64(r.store.before_version);
-    e.PutI64(r.store.value);
-    e.PutU64(r.store.version);
-    e.PutBool(r.store.tentative);
-    e.PutU64(r.prev_lsn);
-    e.PutU64(r.undo_next_lsn);
-  }
-  return e.Take();
+uint64_t PeekU64(const std::vector<uint8_t>& buf, size_t off) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(buf[off + i]) << (8 * i);
+  return v;
 }
 
 // v4 header offsets: magic, version, master, base, then the digest
 // count and one 21-byte entry (txn, flags, first_lsn) per digest entry,
 // then the record count.
+constexpr size_t kV4BaseOffset = 16;
 constexpr size_t kV4DigestCountOffset = 24;
 constexpr size_t kV4DigestEntryBytes = 12 + 1 + 8;
-constexpr size_t kV2CountOffset = 8;
 
 size_t V4CountOffset(const std::vector<uint8_t>& buf) {
   return kV4DigestCountOffset + 4 +
@@ -829,15 +817,38 @@ TEST(WalTest, ForgedRecordCountReturnsStatus) {
   Status tolerant = target.DeserializeTolerant(v4, &dropped);
   EXPECT_EQ(tolerant.code(), StatusCode::kIoError) << tolerant;
   EXPECT_EQ(target.size(), 1u);  // unchanged
+}
 
-  std::vector<uint8_t> v2 = SerializeV2(wal);
-  Wal legacy;
-  ASSERT_TRUE(legacy.Deserialize(v2).ok());
-  EXPECT_EQ(legacy.size(), 2u);
-  PokeU32(v2, kV2CountOffset, 0xFFFFFFFFu);
-  EXPECT_EQ(target.Deserialize(v2).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(target.DeserializeTolerant(v2).code(), StatusCode::kIoError);
-  EXPECT_EQ(target.size(), 1u);
+TEST(WalTest, ForgedBaseLsnReturnsStatus) {
+  // Regression: the loader took the header's base LSN unchecked, so a
+  // 3-record file forged with base = 2^64 - 2 loaded with LastLsn()
+  // wrapped below base(). A base at which NextLsn() would wrap is
+  // rejected; the largest base that does not wrap still loads.
+  Wal wal;
+  wal.Append(Prepared(TxnId{0, 1}, {{1, 10, 1}}, {0, 1}));
+  wal.Append(Decision(WalRecordKind::kCommitDecision, TxnId{0, 1}));
+  wal.Append(Decision(WalRecordKind::kApplied, TxnId{0, 1}));
+  const std::vector<uint8_t> good = wal.Serialize();
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+
+  Wal target;
+  target.Append(Prepared(TxnId{9, 9}, {}, {0}));
+  for (uint64_t base : {kMax - 1, kMax, kMax - 3}) {
+    std::vector<uint8_t> forged = good;
+    PokeU64(forged, kV4BaseOffset, base);
+    EXPECT_EQ(target.Deserialize(forged).code(), StatusCode::kInvalidArgument)
+        << base;
+    EXPECT_EQ(target.DeserializeTolerant(forged).code(), StatusCode::kIoError)
+        << base;
+    EXPECT_EQ(target.size(), 1u);  // unchanged
+  }
+  std::vector<uint8_t> highest = good;
+  PokeU64(highest, kV4BaseOffset, kMax - 4);
+  ASSERT_TRUE(target.Deserialize(highest).ok());
+  EXPECT_EQ(target.base(), kMax - 4);
+  EXPECT_EQ(target.LastLsn(), kMax - 1);
+  EXPECT_EQ(target.NextLsn(), kMax);
+  EXPECT_EQ(target.At(kMax - 3).kind, WalRecordKind::kPrepared);
 }
 
 TEST(WalTest, DigestEntryForOpenTruncatedTxnRejected) {
@@ -928,10 +939,10 @@ TEST(WalTest, ReopenedTruncatedTxnSavesAsClosedDigestEntry) {
 TEST(WalTest, FuzzedBuffersNeverCrash) {
   // Hostile-input property for the WAL loaders, in the style of
   // CodecTest.FuzzedTruncationsAndBitFlipsNeverCrash: truncations, bit
-  // flips and forged digest/record counts over a v2 and a
-  // head-truncated v4 buffer must each return a Status — never crash,
-  // abort on allocation or read out of bounds — and a buffer that does
-  // load must serialize to one that loads again.
+  // flips, forged digest/record counts and forged base LSNs over an
+  // untruncated and a head-truncated v4 buffer must each return a
+  // Status — never crash, abort on allocation or read out of bounds —
+  // and a buffer that does load must serialize to one that loads again.
   Wal wal;
   TxnId closed{0, 1}, open{1, 2}, coord{2, 3};
   wal.Append(Prepared(closed, {{1, 10, 1}}, {0, 1}));
@@ -944,17 +955,18 @@ TEST(WalTest, FuzzedBuffersNeverCrash) {
   wal.TruncateBefore(open_first);
   ASSERT_GT(wal.base(), 0u);
 
-  const std::vector<uint8_t> v4 = wal.Serialize();
-  ASSERT_EQ(PeekU32(v4, kV4DigestCountOffset), 1u);
-  const std::vector<uint8_t> v2 = SerializeV2(untruncated);
+  const std::vector<uint8_t> truncated = wal.Serialize();
+  ASSERT_EQ(PeekU32(truncated, kV4DigestCountOffset), 1u);
+  const std::vector<uint8_t> whole = untruncated.Serialize();
   struct Case {
     const char* name;
     const std::vector<uint8_t>& good;
     std::vector<size_t> count_offsets;  // forgeable u32 header fields
   };
   const Case cases[] = {
-      {"v2", v2, {kV2CountOffset}},
-      {"v4", v4, {kV4DigestCountOffset, V4CountOffset(v4)}},
+      {"whole", whole, {kV4DigestCountOffset, V4CountOffset(whole)}},
+      {"truncated", truncated,
+       {kV4DigestCountOffset, V4CountOffset(truncated)}},
   };
 
   // Loads `buf` both ways. Whatever loads must answer the recovery
@@ -1020,6 +1032,30 @@ TEST(WalTest, FuzzedBuffersNeverCrash) {
           EXPECT_FALSE(target.Deserialize(mut).ok()) << what;
           EXPECT_FALSE(target.DeserializeTolerant(mut).ok()) << what;
         }
+      }
+    }
+    // (d) Forged base LSNs: one at which NextLsn() would wrap must be
+    // rejected; the others load or fail on the digest anchors.
+    constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+    const uint64_t records = PeekU32(c.good, V4CountOffset(c.good));
+    const uint64_t forged[] = {0,
+                               1,
+                               PeekU64(c.good, kV4BaseOffset) + 1,
+                               kMax - records - 1,
+                               kMax - records,
+                               kMax - 1,
+                               kMax,
+                               rng.Next()};
+    for (uint64_t value : forged) {
+      std::vector<uint8_t> mut = c.good;
+      PokeU64(mut, kV4BaseOffset, value);
+      const std::string what =
+          std::string(c.name) + " base=" + std::to_string(value);
+      load_both(mut, what);
+      if (value > kMax - records - 1) {
+        Wal target;
+        EXPECT_FALSE(target.Deserialize(mut).ok()) << what;
+        EXPECT_FALSE(target.DeserializeTolerant(mut).ok()) << what;
       }
     }
   }

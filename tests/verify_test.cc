@@ -431,6 +431,19 @@ TEST(VerifyTest, NonIntersectingQuorumsDetected) {
 TEST(VerifyTest, MajorityQuorumsPass) {
   CheckReport report = MakeChecker().Check(TraceCollector{});
   EXPECT_TRUE(report.ok()) << report.Render();
+  // Votes summing to INT_MAX validate; their majority quorums add up
+  // past INT_MAX and still intersect.
+  SystemConfig heavy;
+  heavy.num_sites = 2;
+  heavy.protocols.rcp = RcpKind::kQuorumConsensus;
+  ItemConfig item;
+  item.name = "heavy";
+  item.copies = {0, 1};
+  item.votes = {2147483646, 1};
+  heavy.items.push_back(item);
+  ASSERT_TRUE(heavy.Validate().ok());
+  report = HistoryChecker(heavy).Check(TraceCollector{});
+  EXPECT_TRUE(report.ok()) << report.Render();
 }
 
 // --- truncation handling ---
