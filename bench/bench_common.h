@@ -145,7 +145,8 @@ struct SessionReps {
   RepeatedCount committed;
   RepeatedCount aborted;
   RepeatedCount messages;
-  RepeatedCount wal_bytes;  ///< WAL bytes held at the end of the session
+  RepeatedCount wal_bytes;  ///< WAL bytes resident at the session's end
+  RepeatedCount wal_held;   ///< WAL bytes allocated at the session's end
   std::string failure;
 
   double AllocsPerTxn() const {
@@ -163,6 +164,7 @@ struct SessionReps {
     ok = committed.Check("committed transactions") && ok;
     ok = aborted.Check("aborted transactions") && ok;
     ok = wal_bytes.Check("WAL bytes") && ok;
+    ok = wal_held.Check("WAL held bytes") && ok;
     return messages.Check("network messages") && ok;
   }
 };
@@ -186,6 +188,7 @@ inline SessionReps TimeSession(int reps, const SystemConfig& system,
     s.aborted.Record(result->aborted);
     s.messages.Record(result->net_messages);
     s.wal_bytes.Record(result->wal_resident_bytes);
+    s.wal_held.Record(result->wal_held_bytes);
   });
   return s;
 }

@@ -12,9 +12,10 @@
 // Wall time is the median of kReps repetitions after one untimed
 // warm-up run; every repetition must read the same committed
 // transactions, messages, allocations and WAL bytes. wal_bytes_max, the
-// bytes the 128 sites' logs hold at the end of the drive, is gated
-// exactly: it moves only when the log's in-memory form or the
-// checkpoint/truncation cadence does.
+// bytes the 128 sites' retained records occupy at the end of the drive,
+// and wal_held_max, the bytes their logs hold allocated (capacity), are
+// gated exactly: they move only when the log's in-memory form, its
+// growth and truncation policy, or the checkpoint cadence does.
 //
 // Flags:
 //   --out FILE    write the JSON report here (nothing is written without it)
@@ -75,6 +76,7 @@ int Main(int argc, char** argv) {
   report.Add("aborted", static_cast<double>(s.aborted.value));
   report.Add("net_messages", static_cast<double>(s.messages.value));
   report.Add("wal_bytes_max", static_cast<double>(s.wal_bytes.value));
+  report.Add("wal_held_max", static_cast<double>(s.wal_held.value));
 
   return bench::RunChecks(
       args, report, s.Check(),
@@ -85,6 +87,7 @@ int Main(int argc, char** argv) {
         pass &= CheckExact(baseline, current, "committed");
         pass &= CheckExact(baseline, current, "net_messages");
         pass &= CheckExact(baseline, current, "wal_bytes_max");
+        pass &= CheckExact(baseline, current, "wal_held_max");
         // Wall-time-shaped metrics (medians): 2x bounds — this run is an
         // order of magnitude longer than M6's macro section and its wall
         // time swings ~40% between cold and warm runs on small CI boxes.

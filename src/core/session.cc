@@ -85,8 +85,9 @@ Result<SessionResult> RunSession(const SystemConfig& system_config,
   r.max_blocked_us = pm.blocked_times().max();
   r.load_cv = pm.home_load_cv();
   for (size_t s = 0; s < sys.num_sites(); ++s) {
-    r.wal_resident_bytes +=
-        sys.site(static_cast<SiteId>(s))->wal().resident_bytes();
+    const Wal& wal = sys.site(static_cast<SiteId>(s))->wal();
+    r.wal_resident_bytes += wal.resident_bytes();
+    r.wal_held_bytes += wal.held_bytes();
   }
   r.stats_table = pm.RenderStatistics(net, duration);
   if (options.keep_session_log) r.session_log = pm.RenderSessionLog();

@@ -241,6 +241,11 @@ void Site::Recover() {
         rs.analyzed_txns, rs.in_doubt, rs.losers, rs.redo_applied,
         rs.redo_skipped, rs.undo_clrs, rs.log_scanned,
         static_cast<unsigned long long>(rs.redo_start), rs.pages_quarantined);
+    // Only a restart that left tentative versions behind names them, so
+    // every clean restart's detail reads as it always has.
+    if (rs.tentative_leaks > 0) {
+      rec.detail += StringPrintf(" tentative=%zu", rs.tentative_leaks);
+    }
     EmitTrace(std::move(rec));
   }
 

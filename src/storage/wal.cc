@@ -99,10 +99,17 @@ size_t Wal::TruncateBefore(Lsn lsn) {
   Lsn limit = std::min(lsn, NextLsn());
   size_t drop = static_cast<size_t>(limit - base_ - 1);
   const uint64_t cut = drop < offsets_.size() ? offsets_[drop] : log_.size();
-  log_.erase(log_.begin(), log_.begin() + static_cast<ptrdiff_t>(cut));
-  offsets_.erase(offsets_.begin(),
-                 offsets_.begin() + static_cast<ptrdiff_t>(drop));
-  for (uint64_t& off : offsets_) off -= cut;
+  // Copy the retained tail into storage sized to fit it, so the log's
+  // memory follows its live records rather than its high-water mark.
+  // erase() would move the same bytes but keep the old capacity.
+  std::vector<uint8_t> log(log_.begin() + static_cast<ptrdiff_t>(cut),
+                           log_.end());
+  std::vector<uint64_t> offsets(offsets_.size() - drop);
+  for (size_t i = 0; i < offsets.size(); ++i) {
+    offsets[i] = offsets_[drop + i] - cut;
+  }
+  log_ = std::move(log);
+  offsets_ = std::move(offsets);
   base_ = limit - 1;
   // A master inside the reclaimed prefix no longer names a record;
   // analysis would fall back to a full (retained-log) scan anyway, so

@@ -143,6 +143,13 @@ class Wal {
     return log_.size() + offsets_.size() * sizeof(uint64_t);
   }
 
+  /// Bytes the log's two arrays hold allocated: their capacity. Equal
+  /// to resident_bytes() right after a TruncateBefore() that dropped
+  /// records, which rebuilds the retained tail to fit.
+  size_t held_bytes() const {
+    return log_.capacity() + offsets_.capacity() * sizeof(uint64_t);
+  }
+
   /// Number of records reclaimed from the head by TruncateBefore();
   /// the oldest retained record has LSN base() + 1.
   Lsn base() const { return base_; }
@@ -162,7 +169,9 @@ class Wal {
   WalRecord At(Lsn lsn) const;
 
   /// Reclaims every record with LSN < `lsn` (clamped to the retained
-  /// range) and returns how many were dropped. LSNs of the surviving
+  /// range) and returns how many were dropped. When it drops any, the
+  /// retained tail moves into arrays sized to fit it, so the memory the
+  /// head held goes back to the allocator. LSNs of the surviving
   /// records do not change. The protocol digest keeps every dropped
   /// transaction's entry, so Scan(), Decision() and the recovery lists
   /// answer exactly as they did before the truncation — only the raw

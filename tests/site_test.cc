@@ -356,6 +356,49 @@ TEST_F(SiteTest, TraceRecordsProtocolFlow) {
   EXPECT_EQ(trace.Transactions(), std::vector<TxnId>{txn});
 }
 
+TEST_F(SiteTest, RecoverTraceNamesTentativeLeaks) {
+  // Page bytes that pass their CRC can still be forged. A restart that
+  // finds tentative versions in the tree counts them, and the site's
+  // kSiteRecover record must say so; a clean restart's detail does not
+  // mention them at all.
+  SystemConfig cfg = BaseConfig();
+  cfg.trace_enabled = true;
+  Build(cfg);
+  Site* site = sys_->site(1);
+  site->mutable_store().FlushAll();
+  sys_->CrashSite(1);
+  sys_->CrashSite(2);
+
+  // Tag the first entry of every leaf with the tentative bit. The page
+  // layout is b_plus_tree.cc's: node type at byte 12 (1 = leaf), entry
+  // count at 16, 20-byte entries from 24 with the version at +12.
+  // WritePage stamps a fresh CRC over the forged bytes.
+  FaultyDiskManager& disk = site->mutable_store().mutable_disk();
+  size_t forged = 0;
+  for (PageId id = 0; id < disk.allocated_pages(); ++id) {
+    Page page(disk.page_size());
+    disk.ReadPage(id, page);
+    if (page.ReadU8(12) != 1 || page.ReadU32(16) == 0) continue;
+    page.WriteU64(24 + 12, page.ReadU64(24 + 12) | kTentativeBit);
+    disk.WritePage(id, page);
+    ++forged;
+  }
+  ASSERT_GT(forged, 0u);
+
+  sys_->RecoverSite(1);
+  sys_->RecoverSite(2);
+  EXPECT_EQ(site->last_restart().tentative_leaks, forged);
+  EXPECT_EQ(sys_->site(2)->last_restart().tentative_leaks, 0u);
+  std::map<SiteId, std::string> details;
+  for (const TraceRecord& r : sys_->collector().records()) {
+    if (r.kind == TraceEventKind::kSiteRecover) details[r.site] = r.detail;
+  }
+  ASSERT_EQ(details.size(), 2u);
+  const std::string tag = " tentative=" + std::to_string(forged);
+  EXPECT_TRUE(details[1].ends_with(tag)) << details[1];
+  EXPECT_EQ(details[2].find("tentative"), std::string::npos) << details[2];
+}
+
 TEST_F(SiteTest, ReadOwnWriteServedFromBuffer) {
   SystemConfig cfg = BaseConfig();
   cfg.trace_enabled = true;

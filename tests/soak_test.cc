@@ -1,0 +1,98 @@
+// Soak checks: structures that must stop growing once a long run reaches
+// its steady state. Each test drives the same seeded session at two
+// lengths and bounds what the longer run holds by what the shorter one
+// held.
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
+#include "core/system.h"
+#include "workload/workload.h"
+
+namespace rainbow {
+namespace {
+
+/// What the sites' logs hold at the end of one drive.
+struct WalFootprint {
+  uint64_t held_bytes = 0;      ///< Σ Wal::held_bytes()
+  uint64_t resident_bytes = 0;  ///< Σ Wal::resident_bytes()
+  uint64_t records = 0;         ///< Σ Wal::size()
+  uint64_t digest_entries = 0;  ///< Σ Wal::Scan().size()
+};
+
+/// Runs `txns` transactions on `cfg` until the workload drains.
+Result<WalFootprint> Drive(const SystemConfig& cfg, uint32_t txns) {
+  auto created = RainbowSystem::Create(cfg);
+  RAINBOW_RETURN_IF_ERROR(created.status());
+  RainbowSystem& sys = **created;
+  WorkloadConfig wl;
+  wl.seed = cfg.seed;
+  wl.num_txns = txns;
+  wl.mpl = 16;
+  wl.read_fraction = 0.75;
+  WorkloadGenerator wlg(&sys, wl);
+  wlg.Run();
+  while (!wlg.finished()) {
+    if (sys.Idle()) return Status::Internal("workload stalled");
+    sys.RunFor(Millis(50));
+  }
+  WalFootprint f;
+  for (SiteId s = 0; s < sys.num_sites(); ++s) {
+    const Wal& wal = sys.site(s)->wal();
+    f.held_bytes += wal.held_bytes();
+    f.resident_bytes += wal.resident_bytes();
+    f.records += wal.size();
+    f.digest_entries += wal.Scan().size();
+  }
+  return f;
+}
+
+TEST(WalSoakTest, HeldBytesPlateauOnClassroomShape) {
+  // The shipped config's protocols, on the classroom session's shape:
+  // 8 sites, 2000 items with 3 copies each, checkpoints every 256 LSNs.
+  // Each checkpoint truncates the log to its protocol barrier, so what a
+  // site's log holds allocated must not grow with the run's length:
+  // four times the transactions may add at most one checkpoint interval
+  // of records per site.
+  std::ifstream in(std::string(RAINBOW_SOURCE_DIR) +
+                   "/configs/classroom_default.rainbow");
+  std::ostringstream text;
+  text << in.rdbuf();
+  auto cfg = SystemConfig::FromText(text.str());
+  ASSERT_TRUE(cfg.ok()) << cfg.status();
+  cfg->num_sites = 8;
+  cfg->items.clear();
+  cfg->AddUniformItems(2000, 100, 3);
+  ASSERT_EQ(cfg->protocols.checkpoint_interval, 256u);
+
+  constexpr uint32_t kTxns = 2000;
+  auto shorter = Drive(*cfg, kTxns);
+  ASSERT_TRUE(shorter.ok()) << shorter.status();
+  auto longer = Drive(*cfg, 4 * kTxns);
+  ASSERT_TRUE(longer.ok()) << longer.status();
+
+  for (const auto& [txns, f] :
+       {std::pair{kTxns, *shorter}, std::pair{4 * kTxns, *longer}}) {
+    std::printf("  %5u txns: held %llu B, resident %llu B, %llu records, "
+                "%llu digest entries\n",
+                txns, static_cast<unsigned long long>(f.held_bytes),
+                static_cast<unsigned long long>(f.resident_bytes),
+                static_cast<unsigned long long>(f.records),
+                static_cast<unsigned long long>(f.digest_entries));
+  }
+  // A record's bytes: the shorter run's mean retained record, offset
+  // included. The digest (Scan()) is not bounded here: it keeps one
+  // entry per transaction until decisions are forgotten.
+  ASSERT_GT(shorter->records, 0u);
+  const uint64_t record_bytes = shorter->resident_bytes / shorter->records;
+  const uint64_t slack =
+      cfg->num_sites * cfg->protocols.checkpoint_interval * record_bytes;
+  EXPECT_LE(longer->held_bytes, shorter->held_bytes + slack)
+      << "slack " << slack << " B";
+}
+
+}  // namespace
+}  // namespace rainbow

@@ -617,6 +617,25 @@ TEST(WalTest, TruncateBeforeKeepsLsnsStable) {
   EXPECT_EQ(wal.base(), 3u);
 }
 
+TEST(WalTest, TruncationGivesBackTheHeadsCapacity) {
+  Wal wal;
+  for (uint64_t seq = 1; seq <= 1000; ++seq) {
+    wal.Append(Prepared(TxnId{0, seq}, {{1, 10, seq}}, {0, 1}));
+  }
+  const size_t high_water = wal.held_bytes();
+  ASSERT_GE(high_water, wal.resident_bytes());
+
+  EXPECT_EQ(wal.TruncateBefore(wal.LastLsn() - 2), 997u);
+  EXPECT_EQ(wal.size(), 3u);
+  EXPECT_EQ(wal.held_bytes(), wal.resident_bytes());
+  EXPECT_LT(wal.held_bytes() * 100, high_water);
+  EXPECT_EQ(wal.At(wal.LastLsn()).txn, (TxnId{0, 1000}));
+
+  // Dropping the rest leaves nothing allocated.
+  EXPECT_EQ(wal.TruncateBefore(wal.NextLsn()), 3u);
+  EXPECT_EQ(wal.held_bytes(), 0u);
+}
+
 TEST(WalTest, ScanAnswersFromDigestAfterTruncation) {
   // Close a transaction completely (prepared -> commit -> applied),
   // truncate its records away, and the digest-backed queries must
@@ -1383,7 +1402,11 @@ TEST(WalTest, WireLogMatchesRecordModel) {
       ASSERT_LE(dropped, model.size());
       model.erase(model.begin(),
                   model.begin() + static_cast<ptrdiff_t>(dropped));
-      truncations += dropped > 0 ? 1 : 0;
+      if (dropped > 0) {
+        // The retained tail was rebuilt to fit: no high-water slack.
+        ASSERT_EQ(wal.held_bytes(), wal.resident_bytes()) << "step " << step;
+        ++truncations;
+      }
     } else {
       const std::vector<uint8_t> bytes = wal.Serialize();
       Wal loaded;
