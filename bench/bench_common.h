@@ -147,6 +147,7 @@ struct SessionReps {
   RepeatedCount messages;
   RepeatedCount wal_bytes;  ///< WAL bytes resident at the session's end
   RepeatedCount wal_held;   ///< WAL bytes allocated at the session's end
+  RepeatedCount wal_digest;  ///< WAL digest bytes at the session's end
   std::string failure;
 
   double AllocsPerTxn() const {
@@ -165,6 +166,7 @@ struct SessionReps {
     ok = aborted.Check("aborted transactions") && ok;
     ok = wal_bytes.Check("WAL bytes") && ok;
     ok = wal_held.Check("WAL held bytes") && ok;
+    ok = wal_digest.Check("WAL digest bytes") && ok;
     return messages.Check("network messages") && ok;
   }
 };
@@ -189,6 +191,7 @@ inline SessionReps TimeSession(int reps, const SystemConfig& system,
     s.messages.Record(result->net_messages);
     s.wal_bytes.Record(result->wal_resident_bytes);
     s.wal_held.Record(result->wal_held_bytes);
+    s.wal_digest.Record(result->wal_digest_bytes);
   });
   return s;
 }

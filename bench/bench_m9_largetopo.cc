@@ -13,9 +13,11 @@
 // warm-up run; every repetition must read the same committed
 // transactions, messages, allocations and WAL bytes. wal_bytes_max, the
 // bytes the 128 sites' retained records occupy at the end of the drive,
-// and wal_held_max, the bytes their logs hold allocated (capacity), are
-// gated exactly: they move only when the log's in-memory form, its
-// growth and truncation policy, or the checkpoint cadence does.
+// wal_held_max, the bytes their logs hold allocated (capacity), and
+// wal_digest_held_max, the bytes their protocol digests hold, are gated
+// exactly: they move only when the log's or the digest's in-memory
+// form, its growth and truncation policy, or the checkpoint cadence
+// does.
 //
 // Flags:
 //   --out FILE    write the JSON report here (nothing is written without it)
@@ -77,6 +79,7 @@ int Main(int argc, char** argv) {
   report.Add("net_messages", static_cast<double>(s.messages.value));
   report.Add("wal_bytes_max", static_cast<double>(s.wal_bytes.value));
   report.Add("wal_held_max", static_cast<double>(s.wal_held.value));
+  report.Add("wal_digest_held_max", static_cast<double>(s.wal_digest.value));
 
   return bench::RunChecks(
       args, report, s.Check(),
@@ -88,6 +91,7 @@ int Main(int argc, char** argv) {
         pass &= CheckExact(baseline, current, "net_messages");
         pass &= CheckExact(baseline, current, "wal_bytes_max");
         pass &= CheckExact(baseline, current, "wal_held_max");
+        pass &= CheckExact(baseline, current, "wal_digest_held_max");
         // Wall-time-shaped metrics (medians): 2x bounds — this run is an
         // order of magnitude longer than M6's macro section and its wall
         // time swings ~40% between cold and warm runs on small CI boxes.

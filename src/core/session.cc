@@ -88,6 +88,7 @@ Result<SessionResult> RunSession(const SystemConfig& system_config,
     const Wal& wal = sys.site(static_cast<SiteId>(s))->wal();
     r.wal_resident_bytes += wal.resident_bytes();
     r.wal_held_bytes += wal.held_bytes();
+    r.wal_digest_bytes += wal.digest_bytes();
   }
   r.stats_table = pm.RenderStatistics(net, duration);
   if (options.keep_session_log) r.session_log = pm.RenderSessionLog();

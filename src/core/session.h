@@ -50,6 +50,9 @@ struct SessionResult {
   /// Bytes the sites' logs hold allocated at the end of the session
   /// (Wal::held_bytes summed over sites): resident bytes plus slack.
   uint64_t wal_held_bytes = 0;
+  /// Bytes the sites' protocol digests hold at the end of the session
+  /// (Wal::digest_bytes summed over sites).
+  uint64_t wal_digest_bytes = 0;
 
   std::string stats_table;   ///< full §3 rendering
   std::string session_log;   ///< Figure-5 lines (when kept)

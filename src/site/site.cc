@@ -268,7 +268,7 @@ void Site::Recover() {
   // kApplied records the redo loop appended change neither list below.
   BuildVolatileState();
   for (const WalRecord& rec : wal_.InDoubt()) {
-    participants_->ReinstateInDoubt(rec, wal_.Scan().at(rec.txn).precommitted);
+    participants_->ReinstateInDoubt(rec, wal_.Precommitted(rec.txn));
   }
   // Re-propagate decisions this site made as coordinator but never
   // finished acknowledging.

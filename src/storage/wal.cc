@@ -46,21 +46,34 @@ const char* WalRecordKindName(WalRecordKind k) {
   return "?";
 }
 
-void Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
-  switch (record.kind) {
+namespace {
+
+// TxnLogState flag bits in a digest entry, in a v4 file and in the
+// closed-transaction array alike.
+constexpr uint8_t kDigestPrepared = 1u << 0;
+constexpr uint8_t kDigestPrecommitted = 1u << 1;
+constexpr uint8_t kDigestDecided = 1u << 2;
+constexpr uint8_t kDigestCommit = 1u << 3;
+constexpr uint8_t kDigestApplied = 1u << 4;
+constexpr uint8_t kDigestEnded = 1u << 5;
+constexpr uint8_t kDigestCoordinator = 1u << 6;
+
+bool IsProtocolRecord(WalRecordKind kind) {
+  switch (kind) {
     case WalRecordKind::kPrepared:
     case WalRecordKind::kPreCommitted:
     case WalRecordKind::kCommitDecision:
     case WalRecordKind::kAbortDecision:
     case WalRecordKind::kApplied:
     case WalRecordKind::kEnd:
-      break;
+      return true;
     default:
-      return;  // storage records carry no protocol state
+      return false;  // storage records carry no protocol state
   }
-  TxnLogState& st = proto_index_[record.txn];
-  const bool was_open = st.Open();
-  const Lsn old_first = st.first_lsn;
+}
+
+// Folds one protocol record into its transaction's digest entry.
+void ApplyRecord(Wal::TxnLogState& st, const WalRecord& record, Lsn lsn) {
   if (st.first_lsn == kNoLsn || lsn < st.first_lsn) st.first_lsn = lsn;
   switch (record.kind) {
     case WalRecordKind::kPrepared:
@@ -88,17 +101,119 @@ void Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
     default:
       break;
   }
+}
+
+}  // namespace
+
+Wal::ClosedTxn Wal::Pack(const TxnId& txn, const TxnLogState& st) {
+  uint8_t flags = 0;
+  if (st.prepared) flags |= kDigestPrepared;
+  if (st.precommitted) flags |= kDigestPrecommitted;
+  if (st.decided) flags |= kDigestDecided;
+  if (st.commit) flags |= kDigestCommit;
+  if (st.applied) flags |= kDigestApplied;
+  if (st.ended) flags |= kDigestEnded;
+  if (st.coordinator) flags |= kDigestCoordinator;
+  return ClosedTxn{txn.seq, st.first_lsn, txn.home, flags};
+}
+
+Wal::TxnLogState Wal::Unpack(const ClosedTxn& c) {
+  TxnLogState st;
+  st.first_lsn = c.first_lsn;
+  st.prepared = (c.flags & kDigestPrepared) != 0;
+  st.precommitted = (c.flags & kDigestPrecommitted) != 0;
+  st.decided = (c.flags & kDigestDecided) != 0;
+  st.commit = (c.flags & kDigestCommit) != 0;
+  st.applied = (c.flags & kDigestApplied) != 0;
+  st.ended = (c.flags & kDigestEnded) != 0;
+  st.coordinator = (c.flags & kDigestCoordinator) != 0;
+  return st;
+}
+
+size_t Wal::FindClosed(const TxnId& txn) const {
+  auto it = std::lower_bound(
+      closed_.begin(), closed_.end(), txn,
+      [](const ClosedTxn& c, const TxnId& t) { return c.txn() < t; });
+  if (it == closed_.end() || !(it->txn() == txn)) return closed_.size();
+  return static_cast<size_t>(it - closed_.begin());
+}
+
+void Wal::IndexRecord(const WalRecord& record, Lsn lsn) {
+  if (!IsProtocolRecord(record.kind)) return;
+  auto it = proto_index_.lower_bound(record.txn);
+  if (it == proto_index_.end() || it->first != record.txn) {
+    const size_t closed = FindClosed(record.txn);
+    if (closed < closed_.size()) {
+      // A folded transaction: a decision logged after it closed keeps it
+      // closed, a late kPrepared or coordinator decision reopens it.
+      TxnLogState st = Unpack(closed_[closed]);
+      ApplyRecord(st, record, lsn);
+      if (st.Closed()) {
+        closed_[closed] = Pack(record.txn, st);
+        return;
+      }
+      closed_.erase(closed_.begin() + static_cast<ptrdiff_t>(closed));
+      proto_index_.emplace_hint(it, record.txn, st);
+      open_txns_.emplace(st.first_lsn, record.txn);
+      return;
+    }
+    it = proto_index_.emplace_hint(it, record.txn, TxnLogState{});
+  }
+  TxnLogState& st = it->second;
+  const bool was_open = st.Open();
+  const Lsn old_first = st.first_lsn;
+  ApplyRecord(st, record, lsn);
   const bool open = st.Open();
   if (was_open == open && old_first == st.first_lsn) return;
   if (was_open) open_txns_.erase({old_first, record.txn});
   if (open) open_txns_.emplace(st.first_lsn, record.txn);
 }
 
+void Wal::FoldClosed() {
+  const size_t folded = closed_.size();
+  const size_t closing = static_cast<size_t>(std::count_if(
+      proto_index_.begin(), proto_index_.end(),
+      [](const auto& entry) { return entry.second.Closed(); }));
+  if (closing == 0) return;
+  // Grow by a quarter, not by doubling: the array holds one entry per
+  // transaction ever closed here, so its slack is most of what the
+  // digest could save.
+  if (closed_.capacity() < folded + closing) {
+    closed_.reserve(std::max(folded + closing, folded + folded / 4));
+  }
+  for (auto it = proto_index_.begin(); it != proto_index_.end();) {
+    if (!it->second.Closed()) {
+      ++it;
+      continue;
+    }
+    closed_.push_back(Pack(it->first, it->second));
+    it = proto_index_.erase(it);
+  }
+  // The new tail is sorted. TxnId orders by seq first, so it mostly
+  // sorts after the folded entries: the merge starts where it must.
+  auto before = [](const ClosedTxn& a, const ClosedTxn& b) {
+    return a.txn() < b.txn();
+  };
+  const auto mid = closed_.begin() + static_cast<ptrdiff_t>(folded);
+  std::inplace_merge(std::upper_bound(closed_.begin(), mid, *mid, before), mid,
+                     closed_.end(), before);
+}
+
+size_t Wal::digest_bytes() const {
+  return closed_.capacity() * sizeof(ClosedTxn) +
+         proto_index_.size() * kOpenEntryBytes;
+}
+
 size_t Wal::TruncateBefore(Lsn lsn) {
+  FoldClosed();
   if (lsn <= base_ + 1) return 0;
   Lsn limit = std::min(lsn, NextLsn());
   size_t drop = static_cast<size_t>(limit - base_ - 1);
-  const uint64_t cut = drop < offsets_.size() ? offsets_[drop] : log_.size();
+  if (drop == 0) return 0;
+  auto start = [this](size_t i) -> uint64_t {
+    return i < offsets_.size() ? offsets_[i] : log_.size();
+  };
+  const uint64_t cut = start(drop);
   // Copy the retained tail into storage sized to fit it, so the log's
   // memory follows its live records rather than its high-water mark.
   // erase() would move the same bytes but keep the old capacity.
@@ -108,9 +223,22 @@ size_t Wal::TruncateBefore(Lsn lsn) {
   for (size_t i = 0; i < offsets.size(); ++i) {
     offsets[i] = offsets_[drop + i] - cut;
   }
+  // The next interval will append about what this one did, so Extend
+  // grows the arrays in steps of a quarter of that: they hold at most
+  // about a quarter interval beyond their records, where doubling held
+  // up to twice them. Reserving the whole interval here instead would
+  // hold it from the interval's start. The first truncation has no
+  // interval to go by (the records so far may be a load).
+  if (refit_lsn_ != kNoLsn) {
+    const size_t records = static_cast<size_t>(LastLsn() - refit_lsn_);
+    const uint64_t bytes = log_.size() - start(offsets_.size() - records);
+    log_step_ = static_cast<size_t>(bytes / 4);
+    offsets_step_ = records / 4;
+  }
   log_ = std::move(log);
   offsets_ = std::move(offsets);
   base_ = limit - 1;
+  refit_lsn_ = LastLsn();
   // A master inside the reclaimed prefix no longer names a record;
   // analysis would fall back to a full (retained-log) scan anyway, so
   // clear it rather than leave a dangling pointer. The storage engine's
@@ -126,15 +254,39 @@ Lsn Wal::ProtocolBarrier() const {
 }
 
 bool Wal::IsPreparedUndecided(const TxnId& txn) const {
+  // A closed entry is decided, so only the open map can hold one.
   auto it = proto_index_.find(txn);
   return it != proto_index_.end() && it->second.prepared &&
          !it->second.decided;
 }
 
 std::optional<bool> Wal::Decision(const TxnId& txn) const {
-  auto it = proto_index_.find(txn);
-  if (it == proto_index_.end() || !it->second.decided) return std::nullopt;
-  return it->second.commit;
+  std::optional<TxnLogState> st = Scan().find(txn);
+  if (!st || !st->decided) return std::nullopt;
+  return st->commit;
+}
+
+bool Wal::Precommitted(const TxnId& txn) const {
+  std::optional<TxnLogState> st = Scan().find(txn);
+  return st && st->precommitted;
+}
+
+size_t Wal::DigestView::size() const {
+  return wal_->proto_index_.size() + wal_->closed_.size();
+}
+
+std::optional<Wal::TxnLogState> Wal::DigestView::find(const TxnId& txn) const {
+  auto it = wal_->proto_index_.find(txn);
+  if (it != wal_->proto_index_.end()) return it->second;
+  const size_t closed = wal_->FindClosed(txn);
+  if (closed == wal_->closed_.size()) return std::nullopt;
+  return Unpack(wal_->closed_[closed]);
+}
+
+Wal::TxnLogState Wal::DigestView::at(const TxnId& txn) const {
+  std::optional<TxnLogState> st = find(txn);
+  assert(st.has_value());
+  return st.value_or(TxnLogState{});
 }
 
 std::vector<WalRecord> Wal::CommittedUnapplied() const {
@@ -177,15 +329,8 @@ constexpr uint32_t kWalMagic = 0x4c415752;
 constexpr uint32_t kWalVersion = 4;
 // Frame header: [len u32][crc32 u32].
 constexpr size_t kFrameHeaderBytes = 8;
-
-// TxnLogState flag bits in a serialized digest entry.
-constexpr uint8_t kDigestPrepared = 1u << 0;
-constexpr uint8_t kDigestPrecommitted = 1u << 1;
-constexpr uint8_t kDigestDecided = 1u << 2;
-constexpr uint8_t kDigestCommit = 1u << 3;
-constexpr uint8_t kDigestApplied = 1u << 4;
-constexpr uint8_t kDigestEnded = 1u << 5;
-constexpr uint8_t kDigestCoordinator = 1u << 6;
+// Digest entry: [txn: home u32, seq u64][flags u8][first_lsn u64].
+constexpr size_t kDigestEntryBytes = 4 + 8 + 1 + 8;
 
 /// A Result<T> stand-in that is always ok: what LogReader's getters
 /// return, so RAINBOW_ASSIGN_OR_RETURN's error branch folds away.
@@ -382,6 +527,18 @@ Status DecodeRecordPayload(Source& d, WalRecord& r) {
   return Status::OK();
 }
 
+/// Makes room in `v` for `need` elements. With no `step` it doubles
+/// the capacity, as std::vector would; otherwise it adds `step` or a
+/// quarter of the capacity, whichever is more, so the growth stays
+/// geometric if truncation stalls.
+template <typename T>
+void Grow(std::vector<T>& v, size_t need, size_t step) {
+  if (need <= v.capacity()) return;
+  const size_t grow =
+      step == 0 ? v.capacity() : std::max(step, v.capacity() / 4);
+  v.reserve(std::max(need, v.capacity() + grow));
+}
+
 void AppendU32(std::vector<uint8_t>& out, uint32_t v) {
   uint8_t b[4];
   std::memcpy(b, &v, sizeof(v));
@@ -402,6 +559,8 @@ Lsn Wal::Append(const WalRecord& record) {
 
 uint8_t* Wal::Extend(size_t n) {
   const size_t start = log_.size();
+  Grow(log_, start + n, log_step_);
+  Grow(offsets_, offsets_.size() + 1, offsets_step_);
   log_.resize(start + n);
   offsets_.push_back(start);
   return log_.data() + start;
@@ -434,30 +593,26 @@ std::vector<uint8_t> Wal::Serialize() const {
   // head was truncated. If a retained kPrepared or coordinator decision
   // has reopened it since, the bit that record sets is written cleared:
   // every entry in the file is closed, and the reload sets the bit
-  // again from the record.
+  // again from the record. Both digest stores are written, merged in
+  // TxnId order; a folded entry is closed, so it never clears a bit.
   uint32_t digest_count = 0;
-  for (const auto& [txn, st] : proto_index_) {
+  ForEachEntry([&](const TxnId&, const TxnLogState& st) {
     if (st.first_lsn != kNoLsn && st.first_lsn <= base_) ++digest_count;
-  }
+  });
   header.PutU32(digest_count);
-  for (const auto& [txn, st] : proto_index_) {
-    if (st.first_lsn == kNoLsn || st.first_lsn > base_) continue;
+  ForEachEntry([&](const TxnId& txn, const TxnLogState& st) {
+    if (st.first_lsn == kNoLsn || st.first_lsn > base_) return;
     header.PutTxnId(txn);
     const bool reprepared =
         st.prepared && !st.applied && st.prepared_lsn > base_;
     const bool recoordinated =
         st.coordinator && !st.ended && st.decision_lsn > base_;
-    uint8_t flags = 0;
-    if (st.prepared && !reprepared) flags |= kDigestPrepared;
-    if (st.precommitted) flags |= kDigestPrecommitted;
-    if (st.decided) flags |= kDigestDecided;
-    if (st.commit) flags |= kDigestCommit;
-    if (st.applied) flags |= kDigestApplied;
-    if (st.ended) flags |= kDigestEnded;
-    if (st.coordinator && !recoordinated) flags |= kDigestCoordinator;
+    uint8_t flags = Pack(txn, st).flags;
+    if (reprepared) flags &= static_cast<uint8_t>(~kDigestPrepared);
+    if (recoordinated) flags &= static_cast<uint8_t>(~kDigestCoordinator);
     header.PutU8(flags);
     header.PutU64(st.first_lsn);
-  }
+  });
   header.PutU32(static_cast<uint32_t>(size()));
   std::vector<uint8_t> out = header.Take();
   out.reserve(out.size() + log_.size() + size() * kFrameHeaderBytes);
@@ -502,35 +657,35 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
   Result<uint64_t> base_r = d.GetU64();
   if (!base_r.ok()) return header_err();
   const uint64_t base = base_r.value();
-  std::map<TxnId, TxnLogState> digest;
+  // The digest entries go straight into the loaded log's closed array.
+  Wal loaded;
   Result<uint32_t> digest_count = d.GetU32();
   if (!digest_count.ok()) return header_err();
+  if (digest_count.value() <= d.remaining() / kDigestEntryBytes) {
+    loaded.closed_.reserve(digest_count.value());
+  }
   for (uint32_t i = 0; i < digest_count.value(); ++i) {
     Result<TxnId> txn = d.GetTxnId();
     if (!txn.ok()) return header_err();
-    Result<uint8_t> flags_r = d.GetU8();
-    if (!flags_r.ok()) return header_err();
+    Result<uint8_t> flags = d.GetU8();
+    if (!flags.ok()) return header_err();
     Result<uint64_t> first = d.GetU64();
     if (!first.ok()) return header_err();
-    uint8_t flags = flags_r.value();
-    TxnLogState st;
-    st.first_lsn = first.value();
-    st.prepared = (flags & kDigestPrepared) != 0;
-    st.precommitted = (flags & kDigestPrecommitted) != 0;
-    st.decided = (flags & kDigestDecided) != 0;
-    st.commit = (flags & kDigestCommit) != 0;
-    st.applied = (flags & kDigestApplied) != 0;
-    st.ended = (flags & kDigestEnded) != 0;
-    st.coordinator = (flags & kDigestCoordinator) != 0;
+    const ClosedTxn entry{txn.value().seq, first.value(), txn.value().home,
+                          flags.value()};
+    const TxnLogState st = Unpack(entry);
     // Truncation only reclaims closed transactions' records, and
     // recovery reads an open transaction's records back by LSN: an
     // open entry, or one anchored outside the truncated prefix, is a
-    // forged header.
-    if (!st.Closed() || st.first_lsn == kNoLsn || st.first_lsn > base) {
+    // forged header. Serialize writes one entry per transaction in
+    // TxnId order, so a duplicate or a step back is one too.
+    if (!st.Closed() || st.first_lsn == kNoLsn || st.first_lsn > base ||
+        (!loaded.closed_.empty() &&
+         !(loaded.closed_.back().txn() < entry.txn()))) {
       return tolerant ? Status::IoError("bad WAL digest entry")
                       : Status::InvalidArgument("bad WAL digest entry");
     }
-    digest[txn.value()] = st;
+    loaded.closed_.push_back(entry);
   }
   Result<uint32_t> count_r = d.GetU32();
   if (!count_r.ok()) return header_err();
@@ -550,12 +705,10 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
                     : Status::InvalidArgument("WAL base LSN out of range");
   }
   // The digest entries cover the truncated prefix; each retained record
-  // is indexed on top of them as it loads, min-merging first_lsn where
-  // an entry also exists. Every entry is closed, so none opens a
-  // protocol barrier by itself.
-  Wal loaded;
+  // is indexed on top of them as it loads, and leaves its entry's
+  // first_lsn alone (every record lies past base). Every entry is
+  // closed, so none opens a protocol barrier by itself.
   loaded.base_ = static_cast<Lsn>(base);
-  loaded.proto_index_ = std::move(digest);
   loaded.offsets_.reserve(count);
   size_t off = buffer.size() - d.remaining();
   size_t drop = 0;
@@ -621,6 +774,7 @@ Status Wal::DeserializeImpl(const std::vector<uint8_t>& buffer, bool tolerant,
   // the head-truncated prefix (a malformed header, not a real save).
   loaded.master_ = std::min<Lsn>(master, loaded.LastLsn());
   if (loaded.master_ <= loaded.base_) loaded.master_ = kNoLsn;
+  loaded.FoldClosed();
   *this = std::move(loaded);
   if (dropped != nullptr) *dropped = drop;
   return Status::OK();

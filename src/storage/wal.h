@@ -145,7 +145,9 @@ class Wal {
 
   /// Bytes the log's two arrays hold allocated: their capacity. Equal
   /// to resident_bytes() right after a TruncateBefore() that dropped
-  /// records, which rebuilds the retained tail to fit.
+  /// records, which rebuilds the retained tail to fit. Between
+  /// truncations the arrays grow in steps of a quarter of what the
+  /// previous checkpoint interval appended, not by doubling.
   size_t held_bytes() const {
     return log_.capacity() + offsets_.capacity() * sizeof(uint64_t);
   }
@@ -172,7 +174,8 @@ class Wal {
   /// range) and returns how many were dropped. When it drops any, the
   /// retained tail moves into arrays sized to fit it, so the memory the
   /// head held goes back to the allocator. LSNs of the surviving
-  /// records do not change. The protocol digest keeps every dropped
+  /// records do not change. Every call first folds the digest's closed
+  /// entries into its compact array. The digest keeps every dropped
   /// transaction's entry, so Scan(), Decision() and the recovery lists
   /// answer exactly as they did before the truncation — only the raw
   /// record bodies are gone. The caller owns the safety argument that
@@ -230,11 +233,39 @@ class Wal {
     bool Open() const { return first_lsn != kNoLsn && !Closed(); }
   };
 
-  /// The digest: one entry per transaction that ever logged a protocol
-  /// record here, head-truncated or not, in TxnId order. Storage-engine
-  /// records (kStore*) are invisible here — the page engine's restart
-  /// pass scans them itself.
-  const std::map<TxnId, TxnLogState>& Scan() const { return proto_index_; }
+  /// Bytes the protocol digest holds: the closed-transaction array's
+  /// capacity plus kOpenEntryBytes for each entry not yet folded into it.
+  size_t digest_bytes() const;
+
+  /// A read-only view of the digest: one entry per transaction that
+  /// ever logged a protocol record here, head-truncated or not, in
+  /// TxnId order. Storage-engine records (kStore*) are invisible here —
+  /// the page engine's restart pass scans them itself. An entry comes
+  /// back by value; a folded (closed) one keeps only what a v4 file
+  /// keeps, so its prepared_lsn and decision_lsn read kNoLsn.
+  class DigestView {
+   public:
+    /// Open plus closed entries.
+    size_t size() const;
+    bool contains(const TxnId& txn) const { return find(txn).has_value(); }
+    std::optional<TxnLogState> find(const TxnId& txn) const;
+    /// The entry for `txn`; asserts that it exists.
+    TxnLogState at(const TxnId& txn) const;
+    /// Calls `f(txn, state)` for every entry, in TxnId order.
+    template <typename F>
+    void ForEach(F&& f) const {
+      wal_->ForEachEntry(f);
+    }
+
+   private:
+    friend class Wal;
+    explicit DigestView(const Wal* wal) : wal_(wal) {}
+    const Wal* wal_;
+  };
+  DigestView Scan() const { return DigestView(this); }
+
+  /// True iff `txn` logged a kPreCommitted record here.
+  bool Precommitted(const TxnId& txn) const;
 
   /// The decision this site logged for `txn`, as coordinator or as
   /// participant (true = commit); nullopt if it logged none. This is
@@ -308,6 +339,42 @@ class Wal {
   std::span<const uint8_t> Payload(size_t i) const;
   void IndexRecord(const WalRecord& record, Lsn lsn);
 
+  /// What digest_bytes() charges for one entry of the open map: its
+  /// red-black tree node (three links and a colour word) around the
+  /// key and state, before the allocator's own header.
+  static constexpr size_t kOpenEntryBytes =
+      4 * sizeof(void*) + sizeof(std::pair<const TxnId, TxnLogState>);
+
+  /// A closed transaction's digest entry in the v4 file's form: its
+  /// TxnId, first LSN and kDigest* flag bits, 24 bytes.
+  struct ClosedTxn {
+    uint64_t seq = 0;
+    Lsn first_lsn = kNoLsn;
+    SiteId home = kInvalidSite;
+    uint8_t flags = 0;
+    TxnId txn() const { return TxnId{home, seq}; }
+  };
+  static_assert(sizeof(ClosedTxn) == 24);
+  static ClosedTxn Pack(const TxnId& txn, const TxnLogState& st);
+  static TxnLogState Unpack(const ClosedTxn& c);
+  /// The index of `txn`'s entry in closed_, or closed_.size().
+  size_t FindClosed(const TxnId& txn) const;
+  /// Moves every closed entry of proto_index_ into closed_.
+  void FoldClosed();
+  /// Calls `f(txn, state)` for every digest entry, both stores merged
+  /// in TxnId order.
+  template <typename F>
+  void ForEachEntry(F&& f) const {
+    auto c = closed_.begin();
+    for (const auto& [txn, st] : proto_index_) {
+      for (; c != closed_.end() && c->txn() < txn; ++c) {
+        f(c->txn(), Unpack(*c));
+      }
+      f(txn, st);
+    }
+    for (; c != closed_.end(); ++c) f(c->txn(), Unpack(*c));
+  }
+
   /// The retained records' v4 payloads, back to back.
   std::vector<uint8_t> log_;
   /// offsets_[i] is where the i-th retained record starts in log_; it
@@ -317,10 +384,26 @@ class Wal {
   /// base_ + i + 1.
   Lsn base_ = 0;
   Lsn master_ = kNoLsn;
-  /// Incremental per-transaction protocol digest (see TxnLogState).
-  /// Survives truncation; serialized for transactions whose records
-  /// were truncated so a saved log reloads with identical Scan() state.
+  /// LastLsn() right after the previous TruncateBefore() that dropped
+  /// records; kNoLsn before the first one. The records after it are
+  /// what the log appended in the current checkpoint interval.
+  Lsn refit_lsn_ = kNoLsn;
+  /// What Extend grows log_ and offsets_ by: a quarter of what the
+  /// interval before the last refit appended (0: doubling).
+  size_t log_step_ = 0;
+  size_t offsets_step_ = 0;
+  /// The incremental per-transaction protocol digest (see TxnLogState)
+  /// lives in two disjoint stores. Both survive truncation; the entries
+  /// of transactions whose records were truncated are serialized, so a
+  /// saved log reloads with identical Scan() state.
+  ///
+  /// Entries not yet folded: every open transaction, and those closed
+  /// since the last fold.
   std::map<TxnId, TxnLogState> proto_index_;
+  /// Folded closed entries, sorted by TxnId. A later record that keeps
+  /// a transaction closed updates its flags in place; one that reopens
+  /// it moves it back to proto_index_.
+  std::vector<ClosedTxn> closed_;
   /// The Open() entries of proto_index_, ordered by (first_lsn, txn):
   /// ProtocolBarrier() is the first element. IndexRecord moves an entry
   /// only when its transaction opens, closes or lowers its first_lsn. A

@@ -109,8 +109,8 @@ TEST_F(SiteTest, DecisionsSurviveHeadTruncationAndCrash) {
   }
   // A transaction site 1 prepared, whose records both logs reclaimed.
   auto truncated = [](const Wal& wal, TxnId t) {
-    auto it = wal.Scan().find(t);
-    return it != wal.Scan().end() && it->second.first_lsn <= wal.base();
+    auto st = wal.Scan().find(t);
+    return st && st->first_lsn <= wal.base();
   };
   const Wal& home_wal = sys_->site(0)->wal();
   const Wal& part_wal = sys_->site(1)->wal();

@@ -21,6 +21,7 @@ struct WalFootprint {
   uint64_t resident_bytes = 0;  ///< Σ Wal::resident_bytes()
   uint64_t records = 0;         ///< Σ Wal::size()
   uint64_t digest_entries = 0;  ///< Σ Wal::Scan().size()
+  uint64_t digest_bytes = 0;    ///< Σ Wal::digest_bytes()
 };
 
 /// Runs `txns` transactions on `cfg` until the workload drains.
@@ -46,6 +47,7 @@ Result<WalFootprint> Drive(const SystemConfig& cfg, uint32_t txns) {
     f.resident_bytes += wal.resident_bytes();
     f.records += wal.size();
     f.digest_entries += wal.Scan().size();
+    f.digest_bytes += wal.digest_bytes();
   }
   return f;
 }
@@ -77,15 +79,21 @@ TEST(WalSoakTest, HeldBytesPlateauOnClassroomShape) {
   for (const auto& [txns, f] :
        {std::pair{kTxns, *shorter}, std::pair{4 * kTxns, *longer}}) {
     std::printf("  %5u txns: held %llu B, resident %llu B, %llu records, "
-                "%llu digest entries\n",
+                "%llu digest entries in %llu B\n",
                 txns, static_cast<unsigned long long>(f.held_bytes),
                 static_cast<unsigned long long>(f.resident_bytes),
                 static_cast<unsigned long long>(f.records),
-                static_cast<unsigned long long>(f.digest_entries));
+                static_cast<unsigned long long>(f.digest_entries),
+                static_cast<unsigned long long>(f.digest_bytes));
   }
+  // The digest keeps one entry per transaction until decisions are
+  // forgotten, but a closed one costs its 24-byte file form: what the
+  // digest holds, slack and the few unfolded map entries included,
+  // stays within 32 bytes an entry.
+  ASSERT_GT(longer->digest_entries, 0u);
+  EXPECT_LE(longer->digest_bytes, 32 * longer->digest_entries);
   // A record's bytes: the shorter run's mean retained record, offset
-  // included. The digest (Scan()) is not bounded here: it keeps one
-  // entry per transaction until decisions are forgotten.
+  // included.
   ASSERT_GT(shorter->records, 0u);
   const uint64_t record_bytes = shorter->resident_bytes / shorter->records;
   const uint64_t slack =

@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -96,13 +97,13 @@ TEST(WalTest, ScanSummarizesPerTxn) {
 
   auto scan = wal.Scan();
   ASSERT_TRUE(scan.contains(t1));
-  EXPECT_TRUE(scan[t1].prepared);
-  EXPECT_TRUE(scan[t1].decided);
-  EXPECT_TRUE(scan[t1].commit);
-  EXPECT_TRUE(scan[t1].applied);
-  EXPECT_FALSE(scan[t1].ended);
-  EXPECT_TRUE(scan[t2].prepared);
-  EXPECT_FALSE(scan[t2].decided);
+  EXPECT_TRUE(scan.at(t1).prepared);
+  EXPECT_TRUE(scan.at(t1).decided);
+  EXPECT_TRUE(scan.at(t1).commit);
+  EXPECT_TRUE(scan.at(t1).applied);
+  EXPECT_FALSE(scan.at(t1).ended);
+  EXPECT_TRUE(scan.at(t2).prepared);
+  EXPECT_FALSE(scan.at(t2).decided);
 }
 
 TEST(WalTest, InDoubtFindsPreparedUndecided) {
@@ -219,6 +220,41 @@ TEST(WalTest, DeserializeRejectsCorruption) {
   EXPECT_EQ(target.size(), 1u);
   EXPECT_FALSE(target.Deserialize(bad).ok());
   EXPECT_EQ(target.size(), 1u);
+
+  // Digest entries out of strictly increasing TxnId order (seq first,
+  // then home): Serialize never writes them, and a forged duplicate
+  // must not overwrite the earlier entry.
+  auto digest_file = [](TxnId first, TxnId second) {
+    Encoder e;
+    e.PutU32(0x4c415752);  // "RWAL"
+    e.PutU32(4);
+    e.PutU64(kNoLsn);  // master
+    e.PutU64(5);       // base
+    e.PutU32(2);       // digest entries, both closed aborts
+    for (const TxnId& txn : {first, second}) {
+      e.PutTxnId(txn);
+      e.PutU8(1u << 2);  // decided
+      e.PutU64(3);
+    }
+    e.PutU32(0);  // records
+    return e.Take();
+  };
+  ASSERT_TRUE(target.Deserialize(digest_file({1, 7}, {0, 8})).ok());
+  EXPECT_EQ(target.Scan().size(), 2u);
+  ASSERT_TRUE(target.Deserialize(good).ok());
+  for (const auto& [first, second] :
+       {std::pair{TxnId{2, 7}, TxnId{2, 7}},    // duplicate
+        std::pair{TxnId{0, 8}, TxnId{1, 7}},    // seq steps back
+        std::pair{TxnId{3, 7}, TxnId{2, 7}}}) {  // home steps back
+    bad = digest_file(first, second);
+    Status strict = target.Deserialize(bad);
+    EXPECT_EQ(strict.code(), StatusCode::kInvalidArgument) << strict;
+    EXPECT_EQ(strict.message(), "bad WAL digest entry");
+    Status tolerant = target.DeserializeTolerant(bad);
+    EXPECT_EQ(tolerant.code(), StatusCode::kIoError) << tolerant;
+    EXPECT_EQ(tolerant.message(), "bad WAL digest entry");
+    EXPECT_EQ(target.size(), 1u);  // unchanged
+  }
 }
 
 TEST(WalTest, FileRoundTrip) {
@@ -232,7 +268,7 @@ TEST(WalTest, FileRoundTrip) {
   ASSERT_TRUE(loaded.LoadFromFile(path).ok());
   EXPECT_EQ(loaded.size(), 2u);
   auto scan = loaded.Scan();
-  const auto& st = scan[TxnId{1, 2}];
+  const auto& st = scan.at(TxnId{1, 2});
   EXPECT_TRUE(st.prepared);
   EXPECT_TRUE(st.decided);
   EXPECT_FALSE(st.commit);
@@ -655,10 +691,10 @@ TEST(WalTest, ScanAnswersFromDigestAfterTruncation) {
 
   auto scan = wal.Scan();
   ASSERT_TRUE(scan.contains(closed));
-  EXPECT_TRUE(scan[closed].prepared);
-  EXPECT_TRUE(scan[closed].decided);
-  EXPECT_TRUE(scan[closed].commit);
-  EXPECT_TRUE(scan[closed].applied);
+  EXPECT_TRUE(scan.at(closed).prepared);
+  EXPECT_TRUE(scan.at(closed).decided);
+  EXPECT_TRUE(scan.at(closed).commit);
+  EXPECT_TRUE(scan.at(closed).applied);
   EXPECT_FALSE(wal.IsPreparedUndecided(closed));
   EXPECT_EQ(wal.Decision(closed), std::optional<bool>(true));
   EXPECT_EQ(wal.Decision(open), std::nullopt);
@@ -677,9 +713,9 @@ TEST(WalTest, ScanAnswersFromDigestAfterTruncation) {
   EXPECT_EQ(loaded.LastLsn(), wal.LastLsn());
   auto reloaded = loaded.Scan();
   ASSERT_TRUE(reloaded.contains(closed));
-  EXPECT_TRUE(reloaded[closed].decided);
-  EXPECT_TRUE(reloaded[closed].commit);
-  EXPECT_TRUE(reloaded[closed].applied);
+  EXPECT_TRUE(reloaded.at(closed).decided);
+  EXPECT_TRUE(reloaded.at(closed).commit);
+  EXPECT_TRUE(reloaded.at(closed).applied);
   ASSERT_EQ(loaded.InDoubt().size(), 1u);
   EXPECT_EQ(loaded.InDoubt()[0].txn, open);
 }
@@ -777,7 +813,7 @@ TEST(WalTest, PreCommittedTracked) {
   wal.Append(
       WalRecord::Protocol(WalRecordKind::kPreCommitted, txn, 0, {}, {}, true));
   auto scan = wal.Scan();
-  EXPECT_TRUE(scan[txn].precommitted);
+  EXPECT_TRUE(scan.at(txn).precommitted);
   ASSERT_EQ(wal.InDoubt().size(), 1u);
   EXPECT_TRUE(wal.InDoubt()[0].three_phase);
 }
@@ -1458,6 +1494,239 @@ TEST(WalTest, WireLogMatchesRecordModel) {
   EXPECT_GT(tolerant_trips, 300u);
   EXPECT_GT(torn, 300u);
   EXPECT_GT(max_retained, 100u);
+}
+
+// The map-based digest's rule for one protocol record: the reference
+// the compact digest is checked against.
+void ModelApply(Wal::TxnLogState& st, const WalRecord& r, Lsn lsn) {
+  if (st.first_lsn == kNoLsn || lsn < st.first_lsn) st.first_lsn = lsn;
+  switch (r.kind) {
+    case WalRecordKind::kPrepared:
+      st.prepared = true;
+      st.prepared_lsn = lsn;
+      break;
+    case WalRecordKind::kPreCommitted:
+      st.precommitted = true;
+      break;
+    case WalRecordKind::kCommitDecision:
+    case WalRecordKind::kAbortDecision:
+      st.decided = true;
+      st.commit = r.kind == WalRecordKind::kCommitDecision;
+      if (!r.participants.empty()) {
+        st.coordinator = true;
+        st.decision_lsn = lsn;
+      }
+      break;
+    case WalRecordKind::kApplied:
+      st.applied = true;
+      break;
+    case WalRecordKind::kEnd:
+      st.ended = true;
+      break;
+    default:
+      break;
+  }
+}
+
+// What the digest keeps of an entry whatever store holds it.
+auto DigestBits(const Wal::TxnLogState& s) {
+  return std::tuple(s.first_lsn, s.prepared, s.precommitted, s.decided,
+                    s.commit, s.applied, s.ended, s.coordinator);
+}
+
+TEST(WalTest, CompactDigestMatchesMapModel) {
+  // Differential check of the two-store digest (open map plus sorted
+  // array of closed entries in file form) against a plain
+  // std::map<TxnId, TxnLogState> that applies every protocol record
+  // and never forgets. About 300 transactions take random protocol
+  // records; the oldest is closed and retired now and then, and a
+  // retired one gets a late record: a decision after close, a
+  // coordinator decision that reopens a participant-closed entry, or a
+  // late kPrepared. TruncateBefore (which folds the closed entries) and
+  // Serialize/Deserialize round trips interleave. After every step all
+  // digest queries must answer as the model does.
+  constexpr int kSteps = 4000;
+  Rng rng(20261019);
+  Wal wal;
+  std::map<TxnId, Wal::TxnLogState> model;
+  std::map<Lsn, WalRecord> records;  // every protocol record by LSN
+  std::vector<TxnId> pool, retired;
+  std::set<TxnId> folded;  // closed at the last fold
+  uint64_t next_seq = 1;
+  size_t late_closed = 0, reopened_prepared = 0, reopened_coordinator = 0,
+         truncations = 0, trips = 0;
+
+  auto append = [&](const WalRecord& r) {
+    const Lsn lsn = wal.Append(r);
+    if (r.kind >= WalRecordKind::kStoreBegin) return;
+    records[lsn] = r;
+    Wal::TxnLogState& st = model[r.txn];
+    ModelApply(st, r, lsn);
+    if (!folded.contains(r.txn)) return;
+    if (st.Closed()) {
+      ++late_closed;
+      return;
+    }
+    folded.erase(r.txn);
+    ++(r.kind == WalRecordKind::kPrepared ? reopened_prepared
+                                          : reopened_coordinator);
+  };
+  auto fold = [&] {
+    folded.clear();
+    for (const auto& [txn, st] : model) {
+      if (st.Closed()) folded.insert(txn);
+    }
+  };
+  auto participants = [&] {
+    return std::vector<SiteId>{static_cast<SiteId>(rng.NextUint(4)),
+                               static_cast<SiteId>(4 + rng.NextUint(4))};
+  };
+  auto decision = [&](TxnId txn, bool coordinator) {
+    return Decision(rng.NextBool(0.5) ? WalRecordKind::kCommitDecision
+                                      : WalRecordKind::kAbortDecision,
+                    txn, coordinator ? participants() : std::vector<SiteId>{});
+  };
+  auto random_record = [&](TxnId txn) {
+    const uint64_t k = rng.NextUint(100);
+    if (k < 25) {
+      return Prepared(txn, {{static_cast<ItemId>(rng.NextUint(50)), 1, 1}},
+                      participants(), rng.NextBool(0.3));
+    }
+    if (k < 35) return Decision(WalRecordKind::kPreCommitted, txn);
+    if (k < 60) return decision(txn, rng.NextBool(0.4));
+    if (k < 80) return Decision(WalRecordKind::kApplied, txn);
+    return Decision(WalRecordKind::kEnd, txn);
+  };
+
+  auto check = [&](int step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const Wal::DigestView view = wal.Scan();
+    ASSERT_EQ(view.size(), model.size());
+    auto m = model.begin();
+    size_t mismatches = 0;
+    view.ForEach([&](const TxnId& txn, const Wal::TxnLogState& st) {
+      if (m == model.end() || !(m->first == txn) ||
+          DigestBits(st) != DigestBits(m->second)) {
+        ++mismatches;
+      }
+      if (m != model.end()) ++m;
+    });
+    ASSERT_EQ(mismatches, 0u);
+    Lsn barrier = wal.NextLsn();
+    std::vector<WalRecord> in_doubt, unapplied;
+    std::vector<Wal::UnendedDecision> unended;
+    for (const auto& [txn, st] : model) {
+      ASSERT_TRUE(view.contains(txn));
+      ASSERT_EQ(DigestBits(view.at(txn)), DigestBits(st));
+      ASSERT_EQ(wal.Decision(txn),
+                st.decided ? std::optional<bool>(st.commit) : std::nullopt);
+      ASSERT_EQ(wal.IsPreparedUndecided(txn), st.prepared && !st.decided);
+      ASSERT_EQ(wal.Precommitted(txn), st.precommitted);
+      if (st.Open()) barrier = std::min(barrier, st.first_lsn);
+      if (st.prepared && !st.decided) {
+        in_doubt.push_back(records.at(st.prepared_lsn));
+      }
+      if (st.prepared && st.decided && st.commit && !st.applied) {
+        unapplied.push_back(records.at(st.prepared_lsn));
+      }
+      if (st.decided && st.coordinator && !st.ended) {
+        unended.push_back(Wal::UnendedDecision{
+            txn, st.commit, records.at(st.decision_lsn).participants});
+      }
+    }
+    const TxnId absent{0, next_seq};
+    ASSERT_FALSE(view.contains(absent));
+    ASSERT_EQ(wal.Decision(absent), std::nullopt);
+    ASSERT_EQ(wal.ProtocolBarrier(), barrier);
+    for (const auto& [got, want] :
+         {std::pair{wal.InDoubt(), in_doubt},
+          std::pair{wal.CommittedUnapplied(), unapplied}}) {
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(SameRecord(got[i], want[i])) << "entry " << i;
+      }
+    }
+    const std::vector<Wal::UnendedDecision> got = wal.DecidedUnended();
+    ASSERT_EQ(got.size(), unended.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].txn, unended[i].txn);
+      ASSERT_EQ(got[i].commit, unended[i].commit);
+      ASSERT_EQ(got[i].participants, unended[i].participants);
+    }
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    const uint64_t action = rng.NextUint(100);
+    if (pool.empty() || (action < 6 && pool.size() < 16)) {
+      pool.push_back(TxnId{static_cast<SiteId>(rng.NextUint(4)), next_seq++});
+    } else if (action < 50) {
+      append(random_record(pool[rng.NextUint(pool.size())]));
+    } else if (action < 60) {
+      // Storage records move the LSNs and leave the digest alone.
+      WalRecord r;
+      r.kind = WalRecordKind::kStoreUpdate;
+      r.txn = pool[rng.NextUint(pool.size())];
+      append(r);
+    } else if (action < 68) {
+      // Close the oldest transaction and retire it.
+      const TxnId txn = pool.front();
+      pool.erase(pool.begin());
+      if (!model[txn].decided) append(decision(txn, false));
+      if (model[txn].prepared && !model[txn].applied) {
+        append(Decision(WalRecordKind::kApplied, txn));
+      }
+      if (model[txn].coordinator && !model[txn].ended) {
+        append(Decision(WalRecordKind::kEnd, txn));
+      }
+      retired.push_back(txn);
+    } else if (action < 78 && !retired.empty()) {
+      // A late record for a retired transaction; one that reopens it
+      // puts it back in the pool.
+      const size_t i = rng.NextUint(retired.size());
+      const TxnId txn = retired[i];
+      const uint64_t late = rng.NextUint(3);
+      if (late == 0) append(decision(txn, false));
+      if (late == 1) append(decision(txn, true));
+      if (late == 2) append(Prepared(txn, {{7, 7, 7}}, participants()));
+      if (model[txn].Open()) {
+        retired.erase(retired.begin() + static_cast<ptrdiff_t>(i));
+        pool.push_back(txn);
+      }
+    } else if (action < 92) {
+      // Up to the barrier, which a reopened transaction can hold at or
+      // below base().
+      const Lsn barrier = wal.ProtocolBarrier();
+      const Lsn target =
+          barrier <= wal.base() + 1 || rng.NextBool(0.7)
+              ? barrier
+              : wal.base() + 1 + rng.NextUint(barrier - wal.base());
+      if (wal.TruncateBefore(target) > 0) ++truncations;
+      fold();
+    } else {
+      const std::vector<uint8_t> bytes = wal.Serialize();
+      Wal loaded;
+      const Status loaded_ok = loaded.Deserialize(bytes);
+      ASSERT_TRUE(loaded_ok.ok()) << "step " << step << ": " << loaded_ok;
+      ASSERT_EQ(loaded.Serialize(), bytes) << "step " << step;
+      wal = std::move(loaded);
+      fold();
+      ++trips;
+    }
+    ASSERT_NO_FATAL_FAILURE(check(step));
+  }
+  // The mix really exercised what it claims to.
+  EXPECT_GE(model.size(), 200u);
+  EXPECT_GT(wal.base(), 1000u);
+  EXPECT_GT(truncations, 150u);
+  EXPECT_GT(trips, 200u);
+  EXPECT_GT(late_closed, 50u);
+  EXPECT_GT(reopened_prepared, 10u);
+  EXPECT_GT(reopened_coordinator, 10u);
+  std::printf("  %zu txns, %zu truncations, %zu round trips; folded entries: "
+              "%zu late records kept closed, %zu reopened by kPrepared, %zu "
+              "by a coordinator decision\n",
+              model.size(), truncations, trips, late_closed, reopened_prepared,
+              reopened_coordinator);
 }
 
 // The golden log: a head-truncated closed transaction, so the file
