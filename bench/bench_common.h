@@ -148,6 +148,7 @@ struct SessionReps {
   RepeatedCount wal_bytes;  ///< WAL bytes resident at the session's end
   RepeatedCount wal_held;   ///< WAL bytes allocated at the session's end
   RepeatedCount wal_digest;  ///< WAL digest bytes at the session's end
+  RepeatedCount rpc_window;  ///< RPC window bytes at the session's end
   std::string failure;
 
   double AllocsPerTxn() const {
@@ -167,6 +168,7 @@ struct SessionReps {
     ok = wal_bytes.Check("WAL bytes") && ok;
     ok = wal_held.Check("WAL held bytes") && ok;
     ok = wal_digest.Check("WAL digest bytes") && ok;
+    ok = rpc_window.Check("RPC window bytes") && ok;
     return messages.Check("network messages") && ok;
   }
 };
@@ -192,6 +194,7 @@ inline SessionReps TimeSession(int reps, const SystemConfig& system,
     s.wal_bytes.Record(result->wal_resident_bytes);
     s.wal_held.Record(result->wal_held_bytes);
     s.wal_digest.Record(result->wal_digest_bytes);
+    s.rpc_window.Record(result->rpc_window_bytes);
   });
   return s;
 }

@@ -1,9 +1,11 @@
 // M3: microbenchmark of the typed RPC sub-layer (net/rpc.h) — call
 // dispatch overhead vs raw Network::Send, retry/timeout machinery under
 // a slow link, and duplicate-suppression window cost. Each case prints
-// the median of kReps repetitions with its quartiles. One gate sets the
+// the median of kReps repetitions with its quartiles. Two gates set the
 // exit code: a warmed-up, rotating duplicate window serves a repetition
-// of requests without a single heap allocation.
+// of requests without a single heap allocation, and on the sparse shape
+// of a large topology the senders' acknowledgement floors leave the
+// endpoint holding only each sender's latest call.
 
 #include <cstdio>
 #include <string>
@@ -133,8 +135,12 @@ bool RpcDuplicateWindow(bench::Report& report) {
 
 /// The shape most windows have on a large topology: a replica hears
 /// from many senders a few times each (512 senders x 4 requests), on a
-/// fresh endpoint per repetition. Prints the allocations per request
-/// that the endpoint and its windows cost; not gated.
+/// fresh endpoint per repetition. Each request carries the floor a
+/// caller whose earlier calls here have all finished stamps, so it
+/// acknowledges the sender's previous request. Prints the allocations
+/// per request. Gate: the endpoint ends every repetition holding one
+/// entry per sender, its latest call, which only that sender's next
+/// call can acknowledge; everything older is gone.
 bool RpcSparseWindows(bench::Report& report) {
   constexpr SiteId kSenders = 512;
   constexpr uint64_t kPerSender = 4;
@@ -149,6 +155,8 @@ bool RpcSparseWindows(bench::Report& report) {
   m.to = kSenders;
   m.payload = AbortRequest{TxnId{0, 1}};
   bench::RepeatedCount allocs;
+  bench::RepeatedCount entries;
+  size_t held = 0;
   auto rep = [&] {
     uint64_t allocs_before = bench::Allocs();
     {
@@ -157,11 +165,14 @@ bool RpcSparseWindows(bench::Report& report) {
         for (SiteId s = 0; s < kSenders; ++s) {
           m.from = s;
           m.rpc_id = id;
+          m.ack_floor = id - 1;
           RpcDelivery d = server.Accept(m);
           server.Reply(d.ctx, Ack{TxnId{s, id}});
         }
       }
       sim.RunToQuiescence();
+      entries.Record(server.window_entries());
+      held = server.held_bytes();
     }
     allocs.Record(bench::Allocs() - allocs_before);
   };
@@ -171,7 +182,16 @@ bool RpcSparseWindows(bench::Report& report) {
   report.Add("sparse_windows_requests_per_sec", secs.Rate(kRequests));
   report.Add("sparse_windows_allocs_per_request",
              static_cast<double>(allocs.value) / kRequests);
-  return allocs.Check("sparse-window allocation count");
+  report.Add("sparse_windows_entries_held", static_cast<double>(entries.value));
+  report.Add("sparse_windows_held_bytes", static_cast<double>(held));
+  bool ok = allocs.Check("sparse-window allocation count");
+  ok = entries.Check("sparse-window entries") && ok;
+  if (entries.value == kSenders) return ok;
+  std::printf("  GATE FAILED: the endpoint holds %llu entries after every "
+              "sender's calls but the last were acknowledged (expected "
+              "%u, one per sender)\n",
+              static_cast<unsigned long long>(entries.value), kSenders);
+  return false;
 }
 
 }  // namespace

@@ -17,7 +17,9 @@
 // wal_digest_held_max, the bytes their protocol digests hold, are gated
 // exactly: they move only when the log's or the digest's in-memory
 // form, its growth and truncation policy, or the checkpoint cadence
-// does.
+// does. So is rpc_window_held_max, the bytes the sites' and the name
+// server's RPC duplicate windows hold allocated at the end: it moves
+// when the windows' form or what acknowledges their entries does.
 //
 // Flags:
 //   --out FILE    write the JSON report here (nothing is written without it)
@@ -80,6 +82,7 @@ int Main(int argc, char** argv) {
   report.Add("wal_bytes_max", static_cast<double>(s.wal_bytes.value));
   report.Add("wal_held_max", static_cast<double>(s.wal_held.value));
   report.Add("wal_digest_held_max", static_cast<double>(s.wal_digest.value));
+  report.Add("rpc_window_held_max", static_cast<double>(s.rpc_window.value));
 
   return bench::RunChecks(
       args, report, s.Check(),
@@ -92,6 +95,7 @@ int Main(int argc, char** argv) {
         pass &= CheckExact(baseline, current, "wal_bytes_max");
         pass &= CheckExact(baseline, current, "wal_held_max");
         pass &= CheckExact(baseline, current, "wal_digest_held_max");
+        pass &= CheckExact(baseline, current, "rpc_window_held_max");
         // Wall-time-shaped metrics (medians): 2x bounds — this run is an
         // order of magnitude longer than M6's macro section and its wall
         // time swings ~40% between cold and warm runs on small CI boxes.

@@ -85,11 +85,14 @@ Result<SessionResult> RunSession(const SystemConfig& system_config,
   r.max_blocked_us = pm.blocked_times().max();
   r.load_cv = pm.home_load_cv();
   for (size_t s = 0; s < sys.num_sites(); ++s) {
-    const Wal& wal = sys.site(static_cast<SiteId>(s))->wal();
+    Site* site = sys.site(static_cast<SiteId>(s));
+    const Wal& wal = site->wal();
     r.wal_resident_bytes += wal.resident_bytes();
     r.wal_held_bytes += wal.held_bytes();
     r.wal_digest_bytes += wal.digest_bytes();
+    r.rpc_window_bytes += site->rpc().held_bytes();
   }
+  r.rpc_window_bytes += sys.name_server().rpc().held_bytes();
   r.stats_table = pm.RenderStatistics(net, duration);
   if (options.keep_session_log) r.session_log = pm.RenderSessionLog();
 

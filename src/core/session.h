@@ -53,6 +53,10 @@ struct SessionResult {
   /// Bytes the sites' protocol digests hold at the end of the session
   /// (Wal::digest_bytes summed over sites).
   uint64_t wal_digest_bytes = 0;
+  /// Bytes the RPC duplicate windows hold allocated at the end of the
+  /// session (RpcEndpoint::held_bytes summed over the sites and the name
+  /// server).
+  uint64_t rpc_window_bytes = 0;
 
   std::string stats_table;   ///< full §3 rendering
   std::string session_log;   ///< Figure-5 lines (when kept)

@@ -38,6 +38,8 @@ class NameServer {
 
   uint64_t lookups_served() const { return lookups_served_; }
 
+  const RpcEndpoint& rpc() const { return *rpc_; }
+
  private:
   void HandleMessage(const Message& m, const RpcContext& ctx);
   void Emit(TraceEventKind kind);

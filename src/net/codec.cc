@@ -371,6 +371,7 @@ void EncodeEnvelope(Encoder& e, const Message& message) {
   e.PutI64(message.sent_at);
   e.PutU64(message.rpc_id);
   e.PutBool(message.rpc_is_reply);
+  e.PutU64(message.ack_floor);
 }
 
 }  // namespace
@@ -429,6 +430,7 @@ Result<Message> DecodeMessage(std::span<const uint8_t> buf) {
   RAINBOW_ASSIGN_OR_RETURN(m.sent_at, d.GetI64());
   RAINBOW_ASSIGN_OR_RETURN(m.rpc_id, d.GetU64());
   RAINBOW_ASSIGN_OR_RETURN(m.rpc_is_reply, d.GetBool());
+  RAINBOW_ASSIGN_OR_RETURN(m.ack_floor, d.GetU64());
   RAINBOW_ASSIGN_OR_RETURN(uint32_t len, d.GetU32());
   if (len != d.remaining()) {
     return Status::InvalidArgument("payload length mismatch");

@@ -27,8 +27,11 @@ namespace rainbow {
 // payload region in place instead of copying it out.
 
 /// Bytes EncodeMessage writes before the payload-length prefix: id,
-/// from, to, sent_at, rpc_id and rpc_is_reply.
-inline constexpr size_t kEnvelopeBytes = 33;
+/// from, to, sent_at, rpc_id, rpc_is_reply and ack_floor. The last is
+/// the RPC layer's implicit acknowledgement (net/rpc.h): its 8 bytes are
+/// charged on every message, so the network pays for what lets replicas
+/// forget finished calls.
+inline constexpr size_t kEnvelopeBytes = 41;
 
 /// Serializes a payload: one kind byte followed by the fields.
 std::vector<uint8_t> EncodePayload(const Payload& payload);

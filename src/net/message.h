@@ -303,6 +303,11 @@ struct Message {
   uint64_t rpc_id = 0;
   /// Distinguishes the reply leg of an RPC exchange from the request.
   bool rpc_is_reply = false;
+  /// Implicit acknowledgement carried by RPC requests: every call the
+  /// sender made to this destination with an id at or below it has
+  /// finished, so the replica may forget them. Below `rpc_id` on any
+  /// honest request; 0 acknowledges nothing.
+  uint64_t ack_floor = 0;
   Payload payload;
 
   MessageKind kind() const { return MessageKindOf(payload); }

@@ -94,14 +94,20 @@ std::string NetworkStats::Render() const {
   os << "\n";
   os << StringPrintf(
       "rpc: calls=%llu attempts=%llu retries=%llu timeouts=%llu "
-      "failures=%llu dup_suppressed=%llu stale_readmitted=%llu\n",
+      "failures=%llu dup_suppressed=%llu acked_dropped=%llu "
+      "stale_readmitted=%llu\n",
       static_cast<unsigned long long>(rpc_calls),
       static_cast<unsigned long long>(rpc_attempts),
       static_cast<unsigned long long>(rpc_retries),
       static_cast<unsigned long long>(rpc_timeouts),
       static_cast<unsigned long long>(rpc_failures),
       static_cast<unsigned long long>(rpc_duplicates_suppressed),
+      static_cast<unsigned long long>(rpc_acked_dropped),
       static_cast<unsigned long long>(rpc_stale_readmitted));
+  if (rpc_bad_ack_floors > 0) {
+    os << StringPrintf("rpc bad ack floors (ignored): %llu\n",
+                       static_cast<unsigned long long>(rpc_bad_ack_floors));
+  }
   if (rpc_latency.count() > 0) {
     os << "rpc latency (us): " << rpc_latency.Summary() << "\n";
   }
@@ -253,12 +259,13 @@ void Network::Send(SiteId from, SiteId to, Payload payload) {
 }
 
 void Network::SendRpc(SiteId from, SiteId to, Payload payload,
-                      uint64_t rpc_id, bool is_reply) {
+                      uint64_t rpc_id, bool is_reply, uint64_t ack_floor) {
   Message msg;
   msg.from = from;
   msg.to = to;
   msg.rpc_id = rpc_id;
   msg.rpc_is_reply = is_reply;
+  msg.ack_floor = ack_floor;
   msg.payload = std::move(payload);
   SendMessage(std::move(msg));
 }

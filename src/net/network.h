@@ -129,6 +129,14 @@ struct NetworkStats {
   uint64_t rpc_timeouts = 0;
   uint64_t rpc_failures = 0;
   uint64_t rpc_duplicates_suppressed = 0;
+  /// Late copies of requests at or below their sender's acknowledgement
+  /// floor: the call had already finished at the sender, so the copy was
+  /// dropped without being executed or answered.
+  uint64_t rpc_acked_dropped = 0;
+  /// Requests whose ack_floor was not below their own rpc_id. No honest
+  /// sender stamps one; the floor is ignored so a request cannot
+  /// acknowledge itself away.
+  uint64_t rpc_bad_ack_floors = 0;
   /// Retransmissions whose id had been evicted from the suppression
   /// window (so no cached reply existed) and were served again rather
   /// than silently dropped.
@@ -181,9 +189,11 @@ class Network {
   /// the simulator. Silently drops (with accounting) if unreachable.
   void Send(SiteId from, SiteId to, Payload payload);
 
-  /// Like Send but stamps the RPC correlation envelope (net/rpc.h).
+  /// Like Send but stamps the RPC correlation envelope (net/rpc.h):
+  /// the call's id, which leg this is, and the sender's acknowledgement
+  /// floor for `to` (0 on replies).
   void SendRpc(SiteId from, SiteId to, Payload payload, uint64_t rpc_id,
-               bool is_reply);
+               bool is_reply, uint64_t ack_floor);
 
   /// Random per-message loss probability in [0,1].
   void set_loss_probability(double p) { loss_probability_ = p; }

@@ -1,6 +1,8 @@
 #include "net/rpc.h"
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
 #include <span>
 #include <string>
 
@@ -10,15 +12,11 @@
 namespace rainbow {
 
 namespace {
-/// Bounds each per-sender duplicate window; evicted ids fall below the
-/// floor and are treated as old duplicates.
+/// Bounds what one sender can leave cached while its acknowledgement
+/// floor stays pinned (its oldest call here never finishes): past it the
+/// sender's lowest id is evicted, and a later copy of an evicted id is
+/// re-admitted.
 constexpr size_t kWindowCapacity = 256;
-/// First capacity of a window's entry and reply-byte arrays. On a large
-/// topology most windows stay sparse (a replica hears from most senders
-/// only a few times), and growing both arrays one step at a time from
-/// empty would allocate more often than one node per request.
-constexpr size_t kFirstEntries = 4;
-constexpr size_t kFirstReplyBytes = 128;
 }  // namespace
 
 RpcEndpoint::RpcEndpoint(Simulator* sim, Network* net, SiteId self,
@@ -71,7 +69,8 @@ void RpcEndpoint::SendAttempt(uint64_t call_id) {
           std::string(MessageKindName(MessageKindOf(c.request)))});
     }
   }
-  net_->SendRpc(self_, c.to, c.request, call_id, /*is_reply=*/false);
+  net_->SendRpc(self_, c.to, c.request, call_id, /*is_reply=*/false,
+                AckFloor(c.to));
   c.timer = sim_->After(c.policy.timeout,
                         [this, call_id] { OnAttemptTimeout(call_id); });
 }
@@ -124,6 +123,15 @@ SimTime RpcEndpoint::BackoffDelay(const RpcPolicy& policy,
   return RetryBackoffDelay(policy, retries_so_far, rng_);
 }
 
+uint64_t RpcEndpoint::AckFloor(SiteId to) const {
+  // calls_ is ordered by id, so the first call to `to` is the oldest one
+  // still pending there; the call being sent is one of them.
+  for (const auto& [id, call] : calls_) {
+    if (call.to == to) return id - 1;
+  }
+  return 0;
+}
+
 RpcDelivery RpcEndpoint::Accept(const Message& m) {
   RpcDelivery out;
   if (m.rpc_id == 0) return out;  // raw message: dispatch normally
@@ -145,37 +153,66 @@ RpcDelivery RpcEndpoint::Accept(const Message& m) {
     return out;
   }
 
-  // Request leg: suppress retransmitted duplicates per sender.
-  SenderWindow& w = windows_[m.from];
-  if (const Served* s = FindServed(w, m.rpc_id)) {
+  // Request leg. First learn what the sender has finished with.
+  NetworkStats& stats = net_->stats();
+  SenderFloors& f = FloorsOf(m.from);
+  if (m.ack_floor >= m.rpc_id) {
+    // No honest sender acknowledges the call it is making: applying
+    // this floor would let a forged request drop itself.
+    stats.rpc_bad_ack_floors++;
+  } else if (m.ack_floor > f.acked) {
+    f.acked = m.ack_floor;
+    if (f.live > 0) {
+      // The sender's live entries start its run, lowest id first.
+      ServedIter first = FirstAtOrAbove(m.from, 1);
+      ServedIter last = first;
+      while (last != served_.end() && last->from == m.from &&
+             last->id <= f.acked) {
+        ++last;
+      }
+      Forget(f, first, last);
+    }
+  }
+  if (m.rpc_id <= f.acked) {
+    // A late copy of a call that has finished at the sender: nobody
+    // waits for its reply, and executing it would leave orphaned state.
     out.consumed = true;
-    NetworkStats& stats = net_->stats();
+    stats.rpc_acked_dropped++;
+    return out;
+  }
+
+  // Then suppress retransmitted duplicates.
+  ServedIter pos = FirstAtOrAbove(m.from, m.rpc_id);
+  if (pos != served_.end() && pos->from == m.from && pos->id == m.rpc_id) {
+    const Served* s = &*pos;
+    out.consumed = true;
     stats.rpc_duplicates_suppressed++;
     if (s->size != 0) {
       // The original was already answered; the reply must have been
       // lost — resend the cached one so the exchange stays idempotent.
       Result<Payload> reply = DecodePayload(
-          std::span<const uint8_t>(w.replies).subspan(s->offset, s->size));
+          std::span<const uint8_t>(replies_).subspan(s->offset, s->size));
       if (reply.ok()) {
         net_->SendRpc(self_, m.from, std::move(reply).value(), m.rpc_id,
-                      /*is_reply=*/true);
+                      /*is_reply=*/true, /*ack_floor=*/0);
       } else {
         stats.codec_failures++;
       }
     }
     return out;
   }
-  if (m.rpc_id <= w.floor) {
+  if (m.rpc_id <= f.evicted) {
     // The window rotated past this id and its cached reply is gone. The
     // sender is still retransmitting, so its call is still pending:
     // suppressing silently would starve it forever (fatal for
     // retry-forever calls such as decision queries). Request handlers
     // are duplicate-tolerant, so re-admit it as a fresh request and let
-    // the application answer again. It is not recorded: the window is
-    // full of higher ids, so it would be the next one evicted anyway.
-    net_->stats().rpc_stale_readmitted++;
+    // the application answer again. It is not recorded: the sender's
+    // window is full of higher ids, so it would be the next one evicted
+    // anyway.
+    stats.rpc_stale_readmitted++;
   } else {
-    Admit(w, m.rpc_id);
+    Admit(f, pos, m.rpc_id);
   }
   out.ctx = RpcContext{m.from, m.rpc_id};
   return out;
@@ -183,85 +220,136 @@ RpcDelivery RpcEndpoint::Accept(const Message& m) {
 
 void RpcEndpoint::Reply(const RpcContext& ctx, Payload payload) {
   if (!ctx.valid()) return;
-  auto wit = windows_.find(ctx.from);
-  Served* s = wit == windows_.end() ? nullptr
-                                    : FindServed(wit->second, ctx.rpc_id);
-  if (s != nullptr) {
-    SenderWindow& w = wit->second;
+  if (Served* s = FindServed(ctx.from, ctx.rpc_id)) {
     std::span<const uint8_t> wire = EncodePayloadTo(encode_, payload);
-    w.live_bytes += static_cast<uint32_t>(wire.size()) - s->size;
-    s->offset = static_cast<uint32_t>(w.replies.size());
+    live_bytes_ = live_bytes_ + wire.size() - s->size;
+    s->offset = static_cast<uint32_t>(replies_.size());
     s->size = static_cast<uint32_t>(wire.size());
-    if (w.replies.capacity() == 0) w.replies.reserve(kFirstReplyBytes);
-    w.replies.insert(w.replies.end(), wire.begin(), wire.end());
-    MaybeCompact(w);
+    replies_.insert(replies_.end(), wire.begin(), wire.end());
+    MaybeCompact();
   }
   net_->SendRpc(self_, ctx.from, std::move(payload), ctx.rpc_id,
-                /*is_reply=*/true);
+                /*is_reply=*/true, /*ack_floor=*/0);
 }
 
 void RpcEndpoint::Reset() {
   for (auto& [id, call] : calls_) call.timer.Cancel();
   calls_.clear();
-  windows_.clear();
+  served_.clear();
+  live_entries_ = 0;
+  replies_.clear();
+  live_bytes_ = 0;
+  senders_.clear();
 }
 
-std::vector<RpcEndpoint::Served>::iterator RpcEndpoint::FirstAtOrAbove(
-    SenderWindow& w, uint64_t id) {
+RpcEndpoint::SenderFloors& RpcEndpoint::FloorsOf(SiteId from) {
+  auto it = std::lower_bound(
+      senders_.begin(), senders_.end(), from,
+      [](const SenderFloors& f, SiteId v) { return f.from < v; });
+  if (it == senders_.end() || it->from != from) {
+    it = senders_.insert(it, SenderFloors{0, 0, from, 0});
+  }
+  return *it;
+}
+
+RpcEndpoint::ServedIter RpcEndpoint::FirstAtOrAbove(SiteId from,
+                                                    uint64_t id) {
   return std::lower_bound(
-      w.entries.begin() + w.head, w.entries.end(), id,
-      [](const Served& s, uint64_t v) { return s.id < v; });
+      served_.begin(), served_.end(), std::pair{from, id},
+      [](const Served& s, const std::pair<SiteId, uint64_t>& key) {
+        return s.from != key.first ? s.from < key.first : s.id < key.second;
+      });
 }
 
-RpcEndpoint::Served* RpcEndpoint::FindServed(SenderWindow& w,
-                                              uint64_t id) {
-  if (w.entries.size() == w.head || id > w.entries.back().id) return nullptr;
-  auto it = FirstAtOrAbove(w, id);
-  return it->id == id ? &*it : nullptr;
+RpcEndpoint::Served* RpcEndpoint::FindServed(SiteId from, uint64_t id) {
+  auto it = FirstAtOrAbove(from, id);
+  return it != served_.end() && it->from == from && it->id == id ? &*it
+                                                                 : nullptr;
 }
 
-void RpcEndpoint::Admit(SenderWindow& w, uint64_t id) {
-  if (w.entries.capacity() == 0) w.entries.reserve(kFirstEntries);
-  // One sender's ids arrive almost in order, so the new id usually goes
-  // at the end; FindServed() has already ruled out a duplicate.
-  auto pos = w.entries.end();
-  if (w.entries.size() > w.head && id < w.entries.back().id) {
-    pos = FirstAtOrAbove(w, id);
+void RpcEndpoint::Forget(SenderFloors& f, ServedIter first,
+                         ServedIter last) {
+  // Leaves tombstones: id 0 sorts first in its sender's run, so the
+  // table stays sorted without moving anything.
+  for (ServedIter it = first; it != last; ++it) {
+    live_bytes_ -= it->size;
+    *it = Served{0, it->from, 0, 0};
   }
-  w.entries.insert(pos, Served{id, 0, 0});
-  if (w.entries.size() - w.head > kWindowCapacity) {
-    const Served& oldest = w.entries[w.head++];
-    w.floor = oldest.id;  // every live id is above the old floor
-    w.live_bytes -= oldest.size;
-    MaybeCompact(w);
+  f.live -= static_cast<uint32_t>(last - first);
+  live_entries_ -= static_cast<size_t>(last - first);
+  MaybeCompact();
+}
+
+void RpcEndpoint::Admit(SenderFloors& f, ServedIter pos, uint64_t id) {
+  // `pos` is the new entry's place, and it is not a duplicate. A
+  // tombstone on either side of it can take the entry and keep the table
+  // sorted: the usual request acknowledges its sender's previous one and
+  // lands in that one's slot.
+  const Served fresh{id, f.from, 0, 0};
+  if (pos != served_.end() && pos->id == 0) {
+    *pos = fresh;
+  } else if (pos != served_.begin() && std::prev(pos)->id == 0) {
+    *std::prev(pos) = fresh;
+  } else {
+    served_.insert(pos, fresh);
+  }
+  ++f.live;
+  ++live_entries_;
+  if (f.live > kWindowCapacity) {
+    ServedIter oldest = FirstAtOrAbove(f.from, 1);
+    f.evicted = oldest->id;  // every live id is above both floors
+    Forget(f, oldest, std::next(oldest));
   }
 }
 
-void RpcEndpoint::MaybeCompact(SenderWindow& w) {
-  // Compacts once the evicted entries and the dead reply bytes take half
-  // as much room as the live ones, so a window holds about 1.5 times its
-  // live part at most. A compaction copies the live part once, and at
-  // least half as much died since the last one: amortized O(1) per
-  // request.
-  size_t live = (w.entries.size() - w.head) * sizeof(Served) + w.live_bytes;
-  size_t dead = w.head * sizeof(Served) + (w.replies.size() - w.live_bytes);
+void RpcEndpoint::MaybeCompact() {
+  // Compacts once tombstones and dead reply bytes take half as much room
+  // as the live entries and bytes, so the table holds about 1.5 times
+  // its live part at most. A compaction moves the live part once and
+  // sorts the entries twice, and at least half as much died since the
+  // last one.
+  size_t live = live_entries_ * sizeof(Served) + live_bytes_;
+  size_t dead = (served_.size() - live_entries_) * sizeof(Served) +
+                replies_.size() - live_bytes_;
   if (dead == 0 || 2 * dead < live) return;
-  compact_.clear();
-  size_t out = 0;
-  for (size_t i = w.head; i < w.entries.size(); ++i) {
-    Served s = w.entries[i];
-    if (s.size != 0) {
-      auto bytes = w.replies.begin() + s.offset;
-      s.offset = static_cast<uint32_t>(compact_.size());
-      compact_.insert(compact_.end(), bytes, bytes + s.size);
+  served_.erase(std::remove_if(served_.begin(), served_.end(),
+                               [](const Served& s) { return s.id == 0; }),
+                served_.end());
+  if (replies_.size() == live_bytes_) return;
+  // Slides the live bytes down in offset order, in place, so both arrays
+  // keep their capacity and a steady state allocates nothing. Replies
+  // usually come back in request order, so the table often is in offset
+  // order already; otherwise it is sorted by offset and back.
+  bool in_order = true;
+  uint32_t end = 0;  // of the last cached reply seen
+  for (const Served& s : served_) {
+    if (s.size == 0) continue;
+    if (s.offset < end) {
+      in_order = false;
+      break;
     }
-    w.entries[out++] = s;
+    end = s.offset + s.size;
   }
-  w.entries.resize(out);
-  w.head = 0;
-  // Copied back rather than swapped, so each window keeps its own
-  // capacity and a rotating window stops allocating.
-  w.replies.assign(compact_.begin(), compact_.end());
+  if (!in_order) {
+    std::sort(served_.begin(), served_.end(),
+              [](const Served& a, const Served& b) {
+                return a.offset < b.offset;
+              });
+  }
+  uint32_t out = 0;
+  for (Served& s : served_) {
+    if (s.size == 0) continue;
+    std::memmove(replies_.data() + out, replies_.data() + s.offset, s.size);
+    s.offset = out;
+    out += s.size;
+  }
+  replies_.resize(out);
+  if (!in_order) {
+    std::sort(served_.begin(), served_.end(),
+              [](const Served& a, const Served& b) {
+                return a.from != b.from ? a.from < b.from : a.id < b.id;
+              });
+  }
 }
 
 }  // namespace rainbow

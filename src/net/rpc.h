@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -66,12 +65,23 @@ struct RpcDelivery {
 ///    per-attempt timer, retransmits with exponential backoff +
 ///    deterministic jitter, and reports the reply — or terminal failure
 ///    after max_attempts — to the caller as a Result<Payload>. The
-///    correlation id stays stable across retransmissions.
+///    correlation id stays stable across retransmissions. Every attempt
+///    also carries the endpoint's acknowledgement floor for that
+///    destination: one below its oldest call there still pending, so
+///    every call to it at or below the floor is finished (answered,
+///    failed or cancelled) and will never be retransmitted. A
+///    retry-forever call pins only its own destination's floor.
 ///  * Replica: Accept() routes delivered messages. Replies complete
 ///    pending calls; duplicate requests (retransmissions whose original
-///    arrived) are suppressed via a per-sender window — if the original
-///    was already answered the cached reply is resent, so resent
-///    ReadRequest / PrewriteRequest / Decision messages are idempotent.
+///    arrived) are suppressed — if the original was already answered
+///    the cached reply is resent, so resent ReadRequest /
+///    PrewriteRequest / Decision messages are idempotent. A request's
+///    floor lets the replica forget every call of that sender at or
+///    below it (Birrell and Nelson's implicit acknowledgement: the next
+///    call acknowledges the previous result), and a later copy of such
+///    a call is dropped unexecuted. So what a replica caches is bounded
+///    by its senders' unacknowledged calls: those in flight plus each
+///    sender's latest one, which its next call acknowledges.
 ///
 /// Everything is driven by the shared Simulator, and jitter comes from
 /// a forked deterministic Rng, so runs remain reproducible.
@@ -116,7 +126,8 @@ class RpcEndpoint {
   }
 
   /// Crash semantics: drops every pending call (no callbacks fire) and
-  /// forgets the duplicate-suppression windows.
+  /// forgets the duplicate-suppression windows and senders' floors. A
+  /// sender's next request sets its floor again.
   void Reset();
 
   /// Structured tracing of retries and terminal failures (and, at full
@@ -124,6 +135,17 @@ class RpcEndpoint {
   void set_collector(TraceCollector* c) { collector_ = c; }
 
   size_t pending_calls() const { return calls_.size(); }
+
+  /// Requests the replica side holds: admitted and not yet acknowledged
+  /// or evicted, answered or not.
+  size_t window_entries() const { return live_entries_; }
+
+  /// Bytes the replica side holds allocated (capacity): the served
+  /// table, the cached replies' wire bytes and the senders' floors.
+  size_t held_bytes() const {
+    return served_.capacity() * sizeof(Served) + replies_.capacity() +
+           senders_.capacity() * sizeof(SenderFloors);
+  }
 
  private:
   struct PendingCall {
@@ -136,38 +158,42 @@ class RpcEndpoint {
     TimerHandle timer;
   };
 
-  /// Replica-side record of one admitted request: in progress while
-  /// `size == 0`; once Reply() caches the answer, its wire encoding is
-  /// the window's `replies[offset, offset + size)` (never empty: every
-  /// encoding starts with a kind byte).
+  /// Replica-side record of one admitted request from `from`: in
+  /// progress while `size == 0`; once Reply() caches the answer, its wire
+  /// encoding is `replies_[offset, offset + size)` (never empty: every
+  /// encoding starts with a kind byte). `id == 0` marks a tombstone.
   struct Served {
     uint64_t id = 0;
+    SiteId from = kInvalidSite;
     uint32_t offset = 0;
     uint32_t size = 0;
   };
 
-  /// Per-sender duplicate-suppression window holding the
-  /// kWindowCapacity highest ids admitted: ids at or below `floor` have
-  /// been evicted. `entries[head..]` are live and sorted by id. Evicted
-  /// entries and the bytes of evicted or overwritten replies stay in
-  /// place until MaybeCompact() drops them, once they take half as much
-  /// room as the live ones.
-  struct SenderWindow {
-    uint64_t floor = 0;
-    uint32_t head = 0;
-    uint32_t live_bytes = 0;  ///< reply bytes of the live entries
-    std::vector<Served> entries;
-    std::vector<uint8_t> replies;
+  /// What the replica keeps of one sender between its requests. Ids at
+  /// or below `acked` are finished at the sender: their entries are gone
+  /// and later copies are dropped. Ids at or below `evicted` left the
+  /// window to hold it at kWindowCapacity entries while the sender's
+  /// floor stayed pinned: later copies are re-admitted. `live` counts
+  /// the sender's entries in the table.
+  struct SenderFloors {
+    uint64_t acked = 0;
+    uint64_t evicted = 0;
+    SiteId from = kInvalidSite;
+    uint32_t live = 0;
   };
+
+  using ServedIter = std::vector<Served>::iterator;
 
   void SendAttempt(uint64_t call_id);
   void OnAttemptTimeout(uint64_t call_id);
   SimTime BackoffDelay(const RpcPolicy& policy, int retries_so_far);
-  static std::vector<Served>::iterator FirstAtOrAbove(SenderWindow& w,
-                                                       uint64_t id);
-  static Served* FindServed(SenderWindow& w, uint64_t id);
-  void Admit(SenderWindow& w, uint64_t id);
-  void MaybeCompact(SenderWindow& w);
+  uint64_t AckFloor(SiteId to) const;
+  SenderFloors& FloorsOf(SiteId from);
+  ServedIter FirstAtOrAbove(SiteId from, uint64_t id);
+  Served* FindServed(SiteId from, uint64_t id);
+  void Forget(SenderFloors& f, ServedIter first, ServedIter last);
+  void Admit(SenderFloors& f, ServedIter pos, uint64_t id);
+  void MaybeCompact();
 
   Simulator* sim_;
   Network* net_;
@@ -177,11 +203,20 @@ class RpcEndpoint {
   uint64_t next_rpc_id_ = 1;
   LateReplyHandler late_reply_;
   std::map<uint64_t, PendingCall> calls_;
-  std::unordered_map<SiteId, SenderWindow> windows_;
-  /// Reused buffers: Reply() encodes into `encode_`, MaybeCompact()
-  /// repacks a window's live reply bytes through `compact_`.
+  /// Replica side, one table for every sender. `served_` is sorted by
+  /// (from, id); `live_entries_` of its entries are served, the rest are
+  /// tombstones (id 0) of acknowledged or evicted ones. `replies_` holds
+  /// the cached replies' bytes, of which `live_bytes_` belong to served
+  /// entries; the rest died with an entry or a second reply.
+  /// MaybeCompact() drops the dead parts in place. `senders_` is sorted
+  /// by sender.
+  std::vector<Served> served_;
+  size_t live_entries_ = 0;
+  std::vector<uint8_t> replies_;
+  size_t live_bytes_ = 0;
+  std::vector<SenderFloors> senders_;
+  /// Reused buffer Reply() encodes into.
   Arena encode_;
-  std::vector<uint8_t> compact_;
 };
 
 }  // namespace rainbow

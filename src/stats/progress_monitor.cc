@@ -149,6 +149,8 @@ std::string ProgressMonitor::RenderStatistics(const NetworkStats& net,
   t.AddRow({"rpc terminal failures", TablePrinter::Cell(net.rpc_failures).text});
   t.AddRow({"rpc duplicates suppressed",
             TablePrinter::Cell(net.rpc_duplicates_suppressed).text});
+  t.AddRow({"rpc acknowledged copies dropped",
+            TablePrinter::Cell(net.rpc_acked_dropped).text});
   t.AddRow({"mean rpc latency (us)",
             FormatDouble(net.rpc_latency.count() > 0 ? net.rpc_latency.mean() : 0,
                          0)});

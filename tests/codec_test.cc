@@ -236,6 +236,8 @@ TEST(CodecTest, FullMessageRoundTrip) {
   m.from = 3;
   m.to = kNameServerId;
   m.sent_at = Millis(17);
+  m.rpc_id = 1u << 20;
+  m.ack_floor = (1u << 20) - 3;
   m.payload = NsLookupRequest{TxnId{3, 8}, 5};
   auto decoded = DecodeMessage(EncodeMessage(m));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
@@ -243,12 +245,18 @@ TEST(CodecTest, FullMessageRoundTrip) {
   EXPECT_EQ(decoded->from, 3u);
   EXPECT_EQ(decoded->to, kNameServerId);
   EXPECT_EQ(decoded->sent_at, Millis(17));
+  EXPECT_EQ(decoded->rpc_id, 1u << 20);
+  EXPECT_FALSE(decoded->rpc_is_reply);
+  EXPECT_EQ(decoded->ack_floor, (1u << 20) - 3);
   EXPECT_EQ(decoded->kind(), MessageKind::kNsLookupRequest);
 }
 
 TEST(CodecTest, EnvelopeConstantMatchesTheEncoding) {
   // The network charges EncodedPayloadSize() + kEnvelopeBytes per
   // message; EncodeMessage adds a 4-byte payload-length prefix on top.
+  // 41 bytes: id 8, from 4, to 4, sent_at 8, rpc_id 8, rpc_is_reply 1
+  // and ack_floor 8.
+  EXPECT_EQ(kEnvelopeBytes, 41u);
   Message m;
   m.id = 7;
   m.from = 1;

@@ -193,16 +193,20 @@ TEST_F(NetworkTest, InjectedDuplicateGetsItsOwnNetworkId) {
   // Regression: the injected copy used to ship with the original's
   // network id, making the two deliveries indistinguishable in traces.
   // The copy must carry a fresh `id` while keeping the same `rpc_id`
-  // so RPC-layer duplicate suppression still recognizes it.
+  // (and acknowledgement floor) so RPC-layer duplicate suppression
+  // still recognizes it.
   LinkOverride o;
   o.dup_probability = 1.0;
   net_.SetLinkOverride(0, 1, o);
-  net_.SendRpc(0, 1, Ack{TxnId{0, 1}}, /*rpc_id=*/77, /*is_reply=*/false);
+  net_.SendRpc(0, 1, Ack{TxnId{0, 1}}, /*rpc_id=*/77, /*is_reply=*/false,
+               /*ack_floor=*/70);
   sim_.RunToQuiescence();
   ASSERT_EQ(received_[1].size(), 2u);
   EXPECT_NE(received_[1][0].id, received_[1][1].id);
-  EXPECT_EQ(received_[1][0].rpc_id, 77u);
-  EXPECT_EQ(received_[1][1].rpc_id, 77u);
+  for (const Message& m : received_[1]) {
+    EXPECT_EQ(m.rpc_id, 77u);
+    EXPECT_EQ(m.ack_floor, 70u);
+  }
 }
 
 TEST_F(NetworkTest, LossOverrideIsDirectional) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <utility>
@@ -62,13 +63,16 @@ LatencyConfig FixedLatency(SimTime one_way) {
   return lat;
 }
 
-/// A client endpoint at site 0 and an echo server at site 1 with a
-/// fixed, deterministic one-way delay.
+/// A client endpoint at site 0 and echo servers at sites 1 and 2 with a
+/// fixed, deterministic one-way delay. Every request delivered to a
+/// server is logged, whether or not its endpoint consumes it.
 struct RpcHarness {
   Simulator sim;
   std::unique_ptr<Network> net;
   std::unique_ptr<RpcEndpoint> client;
   std::unique_ptr<RpcEndpoint> server;
+  std::unique_ptr<RpcEndpoint> other;  ///< the server at site 2
+  std::vector<Message> delivered_requests;
   int server_requests = 0;
   int late_replies = 0;
 
@@ -76,15 +80,21 @@ struct RpcHarness {
     net = std::make_unique<Network>(&sim, FixedLatency(one_way), Rng(99));
     client = std::make_unique<RpcEndpoint>(&sim, net.get(), 0, 1);
     server = std::make_unique<RpcEndpoint>(&sim, net.get(), 1, 2);
+    other = std::make_unique<RpcEndpoint>(&sim, net.get(), 2, 3);
     client->set_late_reply_handler(
         [this](const Message&) { ++late_replies; });
     net->RegisterHandler(0, [this](const Message& m) { client->Accept(m); });
-    net->RegisterHandler(1, [this](const Message& m) {
-      RpcDelivery d = server->Accept(m);
-      if (d.consumed) return;
-      ++server_requests;
-      server->Reply(d.ctx, Ack{std::get<AbortRequest>(m.payload).txn});
-    });
+    auto serve = [this](RpcEndpoint* ep) {
+      return [this, ep](const Message& m) {
+        delivered_requests.push_back(m);
+        RpcDelivery d = ep->Accept(m);
+        if (d.consumed) return;
+        ++server_requests;
+        ep->Reply(d.ctx, Ack{std::get<AbortRequest>(m.payload).txn});
+      };
+    };
+    net->RegisterHandler(1, serve(server.get()));
+    net->RegisterHandler(2, serve(other.get()));
   }
 };
 
@@ -193,11 +203,13 @@ TEST(RpcEndpointTest, ResetDropsAllPendingCalls) {
 // Duplicate-window rotation (floor eviction)
 // ---------------------------------------------------------------------------
 
-Message ForgedRequest(SiteId from, SiteId to, uint64_t rpc_id) {
+Message ForgedRequest(SiteId from, SiteId to, uint64_t rpc_id,
+                      uint64_t ack_floor = 0) {
   Message m;
   m.from = from;
   m.to = to;
   m.rpc_id = rpc_id;
+  m.ack_floor = ack_floor;
   m.payload = AbortRequest{TxnId{from, rpc_id}};
   return m;
 }
@@ -283,6 +295,203 @@ TEST(RpcEndpointTest, RetryForeverCallSurvivesWindowRotation) {
 }
 
 // ---------------------------------------------------------------------------
+// Implicit acknowledgements (ack floors)
+// ---------------------------------------------------------------------------
+
+TEST(RpcEndpointTest, LateCopyAtOrBelowAckFloorIsConsumed) {
+  // Once a sender's next request says its calls up to the floor have
+  // finished, their entries go, and a late copy of one of them is
+  // dropped: not surfaced to the application and not answered.
+  RpcHarness h(Millis(2));
+  RpcDelivery first = h.server->Accept(ForgedRequest(0, 1, 5));
+  ASSERT_TRUE(first.ctx.valid());
+  h.server->Reply(first.ctx, Ack{TxnId{0, 5}});
+  RpcDelivery second = h.server->Accept(ForgedRequest(0, 1, 6));
+  ASSERT_TRUE(second.ctx.valid());
+  EXPECT_EQ(h.server->window_entries(), 2u);
+
+  RpcDelivery next = h.server->Accept(ForgedRequest(0, 1, 9, /*ack=*/5));
+  ASSERT_TRUE(next.ctx.valid());
+  EXPECT_EQ(h.server->window_entries(), 2u) << "id 5 is acknowledged";
+  h.sim.RunToQuiescence();  // deliver the reply to id 5
+  const uint64_t sent = h.net->stats().sent;
+
+  for (uint64_t id : {5u, 3u}) {  // answered before, and never seen
+    RpcDelivery late = h.server->Accept(ForgedRequest(0, 1, id));
+    EXPECT_TRUE(late.consumed) << id;
+    EXPECT_FALSE(late.ctx.valid()) << id;
+  }
+  h.sim.RunToQuiescence();
+  EXPECT_EQ(h.net->stats().rpc_acked_dropped, 2u);
+  EXPECT_EQ(h.net->stats().rpc_duplicates_suppressed, 0u);
+  EXPECT_EQ(h.net->stats().sent, sent) << "a dropped copy was answered";
+
+  // Above the floor nothing changed: id 6 is still served.
+  RpcDelivery dup = h.server->Accept(ForgedRequest(0, 1, 6, /*ack=*/5));
+  EXPECT_TRUE(dup.consumed);
+  EXPECT_EQ(h.net->stats().rpc_duplicates_suppressed, 1u);
+  // Floors are per sender: another sender's id 5 is fresh.
+  EXPECT_TRUE(h.server->Accept(ForgedRequest(2, 1, 5)).ctx.valid());
+}
+
+TEST(RpcEndpointTest, LateCopyOfAFailedCallIsNotExecuted) {
+  // End to end: a call fails while two copies of it are still crawling
+  // over a congested link. The caller's next call to the same server
+  // overtakes them and acknowledges the failed call, so the copies are
+  // dropped on arrival instead of executing a request nobody waits for.
+  RpcHarness h(Millis(2));
+  LinkOverride slow;
+  slow.delay_multiplier = 25;  // 50 ms one way
+  h.net->SetLinkOverride(0, 1, slow);
+  RpcPolicy policy;
+  policy.timeout = Millis(5);
+  policy.max_attempts = 2;
+  policy.backoff_base = Millis(2);
+  policy.jitter = 0;
+  std::optional<Status> failed;
+  h.client->Call(1, AbortRequest{TxnId{0, 1}}, policy,
+                 [&](Result<Payload> r) { failed = r.status(); });
+  h.sim.RunUntil(Millis(20));
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_FALSE(failed->ok());
+  EXPECT_TRUE(h.delivered_requests.empty()) << "copies arrived early";
+
+  h.net->ClearLinkOverrides();
+  int answered = 0;
+  h.client->Call(1, AbortRequest{TxnId{0, 2}}, policy,
+                 [&](Result<Payload> r) { answered += r.ok(); });
+  h.sim.RunToQuiescence();
+  EXPECT_EQ(answered, 1);
+  ASSERT_EQ(h.delivered_requests.size(), 3u);
+  EXPECT_EQ(h.delivered_requests[0].ack_floor, 1u);
+  EXPECT_EQ(h.server_requests, 1) << "a failed call's copy was executed";
+  EXPECT_EQ(h.net->stats().rpc_acked_dropped, 2u);
+  EXPECT_EQ(h.late_replies, 0);
+}
+
+TEST(RpcEndpointTest, FloorStaysBelowEveryPendingCallToTheDestination) {
+  // Three overlapping calls to one server: each request's floor stays
+  // below the oldest of them still pending, so none acknowledges a call
+  // whose retransmission could still come. Only the call made after the
+  // first two finished acknowledges them.
+  RpcHarness h(Millis(2));
+  RpcPolicy policy;
+  int answered = 0;
+  auto call = [&](uint64_t n) {
+    return h.client->Call(1, AbortRequest{TxnId{0, n}}, policy,
+                          [&](Result<Payload> r) { answered += r.ok(); });
+  };
+  uint64_t a = call(1);
+  uint64_t b = call(2);
+  h.sim.RunToQuiescence();
+  uint64_t c = call(3);
+  h.sim.RunToQuiescence();
+  EXPECT_EQ(answered, 3);
+  ASSERT_EQ(h.delivered_requests.size(), 3u);
+  EXPECT_EQ(h.delivered_requests[0].rpc_id, a);
+  EXPECT_EQ(h.delivered_requests[0].ack_floor, a - 1);
+  EXPECT_EQ(h.delivered_requests[1].rpc_id, b);
+  EXPECT_EQ(h.delivered_requests[1].ack_floor, a - 1) << "acked a pending call";
+  EXPECT_EQ(h.delivered_requests[2].rpc_id, c);
+  EXPECT_EQ(h.delivered_requests[2].ack_floor, c - 1);
+  EXPECT_EQ(h.server->window_entries(), 1u);
+}
+
+TEST(RpcEndpointTest, RetryForeverCallPinsOnlyItsDestinationsFloor) {
+  // A retry-forever call to a down site must not hold back what the
+  // caller acknowledges elsewhere: calls to site 1 carry rising floors,
+  // and site 1's window keeps only the call no later one has
+  // acknowledged yet, while every attempt to site 2 keeps acknowledging
+  // nothing past the stuck call.
+  RpcHarness h(Millis(2));
+  h.net->SetSiteUp(2, false);
+  RpcPolicy forever;
+  forever.timeout = Millis(10);
+  forever.max_attempts = 0;
+  forever.backoff_base = Millis(2);
+  forever.jitter = 0;
+  int stuck_done = 0;
+  uint64_t stuck = h.client->Call(2, AbortRequest{TxnId{0, 100}}, forever,
+                                  [&](Result<Payload> r) {
+                                    stuck_done += r.ok();
+                                  });
+  RpcPolicy policy;
+  int answered = 0;
+  size_t peak_entries = 0;
+  for (uint64_t i = 0; i < 20; ++i) {
+    h.client->Call(1, AbortRequest{TxnId{0, i}}, policy,
+                   [&](Result<Payload> r) { answered += r.ok(); });
+    h.sim.RunUntil(h.sim.Now() + Millis(5));
+    peak_entries = std::max(peak_entries, h.server->window_entries());
+  }
+  EXPECT_EQ(answered, 20);
+  EXPECT_EQ(h.client->pending_calls(), 1u);
+  ASSERT_EQ(h.delivered_requests.size(), 20u);
+  for (const Message& m : h.delivered_requests) {
+    EXPECT_EQ(m.ack_floor, m.rpc_id - 1) << "floor pinned by the call to 2";
+  }
+  EXPECT_EQ(peak_entries, 1u);
+  EXPECT_EQ(h.server->window_entries(), 1u);
+
+  // Site 2 comes back: its retransmissions acknowledged nothing at or
+  // above the stuck call, so the call completes normally.
+  h.delivered_requests.clear();
+  h.net->SetSiteUp(2, true);
+  h.sim.RunUntil(h.sim.Now() + Seconds(1));
+  EXPECT_EQ(stuck_done, 1);
+  ASSERT_FALSE(h.delivered_requests.empty());
+  for (const Message& m : h.delivered_requests) {
+    EXPECT_EQ(m.rpc_id, stuck);
+    EXPECT_EQ(m.ack_floor, stuck - 1);
+  }
+  EXPECT_EQ(h.net->stats().rpc_acked_dropped, 0u);
+}
+
+TEST(RpcEndpointTest, FloorsAreRelearnedAfterReset) {
+  // A crash forgets every sender's floor, so a late copy that arrives
+  // first is served again (as before acknowledgements existed). The
+  // sender's next request sets the floor again and drops the rest.
+  RpcHarness h(Millis(2));
+  ASSERT_TRUE(h.server->Accept(ForgedRequest(0, 1, 10, /*ack=*/9)).ctx.valid());
+  h.server->Reset();
+  EXPECT_EQ(h.server->window_entries(), 0u);
+  RpcDelivery early = h.server->Accept(ForgedRequest(0, 1, 8));
+  EXPECT_TRUE(early.ctx.valid()) << "floors survived the crash";
+
+  RpcDelivery next = h.server->Accept(ForgedRequest(0, 1, 12, /*ack=*/11));
+  ASSERT_TRUE(next.ctx.valid());
+  EXPECT_EQ(h.server->window_entries(), 1u) << "id 8 was acknowledged";
+  RpcDelivery late = h.server->Accept(ForgedRequest(0, 1, 10, /*ack=*/9));
+  EXPECT_TRUE(late.consumed);
+  EXPECT_FALSE(late.ctx.valid());
+  EXPECT_EQ(h.net->stats().rpc_acked_dropped, 1u);
+}
+
+TEST(RpcEndpointTest, ForgedFloorAtOrAboveOwnIdIsIgnored) {
+  // No honest sender acknowledges the call it is making. A request whose
+  // floor reaches its own id is counted and served, and its floor is
+  // never applied: it drops neither itself nor anything else.
+  RpcHarness h(Millis(2));
+  RpcDelivery first = h.server->Accept(ForgedRequest(0, 1, 5));
+  ASSERT_TRUE(first.ctx.valid());
+  h.server->Reply(first.ctx, Ack{TxnId{0, 5}});
+  for (uint64_t ack : {6u, 100u}) {
+    RpcDelivery forged = h.server->Accept(ForgedRequest(0, 1, 6, ack));
+    EXPECT_EQ(forged.ctx.valid(), ack == 6u) << "second copy is a duplicate";
+  }
+  EXPECT_EQ(h.net->stats().rpc_bad_ack_floors, 2u);
+  EXPECT_EQ(h.net->stats().rpc_acked_dropped, 0u);
+  EXPECT_EQ(h.server->window_entries(), 2u);
+  // Id 5 is still cached: its duplicate is re-answered.
+  RpcDelivery dup = h.server->Accept(ForgedRequest(0, 1, 5));
+  EXPECT_TRUE(dup.consumed);
+  EXPECT_EQ(h.net->stats().rpc_duplicates_suppressed, 2u);
+  h.sim.RunToQuiescence();
+  std::string render = h.net->stats().Render();
+  EXPECT_NE(render.find("rpc bad ack floors (ignored): 2"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
 // Replies cached in wire form
 // ---------------------------------------------------------------------------
 
@@ -337,8 +546,9 @@ TEST(RpcEndpointTest, EveryReplyKindIsResentByteForByte) {
 
 /// The duplicate window as a std::map per sender that holds each
 /// answered request's reply as a Payload: the representation RpcEndpoint
-/// used before it cached replies in wire form, kept as the reference
-/// model of the behaviour that representation must reproduce.
+/// used before it cached replies in wire form, plus the acknowledgement
+/// floor, kept as the reference model of the behaviour the endpoint's
+/// one compacted table must reproduce.
 class MapWindowModel {
  public:
   struct Outcome {
@@ -347,8 +557,18 @@ class MapWindowModel {
     std::optional<Payload> resent;  ///< the cached reply sent back
   };
 
-  Outcome Accept(SiteId from, uint64_t id) {
+  Outcome Accept(SiteId from, uint64_t id, uint64_t ack) {
     Window& w = windows_[from];
+    if (ack >= id) {
+      ++bad_floors;
+    } else if (ack > w.acked) {
+      w.acked = ack;
+      w.entries.erase(w.entries.begin(), w.entries.upper_bound(ack));
+    }
+    if (id <= w.acked) {
+      ++acked_dropped;
+      return {true, false, std::nullopt};
+    }
     auto it = w.entries.find(id);
     if (it != w.entries.end()) {
       ++duplicates;
@@ -376,12 +596,26 @@ class MapWindowModel {
     return it == windows_.end() ? 0 : it->second.floor;
   }
 
+  uint64_t Acked(SiteId from) {
+    auto it = windows_.find(from);
+    return it == windows_.end() ? 0 : it->second.acked;
+  }
+
+  size_t entries() const {
+    size_t n = 0;
+    for (const auto& [from, w] : windows_) n += w.entries.size();
+    return n;
+  }
+
   uint64_t duplicates = 0;
   uint64_t stale = 0;
+  uint64_t acked_dropped = 0;
+  uint64_t bad_floors = 0;
 
  private:
   struct Window {
-    uint64_t floor = 0;
+    uint64_t floor = 0;  ///< evicted at or below
+    uint64_t acked = 0;  ///< acknowledged at or below
     /// nullopt while the request is in progress.
     std::map<uint64_t, std::optional<Payload>> entries;
   };
@@ -392,9 +626,11 @@ TEST(RpcEndpointTest, DuplicateWindowMatchesMapModel) {
   // Seeded random traffic from three senders: fresh ids with gaps, ids
   // that arrive out of order, duplicates of answered and unanswered
   // requests, ids long evicted below the floor and ids on either side
-  // of it, second replies to one request, and the odd crash. Each
-  // sender's window rotates several times between crashes. The endpoint
-  // must agree with the model at every step.
+  // of it, second replies to one request, and the odd crash. Requests
+  // carry random acknowledgement floors: close behind, lagging far
+  // behind (so the window still rotates), none (a pinned floor), and
+  // forged ones at or above the request's own id. The endpoint must
+  // agree with the model at every step.
   constexpr MessageKind kReplyKinds[] = {
       MessageKind::kAck, MessageKind::kVoteReply, MessageKind::kPrewriteReply,
       MessageKind::kReadReply, MessageKind::kNsLookupReply};
@@ -447,13 +683,26 @@ TEST(RpcEndpointTest, DuplicateWindowMatchesMapModel) {
       id = hi += 1 + rng.NextUint(3);  // fresh, leaving gaps
     } else if (r < 0.9) {
       id = 1 + hi - std::min<uint64_t>(hi, rng.NextUint(12));  // recent
-    } else if (r < 0.95 && model.Floor(from) > 0) {
+    } else if (r < 0.925 && model.Floor(from) > 0) {
       id = model.Floor(from) + rng.NextUint(2);  // either side of the floor
+    } else if (r < 0.95 && model.Acked(from) > 0) {
+      id = model.Acked(from) + rng.NextUint(2);  // and of the acked one
     } else {
       id = 1 + rng.NextUint(hi + 1);  // anywhere, often below the floor
     }
-    RpcDelivery got = h.server.Accept(ForgedRequest(from, 1, id));
-    MapWindowModel::Outcome want = model.Accept(from, id);
+    // Sender 0 acknowledges close behind, sender 2 lags far enough
+    // behind for its window to rotate, and sender 3's floor is pinned.
+    double a = rng.NextDouble();
+    uint64_t ack = 0;
+    if (a < 0.03) {
+      ack = id + rng.NextUint(3);  // forged
+    } else if (from == 0 && a < 0.25) {
+      ack = id - 1 - rng.NextUint(std::min<uint64_t>(id, 6));
+    } else if (from == 2 && a < 0.33 && hi > 1000) {
+      ack = hi - 600 - rng.NextUint(400);
+    }
+    RpcDelivery got = h.server.Accept(ForgedRequest(from, 1, id, ack));
+    MapWindowModel::Outcome want = model.Accept(from, id, ack);
     ASSERT_EQ(got.consumed, want.consumed);
     ASSERT_EQ(got.ctx.valid(), want.fresh);
     if (got.ctx.valid()) {
@@ -471,12 +720,24 @@ TEST(RpcEndpointTest, DuplicateWindowMatchesMapModel) {
     }
     ASSERT_EQ(h.net.stats().rpc_duplicates_suppressed, model.duplicates);
     ASSERT_EQ(h.net.stats().rpc_stale_readmitted, model.stale);
+    ASSERT_EQ(h.net.stats().rpc_acked_dropped, model.acked_dropped);
+    ASSERT_EQ(h.net.stats().rpc_bad_ack_floors, model.bad_floors);
+    ASSERT_EQ(h.server.window_entries(), model.entries());
   }
   // Every branch was exercised, many times.
   EXPECT_GT(resends, 500u);
   EXPECT_GT(model.duplicates, resends + 500);
   EXPECT_GT(model.stale, 500u);
   EXPECT_GT(second_replies, 500u);
+  EXPECT_GT(model.acked_dropped, 500u);
+  EXPECT_GT(model.bad_floors, 500u);
+  std::printf("  resends %llu, duplicates %llu, stale %llu, acked dropped "
+              "%llu, bad floors %llu\n",
+              static_cast<unsigned long long>(resends),
+              static_cast<unsigned long long>(model.duplicates),
+              static_cast<unsigned long long>(model.stale),
+              static_cast<unsigned long long>(model.acked_dropped),
+              static_cast<unsigned long long>(model.bad_floors));
 }
 
 // ---------------------------------------------------------------------------
@@ -527,9 +788,13 @@ TEST(RpcLossyNetworkTest, TransactionsCompleteDespiteLoss) {
   std::string stats = mon.RenderStatistics(st, Seconds(60));
   EXPECT_NE(stats.find("rpc retries"), std::string::npos);
   EXPECT_NE(stats.find("rpc duplicates suppressed"), std::string::npos);
+  EXPECT_NE(stats.find("rpc acknowledged copies dropped"), std::string::npos);
   std::string net_render = st.Render();
   EXPECT_NE(net_render.find("rpc:"), std::string::npos);
   EXPECT_NE(net_render.find("dup_suppressed="), std::string::npos);
+  EXPECT_NE(net_render.find("acked_dropped="), std::string::npos);
+  // Honest senders never stamp a floor at or above their own call.
+  EXPECT_EQ(st.rpc_bad_ack_floors, 0u);
 }
 
 }  // namespace

@@ -15,17 +15,19 @@
 namespace rainbow {
 namespace {
 
-/// What the sites' logs hold at the end of one drive.
-struct WalFootprint {
+/// What the sites' logs and RPC windows hold at the end of one drive.
+struct Footprint {
   uint64_t held_bytes = 0;      ///< Σ Wal::held_bytes()
   uint64_t resident_bytes = 0;  ///< Σ Wal::resident_bytes()
   uint64_t records = 0;         ///< Σ Wal::size()
   uint64_t digest_entries = 0;  ///< Σ Wal::Scan().size()
   uint64_t digest_bytes = 0;    ///< Σ Wal::digest_bytes()
+  /// Σ RpcEndpoint::held_bytes() over the sites and the name server.
+  uint64_t rpc_window_bytes = 0;
 };
 
 /// Runs `txns` transactions on `cfg` until the workload drains.
-Result<WalFootprint> Drive(const SystemConfig& cfg, uint32_t txns) {
+Result<Footprint> Drive(const SystemConfig& cfg, uint32_t txns) {
   auto created = RainbowSystem::Create(cfg);
   RAINBOW_RETURN_IF_ERROR(created.status());
   RainbowSystem& sys = **created;
@@ -40,7 +42,7 @@ Result<WalFootprint> Drive(const SystemConfig& cfg, uint32_t txns) {
     if (sys.Idle()) return Status::Internal("workload stalled");
     sys.RunFor(Millis(50));
   }
-  WalFootprint f;
+  Footprint f;
   for (SiteId s = 0; s < sys.num_sites(); ++s) {
     const Wal& wal = sys.site(s)->wal();
     f.held_bytes += wal.held_bytes();
@@ -48,7 +50,9 @@ Result<WalFootprint> Drive(const SystemConfig& cfg, uint32_t txns) {
     f.records += wal.size();
     f.digest_entries += wal.Scan().size();
     f.digest_bytes += wal.digest_bytes();
+    f.rpc_window_bytes += sys.site(s)->rpc().held_bytes();
   }
+  f.rpc_window_bytes += sys.name_server().rpc().held_bytes();
   return f;
 }
 
@@ -79,13 +83,25 @@ TEST(WalSoakTest, HeldBytesPlateauOnClassroomShape) {
   for (const auto& [txns, f] :
        {std::pair{kTxns, *shorter}, std::pair{4 * kTxns, *longer}}) {
     std::printf("  %5u txns: held %llu B, resident %llu B, %llu records, "
-                "%llu digest entries in %llu B\n",
+                "%llu digest entries in %llu B, RPC windows %llu B\n",
                 txns, static_cast<unsigned long long>(f.held_bytes),
                 static_cast<unsigned long long>(f.resident_bytes),
                 static_cast<unsigned long long>(f.records),
                 static_cast<unsigned long long>(f.digest_entries),
-                static_cast<unsigned long long>(f.digest_bytes));
+                static_cast<unsigned long long>(f.digest_bytes),
+                static_cast<unsigned long long>(f.rpc_window_bytes));
   }
+  // Each request acknowledges its sender's finished calls to the same
+  // replica, so an RPC window holds the calls in flight and each sender's
+  // latest one. Its arrays grow only to the peak of in-flight calls: a
+  // longer run may meet a higher peak, which costs at most one more
+  // doubling. And the sites and the name server, each a sender to every
+  // other, hold at most 1 KiB a (sender, replica) pair; a pair whose
+  // calls were never acknowledged would hold up to 256 entries.
+  ASSERT_GT(shorter->rpc_window_bytes, 0u);
+  EXPECT_LE(longer->rpc_window_bytes, 2 * shorter->rpc_window_bytes);
+  const uint64_t endpoints = cfg->num_sites + 1;
+  EXPECT_LE(longer->rpc_window_bytes, 1024 * endpoints * endpoints);
   // The digest keeps one entry per transaction until decisions are
   // forgotten, but a closed one costs its 24-byte file form: what the
   // digest holds, slack and the few unfolded map entries included,
