@@ -4,6 +4,13 @@
 
 namespace rainbow {
 
+int VoteOf(const ItemSchema& item, SiteId site) {
+  for (size_t i = 0; i < item.copies.size(); ++i) {
+    if (item.copies[i] == site) return item.votes[i];
+  }
+  return 0;
+}
+
 Result<ItemId> ReplicationSchema::AddItem(const std::string& name,
                                           Value initial_value,
                                           std::vector<SiteId> copies,

@@ -25,6 +25,9 @@ struct ItemSchema {
   int write_quorum = 0;    ///< in votes
 };
 
+/// The vote weight of `site`'s copy of `item`, or 0 when it holds none.
+int VoteOf(const ItemSchema& item, SiteId site);
+
 /// The database schema: items, their placement, and quorum parameters.
 /// Configured once per Rainbow instance ("Database Replication
 /// Configuration panel") and then distributed via the name server.

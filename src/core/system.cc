@@ -1,7 +1,6 @@
 #include "core/system.h"
 
 #include <map>
-#include <set>
 
 #include "common/string_util.h"
 
@@ -30,23 +29,18 @@ RainbowSystem::RainbowSystem(SystemConfig config, ReplicationSchema schema)
     Site::Env env;
     env.net = net_.get();
     env.config = &config_.protocols;
+    env.schema = &catalog_.schema();
     env.seed = config_.seed;
     env.sim = &sim_;
     env.collector = &collector_;
     env.monitor = &monitor_;
     sites_.push_back(std::make_unique<Site>(static_cast<SiteId>(i), env));
   }
-  // Load item copies and compute refresh-peer sets (sites sharing items).
-  std::map<SiteId, std::set<SiteId>> peers;
   for (const ItemSchema& item : catalog_.schema().items()) {
     for (SiteId s : item.copies) {
       sites_[s]->LoadItem(item.id, item.initial_value);
-      for (SiteId other : item.copies) {
-        if (other != s) peers[s].insert(other);
-      }
     }
   }
-  for (auto& [s, set] : peers) sites_[s]->SetRefreshPeers(std::move(set));
   for (auto& site : sites_) site->Start();
 }
 

@@ -18,8 +18,9 @@ namespace rainbow {
 ///
 /// There is exactly one name server per Rainbow instance. It can be
 /// crashed and recovered by the fault injector like any site; while
-/// down, lookups time out at the coordinators (schema caching hides
-/// this in the default configuration).
+/// down, lookups time out at the coordinators. By default a site asks
+/// once per item until it crashes (cache_schema), so items it already
+/// looked up stay reachable through an outage.
 class NameServer {
  public:
   /// Reads `catalog` by reference; it must outlive the name server.

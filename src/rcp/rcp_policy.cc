@@ -1,7 +1,6 @@
 #include "rcp/rcp_policy.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace rainbow {
 
@@ -19,48 +18,37 @@ const char* RcpKindName(RcpKind k) {
   return "?";
 }
 
-int ReplicaView::total_votes() const {
-  return std::accumulate(votes.begin(), votes.end(), 0);
-}
-
-int ReplicaView::VoteOf(SiteId site) const {
-  for (size_t i = 0; i < copies.size(); ++i) {
-    if (copies[i] == site) return votes[i];
-  }
-  return 0;
-}
-
 RcpPlanner::RcpPlanner(RcpKind kind, bool broadcast)
     : kind_(kind), broadcast_(broadcast) {}
 
 std::vector<size_t> RcpPlanner::PreferenceOrder(
-    const ReplicaView& view, SiteId self, const std::set<SiteId>& suspected) {
-  std::vector<size_t> order(view.copies.size());
+    const ItemSchema& item, SiteId self, const std::set<SiteId>& suspected) {
+  std::vector<size_t> order(item.copies.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   auto rank = [&](size_t i) {
-    SiteId s = view.copies[i];
+    SiteId s = item.copies[i];
     if (suspected.contains(s)) return 2;
     return s == self ? 0 : 1;
   };
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     int ra = rank(a), rb = rank(b);
     if (ra != rb) return ra < rb;
-    return view.copies[a] < view.copies[b];
+    return item.copies[a] < item.copies[b];
   });
   return order;
 }
 
-Result<AccessPlan> RcpPlanner::QuorumSubset(const ReplicaView& view,
+Result<AccessPlan> RcpPlanner::QuorumSubset(const ItemSchema& item,
                                             SiteId self,
                                             const std::set<SiteId>& suspected,
                                             int quorum) {
   AccessPlan plan;
   plan.needed_votes = quorum;
   int gathered = 0;
-  for (size_t i : PreferenceOrder(view, self, suspected)) {
+  for (size_t i : PreferenceOrder(item, self, suspected)) {
     if (gathered >= quorum) break;
-    plan.targets.push_back(view.copies[i]);
-    gathered += view.votes[i];
+    plan.targets.push_back(item.copies[i]);
+    gathered += item.votes[i];
   }
   if (gathered < quorum) {
     return Status::Unavailable("quorum unattainable: " +
@@ -70,9 +58,9 @@ Result<AccessPlan> RcpPlanner::QuorumSubset(const ReplicaView& view,
   return plan;
 }
 
-Result<AccessPlan> RcpPlanner::PlanRead(const ReplicaView& view, SiteId self,
+Result<AccessPlan> RcpPlanner::PlanRead(const ItemSchema& item, SiteId self,
                                         const std::set<SiteId>& suspected) const {
-  if (view.copies.empty()) {
+  if (item.copies.empty()) {
     return Status::InvalidArgument("item has no copies");
   }
   switch (kind_) {
@@ -82,38 +70,38 @@ Result<AccessPlan> RcpPlanner::PlanRead(const ReplicaView& view, SiteId self,
       AccessPlan plan;
       plan.require_all = true;
       plan.needed_votes = 1;
-      size_t best = PreferenceOrder(view, self, suspected).front();
+      size_t best = PreferenceOrder(item, self, suspected).front();
       if (kind_ == RcpKind::kRowaAvailable &&
-          suspected.contains(view.copies[best])) {
+          suspected.contains(item.copies[best])) {
         return Status::Unavailable("all copies suspected down");
       }
-      plan.targets.push_back(view.copies[best]);
+      plan.targets.push_back(item.copies[best]);
       return plan;
     }
     case RcpKind::kQuorumConsensus: {
       if (broadcast_) {
         AccessPlan plan;
-        plan.targets = view.copies;
-        plan.needed_votes = view.read_quorum;
+        plan.targets = item.copies;
+        plan.needed_votes = item.read_quorum;
         return plan;
       }
-      return QuorumSubset(view, self, suspected, view.read_quorum);
+      return QuorumSubset(item, self, suspected, item.read_quorum);
     }
     case RcpKind::kPrimaryCopy: {
       // Reads go to the primary (the first copy in the schema) only.
       AccessPlan plan;
       plan.require_all = true;
-      plan.cc_site = view.copies.front();
-      plan.targets.push_back(view.copies.front());
+      plan.cc_site = item.copies.front();
+      plan.targets.push_back(item.copies.front());
       return plan;
     }
   }
   return Status::Internal("unknown RCP kind");
 }
 
-Result<AccessPlan> RcpPlanner::PlanWrite(const ReplicaView& view, SiteId self,
+Result<AccessPlan> RcpPlanner::PlanWrite(const ItemSchema& item, SiteId self,
                                          const std::set<SiteId>& suspected) const {
-  if (view.copies.empty()) {
+  if (item.copies.empty()) {
     return Status::InvalidArgument("item has no copies");
   }
   switch (kind_) {
@@ -121,14 +109,14 @@ Result<AccessPlan> RcpPlanner::PlanWrite(const ReplicaView& view, SiteId self,
       // Write ALL copies, regardless of suspicion — the protocol's
       // defining weakness: one dead copy blocks every write.
       AccessPlan plan;
-      plan.targets = view.copies;
+      plan.targets = item.copies;
       plan.require_all = true;
       return plan;
     }
     case RcpKind::kRowaAvailable: {
       AccessPlan plan;
       plan.require_all = true;
-      for (SiteId s : view.copies) {
+      for (SiteId s : item.copies) {
         if (!suspected.contains(s)) plan.targets.push_back(s);
       }
       if (plan.targets.empty()) {
@@ -139,19 +127,19 @@ Result<AccessPlan> RcpPlanner::PlanWrite(const ReplicaView& view, SiteId self,
     case RcpKind::kQuorumConsensus: {
       if (broadcast_) {
         AccessPlan plan;
-        plan.targets = view.copies;
-        plan.needed_votes = view.write_quorum;
+        plan.targets = item.copies;
+        plan.needed_votes = item.write_quorum;
         return plan;
       }
-      return QuorumSubset(view, self, suspected, view.write_quorum);
+      return QuorumSubset(item, self, suspected, item.write_quorum);
     }
     case RcpKind::kPrimaryCopy: {
       // Writes lock the primary and are pushed eagerly to every backup
       // (which buffer them without CC).
       AccessPlan plan;
-      plan.targets = view.copies;
+      plan.targets = item.copies;
       plan.require_all = true;
-      plan.cc_site = view.copies.front();
+      plan.cc_site = item.copies.front();
       return plan;
     }
   }

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/schema.h"
 #include "common/result.h"
 #include "common/types.h"
 
@@ -21,18 +22,6 @@ enum class RcpKind {
 };
 
 const char* RcpKindName(RcpKind k);
-
-/// Replication metadata for one item as the coordinator sees it (the
-/// name server's NsLookupReply, or a cached copy of it).
-struct ReplicaView {
-  std::vector<SiteId> copies;
-  std::vector<int> votes;  ///< parallel to copies
-  int read_quorum = 0;
-  int write_quorum = 0;
-
-  int total_votes() const;
-  int VoteOf(SiteId site) const;
-};
 
 /// The coordinator's plan for executing one operation under the RCP:
 /// which replica sites to contact and what counts as success.
@@ -62,11 +51,11 @@ class RcpPlanner {
 
   /// Plans a read of `item`'s copies. Fails with kUnavailable when no
   /// plan can possibly succeed (e.g. every copy suspected under ROWA-A).
-  Result<AccessPlan> PlanRead(const ReplicaView& view, SiteId self,
+  Result<AccessPlan> PlanRead(const ItemSchema& item, SiteId self,
                               const std::set<SiteId>& suspected) const;
 
   /// Plans a write (pre-write) of `item`'s copies.
-  Result<AccessPlan> PlanWrite(const ReplicaView& view, SiteId self,
+  Result<AccessPlan> PlanWrite(const ItemSchema& item, SiteId self,
                                const std::set<SiteId>& suspected) const;
 
   RcpKind kind() const { return kind_; }
@@ -74,12 +63,12 @@ class RcpPlanner {
 
  private:
   /// Copies ordered by contact preference.
-  static std::vector<size_t> PreferenceOrder(const ReplicaView& view,
+  static std::vector<size_t> PreferenceOrder(const ItemSchema& item,
                                              SiteId self,
                                              const std::set<SiteId>& suspected);
 
   /// Smallest preferred subset reaching `quorum` votes.
-  static Result<AccessPlan> QuorumSubset(const ReplicaView& view, SiteId self,
+  static Result<AccessPlan> QuorumSubset(const ItemSchema& item, SiteId self,
                                          const std::set<SiteId>& suspected,
                                          int quorum);
 

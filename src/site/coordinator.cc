@@ -124,19 +124,17 @@ void Coordinator::NextOp() {
   }
 }
 
-const ReplicaView* Coordinator::FindView(ItemId item) const {
-  if (site_->config().cache_schema) {
-    return site_->CachedView(item);
-  }
-  auto it = local_views_.find(item);
-  return it == local_views_.end() ? nullptr : &it->second;
+const ItemSchema* Coordinator::FindView(ItemId item) const {
+  bool known = site_->config().cache_schema
+                   ? site_->KnowsItem(item)
+                   : std::ranges::find(looked_up_, item) != looked_up_.end();
+  return known ? &site_->schema().items()[item] : nullptr;
 }
 
 void Coordinator::WithView(ItemId item, AfterLookup next) {
   cur_item_ = item;
   after_lookup_ = next;
-  if (const ReplicaView* view = FindView(item)) {
-    (void)view;
+  if (FindView(item) != nullptr) {
     if (next == AfterLookup::kRead) {
       StartRead(item);
     } else {
@@ -171,15 +169,16 @@ void Coordinator::OnLookupReply(const NsLookupReply& r) {
              "unknown item " + std::to_string(r.item));
     return;
   }
-  ReplicaView view;
-  view.copies = r.copies;
-  view.votes = r.votes;
-  view.read_quorum = r.read_quorum;
-  view.write_quorum = r.write_quorum;
+  // The reply carries the catalog entry the view is read from.
+  assert(r.item < site_->schema().num_items());
+  [[maybe_unused]] const ItemSchema& entry = site_->schema().items()[r.item];
+  assert(r.copies == entry.copies && r.votes == entry.votes &&
+         r.read_quorum == entry.read_quorum &&
+         r.write_quorum == entry.write_quorum);
   if (site_->config().cache_schema) {
-    site_->CacheView(r.item, view);
+    site_->NoteKnownItem(r.item);
   } else {
-    local_views_[r.item] = view;
+    looked_up_.push_back(r.item);
   }
   if (after_lookup_ == AfterLookup::kRead) {
     StartRead(cur_item_);
@@ -189,7 +188,7 @@ void Coordinator::OnLookupReply(const NsLookupReply& r) {
 }
 
 void Coordinator::StartRead(ItemId item) {
-  const ReplicaView* view = FindView(item);
+  const ItemSchema* view = FindView(item);
   assert(view != nullptr);
   RcpPlanner planner(site_->config().rcp, site_->config().rcp_broadcast);
   auto plan = planner.PlanRead(*view, site_->id(), site_->SuspectedSet());
@@ -222,7 +221,7 @@ void Coordinator::StartRead(ItemId item) {
 }
 
 void Coordinator::StartWrite(ItemId item, Value value) {
-  const ReplicaView* view = FindView(item);
+  const ItemSchema* view = FindView(item);
   assert(view != nullptr);
   RcpPlanner planner(site_->config().rcp, site_->config().rcp_broadcast);
   auto plan = planner.PlanWrite(*view, site_->id(), site_->SuspectedSet());
@@ -298,11 +297,11 @@ void Coordinator::OnAccessFailure(SiteId from) {
              StringPrintf("operation timeout (site %u silent)", from));
     return;
   }
-  const ReplicaView* view = FindView(cur_item_);
+  // An access in flight means its item was looked up.
+  const ItemSchema* view = FindView(cur_item_);
+  assert(view != nullptr);
   int possible = cur_votes_got_;
-  if (view != nullptr) {
-    for (SiteId s : cur_outstanding_) possible += view->VoteOf(s);
-  }
+  for (SiteId s : cur_outstanding_) possible += VoteOf(*view, s);
   if (possible < cur_votes_needed_) {
     AbortNow(AbortCause::kRcp,
              StringPrintf("operation timeout (quorum unattainable after "
@@ -357,9 +356,9 @@ bool Coordinator::GrantEpochOk(SiteId from, uint64_t epoch) {
 void Coordinator::AccessGranted(SiteId from, Version version, Value value,
                                 bool has_value) {
   participants_.insert(from);
-  const ReplicaView* view = FindView(cur_item_);
+  const ItemSchema* view = FindView(cur_item_);
   assert(view != nullptr);
-  cur_votes_got_ += view->VoteOf(from);
+  cur_votes_got_ += VoteOf(*view, from);
   if (has_value) {
     read_site_versions_[cur_item_][from] = version;
   }

@@ -95,10 +95,12 @@ class Coordinator {
   enum class AfterLookup { kRead, kWrite };
 
   void NextOp();
-  /// Fetches the replica view for `item` (cache or name server), then
-  /// continues with `next`.
+  /// Looks `item` up at the name server unless the site (or, with
+  /// schema caching off, this transaction) already did, then continues
+  /// with `next`.
   void WithView(ItemId item, AfterLookup next);
-  const ReplicaView* FindView(ItemId item) const;
+  /// `item`'s catalog entry once it was looked up, else null.
+  const ItemSchema* FindView(ItemId item) const;
 
   void StartRead(ItemId item);
   void StartWrite(ItemId item, Value value);
@@ -174,7 +176,7 @@ class Coordinator {
   std::map<SiteId, uint64_t> precommit_calls_;
 
   // Transaction-wide state.
-  std::map<ItemId, ReplicaView> local_views_;  ///< when schema caching is off
+  std::vector<ItemId> looked_up_;  ///< when schema caching is off
   std::set<SiteId> contacted_;
   std::set<SiteId> participants_;
   std::map<SiteId, uint64_t> grant_epochs_;  ///< replica epoch per grant site

@@ -23,8 +23,8 @@ struct ProtocolConfig {
   /// replies (more messages, fewer timeout aborts) instead of a minimal
   /// preferred subset.
   bool rcp_broadcast = false;
-  /// Coordinators cache name-server lookups (per site). Off = one
-  /// lookup message pair per item per transaction.
+  /// A site looks each item up at the name server once, until it
+  /// crashes. Off = one lookup message pair per item per transaction.
   bool cache_schema = true;
   /// Blocked 2PC participants also query peer participants, not only
   /// the coordinator (cooperative termination).

@@ -1,5 +1,6 @@
 #include "site/site.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "cc/mvto_manager.h"
@@ -30,7 +31,8 @@ Site::Site(SiteId id, Env env)
     : id_(id),
       env_(env),
       store_(&wal_, StoreOptions(*env.config, env.seed, id)) {
-  assert(env_.sim && env_.net && env_.config);
+  assert(env_.sim && env_.net && env_.config && env_.schema);
+  known_items_.resize(env_.schema->num_items());
   rpc_ = std::make_unique<RpcEndpoint>(env_.sim, env_.net, id_, env_.seed);
   rpc_->set_collector(env_.collector);
   rpc_->set_late_reply_handler(
@@ -127,15 +129,6 @@ std::set<SiteId> Site::SuspectedSet() const {
   return out;
 }
 
-const ReplicaView* Site::CachedView(ItemId item) const {
-  auto it = schema_cache_.find(item);
-  return it == schema_cache_.end() ? nullptr : &it->second;
-}
-
-void Site::CacheView(ItemId item, ReplicaView view) {
-  schema_cache_[item] = std::move(view);
-}
-
 size_t Site::active_participants() const {
   return participants_ ? participants_->size() : 0;
 }
@@ -216,7 +209,7 @@ void Site::Crash() {
   store_.OnCrash();  // buffer pool frames and pending-txn table die
   closers_.clear();
   rpc_->Reset();  // drops every pending call and the duplicate windows
-  schema_cache_.clear();
+  std::fill(known_items_.begin(), known_items_.end(), false);
   suspected_until_.clear();
 }
 
@@ -283,30 +276,19 @@ void Site::Recover() {
 
 void Site::RequestRefresh() {
   if (store_.size() == 0) return;
+  // Ask every live site that shares an item with us, in ascending id
+  // order: the catalog entries of the items we store name them.
   RefreshRequest req;
-  for (const auto& [item, copy] : store_.Snapshot()) req.items.push_back(item);
-  // Ask every other site that could hold copies; peers that hold none of
-  // the items reply with an empty list. A site does not know the full
-  // schema locally, so it asks its schema cache first and falls back to
-  // a broadcast.
   std::set<SiteId> peers;
-  for (const auto& [item, view] : schema_cache_) {
-    for (SiteId s : view.copies) {
+  for (const auto& [item, copy] : store_.Snapshot()) {
+    req.items.push_back(item);
+    for (SiteId s : env_.schema->items()[item].copies) {
       if (s != id_) peers.insert(s);
     }
   }
-  if (peers.empty()) {
-    // Cache was wiped by the crash: broadcast to all registered sites
-    // via the refresh targets the system configured.
-    peers = refresh_peers_;
-  }
   for (SiteId p : peers) {
-    if (p != id_ && env_.net->IsSiteUp(p)) SendTo(p, req);
+    if (env_.net->IsSiteUp(p)) SendTo(p, req);
   }
-}
-
-void Site::SetRefreshPeers(std::set<SiteId> peers) {
-  refresh_peers_ = std::move(peers);
 }
 
 // ---------------------------------------------------------------------------

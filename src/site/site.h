@@ -7,12 +7,12 @@
 #include <string>
 #include <vector>
 
+#include "catalog/schema.h"
 #include "cc/cc_engine.h"
 #include "common/trace.h"
 #include "common/types.h"
 #include "net/network.h"
 #include "net/rpc.h"
-#include "rcp/rcp_policy.h"
 #include "site/participant.h"
 #include "site/protocol_config.h"
 #include "sim/simulator.h"
@@ -36,14 +36,14 @@ class Coordinator;
 /// (aborts, notifies, refresh, deadlock probes) use plain sends.
 ///
 /// Crash semantics: Crash() destroys all volatile state (CC engine,
-/// participant and coordinator records, schema cache, timers, pending
-/// RPC calls, the page engine's buffer pool) and stops network
-/// delivery; the storage engine's durable half (disk image, B+ tree
-/// skeleton) and the Wal persist. Recover() first runs the engine's
+/// participant and coordinator records, the set of items looked up at
+/// the name server, timers, pending RPC calls, the page engine's buffer
+/// pool) and stops network delivery; the storage engine's durable half
+/// (disk image, B+ tree skeleton) and the Wal persist. Recover() first runs the engine's
 /// ARIES restart pass (analysis -> redo -> undo over the shared WAL),
 /// then rebuilds the volatile state, reinstates in-doubt transactions
 /// from the WAL, re-propagates unfinished decisions, and optionally
-/// refreshes item copies from a live peer.
+/// refreshes item copies from the live peers that share its items.
 class Site {
  public:
   /// Shared infrastructure injected by RainbowSystem.
@@ -53,6 +53,8 @@ class Site {
     TraceCollector* collector = nullptr;  ///< structured tracing
     ProgressMonitor* monitor = nullptr;
     const ProtocolConfig* config = nullptr;
+    /// The one catalog's schema; coordinators read replica views from it.
+    const ReplicationSchema* schema = nullptr;
     uint64_t seed = 0;  ///< system seed; forked per site for RPC jitter
   };
 
@@ -97,10 +99,6 @@ class Site {
   /// died with the crash) and abort instead of committing on amnesia.
   uint64_t epoch() const { return epoch_; }
 
-  /// Sites a recovering node may ask for fresh item copies (configured
-  /// by RainbowSystem to the set of peers sharing any item with us).
-  void SetRefreshPeers(std::set<SiteId> peers);
-
   // --- introspection ---
   SiteId id() const { return id_; }
   const PageStore& store() const { return store_; }
@@ -113,6 +111,7 @@ class Site {
   // --- services used by Coordinator and ParticipantManager ---
   Env& env() { return env_; }
   const ProtocolConfig& config() const { return *env_.config; }
+  const ReplicationSchema& schema() const { return *env_.schema; }
   SimTime Now() const;
   void SendTo(SiteId to, Payload payload);
 
@@ -142,9 +141,13 @@ class Site {
   void Suspect(SiteId s);
   std::set<SiteId> SuspectedSet() const;
 
-  /// Site-level schema cache (when config.cache_schema).
-  const ReplicaView* CachedView(ItemId item) const;
-  void CacheView(ItemId item, ReplicaView view);
+  /// Whether this site looked `item` up at the name server since it
+  /// last started or recovered (the site-level schema cache, when
+  /// config.cache_schema). An id past the schema is never known.
+  bool KnowsItem(ItemId item) const {
+    return item < known_items_.size() && known_items_[item];
+  }
+  void NoteKnownItem(ItemId item) { known_items_[item] = true; }
 
   /// Registers the post-decision "closer": one Decision RPC per
   /// participant (the RPC layer retries until acked), then logs kEnd.
@@ -200,9 +203,8 @@ class Site {
   std::unique_ptr<ParticipantManager> participants_;
   std::map<TxnId, std::unique_ptr<Coordinator>> coordinators_;
   std::map<TxnId, Closer> closers_;
-  std::map<ItemId, ReplicaView> schema_cache_;
+  std::vector<bool> known_items_;  ///< indexed by ItemId
   std::map<SiteId, SimTime> suspected_until_;
-  std::set<SiteId> refresh_peers_;
   uint64_t next_txn_seq_ = 1;
   SimTime last_ts_time_ = -1;
 };

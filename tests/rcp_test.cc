@@ -5,9 +5,9 @@
 namespace rainbow {
 namespace {
 
-ReplicaView View(std::vector<SiteId> copies, std::vector<int> votes, int r,
-                 int w) {
-  ReplicaView v;
+ItemSchema View(std::vector<SiteId> copies, std::vector<int> votes, int r,
+                int w) {
+  ItemSchema v;
   v.copies = std::move(copies);
   v.votes = std::move(votes);
   v.read_quorum = r;
@@ -15,7 +15,7 @@ ReplicaView View(std::vector<SiteId> copies, std::vector<int> votes, int r,
   return v;
 }
 
-ReplicaView Majority3() { return View({0, 1, 2}, {1, 1, 1}, 2, 2); }
+ItemSchema Majority3() { return View({0, 1, 2}, {1, 1, 1}, 2, 2); }
 
 TEST(RcpRowaTest, ReadPicksOneCopyPreferringLocal) {
   RcpPlanner planner(RcpKind::kRowa, false);
@@ -71,7 +71,7 @@ TEST(RcpQuorumTest, MinimalSubsetReachesQuorum) {
 
 TEST(RcpQuorumTest, WeightedVotesShrinkTargetSet) {
   // Site 0 has 3 of 5 votes; a write quorum of 3 needs only site 0.
-  ReplicaView v = View({0, 1, 2}, {3, 1, 1}, 3, 3);
+  ItemSchema v = View({0, 1, 2}, {3, 1, 1}, 3, 3);
   RcpPlanner planner(RcpKind::kQuorumConsensus, false);
   auto plan = planner.PlanWrite(v, /*self=*/1, {});
   ASSERT_TRUE(plan.ok());
@@ -106,7 +106,7 @@ TEST(RcpQuorumTest, BroadcastContactsEveryCopy) {
 
 TEST(RcpQuorumTest, EmptyViewIsInvalid) {
   RcpPlanner planner(RcpKind::kQuorumConsensus, false);
-  ReplicaView empty;
+  ItemSchema empty;
   EXPECT_FALSE(planner.PlanRead(empty, 0, {}).ok());
   EXPECT_FALSE(planner.PlanWrite(empty, 0, {}).ok());
 }
@@ -114,7 +114,7 @@ TEST(RcpQuorumTest, EmptyViewIsInvalid) {
 TEST(RcpQuorumTest, ReadWriteQuorumsIntersect) {
   // For every valid schema, any read-quorum subset and write-quorum
   // subset must share a site. Spot-check with the planner's subsets.
-  ReplicaView v = View({0, 1, 2, 3, 4}, {1, 1, 1, 1, 1}, 3, 3);
+  ItemSchema v = View({0, 1, 2, 3, 4}, {1, 1, 1, 1, 1}, 3, 3);
   RcpPlanner planner(RcpKind::kQuorumConsensus, false);
   auto r = planner.PlanRead(v, 0, {});
   auto w = planner.PlanWrite(v, 4, {});
@@ -129,7 +129,7 @@ TEST(RcpQuorumTest, ReadWriteQuorumsIntersect) {
 
 TEST(RcpPrimaryCopyTest, ReadsGoToPrimaryOnly) {
   RcpPlanner planner(RcpKind::kPrimaryCopy, false);
-  ReplicaView v = View({4, 1, 2}, {1, 1, 1}, 2, 2);  // primary = site 4
+  ItemSchema v = View({4, 1, 2}, {1, 1, 1}, 2, 2);  // primary = site 4
   auto plan = planner.PlanRead(v, /*self=*/1, {});
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->targets, (std::vector<SiteId>{4}));
@@ -139,7 +139,7 @@ TEST(RcpPrimaryCopyTest, ReadsGoToPrimaryOnly) {
 
 TEST(RcpPrimaryCopyTest, WritesTouchAllCopiesCcAtPrimary) {
   RcpPlanner planner(RcpKind::kPrimaryCopy, false);
-  ReplicaView v = View({4, 1, 2}, {1, 1, 1}, 2, 2);
+  ItemSchema v = View({4, 1, 2}, {1, 1, 1}, 2, 2);
   auto plan = planner.PlanWrite(v, /*self=*/2, {1});
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->targets.size(), 3u);  // suspicion does not shrink it
@@ -147,12 +147,11 @@ TEST(RcpPrimaryCopyTest, WritesTouchAllCopiesCcAtPrimary) {
   EXPECT_TRUE(plan->require_all);
 }
 
-TEST(ReplicaViewTest, VoteAccessors) {
-  ReplicaView v = View({3, 5}, {2, 1}, 2, 2);
-  EXPECT_EQ(v.total_votes(), 3);
-  EXPECT_EQ(v.VoteOf(3), 2);
-  EXPECT_EQ(v.VoteOf(5), 1);
-  EXPECT_EQ(v.VoteOf(9), 0);
+TEST(ItemSchemaTest, VoteOf) {
+  ItemSchema v = View({3, 5}, {2, 1}, 2, 2);
+  EXPECT_EQ(VoteOf(v, 3), 2);
+  EXPECT_EQ(VoteOf(v, 5), 1);
+  EXPECT_EQ(VoteOf(v, 9), 0);
 }
 
 }  // namespace

@@ -317,6 +317,39 @@ TEST(RecoveryTest, RecoveryRefreshCatchesUpMissedWrites) {
   ExpectConverged(s);
 }
 
+TEST(RecoveryTest, RecoveryRefreshAsksEachLiveSiteSharingAnItem) {
+  // Site 0 shares x with sites 1 and 2 and y with site 3; site 4 shares
+  // nothing with it, and site 2 is down when site 0 recovers.
+  SystemConfig cfg = FixedLatencySystem(5, AcpKind::kTwoPhaseCommit);
+  cfg.items.clear();
+  cfg.items.push_back(ItemConfig{"x", 1, {0, 1, 2}, {}, 0, 0});
+  cfg.items.push_back(ItemConfig{"y", 2, {3, 0}, {}, 0, 0});
+  cfg.items.push_back(ItemConfig{"z", 3, {4}, {}, 0, 0});
+  auto sys = RainbowSystem::Create(cfg);
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  RainbowSystem& s = **sys;
+  ASSERT_TRUE(s.config().protocols.recovery_refresh);
+  s.CrashSite(2);
+  s.CrashSite(0);
+  s.RunFor(Millis(10));
+  std::vector<uint64_t> before;
+  for (SiteId p = 0; p < 5; ++p) {
+    before.push_back(s.net().stats().per_site_delivered.Get(p));
+  }
+  s.RecoverSite(0);
+  s.RunFor(Millis(100));
+  const NetworkStats& st = s.net().stats();
+  EXPECT_EQ(st.by_kind[static_cast<size_t>(MessageKind::kRefreshRequest)],
+            2u);
+  // Nothing else reaches the peers of an idle system: each delivery to
+  // one of them is a refresh request.
+  const uint64_t expected[] = {0, 1, 0, 1, 0};
+  for (SiteId p = 1; p < 5; ++p) {
+    EXPECT_EQ(st.per_site_delivered.Get(p) - before[p], expected[p])
+        << "site " << p;
+  }
+}
+
 TEST(RecoveryTest, RowaWritesBlockWhileCopyDownThenResume) {
   auto sys = RainbowSystem::Create(
       FixedLatencySystem(3, AcpKind::kTwoPhaseCommit, RcpKind::kRowa));
@@ -444,6 +477,17 @@ TEST(RecoveryTest, NameServerOutageHiddenBySchemaCache) {
                   .ok());
   s.RunFor(Millis(500));
   EXPECT_FALSE(c3);
+  // A recovered site has forgotten what it looked up: the warm item is
+  // cold again, and the lookup times out.
+  s.CrashSite(0);
+  s.RecoverSite(0);
+  TxnOutcome o5;
+  ASSERT_TRUE(s.Submit(0, TxnProgram{{Op::Read(0)}, ""},
+                       [&](const TxnOutcome& o) { o5 = o; })
+                  .ok());
+  s.RunFor(Millis(500));
+  EXPECT_FALSE(o5.committed);
+  EXPECT_EQ(o5.abort_cause, AbortCause::kRcp) << o5.abort_detail;
   s.name_server().Recover();
   bool c4 = false;
   ASSERT_TRUE(s.Submit(1, TxnProgram{{Op::Read(7)}, ""},

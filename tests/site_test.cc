@@ -221,6 +221,19 @@ TEST_F(SiteTest, SchemaCacheOffIssuesLookupPerTransaction) {
   uint64_t lookups_off = sys_->name_server().lookups_served();
   EXPECT_EQ(lookups_off, 3u);  // one per transaction
 
+  // Within one transaction the first lookup serves every later op on
+  // the item.
+  Build(cfg);
+  bool committed = false;
+  ASSERT_TRUE(sys_->Submit(0, TxnProgram{{Op::Read(0), Op::Write(0, 7)}, ""},
+                           [&](const TxnOutcome& o) {
+                             committed = o.committed;
+                           })
+                  .ok());
+  sys_->RunFor(Millis(50));
+  ASSERT_TRUE(committed);
+  EXPECT_EQ(sys_->name_server().lookups_served(), 1u);
+
   // Same workload with caching: one lookup total.
   Build(BaseConfig());
   for (int i = 0; i < 3; ++i) {
