@@ -1,7 +1,5 @@
 #include "acp/acp_common.h"
 
-#include <algorithm>
-
 namespace rainbow {
 
 const char* AcpKindName(AcpKind k) {
@@ -12,55 +10,6 @@ const char* AcpKindName(AcpKind k) {
       return "3PC";
   }
   return "?";
-}
-
-VoteCollector::VoteCollector(std::vector<SiteId> participants)
-    : participants_(std::move(participants)) {}
-
-void VoteCollector::Record(SiteId site, bool yes) {
-  if (std::find(participants_.begin(), participants_.end(), site) ==
-      participants_.end()) {
-    return;  // not a participant; stray message
-  }
-  if (!voted_.insert(site).second) return;  // duplicate
-  if (!yes) any_no_ = true;
-}
-
-bool VoteCollector::AllYes() const { return Complete() && !any_no_; }
-
-bool VoteCollector::Complete() const {
-  return voted_.size() == participants_.size();
-}
-
-size_t VoteCollector::pending() const {
-  return participants_.size() - voted_.size();
-}
-
-AckCollector::AckCollector(std::vector<SiteId> participants)
-    : participants_(std::move(participants)) {}
-
-void AckCollector::Record(SiteId site) {
-  if (std::find(participants_.begin(), participants_.end(), site) ==
-      participants_.end()) {
-    return;
-  }
-  acked_.insert(site);
-}
-
-bool AckCollector::Complete() const {
-  return acked_.size() == participants_.size();
-}
-
-size_t AckCollector::pending() const {
-  return participants_.size() - acked_.size();
-}
-
-std::vector<SiteId> AckCollector::Missing() const {
-  std::vector<SiteId> out;
-  for (SiteId s : participants_) {
-    if (!acked_.contains(s)) out.push_back(s);
-  }
-  return out;
 }
 
 std::optional<bool> ThreePcTerminationDecision(
@@ -83,16 +32,6 @@ std::optional<bool> ThreePcTerminationDecision(
     }
   }
   return any_precommitted;  // all prepared, none pre-committed -> abort
-}
-
-SiteId ElectCoordinator(const std::vector<SiteId>& participants,
-                        const std::set<SiteId>& suspected) {
-  SiteId best = kInvalidSite;
-  for (SiteId s : participants) {
-    if (suspected.contains(s)) continue;
-    best = std::min(best, s);
-  }
-  return best;
 }
 
 }  // namespace rainbow

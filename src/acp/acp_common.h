@@ -2,8 +2,6 @@
 #define RAINBOW_ACP_ACP_COMMON_H_
 
 #include <optional>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -18,43 +16,6 @@ enum class AcpKind {
 };
 
 const char* AcpKindName(AcpKind k);
-
-/// Tracks phase-1 vote collection at the coordinator. Pure bookkeeping,
-/// shared by 2PC and 3PC.
-class VoteCollector {
- public:
-  explicit VoteCollector(std::vector<SiteId> participants);
-
-  /// Records a vote; duplicate votes from the same site are ignored.
-  void Record(SiteId site, bool yes);
-
-  bool AllYes() const;
-  bool AnyNo() const { return any_no_; }
-  bool Complete() const;
-  size_t pending() const;
-  const std::vector<SiteId>& participants() const { return participants_; }
-
- private:
-  std::vector<SiteId> participants_;
-  std::set<SiteId> voted_;
-  bool any_no_ = false;
-};
-
-/// Tracks acknowledgement collection (decision phase of 2PC, and the
-/// pre-commit / commit phases of 3PC).
-class AckCollector {
- public:
-  explicit AckCollector(std::vector<SiteId> participants);
-
-  void Record(SiteId site);
-  bool Complete() const;
-  size_t pending() const;
-  std::vector<SiteId> Missing() const;
-
- private:
-  std::vector<SiteId> participants_;
-  std::set<SiteId> acked_;
-};
 
 /// The 3PC cooperative-termination decision rule: given the states
 /// reported by the reachable participants (including the caller's own),
@@ -72,11 +33,6 @@ class AckCollector {
 /// Returns nullopt if `states` is empty.
 std::optional<bool> ThreePcTerminationDecision(
     const std::vector<AcpState>& states);
-
-/// Elects a replacement coordinator for 3PC termination: the lowest site
-/// id among the live participants.
-SiteId ElectCoordinator(const std::vector<SiteId>& participants,
-                        const std::set<SiteId>& suspected);
 
 }  // namespace rainbow
 

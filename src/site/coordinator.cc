@@ -21,14 +21,47 @@ Coordinator::~Coordinator() {
   // Cancel every outstanding RPC so no callback can touch a destroyed
   // coordinator (Finish() destroys *this from inside a callback).
   if (lookup_call_ != 0) site_->rpc().Cancel(lookup_call_);
-  CancelCalls(access_calls_);
-  CancelCalls(vote_calls_);
-  CancelCalls(precommit_calls_);
+  CancelCalls();
 }
 
-void Coordinator::CancelCalls(std::map<SiteId, uint64_t>& calls) {
-  for (auto& [s, call] : calls) site_->rpc().Cancel(call);
-  calls.clear();
+void Coordinator::CancelCalls() {
+  for (Peer& p : peers_) {
+    if (p.call != 0) site_->rpc().Cancel(p.call);
+    p.call = 0;
+  }
+}
+
+Coordinator::Peer& Coordinator::PeerRow(SiteId site) {
+  auto it = std::ranges::lower_bound(peers_, site, {}, &Peer::site);
+  if (it == peers_.end() || it->site != site) {
+    it = peers_.insert(it, Peer{.site = site});
+  }
+  return *it;
+}
+
+Coordinator::Peer* Coordinator::FindPeer(SiteId site) {
+  auto it = std::ranges::lower_bound(peers_, site, {}, &Peer::site);
+  return it != peers_.end() && it->site == site ? &*it : nullptr;
+}
+
+Coordinator::Item& Coordinator::ItemRow(ItemId item) {
+  auto it = std::ranges::lower_bound(items_, item, {}, &Item::item);
+  if (it == items_.end() || it->item != item) {
+    it = items_.insert(it, Item{});
+    it->item = item;
+    // A copy row per replica at most: one allocation per item.
+    it->copies.reserve(site_->schema().items()[item].copies.size());
+  }
+  return *it;
+}
+
+Coordinator::Copy& Coordinator::CurCopy(SiteId site) {
+  auto& copies = ItemRow(cur_item_).copies;
+  auto it = std::ranges::lower_bound(copies, site, {}, &Copy::site);
+  if (it == copies.end() || it->site != site) {
+    it = copies.insert(it, Copy{.site = site});
+  }
+  return *it;
 }
 
 void Coordinator::Start() {
@@ -59,6 +92,7 @@ void Coordinator::Start() {
     program_.ops = std::move(expanded);
   }
   read_slots_.assign(program_.ops.size(), std::nullopt);
+  items_.reserve(program_.ops.size());  // at most one row per op
   exec_order_.resize(program_.ops.size());
   for (size_t i = 0; i < exec_order_.size(); ++i) exec_order_[i] = i;
   if (site_->config().ordered_access) {
@@ -82,36 +116,34 @@ void Coordinator::NextOp() {
   const Op& op = program_.ops[cur_op_original_];
   switch (op.kind) {
     case OpKind::kRead: {
-      auto buf = write_buffer_.find(op.item);
-      if (buf != write_buffer_.end()) {
+      if (std::optional<Value> buf = Buffered(op.item)) {
         // Read-own-write: served from the coordinator's buffer.
-        read_slots_[cur_op_original_] = buf->second;
+        read_slots_[cur_op_original_] = *buf;
         ++op_index_;
         NextOp();
         return;
       }
       cur_increment_pending_ = false;
-      WithView(op.item, AfterLookup::kRead);
+      WithView(op.item, /*write=*/false);
       return;
     }
     case OpKind::kWrite:
       cur_increment_pending_ = false;
       cur_write_value_ = op.value;
-      WithView(op.item, AfterLookup::kWrite);
+      WithView(op.item, /*write=*/true);
       return;
     case OpKind::kIncrement: {
-      auto buf = write_buffer_.find(op.item);
-      if (buf != write_buffer_.end()) {
-        read_slots_[cur_op_original_] = buf->second;
+      if (std::optional<Value> buf = Buffered(op.item)) {
+        read_slots_[cur_op_original_] = *buf;
         cur_increment_pending_ = false;
-        cur_write_value_ = buf->second + op.value;
-        WithView(op.item, AfterLookup::kWrite);
+        cur_write_value_ = *buf + op.value;
+        WithView(op.item, /*write=*/true);
         return;
       }
       // Read phase first; the write phase follows from the read value.
       cur_increment_pending_ = true;
       cur_increment_delta_ = op.value;
-      WithView(op.item, AfterLookup::kRead);
+      WithView(op.item, /*write=*/false);
       return;
     }
     case OpKind::kScan:
@@ -131,15 +163,17 @@ const ItemSchema* Coordinator::FindView(ItemId item) const {
   return known ? &site_->schema().items()[item] : nullptr;
 }
 
-void Coordinator::WithView(ItemId item, AfterLookup next) {
+std::optional<Value> Coordinator::Buffered(ItemId item) const {
+  auto it = std::ranges::lower_bound(items_, item, {}, &Item::item);
+  if (it == items_.end() || it->item != item) return std::nullopt;
+  return it->write;
+}
+
+void Coordinator::WithView(ItemId item, bool write) {
   cur_item_ = item;
-  after_lookup_ = next;
+  cur_is_write_ = write;
   if (FindView(item) != nullptr) {
-    if (next == AfterLookup::kRead) {
-      StartRead(item);
-    } else {
-      StartWrite(item, cur_write_value_);
-    }
+    StartAccess();
     return;
   }
   phase_ = Phase::kLookup;
@@ -180,84 +214,49 @@ void Coordinator::OnLookupReply(const NsLookupReply& r) {
   } else {
     looked_up_.push_back(r.item);
   }
-  if (after_lookup_ == AfterLookup::kRead) {
-    StartRead(cur_item_);
-  } else {
-    StartWrite(cur_item_, cur_write_value_);
-  }
+  StartAccess();
 }
 
-void Coordinator::StartRead(ItemId item) {
-  const ItemSchema* view = FindView(item);
+void Coordinator::StartAccess() {
+  const ItemSchema* view = FindView(cur_item_);
   assert(view != nullptr);
   RcpPlanner planner(site_->config().rcp, site_->config().rcp_broadcast);
-  auto plan = planner.PlanRead(*view, site_->id(), site_->SuspectedSet());
+  auto plan = cur_is_write_
+                  ? planner.PlanWrite(*view, site_->id(), site_->SuspectedSet())
+                  : planner.PlanRead(*view, site_->id(), site_->SuspectedSet());
   if (!plan.ok()) {
     AbortNow(AbortCause::kRcp, plan.status().message());
     return;
   }
-  phase_ = Phase::kReadOp;
+  phase_ = cur_is_write_ ? Phase::kWriteOp : Phase::kReadOp;
   probe_forwarded_.clear();  // new wait epoch
-  cur_is_write_ = false;
-  cur_item_ = item;
   cur_require_all_ = plan->require_all;
   cur_votes_needed_ = plan->needed_votes;
   cur_votes_got_ = 0;
   cur_max_version_ = 0;
   cur_best_value_ = 0;
   cur_cc_site_ = plan->cc_site;
-  cur_outstanding_.clear();
-  for (SiteId s : plan->targets) cur_outstanding_.insert(s);
+  for (Peer& p : peers_) p.outstanding = false;
+  for (SiteId s : plan->targets) PeerRow(s).outstanding = true;
   if (site_->tracing()) {
     TraceRecord rec;
     rec.kind = TraceEventKind::kQuorumPlan;
     rec.txn = id_;
-    rec.item = item;
+    rec.item = cur_item_;
     rec.arg = static_cast<int64_t>(plan->targets.size());
-    rec.detail = "read";
-    site_->EmitTrace(std::move(rec));
-  }
-  SendAccessRequests();
-}
-
-void Coordinator::StartWrite(ItemId item, Value value) {
-  const ItemSchema* view = FindView(item);
-  assert(view != nullptr);
-  RcpPlanner planner(site_->config().rcp, site_->config().rcp_broadcast);
-  auto plan = planner.PlanWrite(*view, site_->id(), site_->SuspectedSet());
-  if (!plan.ok()) {
-    AbortNow(AbortCause::kRcp, plan.status().message());
-    return;
-  }
-  phase_ = Phase::kWriteOp;
-  probe_forwarded_.clear();  // new wait epoch
-  cur_is_write_ = true;
-  cur_item_ = item;
-  cur_write_value_ = value;
-  cur_require_all_ = plan->require_all;
-  cur_votes_needed_ = plan->needed_votes;
-  cur_votes_got_ = 0;
-  cur_max_version_ = 0;
-  cur_cc_site_ = plan->cc_site;
-  cur_outstanding_.clear();
-  for (SiteId s : plan->targets) cur_outstanding_.insert(s);
-  if (site_->tracing()) {
-    TraceRecord rec;
-    rec.kind = TraceEventKind::kQuorumPlan;
-    rec.txn = id_;
-    rec.item = item;
-    rec.arg = static_cast<int64_t>(plan->targets.size());
-    rec.detail = "write";
+    rec.detail = cur_is_write_ ? "write" : "read";
     site_->EmitTrace(std::move(rec));
   }
   SendAccessRequests();
 }
 
 void Coordinator::SendAccessRequests() {
-  CancelCalls(access_calls_);
+  CancelCalls();
   RpcPolicy policy = site_->MakeRpcPolicy(site_->config().op_timeout);
-  for (SiteId s : cur_outstanding_) {
-    contacted_.insert(s);
+  for (Peer& p : peers_) {
+    if (!p.outstanding) continue;
+    p.contacted = true;
+    SiteId s = p.site;
     Payload request;
     if (cur_is_write_) {
       // Under primary copy, backups skip CC: the primary's lock already
@@ -267,14 +266,14 @@ void Coordinator::SendAccessRequests() {
     } else {
       request = ReadRequest{id_, ts_, cur_item_};
     }
-    access_calls_[s] = site_->rpc().Call(
+    p.call = site_->rpc().Call(
         s, std::move(request), policy,
         [this, s](Result<Payload> r) { OnAccessResult(s, std::move(r)); });
   }
 }
 
 void Coordinator::OnAccessResult(SiteId from, Result<Payload> r) {
-  access_calls_.erase(from);
+  FindPeer(from)->call = 0;
   if (!r.ok()) {
     OnAccessFailure(from);
     return;
@@ -291,7 +290,7 @@ void Coordinator::OnAccessFailure(SiteId from) {
   // transactions plan around it, then check whether the quorum is still
   // attainable without it.
   site_->Suspect(from);
-  cur_outstanding_.erase(from);
+  FindPeer(from)->outstanding = false;
   if (cur_require_all_) {
     AbortNow(AbortCause::kRcp,
              StringPrintf("operation timeout (site %u silent)", from));
@@ -301,7 +300,9 @@ void Coordinator::OnAccessFailure(SiteId from) {
   const ItemSchema* view = FindView(cur_item_);
   assert(view != nullptr);
   int possible = cur_votes_got_;
-  for (SiteId s : cur_outstanding_) possible += VoteOf(*view, s);
+  for (const Peer& p : peers_) {
+    if (p.outstanding) possible += VoteOf(*view, p.site);
+  }
   if (possible < cur_votes_needed_) {
     AbortNow(AbortCause::kRcp,
              StringPrintf("operation timeout (quorum unattainable after "
@@ -311,12 +312,12 @@ void Coordinator::OnAccessFailure(SiteId from) {
 }
 
 void Coordinator::OnReadReply(SiteId from, const ReadReply& r) {
-  if (phase_ != Phase::kReadOp || r.item != cur_item_ ||
-      !cur_outstanding_.contains(from)) {
+  Peer* peer = FindPeer(from);
+  if (phase_ != Phase::kReadOp || r.item != cur_item_ || !peer->outstanding) {
     return;
   }
   ++round_trips_;
-  cur_outstanding_.erase(from);
+  peer->outstanding = false;
   if (!r.granted) {
     AccessDenied(from, r.reason);
     return;
@@ -326,25 +327,26 @@ void Coordinator::OnReadReply(SiteId from, const ReadReply& r) {
 }
 
 void Coordinator::OnPrewriteReply(SiteId from, const PrewriteReply& r) {
-  if (phase_ != Phase::kWriteOp || r.item != cur_item_ ||
-      !cur_outstanding_.contains(from)) {
+  Peer* peer = FindPeer(from);
+  if (phase_ != Phase::kWriteOp || r.item != cur_item_ || !peer->outstanding) {
     return;
   }
   ++round_trips_;
-  cur_outstanding_.erase(from);
+  peer->outstanding = false;
   if (!r.granted) {
     AccessDenied(from, r.reason);
     return;
   }
   if (!GrantEpochOk(from, r.epoch)) return;
-  write_sites_[cur_item_].insert(from);
+  CurCopy(from).prewrote = true;
   AccessGranted(from, r.version, 0, false);
 }
 
 bool Coordinator::GrantEpochOk(SiteId from, uint64_t epoch) {
   if (!site_->config().epoch_fencing) return true;
-  auto [it, inserted] = grant_epochs_.try_emplace(from, epoch);
-  if (inserted || it->second == epoch) return true;
+  std::optional<uint64_t>& first = FindPeer(from)->epoch;
+  if (!first.has_value()) first = epoch;
+  if (*first == epoch) return true;
   // The replica restarted between two of our grants: every lock or
   // buffered prewrite it held for us died with its volatile state, so
   // the accesses we already counted there are void.
@@ -355,20 +357,18 @@ bool Coordinator::GrantEpochOk(SiteId from, uint64_t epoch) {
 
 void Coordinator::AccessGranted(SiteId from, Version version, Value value,
                                 bool has_value) {
-  participants_.insert(from);
+  FindPeer(from)->granted = true;
   const ItemSchema* view = FindView(cur_item_);
   assert(view != nullptr);
   cur_votes_got_ += VoteOf(*view, from);
-  if (has_value) {
-    read_site_versions_[cur_item_][from] = version;
-  }
+  if (has_value) CurCopy(from).read_version = version;
   if (has_value && (version >= cur_max_version_)) {
     // Highest-version copy wins (QC read rule). For equal versions any
     // copy is as good (they are identical under a validated schema).
     cur_best_value_ = value;
   }
   cur_max_version_ = std::max(cur_max_version_, version);
-  bool done = cur_require_all_ ? cur_outstanding_.empty()
+  bool done = cur_require_all_ ? std::ranges::none_of(peers_, &Peer::outstanding)
                                : cur_votes_got_ >= cur_votes_needed_;
   if (done) OpQuorumReached();
 }
@@ -395,17 +395,15 @@ void Coordinator::OpQuorumReached() {
   // Surplus broadcast targets that have not answered are released right
   // away: their calls are cancelled (the RPC layer drops any in-flight
   // reply) and an AbortRequest frees the CC state a late grant holds.
-  CancelCalls(access_calls_);
-  for (SiteId s : cur_outstanding_) {
-    if (!participants_.contains(s)) {
-      site_->SendTo(s, AbortRequest{id_});
-    }
+  CancelCalls();
+  for (Peer& p : peers_) {
+    if (p.outstanding && !p.granted) site_->SendTo(p.site, AbortRequest{id_});
+    p.outstanding = false;
   }
-  cur_outstanding_.clear();
   if (cur_is_write_) {
-    Version& base = write_base_version_[cur_item_];
-    base = std::max(base, cur_max_version_);
-    write_buffer_[cur_item_] = cur_write_value_;
+    Item& item = ItemRow(cur_item_);
+    item.base = std::max(item.base, cur_max_version_);
+    item.write = cur_write_value_;
     ++op_index_;
     NextOp();
     return;
@@ -426,7 +424,9 @@ void Coordinator::OpQuorumReached() {
     cur_increment_pending_ = false;
     // The read phase of the INCREMENT observed the value; the write
     // phase installs value + delta. This is still the same program op.
-    StartWrite(cur_item_, cur_best_value_ + cur_increment_delta_);
+    cur_is_write_ = true;
+    cur_write_value_ = cur_best_value_ + cur_increment_delta_;
+    StartAccess();
     return;
   }
   ++op_index_;
@@ -434,13 +434,16 @@ void Coordinator::OpQuorumReached() {
 }
 
 void Coordinator::BeginCommit() {
-  if (participants_.empty()) {
+  std::vector<SiteId> plist;
+  plist.reserve(peers_.size());
+  for (const Peer& p : peers_) {
+    if (p.granted) plist.push_back(p.site);
+  }
+  if (plist.empty()) {
     // Nothing was accessed remotely (empty program): trivial commit.
     Finish(true, AbortCause::kNone, "");
     return;
   }
-  std::vector<SiteId> plist(participants_.begin(), participants_.end());
-  votes_ = std::make_unique<VoteCollector>(plist);
   phase_ = Phase::kVoting;
   bool three_phase = site_->config().acp == AcpKind::kThreePhaseCommit;
   if (site_->tracing()) {
@@ -453,36 +456,36 @@ void Coordinator::BeginCommit() {
   }
   bool occ = site_->config().cc == CcKind::kOptimistic;
   RpcPolicy policy = site_->MakeRpcPolicy(site_->config().vote_timeout);
-  for (SiteId p : plist) {
+  for (Peer& peer : peers_) {
+    if (!peer.granted) continue;
+    SiteId p = peer.site;
     PrepareRequest prep;
     prep.txn = id_;
     prep.participants = plist;
     prep.three_phase = three_phase;
-    for (const auto& [item, sites] : write_sites_) {
-      if (sites.contains(p)) {
-        prep.versions.push_back(PrepareRequest::WriteVersion{
-            item, write_base_version_.at(item) + 1});
+    for (const Item& item : items_) {
+      auto copy = std::ranges::lower_bound(item.copies, p, {}, &Copy::site);
+      if (copy == item.copies.end() || copy->site != p) continue;
+      if (copy->prewrote) {
+        prep.versions.push_back(
+            PrepareRequest::WriteVersion{item.item, item.base + 1});
+      }
+      if (occ && copy->read_version.has_value()) {
+        // Backward validation set: the versions this transaction's
+        // reads observed at participant `p`.
+        prep.validations.push_back(
+            PrepareRequest::ReadValidation{item.item, *copy->read_version});
       }
     }
-    if (occ) {
-      // Backward validation set: the versions this transaction's reads
-      // observed at participant `p`.
-      for (const auto& [item, by_site] : read_site_versions_) {
-        auto it = by_site.find(p);
-        if (it != by_site.end()) {
-          prep.validations.push_back(
-              PrepareRequest::ReadValidation{item, it->second});
-        }
-      }
-    }
-    vote_calls_[p] = site_->rpc().Call(
+    assert(peer.call == 0);  // every access call was cancelled
+    peer.call = site_->rpc().Call(
         p, std::move(prep), policy,
         [this, p](Result<Payload> r) { OnVoteResult(p, std::move(r)); });
   }
 }
 
 void Coordinator::OnVoteResult(SiteId from, Result<Payload> r) {
-  vote_calls_.erase(from);
+  FindPeer(from)->call = 0;
   if (!r.ok()) {
     // A silent participant cannot have voted YES; 2PC and 3PC phase 1
     // both decide abort.
@@ -496,27 +499,30 @@ void Coordinator::OnVoteResult(SiteId from, Result<Payload> r) {
 }
 
 void Coordinator::OnVote(SiteId from, const VoteReply& v) {
-  if (phase_ != Phase::kVoting || !votes_) return;
+  if (phase_ != Phase::kVoting) return;
   ++round_trips_;
-  if (v.read_only && v.yes) readonly_voters_.insert(from);
-  votes_->Record(from, v.yes);
+  Peer& voter = *FindPeer(from);
+  voter.voted = true;
+  if (v.read_only && v.yes) voter.read_only = true;
   if (!v.yes) {
     Decide(false, AbortCause::kAcp,
            std::string("participant voted NO: ") + DenyReasonName(v.reason));
     return;
   }
-  if (!votes_->AllYes()) return;
+  if (!std::ranges::all_of(
+          peers_, [](const Peer& p) { return !p.granted || p.voted; })) {
+    return;
+  }
   if (site_->config().acp == AcpKind::kThreePhaseCommit) {
     phase_ = Phase::kPreCommit;
-    std::vector<SiteId> remaining = DecisionParticipants();
-    precommit_acks_ = std::make_unique<AckCollector>(remaining);
-    if (remaining.empty()) {
-      Decide(true, AbortCause::kNone, "");
-      return;
-    }
     RpcPolicy policy = site_->MakeRpcPolicy(site_->config().vote_timeout);
-    for (SiteId p : remaining) {
-      precommit_calls_[p] = site_->rpc().Call(
+    bool any = false;
+    for (Peer& peer : peers_) {
+      if (!peer.granted || peer.read_only) continue;
+      any = true;
+      SiteId p = peer.site;
+      assert(peer.call == 0);  // every vote call returned
+      peer.call = site_->rpc().Call(
           p, PreCommitRequest{id_}, policy, [this, p](Result<Payload> r) {
             if (r.ok()) ++round_trips_;
             // Terminal failure counts as completion too: every
@@ -525,16 +531,19 @@ void Coordinator::OnVote(SiteId from, const VoteReply& v) {
             OnPreCommitResult(p);
           });
     }
-    return;
+    if (any) return;
   }
   Decide(true, AbortCause::kNone, "");
 }
 
 void Coordinator::OnPreCommitResult(SiteId from) {
-  precommit_calls_.erase(from);
-  if (phase_ != Phase::kPreCommit || !precommit_acks_) return;
-  precommit_acks_->Record(from);
-  if (precommit_acks_->Complete()) {
+  Peer& peer = *FindPeer(from);
+  peer.call = 0;
+  if (phase_ != Phase::kPreCommit) return;
+  peer.precommit_acked = true;
+  if (std::ranges::all_of(peers_, [](const Peer& p) {
+        return !p.granted || p.read_only || p.precommit_acked;
+      })) {
     Decide(true, AbortCause::kNone, "");
   }
 }
@@ -554,16 +563,17 @@ void Coordinator::OnRemoteAbort(const RemoteAbortNotify& n) {
 
 void Coordinator::OnStrayGrant(SiteId from) {
   if (!voting()) {
-    participants_.insert(from);
-  } else if (!participants_.contains(from)) {
+    PeerRow(from).granted = true;
+  } else if (const Peer* p = FindPeer(from); p == nullptr || !p->granted) {
     site_->SendTo(from, AbortRequest{id_});
   }
 }
 
 std::vector<SiteId> Coordinator::DecisionParticipants() const {
   std::vector<SiteId> out;
-  for (SiteId p : votes_->participants()) {
-    if (!readonly_voters_.contains(p)) out.push_back(p);
+  out.reserve(peers_.size());
+  for (const Peer& p : peers_) {
+    if (p.granted && !p.read_only) out.push_back(p.site);
   }
   return out;
 }
@@ -593,16 +603,14 @@ void Coordinator::Decide(bool commit, AbortCause cause, std::string detail) {
 }
 
 void Coordinator::AbortNow(AbortCause cause, std::string detail) {
-  std::set<SiteId> targets = contacted_;
-  for (SiteId p : participants_) targets.insert(p);
-  for (SiteId s : targets) {
-    site_->SendTo(s, AbortRequest{id_});
+  for (const Peer& p : peers_) {
+    if (p.contacted || p.granted) site_->SendTo(p.site, AbortRequest{id_});
   }
   Finish(false, cause, std::move(detail));
 }
 
-void Coordinator::Finish(bool committed, AbortCause cause,
-                         std::string detail) {
+TxnOutcome Coordinator::Report(bool committed, AbortCause cause,
+                               std::string detail) {
   TxnOutcome outcome;
   outcome.id = id_;
   outcome.ts = ts_;
@@ -619,7 +627,18 @@ void Coordinator::Finish(bool committed, AbortCause cause,
       if (slot.has_value()) outcome.reads.push_back(*slot);
     }
   }
+  if (site_->env().monitor) site_->env().monitor->OnComplete(outcome);
+  if (cb_) {
+    // Deliver asynchronously so client code (e.g. a closed-loop workload
+    // generator) never runs inside a half-destroyed coordinator.
+    site_->env().sim->After(0, [cb = cb_, outcome] { cb(outcome); });
+  }
+  return outcome;
+}
 
+void Coordinator::Finish(bool committed, AbortCause cause,
+                         std::string detail) {
+  TxnOutcome outcome = Report(committed, cause, std::move(detail));
   if (site_->tracing()) {
     TraceRecord rec;
     rec.kind = committed ? TraceEventKind::kTxnCommit : TraceEventKind::kTxnAbort;
@@ -633,12 +652,6 @@ void Coordinator::Finish(bool committed, AbortCause cause,
       }
     }
     site_->EmitTrace(std::move(rec));
-  }
-  if (site_->env().monitor) site_->env().monitor->OnComplete(outcome);
-  if (cb_) {
-    // Deliver asynchronously so client code (e.g. a closed-loop workload
-    // generator) never runs inside a half-destroyed coordinator.
-    site_->env().sim->After(0, [cb = cb_, outcome] { cb(outcome); });
   }
   site_->CoordinatorFinished(id_);  // destroys *this; must be last
 }
@@ -664,21 +677,7 @@ void Coordinator::AbortAsDeadlockVictim() {
 }
 
 void Coordinator::OnSiteCrash() {
-  TxnOutcome outcome;
-  outcome.id = id_;
-  outcome.ts = ts_;
-  outcome.committed = false;
-  outcome.abort_cause = AbortCause::kSiteFailure;
-  outcome.abort_detail = "home site crashed";
-  outcome.submitted_at = submitted_at_;
-  outcome.finished_at = site_->Now();
-  outcome.home = site_->id();
-  outcome.num_ops = static_cast<uint32_t>(program_.ops.size());
-  outcome.round_trips = round_trips_;
-  if (site_->env().monitor) site_->env().monitor->OnComplete(outcome);
-  if (cb_) {
-    site_->env().sim->After(0, [cb = cb_, outcome] { cb(outcome); });
-  }
+  Report(false, AbortCause::kSiteFailure, "home site crashed");
   // The Site clears the coordinator map right after; no self-erase here.
 }
 

@@ -2,9 +2,7 @@
 #define RAINBOW_SITE_COORDINATOR_H_
 
 #include <map>
-#include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -69,9 +67,13 @@ class Coordinator {
     return phase_ == Phase::kReadOp || phase_ == Phase::kWriteOp;
   }
 
-  /// Sites the current operation is still waiting on.
-  const std::set<SiteId>& outstanding_targets() const {
-    return cur_outstanding_;
+  /// Calls `f` with each site the current operation is still waiting
+  /// on, in ascending order.
+  template <typename F>
+  void ForEachOutstanding(F&& f) const {
+    for (const Peer& p : peers_) {
+      if (p.outstanding) f(p.site);
+    }
   }
 
   /// Aborts the whole transaction as a distributed-deadlock victim.
@@ -91,19 +93,53 @@ class Coordinator {
     kVoting,     ///< 2PC/3PC phase 1
     kPreCommit,  ///< 3PC phase 2
   };
-  /// What to do once the pending name-server lookup returns.
-  enum class AfterLookup { kRead, kWrite };
+
+  /// What this transaction knows about one peer site. A transaction
+  /// never has two calls in flight to one site: the next op or the vote
+  /// round starts only after OpQuorumReached cancelled every access
+  /// call, and pre-commit only after every vote call returned.
+  struct Peer {
+    SiteId site = kInvalidSite;
+    uint64_t call = 0;  ///< the RPC call in flight to `site`, or 0
+    /// The replica epoch its first grant carried.
+    std::optional<uint64_t> epoch = std::nullopt;
+    bool contacted = false;    ///< was sent an access request
+    bool outstanding = false;  ///< the current op still waits on it
+    bool granted = false;      ///< holds CC state for us: a participant
+    bool voted = false;
+    bool read_only = false;  ///< voted YES read-only: out of phase 2
+    bool precommit_acked = false;
+  };
+  /// One replica site that granted this transaction a prewrite of an
+  /// item or served it a read.
+  struct Copy {
+    SiteId site = kInvalidSite;
+    bool prewrote = false;
+    /// The version its read served; under OCC it is shipped with the
+    /// prepare for backward validation.
+    std::optional<Version> read_version = std::nullopt;
+  };
+  /// What this transaction knows about one item it read or wrote.
+  struct Item {
+    ItemId item = kInvalidItem;
+    std::optional<Value> write = std::nullopt;  ///< the buffered write
+    Version base = 0;  ///< max version over its write quorums
+    std::vector<Copy> copies;  ///< sorted by site
+  };
 
   void NextOp();
   /// Looks `item` up at the name server unless the site (or, with
-  /// schema caching off, this transaction) already did, then continues
-  /// with `next`.
-  void WithView(ItemId item, AfterLookup next);
+  /// schema caching off, this transaction) already did, then starts the
+  /// read or write of it.
+  void WithView(ItemId item, bool write);
   /// `item`'s catalog entry once it was looked up, else null.
   const ItemSchema* FindView(ItemId item) const;
+  /// The value this transaction buffered for `item`, if it wrote it.
+  std::optional<Value> Buffered(ItemId item) const;
 
-  void StartRead(ItemId item);
-  void StartWrite(ItemId item, Value value);
+  /// Plans the access to cur_item_ (a write when cur_is_write_) and
+  /// sends it.
+  void StartAccess();
   void SendAccessRequests();
   void OnLookupResult(Result<Payload> r);
   void OnLookupReply(const NsLookupReply& r);
@@ -125,14 +161,23 @@ class Coordinator {
   void OpQuorumReached();
 
   void BeginCommit();
+  /// Participants that did not vote read-only.
   std::vector<SiteId> DecisionParticipants() const;
   void OnVoteResult(SiteId from, Result<Payload> r);
   void OnVote(SiteId from, const VoteReply& v);
   void OnPreCommitResult(SiteId from);
   void Decide(bool commit, AbortCause cause, std::string detail);
 
-  /// Cancels every outstanding RPC call in `calls` and clears it.
-  void CancelCalls(std::map<SiteId, uint64_t>& calls);
+  /// Cancels the RPC call in flight to every peer.
+  void CancelCalls();
+  /// `site`'s row, inserted in order if missing.
+  Peer& PeerRow(SiteId site);
+  /// `site`'s row, or null.
+  Peer* FindPeer(SiteId site);
+  /// `item`'s row, inserted in order if missing.
+  Item& ItemRow(ItemId item);
+  /// `site`'s copy of the current item, both rows inserted if missing.
+  Copy& CurCopy(SiteId site);
 
   /// Aborts before any prepare was sent: AbortRequests to every
   /// contacted site, then reports the outcome.
@@ -141,6 +186,9 @@ class Coordinator {
   /// Delivers the outcome to the client (async) and retires this
   /// coordinator. Must be the caller's final action.
   void Finish(bool committed, AbortCause cause, std::string detail);
+  /// Builds the outcome and hands it to the monitor and (async) to the
+  /// client.
+  TxnOutcome Report(bool committed, AbortCause cause, std::string detail);
 
   Site* site_;
   TxnId id_;
@@ -159,34 +207,23 @@ class Coordinator {
   bool cur_require_all_ = false;
   int cur_votes_needed_ = 0;
   int cur_votes_got_ = 0;
-  std::set<SiteId> cur_outstanding_;
   Version cur_max_version_ = 0;
   Value cur_best_value_ = 0;
   bool cur_increment_pending_ = false;  ///< write phase of an INCREMENT follows
   Value cur_increment_delta_ = 0;
   SiteId cur_cc_site_ = kInvalidSite;  ///< primary copy: sole CC arbiter
   std::map<TxnId, SimTime> probe_forwarded_;  ///< per-op probe dedup
-  AfterLookup after_lookup_ = AfterLookup::kRead;
 
-  // Outstanding RPC calls (cancelled by the destructor, so no callback
-  // can outlive the coordinator).
+  // Outstanding RPC calls are cancelled by the destructor, so no
+  // callback can outlive the coordinator.
   uint64_t lookup_call_ = 0;
-  std::map<SiteId, uint64_t> access_calls_;
-  std::map<SiteId, uint64_t> vote_calls_;
-  std::map<SiteId, uint64_t> precommit_calls_;
 
-  // Transaction-wide state.
+  // Transaction-wide state. Both tables stay sorted (peers by site,
+  // items by id), so walking them sends in ascending site order and
+  // lists a prepare's versions in ascending item order.
+  std::vector<Peer> peers_;
+  std::vector<Item> items_;
   std::vector<ItemId> looked_up_;  ///< when schema caching is off
-  std::set<SiteId> contacted_;
-  std::set<SiteId> participants_;
-  std::map<SiteId, uint64_t> grant_epochs_;  ///< replica epoch per grant site
-  std::map<ItemId, Value> write_buffer_;
-  std::map<ItemId, Version> write_base_version_;
-  std::map<ItemId, std::set<SiteId>> write_sites_;
-  /// Versions observed per (item, replica site) by this transaction's
-  /// reads; under OCC they are shipped with the prepare for backward
-  /// validation.
-  std::map<ItemId, std::map<SiteId, Version>> read_site_versions_;
   /// Observed read value per program op (reads/increments only), keyed
   /// by the op's original index so ordered_access does not reorder the
   /// values the client sees.
@@ -196,11 +233,6 @@ class Coordinator {
   std::vector<size_t> exec_order_;
   size_t cur_op_original_ = 0;
   uint32_t round_trips_ = 0;
-
-  // ACP state.
-  std::unique_ptr<VoteCollector> votes_;
-  std::unique_ptr<AckCollector> precommit_acks_;
-  std::set<SiteId> readonly_voters_;
 };
 
 }  // namespace rainbow

@@ -460,9 +460,9 @@ void Site::HandleDeadlockProbe(const DeadlockProbe& p) {
   }
   // Forward: ask every site the holder is waiting on who it is queued
   // behind there.
-  for (SiteId s : c->outstanding_targets()) {
+  c->ForEachOutstanding([&](SiteId s) {
     SendTo(s, DeadlockProbeCheck{p.initiator, p.holder, p.hops + 1});
-  }
+  });
 }
 
 void Site::HandleDeadlockProbeCheck(const DeadlockProbeCheck& p) {
@@ -484,14 +484,13 @@ void Site::HandleDeadlockProbeCheck(const DeadlockProbeCheck& p) {
 
 void Site::StartCloser(TxnId txn, bool commit,
                        std::vector<SiteId> participants) {
-  auto [it, inserted] = closers_.insert_or_assign(txn, Closer{});
-  (void)inserted;
-  Closer& closer = it->second;
-  closer.commit = commit;
-  for (SiteId p : participants) closer.pending.insert(p);
-  if (closer.pending.empty()) {
+  // One Decision per participant, sent in ascending site order.
+  std::ranges::sort(participants);
+  auto dups = std::ranges::unique(participants);
+  participants.erase(dups.begin(), dups.end());
+  if (participants.empty()) {
     wal_.Append(WalRecord::Protocol(WalRecordKind::kEnd, txn, id_, {}, {}, false));
-    closers_.erase(it);
+    closers_.erase(txn);
     return;
   }
   // One Decision RPC per participant: the RPC layer resends until the
@@ -500,26 +499,32 @@ void Site::StartCloser(TxnId txn, bool commit,
   RpcPolicy policy = MakeRpcPolicy(env_.config->ack_retry);
   policy.max_attempts = env_.config->max_ack_resends + 1;
   policy.backoff_cap = std::min(policy.backoff_cap, env_.config->ack_retry);
-  for (SiteId p : closer.pending) {
-    closer.calls[p] = rpc_->Call(
-        p, Decision{txn, commit}, policy,
-        [this, txn, p](Result<Payload> r) { OnCloserReply(txn, p, r.ok()); });
+  CloserCalls& calls = closers_[txn];
+  calls.clear();
+  calls.reserve(participants.size());
+  for (SiteId p : participants) {
+    calls.emplace_back(
+        p, rpc_->Call(p, Decision{txn, commit}, policy,
+                      [this, txn, p](Result<Payload> r) {
+                        OnCloserReply(txn, p, r.ok());
+                      }));
   }
 }
 
 void Site::OnCloserReply(TxnId txn, SiteId participant, bool ok) {
   auto it = closers_.find(txn);
   if (it == closers_.end()) return;
-  Closer& closer = it->second;
-  closer.calls.erase(participant);
+  CloserCalls& calls = it->second;
+  auto call =
+      std::ranges::find(calls, participant, &CloserCalls::value_type::first);
+  if (call != calls.end()) calls.erase(call);
   if (!ok) {
     // Leave completion to the participants' own recovery machinery.
-    for (auto& [s, call] : closer.calls) rpc_->Cancel(call);
+    for (auto& [s, id] : calls) rpc_->Cancel(id);
     closers_.erase(it);
     return;
   }
-  closer.pending.erase(participant);
-  if (!closer.pending.empty()) return;
+  if (!calls.empty()) return;
   wal_.Append(WalRecord::Protocol(WalRecordKind::kEnd, txn, id_, {}, {}, false));
   closers_.erase(it);
 }

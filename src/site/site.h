@@ -174,11 +174,9 @@ class Site {
 
   void BuildVolatileState();
 
-  struct Closer {
-    bool commit = false;
-    std::set<SiteId> pending;            ///< participants not yet acked
-    std::map<SiteId, uint64_t> calls;    ///< outstanding Decision RPCs
-  };
+  /// The Decision RPC in flight to each participant that has not acked,
+  /// sorted by participant.
+  using CloserCalls = std::vector<std::pair<SiteId, uint64_t>>;
   void OnCloserReply(TxnId txn, SiteId participant, bool ok);
   void RequestRefresh();
 
@@ -202,7 +200,7 @@ class Site {
   std::unique_ptr<CcEngine> cc_;
   std::unique_ptr<ParticipantManager> participants_;
   std::map<TxnId, std::unique_ptr<Coordinator>> coordinators_;
-  std::map<TxnId, Closer> closers_;
+  std::map<TxnId, CloserCalls> closers_;
   std::vector<bool> known_items_;  ///< indexed by ItemId
   std::map<SiteId, SimTime> suspected_until_;
   uint64_t next_txn_seq_ = 1;

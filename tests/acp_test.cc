@@ -5,48 +5,6 @@
 namespace rainbow {
 namespace {
 
-TEST(VoteCollectorTest, AllYes) {
-  VoteCollector vc({0, 1, 2});
-  EXPECT_FALSE(vc.Complete());
-  vc.Record(0, true);
-  vc.Record(1, true);
-  EXPECT_EQ(vc.pending(), 1u);
-  vc.Record(2, true);
-  EXPECT_TRUE(vc.Complete());
-  EXPECT_TRUE(vc.AllYes());
-  EXPECT_FALSE(vc.AnyNo());
-}
-
-TEST(VoteCollectorTest, NoVotePoisons) {
-  VoteCollector vc({0, 1});
-  vc.Record(0, true);
-  vc.Record(1, false);
-  EXPECT_TRUE(vc.Complete());
-  EXPECT_TRUE(vc.AnyNo());
-  EXPECT_FALSE(vc.AllYes());
-}
-
-TEST(VoteCollectorTest, DuplicatesAndStraysIgnored) {
-  VoteCollector vc({0, 1});
-  vc.Record(0, true);
-  vc.Record(0, false);  // duplicate: ignored, including the NO
-  vc.Record(7, false);  // not a participant
-  EXPECT_FALSE(vc.AnyNo());
-  EXPECT_EQ(vc.pending(), 1u);
-}
-
-TEST(AckCollectorTest, TracksMissing) {
-  AckCollector ac({3, 4, 5});
-  ac.Record(4);
-  ac.Record(9);  // stray
-  EXPECT_FALSE(ac.Complete());
-  EXPECT_EQ(ac.pending(), 2u);
-  EXPECT_EQ(ac.Missing(), (std::vector<SiteId>{3, 5}));
-  ac.Record(3);
-  ac.Record(5);
-  EXPECT_TRUE(ac.Complete());
-}
-
 TEST(ThreePcTerminationTest, EmptyIsUndecidable) {
   EXPECT_FALSE(ThreePcTerminationDecision({}).has_value());
 }
@@ -89,12 +47,6 @@ TEST(ThreePcTerminationTest, AllPreparedMeansAbort) {
       {AcpState::kPrepared, AcpState::kPrepared, AcpState::kPrepared});
   ASSERT_TRUE(d.has_value());
   EXPECT_FALSE(*d);
-}
-
-TEST(ElectCoordinatorTest, LowestLiveWins) {
-  EXPECT_EQ(ElectCoordinator({3, 1, 2}, {}), 1u);
-  EXPECT_EQ(ElectCoordinator({3, 1, 2}, {1}), 2u);
-  EXPECT_EQ(ElectCoordinator({3, 1, 2}, {1, 2, 3}), kInvalidSite);
 }
 
 }  // namespace

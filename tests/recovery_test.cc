@@ -215,6 +215,57 @@ TEST(RecoveryTest, ThreePcTerminatesWithoutCoordinator) {
   EXPECT_LT(s.monitor().blocked_times().max(), Millis(600));
 }
 
+TEST(RecoveryTest, ThreePcDecidesOnlyAfterEveryPreCommitAck) {
+  // ROWA write: participants {0, 1, 2}, home 0 coordinates. The link
+  // 0-2 goes down between the votes (~6ms) and the PreCommit's arrival
+  // (~7ms), so site 2's PreCommit is lost and resent after the RPC
+  // timeout. The coordinator must not decide until site 2 acked it: at
+  // every instant, a logged commit decision implies a pre-committed
+  // record at every participant.
+  auto sys = RainbowSystem::Create(
+      FixedLatencySystem(3, AcpKind::kThreePhaseCommit, RcpKind::kRowa));
+  ASSERT_TRUE(sys.ok());
+  RainbowSystem& s = **sys;
+  FaultInjector inject(&s);
+  inject.Schedule(FaultEvent::LinkDown(Micros(6300), 0, 2));
+  inject.Schedule(FaultEvent::LinkUp(Millis(9), 0, 2));
+
+  TxnOutcome outcome;
+  bool done = false;
+  ASSERT_TRUE(s.Submit(0, TxnProgram{{Op::Write(3, 31)}, ""},
+                       [&](const TxnOutcome& o) {
+                         outcome = o;
+                         done = true;
+                       })
+                  .ok());
+  auto logged = [&](SiteId site, WalRecordKind kind) {
+    const Wal& wal = s.site(site)->wal();
+    for (Lsn lsn = wal.base() + 1; lsn <= wal.LastLsn(); ++lsn) {
+      WalRecord rec = wal.At(lsn);
+      if (rec.kind == kind && rec.txn.home == 0) return true;
+    }
+    return false;
+  };
+  bool decided = false;
+  for (int step = 0; step < 2000 && !decided; ++step) {
+    s.RunFor(Micros(100));
+    decided = logged(0, WalRecordKind::kCommitDecision);
+    if (decided) {
+      for (SiteId p = 0; p < 3; ++p) {
+        EXPECT_TRUE(logged(p, WalRecordKind::kPreCommitted))
+            << "commit decided before site " << p << " pre-committed";
+      }
+    }
+  }
+  ASSERT_TRUE(decided);
+  // Site 2's PreCommit really was resent, so the decision waited for it.
+  EXPECT_GT(s.net().stats().rpc_retries, 0u);
+  s.RunFor(Seconds(1));
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(outcome.committed);
+  ExpectConverged(s);
+}
+
 TEST(RecoveryTest, ThreePcDivergesUnderPartitionTheKnownLimitation) {
   // 3PC's correctness assumes crash-stop failures WITHOUT network
   // partitions. This test engineers the textbook counterexample and

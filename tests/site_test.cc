@@ -487,6 +487,105 @@ TEST_F(SiteTest, ReadOnlyOptimizationSkipsPhaseTwo) {
   EXPECT_EQ(decisions_without, 2u);  // both participants do
 }
 
+TEST_F(SiteTest, PrepareListsEachParticipantsPrewritesAtQuorumMaxPlusOne) {
+  // Five sites, items on different copy subsets (one vote per copy):
+  //   a: {1,2,3} quorums 2/2   b: {2,3} read 1, write 2
+  //   c: {1,3} read 1, write 2  d: {4}   e: {3,4} quorums 2/2
+  // Site 4 holds only the two items the transaction reads.
+  SystemConfig cfg;
+  cfg.seed = 5;
+  cfg.num_sites = 5;
+  cfg.latency.distribution = LatencyDistribution::kFixed;
+  cfg.latency.mean = Millis(1);
+  cfg.latency.per_kb = 0;
+  auto add = [&](std::string name, std::vector<SiteId> copies, int rq,
+                 int wq) {
+    ItemConfig it;
+    it.name = std::move(name);
+    it.initial = 100;
+    it.copies = std::move(copies);
+    it.read_quorum = rq;
+    it.write_quorum = wq;
+    cfg.items.push_back(it);
+  };
+  add("a", {1, 2, 3}, 2, 2);
+  add("b", {2, 3}, 1, 2);
+  add("c", {1, 3}, 1, 2);
+  add("d", {4}, 1, 1);
+  add("e", {3, 4}, 2, 2);
+  Build(std::move(cfg));
+  constexpr ItemId a = 0, b = 1, c = 2, d = 3, e = 4;
+
+  // Site 3 writes `a` through its own copy and site 1's, so a's copies
+  // disagree: version 1 at sites 1 and 3, 0 at site 2.
+  bool setup_committed = false;
+  ASSERT_TRUE(sys_->Submit(3, TxnProgram{{Op::Write(a, 7)}, ""},
+                           [&](const TxnOutcome& o) {
+                             setup_committed = o.committed;
+                           })
+                  .ok());
+  sys_->RunFor(Millis(100));
+  ASSERT_TRUE(setup_committed);
+  auto version_at = [&](SiteId s, ItemId item) {
+    return sys_->site(s)->store().Get(item)->version;
+  };
+  ASSERT_EQ(version_at(1, a), 1u);
+  ASSERT_EQ(version_at(2, a), 0u);
+
+  // Home site 0 holds no copy, so its write quorums are the lowest
+  // sites: a -> {1,2}, b -> {2,3}, c -> {1,3}.
+  const std::map<ItemId, std::vector<SiteId>> quorum = {
+      {a, {1, 2}}, {b, {2, 3}}, {c, {1, 3}}};
+  std::map<ItemId, Version> next_version;
+  for (const auto& [item, sites] : quorum) {
+    Version max = 0;
+    for (SiteId s : sites) max = std::max(max, version_at(s, item));
+    next_version[item] = max + 1;
+  }
+  ASSERT_EQ(next_version[a], 2u);  // one above site 1's copy, not site 2's
+
+  TxnOutcome outcome;
+  bool done = false;
+  TxnProgram p{{Op::Write(a, 11), Op::Read(d), Op::Write(b, 22), Op::Read(e),
+                Op::Write(c, 33)},
+               ""};
+  ASSERT_TRUE(sys_->Submit(0, p, [&](const TxnOutcome& o) {
+                     outcome = o;
+                     done = true;
+                   })
+                  .ok());
+  sys_->RunFor(Millis(200));
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(outcome.committed) << outcome.abort_detail;
+
+  const std::map<ItemId, Value> value = {{a, 11}, {b, 22}, {c, 33}};
+  const std::map<SiteId, std::vector<ItemId>> prewrote = {
+      {1, {a, c}}, {2, {a, b}}, {3, {b, c}}, {4, {}}};
+  for (const auto& [site, items] : prewrote) {
+    const Wal& wal = sys_->site(site)->wal();
+    std::vector<WalRecord> prepared;
+    for (Lsn lsn = wal.base() + 1; lsn <= wal.LastLsn(); ++lsn) {
+      WalRecord rec = wal.At(lsn);
+      if (rec.txn != outcome.id) continue;
+      if (rec.kind == WalRecordKind::kPrepared) prepared.push_back(rec);
+      if (rec.kind == WalRecordKind::kStoreUpdate) {
+        EXPECT_FALSE(items.empty())
+            << "read-only site " << site << " logged a write";
+      }
+    }
+    ASSERT_EQ(prepared.size(), 1u) << "site " << site;
+    EXPECT_EQ(prepared[0].participants, (std::vector<SiteId>{1, 2, 3, 4}));
+    std::vector<ItemId> listed;
+    for (const WalRecord::Write& w : prepared[0].writes) {
+      listed.push_back(w.item);
+      EXPECT_EQ(w.value, value.at(w.item)) << "site " << site;
+      EXPECT_EQ(w.version, next_version.at(w.item))
+          << "site " << site << " item " << w.item;
+    }
+    EXPECT_EQ(listed, items) << "site " << site;
+  }
+}
+
 TEST_F(SiteTest, FullyReadOnlyTransactionUnderOptimization) {
   SystemConfig cfg = BaseConfig();
   cfg.protocols.readonly_optimization = true;
