@@ -11,8 +11,10 @@
 //                   [--txns N] [--faults] [--verbose]
 //
 // --sweep ignores the config file's protocol selection and runs every
-// seed under each {2PL, TSO} x {ROWA, QC} combination — the
-// randomized sweep CI runs with --faults on.
+// seed under each {2PL, TSO, MVTO, OCC} x {ROWA, QC} combination, so
+// every CCP a participant serves is checked: MVTO's version-chain reads
+// (and its restart floor under --faults) and OCC's validation and
+// commit locks. CI runs the sweep with and without --faults.
 
 #include <fstream>
 #include <iostream>
@@ -60,6 +62,10 @@ int RunSweep(SystemConfig base, uint32_t seeds, uint32_t txns, bool faults,
       {CcKind::kTwoPhaseLocking, RcpKind::kQuorumConsensus},
       {CcKind::kTimestampOrdering, RcpKind::kRowa},
       {CcKind::kTimestampOrdering, RcpKind::kQuorumConsensus},
+      {CcKind::kMultiversionTso, RcpKind::kRowa},
+      {CcKind::kMultiversionTso, RcpKind::kQuorumConsensus},
+      {CcKind::kOptimistic, RcpKind::kRowa},
+      {CcKind::kOptimistic, RcpKind::kQuorumConsensus},
   };
 
   TablePrinter table({"cc", "rcp", "seed", "committed", "aborted", "events",

@@ -9,9 +9,11 @@ MvtoManager::MvtoManager() = default;
 
 bool MvtoManager::Tracks(TxnId txn) const { return txns_.contains(txn); }
 
-void MvtoManager::LoadInitial(ItemId item, Value value, Version version) {
+void MvtoManager::LoadInitial(ItemId item, Value value, Version version,
+                              TxnTimestamp floor) {
   ItemState& st = items_[item];
   st.versions.clear();
+  st.floor = floor;
   VersionEntry v;
   v.wts = TxnTimestamp{-1, 0};
   v.value = value;
@@ -21,8 +23,11 @@ void MvtoManager::LoadInitial(ItemId item, Value value, Version version) {
 
 MvtoManager::Verdict MvtoManager::Judge(const ItemState& st, TxnId txn,
                                         TxnTimestamp ts, bool is_write) const {
+  if (is_write && st.has_pending && st.pending_txn == txn) {
+    return Verdict::kGrant;
+  }
+  if (ts < st.floor) return Verdict::kDeny;
   if (is_write) {
-    if (st.has_pending && st.pending_txn == txn) return Verdict::kGrant;
     // The version this write would follow: largest wts < ts.
     auto it = st.versions.lower_bound(ts);
     if (it != st.versions.begin()) {

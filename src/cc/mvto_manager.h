@@ -16,10 +16,10 @@ namespace rainbow {
 /// versions per item (seeded from OnApply) and serves reads itself:
 ///
 ///  * read(ts) finds the version with the largest write timestamp <= ts
-///    and records ts as that version's read timestamp. Reads are never
-///    rejected; they wait only when an uncommitted prewrite with a
-///    smaller timestamp could still produce the version they must
-///    observe (strictness).
+///    and records ts as that version's read timestamp. Reads wait only
+///    when an uncommitted prewrite with a smaller timestamp could still
+///    produce the version they must observe (strictness). They are
+///    rejected only below a reseeded item's floor (LoadInitial).
 ///  * prewrite(ts) is rejected iff some transaction with a larger
 ///    timestamp already read the version that this write would
 ///    overwrite (i.e. a version v with wts(v) < ts and rts(v) > ts).
@@ -42,10 +42,17 @@ class MvtoManager final : public CcEngine {
   std::string name() const override { return "MVTO"; }
 
   /// Seeds the base version of an item (wts = -inf). Called by the site
-  /// when the database is loaded (version 0) and again after a crash,
-  /// when the committed store value (at its current version) becomes the
-  /// fresh engine's base version.
-  void LoadInitial(ItemId item, Value value, Version version = 0);
+  /// when the database is loaded (version 0) and again after a crash or
+  /// a refresh adoption, when the committed store copy (at its current
+  /// version) becomes the base version. Such a reseed passes a `floor`
+  /// above every transaction that began before it, and the item then
+  /// rejects (kTsoTooLate) every read and new prewrite below the floor:
+  /// the copy may hold a write newer than an older reader must see, and
+  /// the read timestamps that would fence an older writer are gone. A
+  /// prewrite already pending keeps its grant, so a recovering site
+  /// re-takes its in-doubt writes before it reseeds.
+  void LoadInitial(ItemId item, Value value, Version version = 0,
+                   TxnTimestamp floor = kNoFloor);
 
   // --- introspection for tests ---
   uint64_t rejections() const { return rejections_; }
@@ -65,9 +72,13 @@ class MvtoManager final : public CcEngine {
     bool is_write = false;
     CcCallback cb;
   };
+  static constexpr TxnTimestamp kNoFloor{-1, 0};
+
   struct ItemState {
     /// Committed versions keyed by writer timestamp (ascending).
     std::map<TxnTimestamp, VersionEntry> versions;
+    /// No new access below this timestamp is granted (see LoadInitial).
+    TxnTimestamp floor = kNoFloor;
     bool has_pending = false;
     TxnId pending_txn;
     TxnTimestamp pending_ts;

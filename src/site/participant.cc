@@ -2,11 +2,33 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
+#include <type_traits>
 
 #include "site/site.h"
 
 namespace rainbow {
+
+namespace {
+
+/// An access reply (ReadReply or PrewriteReply) without value or version.
+template <typename Reply>
+Reply MakeReply(TxnId txn, ItemId item, bool granted, DenyReason reason,
+                uint64_t epoch) {
+  Reply reply;
+  reply.txn = txn;
+  reply.item = item;
+  reply.granted = granted;
+  reply.reason = reason;
+  reply.epoch = epoch;
+  return reply;
+}
+
+/// Orders a transaction's write rows against an item, for lower_bound.
+bool RowBefore(const WalRecord::Write& row, ItemId item) {
+  return row.item < item;
+}
+
+}  // namespace
 
 ParticipantManager::ParticipantManager(Site* site) : site_(site) {}
 
@@ -111,176 +133,132 @@ void ParticipantManager::ArmProbeTimer(TxnId txn) {
       });
 }
 
-void ParticipantManager::OnRead(SiteId from, const ReadRequest& req,
-                                const RpcContext& ctx) {
-  if (doomed_.contains(req.txn)) {
+template <typename Request>
+void ParticipantManager::OnAccess(SiteId from, const Request& req,
+                                  const RpcContext& ctx) {
+  constexpr bool kWrite = std::is_same_v<Request, PrewriteRequest>;
+  using Reply = std::conditional_t<kWrite, PrewriteReply, ReadReply>;
+  const TxnId id = req.txn;
+  const ItemId item = req.item;
+  if (doomed_.contains(id)) {
     // This site already aborted the transaction unilaterally; recreating
     // state for it now would resurrect it after its locks were freed.
     site_->Respond(ctx, from,
-                   ReadReply{req.txn, req.item, false, DenyReason::kUnknownTxn,
-                             0, 0, site_->epoch()});
+                   MakeReply<Reply>(id, item, false, DenyReason::kUnknownTxn,
+                                    site_->epoch()));
     return;
   }
-  PTxn& t = Ensure(req.txn, req.ts, from);
+  PTxn& t = Ensure(id, req.ts, from);
   if (t.state != AcpState::kActive) return;  // stray after prepare
   ArmActivityTimer(t);
 
-  TxnId id = req.txn;
-  ItemId item = req.item;
+  bool skip_cc = false;
+  if constexpr (kWrite) skip_cc = req.skip_cc;
   if (site_->tracing()) {
     TraceRecord rec;
-    rec.kind = TraceEventKind::kReadRequest;
+    rec.kind = kWrite ? TraceEventKind::kPrewriteRequest
+                      : TraceEventKind::kReadRequest;
     rec.txn = id;
     rec.peer = from;
     rec.item = item;
+    if (skip_cc) rec.detail = "skip_cc";
     site_->EmitTrace(std::move(rec));
   }
-  // Detect whether the CC engine answers synchronously; if not, a
-  // lock-wait timer bounds the wait.
-  auto decided = std::make_shared<bool>(false);
-  site_->cc()->RequestRead(
-      id, req.ts, item,
-      [this, id, item, from, ctx, decided](const CcGrant& g) {
-        *decided = true;
-        auto it = txns_.find(id);
-        if (it == txns_.end()) return;  // aborted while waiting
-        it->second.wait_timer.Cancel();
-        it->second.probe_timer.Cancel();
-        if (g.granted) it->second.granted_any = true;
-        EmitCcOutcome(id, item, g);
-        ReadReply reply;
-        reply.txn = id;
-        reply.item = item;
-        reply.granted = g.granted;
-        reply.reason = g.reason;
-        reply.epoch = site_->epoch();
-        if (g.granted) {
-          if (g.has_value) {
-            reply.value = g.value;
-            reply.version = g.version;
-          } else {
-            auto copy = site_->store().Get(item);
-            if (!copy.ok()) {
-              reply.granted = false;
-              reply.reason = DenyReason::kSiteBusy;
-            } else {
-              reply.value = copy->value;
-              reply.version = copy->version;
-            }
-          }
-        }
-        site_->Respond(ctx, from, reply);
-        if (!reply.granted) {
-          if (it->second.granted_any) doomed_.insert(id);
-          LocalAbort(id);
-        }
-      });
-  if (!*decided) {
-    auto it = txns_.find(id);
-    if (it == txns_.end()) return;  // denied synchronously and cleaned up
-    EmitCcBlocked(id, item);
-    ArmProbeTimer(id);
-    it->second.wait_timer = site_->env().sim->After(
-        site_->config().lock_wait_timeout, [this, id, item, from, ctx] {
-          auto it2 = txns_.find(id);
-          if (it2 == txns_.end()) return;
-          if (it2->second.granted_any) doomed_.insert(id);
-          LocalAbort(id);
-          site_->Respond(ctx, from,
-                         ReadReply{id, item, false, DenyReason::kWaitTimeout,
-                                   0, 0, site_->epoch()});
-        });
-  }
-}
-
-void ParticipantManager::OnPrewrite(SiteId from, const PrewriteRequest& req,
-                                    const RpcContext& ctx) {
-  if (doomed_.contains(req.txn)) {
-    site_->Respond(ctx, from,
-                   PrewriteReply{req.txn, req.item, false,
-                                 DenyReason::kUnknownTxn, 0, site_->epoch()});
-    return;
-  }
-  PTxn& t = Ensure(req.txn, req.ts, from);
-  if (t.state != AcpState::kActive) return;
-  ArmActivityTimer(t);
-
-  TxnId id = req.txn;
-  ItemId item = req.item;
-  Value value = req.value;
-  if (site_->tracing()) {
-    TraceRecord rec;
-    rec.kind = TraceEventKind::kPrewriteRequest;
-    rec.txn = id;
-    rec.peer = from;
-    rec.item = item;
-    if (req.skip_cc) rec.detail = "skip_cc";
-    site_->EmitTrace(std::move(rec));
-  }
-
-  if (req.skip_cc) {
+  if (skip_cc) {
     // Primary-copy backup path: buffer the write without CC — the
     // primary's lock serialized conflicting transactions already.
-    t.buffered[item] = value;
-    site_->mutable_store().LogPrewrite(id, item, value);
     t.granted_any = true;
-    PrewriteReply reply;
-    reply.txn = id;
-    reply.item = item;
-    reply.granted = true;
-    reply.epoch = site_->epoch();
-    auto copy = site_->store().Get(item);
-    reply.version = copy.ok() ? copy->version : 0;
-    site_->Respond(ctx, from, reply);
+    site_->Respond(ctx, from, Answer(t, req, CcGrant::Granted()));
     return;
   }
 
-  auto decided = std::make_shared<bool>(false);
-  site_->cc()->RequestWrite(
-      id, req.ts, item,
-      [this, id, item, value, from, ctx, decided](const CcGrant& g) {
-        *decided = true;
-        auto it = txns_.find(id);
-        if (it == txns_.end()) return;
-        it->second.wait_timer.Cancel();
-        it->second.probe_timer.Cancel();
-        if (g.granted) it->second.granted_any = true;
-        EmitCcOutcome(id, item, g);
-        PrewriteReply reply;
-        reply.txn = id;
-        reply.item = item;
-        reply.granted = g.granted;
-        reply.reason = g.reason;
-        reply.epoch = site_->epoch();
-        if (g.granted) {
-          it->second.buffered[item] = value;
-          site_->mutable_store().LogPrewrite(id, item, value);
-          auto copy = site_->store().Get(item);
-          reply.version = copy.ok() ? copy->version : 0;
-        }
-        site_->Respond(ctx, from, reply);
-        if (!reply.granted) {
-          if (it->second.granted_any) doomed_.insert(id);
-          LocalAbort(id);
-        }
-      });
-  if (!*decided) {
-    auto it = txns_.find(id);
-    if (it == txns_.end()) return;
-    EmitCcBlocked(id, item);
-    ArmProbeTimer(id);
-    it->second.wait_timer = site_->env().sim->After(
-        site_->config().lock_wait_timeout, [this, id, item, from, ctx] {
-          auto it2 = txns_.find(id);
-          if (it2 == txns_.end()) return;
-          if (it2->second.granted_any) doomed_.insert(id);
-          LocalAbort(id);
-          site_->Respond(ctx, from,
-                         PrewriteReply{id, item, false,
-                                       DenyReason::kWaitTimeout, 0,
-                                       site_->epoch()});
-        });
+  const uint64_t access = ++last_access_;
+  in_cc_call_ = access;
+  auto on_answer = [this, access, req, from, ctx](const CcGrant& g) {
+    if (in_cc_call_ == access) in_cc_call_ = 0;
+    auto it = txns_.find(req.txn);
+    if (it == txns_.end()) return;  // aborted while waiting
+    PTxn& waiter = it->second;
+    waiter.wait_timer.Cancel();
+    waiter.probe_timer.Cancel();
+    if (g.granted) waiter.granted_any = true;
+    EmitCcOutcome(req.txn, req.item, g);
+    Reply reply = Answer(waiter, req, g);
+    site_->Respond(ctx, from, reply);
+    if (!reply.granted) {
+      if (waiter.granted_any) doomed_.insert(req.txn);
+      LocalAbort(req.txn);
+    }
+  };
+  if constexpr (kWrite) {
+    site_->cc()->RequestWrite(id, req.ts, item, std::move(on_answer));
+  } else {
+    site_->cc()->RequestRead(id, req.ts, item, std::move(on_answer));
   }
+  // Answered inside the call, or parked behind a conflict: then a
+  // lock-wait timer bounds the wait.
+  const bool parked = in_cc_call_ == access;
+  in_cc_call_ = 0;
+  if (!parked) return;
+  auto it = txns_.find(id);
+  if (it == txns_.end()) return;
+  EmitCcBlocked(id, item);
+  ArmProbeTimer(id);
+  it->second.wait_timer = site_->env().sim->After(
+      site_->config().lock_wait_timeout, [this, id, item, from, ctx] {
+        auto it2 = txns_.find(id);
+        if (it2 == txns_.end()) return;
+        if (it2->second.granted_any) doomed_.insert(id);
+        LocalAbort(id);
+        site_->Respond(ctx, from,
+                       MakeReply<Reply>(id, item, false,
+                                        DenyReason::kWaitTimeout,
+                                        site_->epoch()));
+      });
+}
+
+template void ParticipantManager::OnAccess(SiteId, const ReadRequest&,
+                                           const RpcContext&);
+template void ParticipantManager::OnAccess(SiteId, const PrewriteRequest&,
+                                           const RpcContext&);
+
+ReadReply ParticipantManager::Answer(PTxn& /*t*/, const ReadRequest& req,
+                                     const CcGrant& g) {
+  auto reply = MakeReply<ReadReply>(req.txn, req.item, g.granted, g.reason,
+                                    site_->epoch());
+  if (!g.granted) return reply;
+  if (g.has_value) {
+    reply.value = g.value;
+    reply.version = g.version;
+    return reply;
+  }
+  auto copy = site_->store().Get(req.item);
+  if (!copy.ok()) {
+    reply.granted = false;
+    reply.reason = DenyReason::kSiteBusy;
+  } else {
+    reply.value = copy->value;
+    reply.version = copy->version;
+  }
+  return reply;
+}
+
+PrewriteReply ParticipantManager::Answer(PTxn& t, const PrewriteRequest& req,
+                                         const CcGrant& g) {
+  auto reply = MakeReply<PrewriteReply>(req.txn, req.item, g.granted, g.reason,
+                                        site_->epoch());
+  if (!g.granted) return reply;
+  auto row =
+      std::lower_bound(t.writes.begin(), t.writes.end(), req.item, RowBefore);
+  if (row == t.writes.end() || row->item != req.item) {
+    t.writes.insert(row, WalRecord::Write{req.item, req.value, 0});
+  } else {
+    row->value = req.value;
+  }
+  site_->mutable_store().LogPrewrite(req.txn, req.item, req.value);
+  auto copy = site_->store().Get(req.item);
+  reply.version = copy.ok() ? copy->version : 0;
+  return reply;
 }
 
 void ParticipantManager::OnAbortRequest(const AbortRequest& req) {
@@ -317,8 +295,18 @@ void ParticipantManager::OnPrepare(SiteId from, const PrepareRequest& req,
   t.coordinator = from;
   t.participants = req.participants;
   t.three_phase = req.three_phase;
+  // The coordinator lists versions in ascending item order, as the rows
+  // are kept; an item without a row here gets none.
+  assert(std::is_sorted(req.versions.begin(), req.versions.end(),
+                        [](const auto& a, const auto& b) {
+                          return a.item < b.item;
+                        }));
+  auto row = t.writes.begin();
   for (const auto& wv : req.versions) {
-    t.versions[wv.item] = wv.version;
+    row = std::lower_bound(row, t.writes.end(), wv.item, RowBefore);
+    if (row != t.writes.end() && row->item == wv.item) {
+      row->version = wv.version;
+    }
   }
   // OCC backward validation: every read this transaction performed here
   // must still be current, and the commit window needs non-waiting
@@ -341,8 +329,8 @@ void ParticipantManager::OnPrepare(SiteId from, const PrepareRequest& req,
     }
   }
   if (valid) {
-    for (const auto& [item, value] : t.buffered) {
-      if (!site_->cc()->TryCommitLock(req.txn, item, true)) {
+    for (const auto& w : t.writes) {
+      if (!site_->cc()->TryCommitLock(req.txn, w.item, true)) {
         valid = false;
         break;
       }
@@ -361,7 +349,7 @@ void ParticipantManager::OnPrepare(SiteId from, const PrepareRequest& req,
   // read-only participant would be indistinguishable from a crashed
   // unprepared one during termination, which decides ABORT on kUnknown.
   if (site_->config().readonly_optimization && !req.three_phase &&
-      t.buffered.empty()) {
+      t.writes.empty()) {
     // Read-only participant: vote YES-read-only, release everything now
     // and drop out of phase 2 (no prepared record, no decision needed).
     EmitVote(req.txn, from, true, "read-only");
@@ -378,11 +366,7 @@ void ParticipantManager::OnPrepare(SiteId from, const PrepareRequest& req,
   rec.coordinator = from;
   rec.three_phase = req.three_phase;
   rec.participants = req.participants;
-  for (const auto& [item, value] : t.buffered) {
-    auto vi = t.versions.find(item);
-    rec.writes.push_back(WalRecord::Write{
-        item, value, vi == t.versions.end() ? 0 : vi->second});
-  }
+  rec.writes = t.writes;
   site_->mutable_wal().Append(std::move(rec));
 
   t.state = AcpState::kPrepared;
@@ -427,15 +411,9 @@ void ParticipantManager::OnDecision(SiteId from, const Decision& d,
 }
 
 void ParticipantManager::OnDecisionInfo(const DecisionInfo& info) {
-  auto it = txns_.find(info.txn);
-  if (it == txns_.end()) return;
-  if (!info.known) return;  // keep waiting; query machinery is armed
-  HandleDecisionNews(info.txn, info);
-}
-
-void ParticipantManager::HandleDecisionNews(TxnId txn,
-                                            const DecisionInfo& info) {
+  const TxnId txn = info.txn;
   auto it = txns_.find(txn);
+  // Not known yet: keep waiting, the query machinery is armed.
   if (it == txns_.end() || !info.known) return;
   if (it->second.state == AcpState::kActive) {
     // Orphan probe answered: the transaction is finished at the
@@ -470,17 +448,16 @@ void ParticipantManager::ApplyDecision(TxnId txn, bool commit,
   }
 
   if (commit) {
-    for (const auto& [item, value] : t.buffered) {
-      auto vi = t.versions.find(item);
-      if (vi == t.versions.end()) continue;  // stray prewrite, no version
-      site_->mutable_store().Apply(item, value, vi->second, txn);
-      site_->cc()->OnApply(txn, item, value, vi->second);
+    for (const auto& w : t.writes) {
+      if (w.version == 0) continue;  // stray prewrite, never credited
+      site_->mutable_store().Apply(w.item, w.value, w.version, txn);
+      site_->cc()->OnApply(txn, w.item, w.value, w.version);
       if (site_->tracing()) {
         TraceRecord rec;
         rec.kind = TraceEventKind::kWriteApplied;
         rec.txn = txn;
-        rec.item = item;
-        rec.arg = static_cast<int64_t>(vi->second);
+        rec.item = w.item;
+        rec.arg = static_cast<int64_t>(w.version);
         site_->EmitTrace(std::move(rec));
       }
     }
@@ -574,7 +551,7 @@ void ParticipantManager::OnOrphanQueryResult(TxnId txn,
   if (r.ok()) {
     if (const auto* info = std::get_if<DecisionInfo>(&*r);
         info && info->txn == txn && info->known) {
-      HandleDecisionNews(txn, *info);
+      OnDecisionInfo(*info);
       return;
     }
     // Inconclusive ("still deciding"): give the coordinator more time,
@@ -646,7 +623,7 @@ void ParticipantManager::OnDecisionQueryResult(TxnId txn,
   const auto* info = std::get_if<DecisionInfo>(&*r);
   if (!info || info->txn != txn) return;
   if (info->known) {
-    HandleDecisionNews(txn, *info);
+    OnDecisionInfo(*info);
     return;
   }
   // "Still deciding": pace the next query round.
@@ -662,8 +639,8 @@ void ParticipantManager::StartTerminationRound(TxnId txn) {
   PTxn& t = it->second;
   if (t.termination_running) return;
   t.termination_running = true;
-  t.peer_states.clear();
-  t.peer_states[site_->id()] = t.state;
+  t.lowest_heard = site_->id();
+  t.heard.assign(1, t.state);
   // One single-attempt StateQuery RPC per peer; silence within the
   // window is treated as "no state" when the round closes.
   RpcPolicy policy = site_->MakeRpcPolicy(site_->config().termination_window);
@@ -692,20 +669,17 @@ void ParticipantManager::OnTerminationStateReply(TxnId txn, SiteId from,
   if (it == txns_.end()) return;
   PTxn& t = it->second;
   if (!t.termination_running) return;
-  t.peer_states[from] = state;
-  // A peer that already knows the decision short-circuits the round.
-  if (state == AcpState::kCommitted) {
+  // A peer that already knows the decision short-circuits the round, so
+  // the states kept for the round's close are never kCommitted or
+  // kAborted, and their order does not change its decision.
+  if (state == AcpState::kCommitted || state == AcpState::kAborted) {
     t.window_timer.Cancel();
     t.termination_running = false;
-    ApplyDecision(txn, true);
+    ApplyDecision(txn, state == AcpState::kCommitted);
     return;
   }
-  if (state == AcpState::kAborted) {
-    t.window_timer.Cancel();
-    t.termination_running = false;
-    ApplyDecision(txn, false);
-    return;
-  }
+  t.lowest_heard = std::min(t.lowest_heard, from);
+  t.heard.push_back(state);
 }
 
 void ParticipantManager::FinishTerminationRound(TxnId txn) {
@@ -718,29 +692,17 @@ void ParticipantManager::FinishTerminationRound(TxnId txn) {
 
   // Leadership: the lowest-id responder leads; everyone else re-arms and
   // waits for that site's decision.
-  SiteId lowest = site_->id();
-  for (const auto& [s, st] : t.peer_states) lowest = std::min(lowest, s);
-  if (lowest != site_->id()) {
+  if (t.lowest_heard != site_->id()) {
     ArmDecisionTimer(t);
     return;
   }
-
-  std::vector<AcpState> states;
-  states.reserve(t.peer_states.size());
-  for (const auto& [s, st] : t.peer_states) states.push_back(st);
-  auto decision = ThreePcTerminationDecision(states);
+  auto decision = ThreePcTerminationDecision(t.heard);
   if (!decision.has_value()) {
     ArmDecisionTimer(t);
     return;
   }
   if (!*decision) {
-    std::vector<SiteId> peers = t.participants;
-    site_->mutable_wal().Append(WalRecord::Protocol(WalRecordKind::kAbortDecision, txn,
-                                          t.coordinator, {}, peers, true));
-    // The closer's Decision RPCs notify the peers (and retry until
-    // acked); our own copy is applied directly.
-    site_->StartCloser(txn, false, peers);
-    ApplyDecision(txn, false);
+    DecideAsLeader(txn, false);
     return;
   }
   // Commit path: first move every live peer (and ourselves) to the
@@ -757,18 +719,21 @@ void ParticipantManager::FinishTerminationRound(TxnId txn) {
   TxnId id = txn;
   t.window_timer = site_->env().sim->After(
       site_->config().termination_window,
-      [this, id] { FinishTerminationCommit(id); });
+      [this, id] { DecideAsLeader(id, true); });
 }
 
-void ParticipantManager::FinishTerminationCommit(TxnId txn) {
+void ParticipantManager::DecideAsLeader(TxnId txn, bool commit) {
   auto it = txns_.find(txn);
   if (it == txns_.end()) return;
   PTxn& t = it->second;
   std::vector<SiteId> peers = t.participants;
-  site_->mutable_wal().Append(WalRecord::Protocol(WalRecordKind::kCommitDecision, txn,
-                                        t.coordinator, {}, peers, true));
-  site_->StartCloser(txn, true, peers);
-  ApplyDecision(txn, true);
+  site_->mutable_wal().Append(WalRecord::Protocol(
+      commit ? WalRecordKind::kCommitDecision : WalRecordKind::kAbortDecision,
+      txn, t.coordinator, {}, peers, true));
+  // The closer's Decision RPCs notify the peers (and retry until acked);
+  // our own copy is applied directly.
+  site_->StartCloser(txn, commit, peers);
+  ApplyDecision(txn, commit);
 }
 
 void ParticipantManager::ReinstateInDoubt(const WalRecord& prepared,
@@ -780,10 +745,7 @@ void ParticipantManager::ReinstateInDoubt(const WalRecord& prepared,
   t.three_phase = prepared.three_phase;
   t.participants = prepared.participants;
   t.prepared_at = site_->Now();
-  for (const auto& w : prepared.writes) {
-    t.buffered[w.item] = w.value;
-    t.versions[w.item] = w.version;
-  }
+  t.writes = prepared.writes;
   // Re-acquire write access in the fresh CC engine: it is empty of
   // conflicting state for these items only if no new transaction touched
   // them yet; requests that cannot be granted synchronously are a

@@ -38,17 +38,18 @@ class ParticipantManager {
   ParticipantManager& operator=(const ParticipantManager&) = delete;
 
   // --- message handlers (dispatched by Site) ---
-  void OnRead(SiteId from, const ReadRequest& req, const RpcContext& ctx);
-  void OnPrewrite(SiteId from, const PrewriteRequest& req,
-                  const RpcContext& ctx);
+  /// A copy access: `Request` is ReadRequest or PrewriteRequest, and the
+  /// answer is the matching ReadReply or PrewriteReply.
+  template <typename Request>
+  void OnAccess(SiteId from, const Request& req, const RpcContext& ctx);
   void OnAbortRequest(const AbortRequest& req);
   void OnPrepare(SiteId from, const PrepareRequest& req,
                  const RpcContext& ctx);
   void OnPreCommit(SiteId from, const PreCommitRequest& req,
                    const RpcContext& ctx);
   void OnDecision(SiteId from, const Decision& d, const RpcContext& ctx);
-  /// Raw (non-RPC) decision info; RPC replies run through the query
-  /// callbacks and land in HandleDecisionNews directly.
+  /// Acts on decision news: a raw (non-RPC) DecisionInfo, or the answer
+  /// to one of this manager's own decision queries or orphan probes.
   void OnDecisionInfo(const DecisionInfo& info);
 
   /// Local commit-protocol state of `txn`, for answering StateQuery.
@@ -81,8 +82,11 @@ class ParticipantManager {
     /// something; aborting a purely-waiting transaction leaves nothing a
     /// retransmitted request could unsafely resurrect.
     bool granted_any = false;
-    std::map<ItemId, Value> buffered;    ///< prewritten values
-    std::map<ItemId, Version> versions;  ///< final versions (from prepare)
+    /// One row per prewritten item, ascending by item, in the kPrepared
+    /// record's form. Version 0 means no PrepareRequest assigned one: a
+    /// stray prewrite the coordinator never credited, which a commit
+    /// skips.
+    std::vector<WalRecord::Write> writes;
     std::vector<SiteId> participants;
     SimTime prepared_at = 0;
     TimerHandle decision_timer;  ///< patience before querying for a decision
@@ -100,12 +104,21 @@ class ParticipantManager {
     /// third one means the home cannot vouch for the transaction and it
     /// is cleaned up as an orphan.
     int orphan_rounds = 0;
-    /// 3PC termination: collected peer states for the current round.
-    std::map<SiteId, AcpState> peer_states;
+    /// 3PC termination round: the states heard, this site's first, and
+    /// the lowest site heard from (this one included), which leads.
     bool termination_running = false;
+    SiteId lowest_heard = kInvalidSite;
+    std::vector<AcpState> heard;
   };
 
   PTxn& Ensure(TxnId txn, TxnTimestamp ts, SiteId coordinator);
+
+  /// The reply to `req` for the CC's answer `g`. A granted prewrite is
+  /// buffered in `t`'s rows and logged; a granted read carries the
+  /// engine's value or the store copy.
+  ReadReply Answer(PTxn& t, const ReadRequest& req, const CcGrant& g);
+  PrewriteReply Answer(PTxn& t, const PrewriteRequest& req,
+                       const CcGrant& g);
 
   /// Applies a learned decision: installs/discards buffered writes,
   /// releases CC state, logs, acks through `ack_ctx` (RPC) or to
@@ -137,18 +150,24 @@ class ParticipantManager {
   void OnOrphanQueryResult(TxnId txn, const Result<Payload>& r);
   /// Completion of a 2PC decision query (coordinator or peer).
   void OnDecisionQueryResult(TxnId txn, const Result<Payload>& r);
-  /// Acts on a decision-query answer (or a raw DecisionInfo).
-  void HandleDecisionNews(TxnId txn, const DecisionInfo& info);
   /// 3PC: runs (or defers) a termination round.
   void StartTerminationRound(TxnId txn);
   void OnTerminationStateReply(TxnId txn, SiteId from, AcpState state);
   void FinishTerminationRound(TxnId txn);
-  /// 3PC termination leader, second phase: all live peers were moved to
-  /// pre-commit; broadcast and apply the commit decision.
-  void FinishTerminationCommit(TxnId txn);
+  /// 3PC termination leader: logs the decision with the peers, hands
+  /// them to a closer and applies it here. A commit runs one window
+  /// after every live peer was moved to pre-commit.
+  void DecideAsLeader(TxnId txn, bool commit);
 
   Site* site_;
   std::map<TxnId, PTxn> txns_;
+  /// Numbers access requests, so a CC callback knows its own request.
+  uint64_t last_access_ = 0;
+  /// The access whose Request* call is on the stack, until the engine
+  /// answers it there; 0 otherwise. Per request, not per transaction: a
+  /// transaction's earlier request can still be parked in the engine and
+  /// be granted inside a later request's call.
+  uint64_t in_cc_call_ = 0;
   /// Transactions this site aborted unilaterally (CC victim, wait
   /// timeout, orphan cleanup, abort decision). A later request for one
   /// of them — a retransmission whose deny reply was lost, or a next

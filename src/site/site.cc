@@ -44,16 +44,15 @@ Site::~Site() = default;
 
 void Site::BuildVolatileState() {
   cc_ = CreateCcEngine(env_.config->cc, env_.config->deadlock);
-  if (env_.config->cc == CcKind::kMultiversionTso) {
-    auto* mvto = static_cast<MvtoManager*>(cc_.get());
-    for (const auto& [item, copy] : store_.Snapshot()) {
-      mvto->LoadInitial(item, copy.value, copy.version);
-    }
-  }
   participants_ = std::make_unique<ParticipantManager>(this);
   cc_->set_victim_handler([this](TxnId txn, DenyReason reason) {
     participants_->OnCcVictim(txn, reason);
   });
+}
+
+TxnTimestamp Site::ReseedFloor() const {
+  // Above every timestamp handed out so far: {time, any site}.
+  return TxnTimestamp{Now(), kInvalidSite};
 }
 
 void Site::LoadItem(ItemId item, Value initial) {
@@ -255,13 +254,22 @@ void Site::Recover() {
     wal_.Append(WalRecord::Protocol(WalRecordKind::kApplied, prepared.txn,
                                     prepared.coordinator, {}, {}, false));
   }
-  // Fresh volatile state (the CC engine seeds itself from the redone
-  // store). Decision knowledge needs no rebuild: the WAL digest answers
-  // it. Reinstate in-doubt (prepared, undecided) transactions; the
-  // kApplied records the redo loop appended change neither list below.
+  // Fresh volatile state. Decision knowledge needs no rebuild: the WAL
+  // digest answers it. Reinstate in-doubt (prepared, undecided)
+  // transactions; the kApplied records the redo loop appended change
+  // neither list below.
   BuildVolatileState();
   for (const WalRecord& rec : wal_.InDoubt()) {
     participants_->ReinstateInDoubt(rec, wal_.Precommitted(rec.txn));
+  }
+  // MVTO seeds each chain from the redone store, at a floor that turns
+  // away every transaction begun before now. The in-doubt writes were
+  // granted before the crash, so they were re-taken above, first.
+  if (env_.config->cc == CcKind::kMultiversionTso) {
+    auto* mvto = static_cast<MvtoManager*>(cc_.get());
+    for (const auto& [item, copy] : store_.Snapshot()) {
+      mvto->LoadInitial(item, copy.value, copy.version, ReseedFloor());
+    }
   }
   // Re-propagate decisions this site made as coordinator but never
   // finished acknowledging.
@@ -299,10 +307,9 @@ void Site::HandleMessage(const Message& m, const RpcContext& ctx) {
   std::visit(
       [&](const auto& p) {
         using T = std::decay_t<decltype(p)>;
-        if constexpr (std::is_same_v<T, ReadRequest>) {
-          participants_->OnRead(m.from, p, ctx);
-        } else if constexpr (std::is_same_v<T, PrewriteRequest>) {
-          participants_->OnPrewrite(m.from, p, ctx);
+        if constexpr (std::is_same_v<T, ReadRequest> ||
+                      std::is_same_v<T, PrewriteRequest>) {
+          participants_->OnAccess(m.from, p, ctx);
         } else if constexpr (std::is_same_v<T, AbortRequest>) {
           participants_->OnAbortRequest(p);
         } else if constexpr (std::is_same_v<T, PrepareRequest>) {
@@ -422,7 +429,7 @@ void Site::HandleRefreshReply(const RefreshReply& r) {
       for (const auto& e : r.entries) {
         auto copy = store_.Get(e.item);
         if (copy.ok() && copy->version == e.version) {
-          mvto->LoadInitial(e.item, e.value, e.version);
+          mvto->LoadInitial(e.item, e.value, e.version, ReseedFloor());
         }
       }
     }

@@ -31,6 +31,40 @@ TEST(MvtoTest, ReadServesInitialVersion) {
   EXPECT_EQ(r.grant->version, 0u);
 }
 
+TEST(MvtoTest, ReseedTurnsAwayAccessesBelowItsFloor) {
+  // After a crash the site reseeds each chain from its store copy,
+  // which may hold a write newer than an older reader must see, and the
+  // read timestamps that fenced older writers are gone. Below the floor
+  // the item grants nothing new; a prewrite pending from before the
+  // reseed (a recovering site's in-doubt write) keeps its grant.
+  MvtoManager mvto;
+  Probe in_doubt;
+  mvto.RequestWrite(T(1), TxnTimestamp{0, 0}, 7, in_doubt.cb());
+  ASSERT_TRUE(in_doubt.granted());
+  mvto.LoadInitial(7, 42, 3, Ts(10));
+  mvto.LoadInitial(8, 50, 2, Ts(10));
+
+  Probe old_read, old_write, new_read;
+  mvto.RequestRead(T(2), Ts(5), 8, old_read.cb());
+  EXPECT_TRUE(old_read.denied());
+  EXPECT_EQ(old_read.grant->reason, DenyReason::kTsoTooLate);
+  mvto.RequestWrite(T(3), Ts(6), 8, old_write.cb());
+  EXPECT_TRUE(old_write.denied());
+  mvto.RequestRead(T(4), Ts(11), 8, new_read.cb());
+  ASSERT_TRUE(new_read.granted());
+  EXPECT_EQ(new_read.grant->value, 50);
+  EXPECT_EQ(new_read.grant->version, 2u);
+
+  // The in-doubt write commits; a read above the floor sees it.
+  mvto.OnApply(T(1), 7, 60, 4);
+  mvto.Finish(T(1), true);
+  Probe after;
+  mvto.RequestRead(T(5), Ts(12), 7, after.cb());
+  ASSERT_TRUE(after.granted());
+  EXPECT_EQ(after.grant->value, 60);
+  EXPECT_EQ(after.grant->version, 4u);
+}
+
 TEST(MvtoTest, ReadSeesVersionAtOrBeforeItsTimestamp) {
   MvtoManager mvto;
   mvto.LoadInitial(7, 10, 0);

@@ -204,6 +204,121 @@ TEST_F(SiteTest, DirectReadRequestServedUnderCc) {
   EXPECT_EQ(sys_->site(2)->active_participants(), 0u);
 }
 
+TEST_F(SiteTest, StrayPrewriteIsNotAppliedAfterRecovery) {
+  // A site can buffer a prewrite its coordinator never credits (the
+  // grant arrived after the call was cancelled): the prepare names no
+  // version for it, and the kPrepared record keeps it at version 0. A
+  // commit must skip it both at runtime and after a crash, or MVTO would
+  // serve the uncommitted value as a version.
+  SystemConfig cfg = BaseConfig();
+  cfg.protocols.cc = CcKind::kMultiversionTso;
+  cfg.trace_enabled = true;
+  Build(cfg);
+  constexpr ItemId kCredited = 2;
+  constexpr ItemId kStray = 3;
+  const TxnId txn{kProbe, 1};
+  sys_->net().Send(kProbe, 1,
+                   PrewriteRequest{txn, TxnTimestamp{1, kProbe}, kCredited,
+                                   555});
+  sys_->net().Send(kProbe, 1,
+                   PrewriteRequest{txn, TxnTimestamp{1, kProbe}, kStray,
+                                   777});
+  sys_->RunFor(Millis(10));
+  ASSERT_EQ(ProbeReceived(MessageKind::kPrewriteReply).size(), 2u);
+  PrepareRequest prep;
+  prep.txn = txn;
+  prep.versions = {{kCredited, 1}};
+  prep.participants = {1};
+  sys_->net().Send(kProbe, 1, prep);
+  sys_->RunFor(Millis(10));
+  auto votes = ProbeReceived(MessageKind::kVoteReply);
+  ASSERT_EQ(votes.size(), 1u);
+  ASSERT_TRUE(std::get<VoteReply>(votes[0].payload).yes);
+
+  sys_->CrashSite(1);
+  sys_->RunFor(Millis(10));
+  sys_->RecoverSite(1);
+  sys_->RunFor(Millis(10));
+  sys_->net().Send(kProbe, 1, Decision{txn, true});
+  sys_->RunFor(Millis(10));
+  ASSERT_EQ(sys_->site(1)->active_participants(), 0u);
+
+  const PageStore& store = sys_->site(1)->store();
+  EXPECT_EQ(store.Get(kCredited)->value, 555);
+  EXPECT_EQ(store.Get(kCredited)->version, 1u);
+  EXPECT_EQ(store.Get(kStray)->value, 100);
+  EXPECT_EQ(store.Get(kStray)->version, 0u);
+  const auto& records = sys_->collector().records();
+  auto applied = [&](ItemId item) {
+    return std::count_if(records.begin(), records.end(),
+                         [&](const TraceRecord& r) {
+                           return r.kind == TraceEventKind::kWriteApplied &&
+                                  r.txn == txn && r.item == item;
+                         });
+  };
+  EXPECT_EQ(applied(kCredited), 1);
+  EXPECT_EQ(applied(kStray), 0);
+
+  // A later MVTO read of the stray item sees the value from before.
+  ReadRequest read;
+  read.txn = TxnId{kProbe, 2};
+  read.ts = TxnTimestamp{sys_->sim().Now(), kProbe};
+  read.item = kStray;
+  sys_->net().Send(kProbe, 1, read);
+  sys_->RunFor(Millis(10));
+  auto replies = ProbeReceived(MessageKind::kReadReply);
+  ASSERT_EQ(replies.size(), 1u);
+  const auto& r = std::get<ReadReply>(replies[0].payload);
+  EXPECT_TRUE(r.granted);
+  EXPECT_EQ(r.value, 100);
+  EXPECT_EQ(r.version, 0u);
+}
+
+TEST_F(SiteTest, MvtoRecoveryTurnsAwayTransactionsBegunBeforeIt) {
+  // A crash loses MVTO's read timestamps. Before it, a prewrite older
+  // than a served read is rejected; after it, the site must still not
+  // let that writer slip in under the lost read, nor serve its reseeded
+  // copy to a reader older than the restart.
+  SystemConfig cfg = BaseConfig();
+  cfg.protocols.cc = CcKind::kMultiversionTso;
+  Build(cfg);
+  constexpr ItemId kItem = 4;
+  auto access = [&](Payload request) {
+    probe_inbox_.clear();
+    sys_->net().Send(kProbe, 1, std::move(request));
+    sys_->RunFor(Millis(10));
+  };
+  access(ReadRequest{TxnId{kProbe, 1}, TxnTimestamp{5, kProbe}, kItem});
+  ASSERT_TRUE(std::get<ReadReply>(
+                  ProbeReceived(MessageKind::kReadReply).at(0).payload)
+                  .granted);
+  access(AbortRequest{TxnId{kProbe, 1}});
+  access(PrewriteRequest{TxnId{kProbe, 2}, TxnTimestamp{3, kProbe}, kItem, 9});
+  ASSERT_FALSE(std::get<PrewriteReply>(
+                   ProbeReceived(MessageKind::kPrewriteReply).at(0).payload)
+                   .granted);
+
+  sys_->CrashSite(1);
+  sys_->RunFor(Millis(10));
+  sys_->RecoverSite(1);
+  sys_->RunFor(Millis(10));
+  access(PrewriteRequest{TxnId{kProbe, 3}, TxnTimestamp{3, kProbe}, kItem, 9});
+  const PrewriteReply w = std::get<PrewriteReply>(
+      ProbeReceived(MessageKind::kPrewriteReply).at(0).payload);
+  EXPECT_FALSE(w.granted);
+  EXPECT_EQ(w.reason, DenyReason::kTsoTooLate);
+  access(ReadRequest{TxnId{kProbe, 4}, TxnTimestamp{4, kProbe}, kItem});
+  EXPECT_FALSE(std::get<ReadReply>(
+                   ProbeReceived(MessageKind::kReadReply).at(0).payload)
+                   .granted);
+  access(ReadRequest{TxnId{kProbe, 5}, TxnTimestamp{sys_->sim().Now(), kProbe},
+                     kItem});
+  const ReadReply r = std::get<ReadReply>(
+      ProbeReceived(MessageKind::kReadReply).at(0).payload);
+  EXPECT_TRUE(r.granted);
+  EXPECT_EQ(r.value, 100);
+}
+
 TEST_F(SiteTest, SchemaCacheOffIssuesLookupPerTransaction) {
   SystemConfig cfg = BaseConfig();
   cfg.protocols.cache_schema = false;
