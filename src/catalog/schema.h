@@ -38,6 +38,12 @@ class ReplicationSchema {
   /// A schema whose copies may be placed on sites [0, num_sites).
   explicit ReplicationSchema(uint32_t num_sites) : num_sites_(num_sites) {}
 
+  /// Makes room for `n` items, so adding them moves no earlier item.
+  void Reserve(size_t n) {
+    items_.reserve(n);
+    by_name_.reserve(n);
+  }
+
   /// Adds an item with explicit copies/votes/quorums and returns its id,
   /// or says why the item is malformed: a duplicate name; no copies, a
   /// duplicate copy site or one at or above num_sites; votes not one per

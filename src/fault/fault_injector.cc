@@ -155,7 +155,8 @@ void FaultInjector::Apply(const FaultEvent& e) {
       }
       // Arms the DISK, which (like the WAL) survives Site::Crash(), so
       // a crashed site's storage faults persist into its restart.
-      system_->site(e.site)->mutable_store().SetStorageFault(kind, e.amount);
+      PageStore& store = system_->site(e.site)->mutable_store();
+      store.mutable_disk().Arm(kind, e.amount);
       break;
     }
     case FaultEvent::Kind::kCount:

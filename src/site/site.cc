@@ -267,9 +267,9 @@ void Site::Recover() {
   // granted before the crash, so they were re-taken above, first.
   if (env_.config->cc == CcKind::kMultiversionTso) {
     auto* mvto = static_cast<MvtoManager*>(cc_.get());
-    for (const auto& [item, copy] : store_.Snapshot()) {
+    store_.ForEach([this, mvto](ItemId item, const ItemCopy& copy) {
       mvto->LoadInitial(item, copy.value, copy.version, ReseedFloor());
-    }
+    });
   }
   // Re-propagate decisions this site made as coordinator but never
   // finished acknowledging.
@@ -288,12 +288,12 @@ void Site::RequestRefresh() {
   // order: the catalog entries of the items we store name them.
   RefreshRequest req;
   std::set<SiteId> peers;
-  for (const auto& [item, copy] : store_.Snapshot()) {
+  store_.ForEach([&](ItemId item, const ItemCopy&) {
     req.items.push_back(item);
     for (SiteId s : env_.schema->items()[item].copies) {
       if (s != id_) peers.insert(s);
     }
-  }
+  });
   for (SiteId p : peers) {
     if (env_.net->IsSiteUp(p)) SendTo(p, req);
   }

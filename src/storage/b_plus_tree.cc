@@ -169,43 +169,25 @@ uint32_t BPlusTree::height() const {
 
 // --- updates ---------------------------------------------------------------
 
-bool BPlusTree::Update(ItemId item, Value value, Version version, Lsn lsn,
-                       PageId* dirtied) {
+std::optional<PageId> BPlusTree::Write(ItemId item, Value value,
+                                       Version version, Lsn lsn, bool redo) {
   PageId leaf = FindLeaf(item);
-  if (leaf == kInvalidPageId) return false;
+  if (leaf == kInvalidPageId) return std::nullopt;
   Page* page = pool_->FetchPage(leaf);
-  if (page == nullptr) return false;
-  uint32_t count = std::min(Count(*page), leaf_cap_);
-  uint32_t i = LeafLowerBound(*page, count, item);
-  bool found = i < count && page->ReadU32(LeafOff(i)) == item;
-  if (found) {
-    WriteLeaf(*page, i, LeafEntry{item, value, version});
-    if (lsn > page->page_lsn()) page->set_page_lsn(lsn);
-    if (dirtied != nullptr) *dirtied = leaf;
-  }
-  pool_->UnpinPage(leaf, found);
-  return found;
-}
-
-bool BPlusTree::RedoUpdate(ItemId item, Value value, Version version, Lsn lsn,
-                           PageId* dirtied) {
-  PageId leaf = FindLeaf(item);
-  if (leaf == kInvalidPageId) return false;
-  Page* page = pool_->FetchPage(leaf);
-  if (page == nullptr) return false;
-  bool applied = false;
-  if (page->page_lsn() < lsn) {
+  if (page == nullptr) return std::nullopt;
+  bool written = false;
+  if (!redo || page->page_lsn() < lsn) {
     uint32_t count = std::min(Count(*page), leaf_cap_);
     uint32_t i = LeafLowerBound(*page, count, item);
     if (i < count && page->ReadU32(LeafOff(i)) == item) {
       WriteLeaf(*page, i, LeafEntry{item, value, version});
-      page->set_page_lsn(lsn);
-      applied = true;
-      if (dirtied != nullptr) *dirtied = leaf;
+      if (lsn > page->page_lsn()) page->set_page_lsn(lsn);
+      written = true;
     }
   }
-  pool_->UnpinPage(leaf, applied);
-  return applied;
+  pool_->UnpinPage(leaf, written, lsn);
+  if (!written) return std::nullopt;
+  return leaf;
 }
 
 // --- inserts ---------------------------------------------------------------

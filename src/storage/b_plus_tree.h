@@ -57,18 +57,21 @@ class BPlusTree {
   std::optional<ItemCopy> Get(ItemId item) const;
   bool Has(ItemId item) const { return Get(item).has_value(); }
 
-  /// Overwrites an existing item in place and stamps the leaf's page
-  /// LSN. Returns false if the item is not in the tree. On success
-  /// `dirtied` (optional) receives the written leaf's page id — the
-  /// dirty-page-table hook for fuzzy checkpoints.
-  bool Update(ItemId item, Value value, Version version, Lsn lsn,
-              PageId* dirtied = nullptr);
+  /// Overwrites an existing item in place, stamps the leaf's page LSN
+  /// and unpins it dirty with `lsn` as its recLSN. Returns the written
+  /// leaf, or nullopt if the item is not in the tree.
+  std::optional<PageId> Update(ItemId item, Value value, Version version,
+                               Lsn lsn) {
+    return Write(item, value, version, lsn, /*redo=*/false);
+  }
 
   /// Redo-path update: applies only when the leaf's page LSN < `lsn`
-  /// (the ARIES redo test). Returns true if the page was written; on
-  /// true `dirtied` (optional) receives the leaf's page id.
-  bool RedoUpdate(ItemId item, Value value, Version version, Lsn lsn,
-                  PageId* dirtied = nullptr);
+  /// (the ARIES redo test). Returns the written leaf, or nullopt if the
+  /// page was not written.
+  std::optional<PageId> RedoUpdate(ItemId item, Value value, Version version,
+                                   Lsn lsn) {
+    return Write(item, value, version, lsn, /*redo=*/true);
+  }
 
   /// The leaf page currently holding `item` (for logging page ids).
   std::optional<PageId> LeafOf(ItemId item) const;
@@ -113,6 +116,10 @@ class BPlusTree {
   std::optional<SplitResult> LeafInsert(Page* page, PageId page_id,
                                         ItemId item, Value value,
                                         Version version, bool* inserted_new);
+
+  /// Update and RedoUpdate: `redo` writes only over an older page LSN.
+  std::optional<PageId> Write(ItemId item, Value value, Version version,
+                              Lsn lsn, bool redo);
 
   /// Descends to the leaf that would hold `item`; returns its page id.
   PageId FindLeaf(ItemId item) const;

@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -35,17 +36,29 @@ const char* StorageFaultKindName(StorageFaultKind kind) {
   return "?";
 }
 
-std::vector<uint8_t> DiskManager::Stamp(const Page& in) const {
-  std::vector<uint8_t> bytes = in.bytes();
-  uint32_t crc = 0;
-  if (checksums_) {
-    // CRC over everything except the CRC field itself, chained.
-    crc = Crc32(bytes.data(), kPageCrcOffset);
-    crc = Crc32(bytes.data() + kPageHeaderLsnBytes,
-                bytes.size() - kPageHeaderLsnBytes, crc);
-  }
-  std::memcpy(bytes.data() + kPageCrcOffset, &crc, sizeof(crc));
-  return bytes;
+namespace {
+
+// CRC over everything except the CRC field itself, chained.
+uint32_t PageCrc(const std::vector<uint8_t>& bytes) {
+  uint32_t crc = Crc32(bytes.data(), kPageCrcOffset);
+  return Crc32(bytes.data() + kPageHeaderLsnBytes,
+               bytes.size() - kPageHeaderLsnBytes, crc);
+}
+
+// The first page-table entry of `page_id` or of a larger page: (page, 0)
+// sorts before any entry of that page and after every smaller one.
+template <typename Table>
+auto LowerBound(Table& table, PageId page_id) {
+  return std::lower_bound(table.begin(), table.end(),
+                          std::pair<PageId, size_t>(page_id, 0));
+}
+
+}  // namespace
+
+void DiskManager::Stamp(const Page& in, std::vector<uint8_t>& out) const {
+  out = in.bytes();
+  uint32_t crc = checksums_ ? PageCrc(out) : 0;
+  std::memcpy(out.data() + kPageCrcOffset, &crc, sizeof(crc));
 }
 
 bool DiskManager::Verify(const std::vector<uint8_t>& bytes) const {
@@ -54,10 +67,7 @@ bool DiskManager::Verify(const std::vector<uint8_t>& bytes) const {
   }
   uint32_t stored;
   std::memcpy(&stored, bytes.data() + kPageCrcOffset, sizeof(stored));
-  uint32_t crc = Crc32(bytes.data(), kPageCrcOffset);
-  crc = Crc32(bytes.data() + kPageHeaderLsnBytes,
-              bytes.size() - kPageHeaderLsnBytes, crc);
-  return stored == crc;
+  return stored == PageCrc(bytes);
 }
 
 Lsn DiskManager::LsnOf(const std::vector<uint8_t>& bytes) {
@@ -66,11 +76,37 @@ Lsn DiskManager::LsnOf(const std::vector<uint8_t>& bytes) {
   return lsn;
 }
 
+bool DiskManager::Strikes(StorageFaultKind kind) {
+  double p = prob_[static_cast<size_t>(kind)];
+  return p > 0.0 && rng_.NextBool(p);
+}
+
+void DiskManager::Arm(StorageFaultKind kind, double probability) {
+  assert(probability >= 0.0 && probability <= 1.0);
+  prob_[static_cast<size_t>(kind)] = probability;
+}
+
+void DiskManager::ArmWriteLimit(uint64_t remaining) {
+  write_limit_armed_ = true;
+  writes_remaining_ = remaining;
+}
+
+void DiskManager::DisarmWriteLimit() {
+  write_limit_armed_ = false;
+  writes_remaining_ = 0;
+}
+
 PageReadStatus DiskManager::ReadPage(PageId page_id, Page& out) {
+  auto it = slots_.find(page_id);
+  Slot* slot = it == slots_.end() ? nullptr : &it->second;
+  if (Strikes(StorageFaultKind::kReadBitFlip) && slot != nullptr &&
+      !slot->primary.empty()) {
+    ++read_flips_;
+    uint64_t bit = rng_.NextUint(slot->primary.size() * 8);
+    slot->primary[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  }
   ++reads_;
-  auto pit = pages_.find(page_id);
-  auto jit = journal_.find(page_id);
-  if (pit == pages_.end() && jit == journal_.end()) {
+  if (slot == nullptr) {
     std::memset(out.data(), 0, out.size());
     return PageReadStatus::kNeverWritten;
   }
@@ -78,18 +114,18 @@ PageReadStatus DiskManager::ReadPage(PageId page_id, Page& out) {
     // Defense disabled: the primary bytes are taken on faith and the
     // journal is never consulted — the configuration that lets nemesis
     // demonstrate what torn writes do to an unprotected page file.
-    if (pit == pages_.end()) {
+    if (slot->primary.empty()) {
       std::memset(out.data(), 0, out.size());
       return PageReadStatus::kNeverWritten;
     }
-    assert(pit->second.size() == out.size());
-    std::memcpy(out.data(), pit->second.data(), out.size());
+    assert(slot->primary.size() == out.size());
+    std::memcpy(out.data(), slot->primary.data(), out.size());
     return PageReadStatus::kOk;
   }
-  bool p_ok = pit != pages_.end() && Verify(pit->second);
-  bool j_ok = jit != journal_.end() && Verify(jit->second);
-  if (p_ok && (!j_ok || LsnOf(jit->second) <= LsnOf(pit->second))) {
-    std::memcpy(out.data(), pit->second.data(), out.size());
+  bool p_ok = Verify(slot->primary);
+  bool j_ok = Verify(slot->journal);
+  if (p_ok && (!j_ok || LsnOf(slot->journal) <= LsnOf(slot->primary))) {
+    std::memcpy(out.data(), slot->primary.data(), out.size());
     return PageReadStatus::kOk;
   }
   if (j_ok) {
@@ -101,8 +137,8 @@ PageReadStatus DiskManager::ReadPage(PageId page_id, Page& out) {
     } else {
       ++quarantined_;
     }
-    pages_[page_id] = jit->second;
-    std::memcpy(out.data(), jit->second.data(), out.size());
+    slot->primary = slot->journal;
+    std::memcpy(out.data(), slot->journal.data(), out.size());
     return PageReadStatus::kRecovered;
   }
   ++corrupt_reads_;
@@ -111,32 +147,6 @@ PageReadStatus DiskManager::ReadPage(PageId page_id, Page& out) {
 }
 
 void DiskManager::WritePage(PageId page_id, const Page& in) {
-  ++writes_;
-  std::vector<uint8_t> stamped = Stamp(in);
-  journal_[page_id] = stamped;
-  pages_[page_id] = std::move(stamped);
-}
-
-FaultyDiskManager::FaultyDiskManager(uint32_t page_size, bool checksums,
-                                     uint64_t seed)
-    : DiskManager(page_size, checksums), rng_(seed) {}
-
-void FaultyDiskManager::Arm(StorageFaultKind kind, double probability) {
-  assert(probability >= 0.0 && probability <= 1.0);
-  prob_[static_cast<size_t>(kind)] = probability;
-}
-
-void FaultyDiskManager::ArmWriteLimit(uint64_t remaining) {
-  write_limit_armed_ = true;
-  writes_remaining_ = remaining;
-}
-
-void FaultyDiskManager::DisarmWriteLimit() {
-  write_limit_armed_ = false;
-  writes_remaining_ = 0;
-}
-
-void FaultyDiskManager::WritePage(PageId page_id, const Page& in) {
   if (write_limit_armed_) {
     if (writes_remaining_ == 0) {
       // The machine died: nothing (journal included) persists anymore.
@@ -146,56 +156,41 @@ void FaultyDiskManager::WritePage(PageId page_id, const Page& in) {
     --writes_remaining_;
   }
   ++writes_;
-  std::vector<uint8_t> stamped = Stamp(in);
+  Slot& slot = slots_[page_id];
   // The journal half of the doublewrite always lands intact; per-write
   // faults below corrupt only the primary. (A fault striking both
   // copies of the same write is what the write limit above models.)
-  journal_[page_id] = stamped;
-  const size_t half = stamped.size() / 2;
-  auto armed = [&](StorageFaultKind k) {
-    double p = prob_[static_cast<size_t>(k)];
-    return p > 0.0 && rng_.NextBool(p);
-  };
-  if (armed(StorageFaultKind::kLostWrite)) {
+  Stamp(in, slot.journal);
+  const std::vector<uint8_t>& image = slot.journal;
+  std::vector<uint8_t>& primary = slot.primary;
+  const size_t half = image.size() / 2;
+  if (Strikes(StorageFaultKind::kLostWrite)) {
     ++lost_writes_;
     return;  // primary keeps its previous content (or stays absent)
   }
-  if (armed(StorageFaultKind::kTornWrite)) {
+  if (Strikes(StorageFaultKind::kTornWrite)) {
     ++torn_writes_;
-    std::vector<uint8_t>& primary = pages_[page_id];
-    if (primary.size() != stamped.size()) {
-      primary.assign(stamped.size(), 0);  // tear over a hole: rest zeros
+    if (primary.size() != image.size()) {
+      primary.assign(image.size(), 0);  // tear over a hole: rest zeros
     }
-    std::memcpy(primary.data(), stamped.data(), half);
+    std::memcpy(primary.data(), image.data(), half);
     return;
   }
-  if (armed(StorageFaultKind::kShortWrite)) {
+  if (Strikes(StorageFaultKind::kShortWrite)) {
     ++short_writes_;
-    std::vector<uint8_t> img(stamped.size(), 0);
-    std::memcpy(img.data(), stamped.data(), half);
-    pages_[page_id] = std::move(img);
+    primary.assign(image.size(), 0);
+    std::memcpy(primary.data(), image.data(), half);
     return;
   }
-  pages_[page_id] = std::move(stamped);
+  primary = image;
 }
 
-PageReadStatus FaultyDiskManager::ReadPage(PageId page_id, Page& out) {
-  double p = prob_[static_cast<size_t>(StorageFaultKind::kReadBitFlip)];
-  if (p > 0.0 && rng_.NextBool(p)) {
-    auto it = pages_.find(page_id);
-    if (it != pages_.end() && !it->second.empty()) {
-      ++read_flips_;
-      uint64_t bit = rng_.NextUint(it->second.size() * 8);
-      it->second[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-    }
+bool DiskManager::FlipPrimaryByte(PageId page_id, uint32_t offset) {
+  auto it = slots_.find(page_id);
+  if (it == slots_.end() || offset >= it->second.primary.size()) {
+    return false;
   }
-  return DiskManager::ReadPage(page_id, out);
-}
-
-bool FaultyDiskManager::FlipPrimaryByte(PageId page_id, uint32_t offset) {
-  auto it = pages_.find(page_id);
-  if (it == pages_.end() || offset >= it->second.size()) return false;
-  it->second[offset] ^= 0xff;
+  it->second.primary[offset] ^= 0xff;
   return true;
 }
 
@@ -206,113 +201,130 @@ BufferPool::BufferPool(DiskManager* disk, size_t num_frames, size_t lru_k)
   for (size_t i = num_frames; i > 0; --i) free_list_.push_back(i - 1);
 }
 
+size_t BufferPool::FrameOf(PageId page_id) const {
+  auto it = LowerBound(page_table_, page_id);
+  bool resident = it != page_table_.end() && it->first == page_id;
+  return resident ? it->second : SIZE_MAX;
+}
+
+void BufferPool::WriteBack(Frame& fr) {
+  disk_->WritePage(fr.page_id, *fr.page);
+  fr.dirty = false;
+  fr.rec_lsn = kNoLsn;
+}
+
 size_t BufferPool::AcquireFrame() {
   if (!free_list_.empty()) {
     size_t f = free_list_.back();
     free_list_.pop_back();
+    if (!frames_[f].page) {
+      frames_[f].page = std::make_unique<Page>(disk_->page_size());
+    }
     return f;
   }
   std::optional<size_t> victim = replacer_.Evict();
-  if (!victim.has_value()) return static_cast<size_t>(-1);
+  if (!victim.has_value()) return SIZE_MAX;
   Frame& fr = frames_[*victim];
   ++stats_.evictions;
   if (fr.dirty) {
     ++stats_.dirty_evictions;
-    disk_->WritePage(fr.page_id, *fr.page);
-    if (flush_listener_) flush_listener_(fr.page_id);
+    WriteBack(fr);
   }
-  page_table_.erase(fr.page_id);
-  fr.page_id = kInvalidPageId;
-  fr.dirty = false;
+  auto it = LowerBound(page_table_, fr.page_id);
+  assert(it != page_table_.end() && it->first == fr.page_id);
+  page_table_.erase(it);
   return *victim;
 }
 
+void BufferPool::Install(PageId page_id, size_t f, bool dirty) {
+  Frame& fr = frames_[f];
+  fr.page_id = page_id;
+  fr.pin_count = 1;
+  fr.dirty = dirty;
+  auto it = LowerBound(page_table_, page_id);
+  assert(it == page_table_.end() || it->first != page_id);
+  page_table_.insert(it, {page_id, f});
+  replacer_.RecordAccess(f);
+  replacer_.SetEvictable(f, false);
+}
+
 Page* BufferPool::FetchPage(PageId page_id) {
-  auto it = page_table_.find(page_id);
-  if (it != page_table_.end()) {
+  size_t f = FrameOf(page_id);
+  if (f != SIZE_MAX) {
     ++stats_.hits;
-    Frame& fr = frames_[it->second];
-    ++fr.pin_count;
-    replacer_.RecordAccess(it->second);
-    replacer_.SetEvictable(it->second, false);
-    return fr.page.get();
+    ++frames_[f].pin_count;
+    replacer_.RecordAccess(f);
+    replacer_.SetEvictable(f, false);
+    return frames_[f].page.get();
   }
   ++stats_.misses;
-  size_t f = AcquireFrame();
-  if (f == static_cast<size_t>(-1)) {
+  f = AcquireFrame();
+  if (f == SIZE_MAX) {
     ++stats_.pin_failures;
     return nullptr;
   }
-  Frame& fr = frames_[f];
-  if (!fr.page) fr.page = std::make_unique<Page>(disk_->page_size());
-  disk_->ReadPage(page_id, *fr.page);
-  fr.page_id = page_id;
-  fr.pin_count = 1;
-  fr.dirty = false;
-  page_table_[page_id] = f;
-  replacer_.RecordAccess(f);
-  replacer_.SetEvictable(f, false);
-  return fr.page.get();
+  disk_->ReadPage(page_id, *frames_[f].page);
+  Install(page_id, f, /*dirty=*/false);
+  return frames_[f].page.get();
 }
 
 Page* BufferPool::NewPage(PageId* page_id) {
   size_t f = AcquireFrame();
-  if (f == static_cast<size_t>(-1)) {
+  if (f == SIZE_MAX) {
     ++stats_.pin_failures;
     return nullptr;
   }
-  PageId id = disk_->AllocatePage();
+  Page* page = frames_[f].page.get();
+  std::memset(page->data(), 0, page->size());
+  *page_id = disk_->AllocatePage();
+  // A new page must reach disk even if never updated.
+  Install(*page_id, f, /*dirty=*/true);
+  return page;
+}
+
+bool BufferPool::UnpinPage(PageId page_id, bool dirty, Lsn rec_lsn) {
+  size_t f = FrameOf(page_id);
+  if (f == SIZE_MAX) return false;
   Frame& fr = frames_[f];
-  if (!fr.page) fr.page = std::make_unique<Page>(disk_->page_size());
-  std::memset(fr.page->data(), 0, fr.page->size());
-  fr.page_id = id;
-  fr.pin_count = 1;
-  fr.dirty = true;  // a new page must reach disk even if never updated
-  page_table_[id] = f;
-  replacer_.RecordAccess(f);
-  replacer_.SetEvictable(f, false);
-  *page_id = id;
-  return fr.page.get();
-}
-
-bool BufferPool::UnpinPage(PageId page_id, bool dirty) {
-  auto it = page_table_.find(page_id);
-  if (it == page_table_.end()) return false;
-  Frame& fr = frames_[it->second];
   if (fr.pin_count <= 0) return false;
-  fr.dirty = fr.dirty || dirty;
-  if (--fr.pin_count == 0) replacer_.SetEvictable(it->second, true);
-  return true;
-}
-
-bool BufferPool::FlushPage(PageId page_id) {
-  auto it = page_table_.find(page_id);
-  if (it == page_table_.end()) return false;
-  Frame& fr = frames_[it->second];
-  disk_->WritePage(page_id, *fr.page);
-  fr.dirty = false;
-  ++stats_.flushes;
-  if (flush_listener_) flush_listener_(page_id);
+  if (dirty) {
+    fr.dirty = true;
+    if (fr.rec_lsn == kNoLsn) fr.rec_lsn = rec_lsn;
+  }
+  if (--fr.pin_count == 0) replacer_.SetEvictable(f, true);
   return true;
 }
 
 void BufferPool::FlushAll() {
   for (const auto& [page_id, f] : page_table_) {
-    Frame& fr = frames_[f];
-    if (!fr.dirty) continue;
-    disk_->WritePage(page_id, *fr.page);
-    fr.dirty = false;
+    if (!frames_[f].dirty) continue;
+    WriteBack(frames_[f]);
     ++stats_.flushes;
-    if (flush_listener_) flush_listener_(page_id);
   }
 }
 
-std::vector<PageId> BufferPool::DirtyPages() const {
-  std::vector<PageId> dirty;
+void BufferPool::FlushBehind(Lsn floor_lsn) {
   for (const auto& [page_id, f] : page_table_) {
-    if (frames_[f].dirty) dirty.push_back(page_id);
+    Lsn rec_lsn = frames_[f].rec_lsn;
+    if (rec_lsn == kNoLsn || rec_lsn > floor_lsn) continue;
+    WriteBack(frames_[f]);
+    ++stats_.flushes;
   }
-  return dirty;
+}
+
+std::vector<std::pair<PageId, Lsn>> BufferPool::DirtyPageTable() const {
+  std::vector<std::pair<PageId, Lsn>> dpt;
+  for (const auto& [page_id, f] : page_table_) {
+    if (frames_[f].rec_lsn != kNoLsn) {
+      dpt.emplace_back(page_id, frames_[f].rec_lsn);
+    }
+  }
+  return dpt;
+}
+
+void BufferPool::SetRecLsn(PageId page_id, Lsn rec_lsn) {
+  size_t f = FrameOf(page_id);
+  if (f != SIZE_MAX) frames_[f].rec_lsn = rec_lsn;
 }
 
 void BufferPool::Reset() {
@@ -323,15 +335,15 @@ void BufferPool::Reset() {
     frames_[f].page_id = kInvalidPageId;
     frames_[f].pin_count = 0;
     frames_[f].dirty = false;
+    frames_[f].rec_lsn = kNoLsn;
     replacer_.Remove(f);
     free_list_.push_back(f);
   }
 }
 
 int BufferPool::PinCountOf(PageId page_id) const {
-  auto it = page_table_.find(page_id);
-  if (it == page_table_.end()) return -1;
-  return frames_[it->second].pin_count;
+  size_t f = FrameOf(page_id);
+  return f == SIZE_MAX ? -1 : frames_[f].pin_count;
 }
 
 }  // namespace rainbow

@@ -3,9 +3,9 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,8 +25,8 @@ enum class PageReadStatus {
 
 const char* PageReadStatusName(PageReadStatus status);
 
-/// Storage fault kinds a FaultyDiskManager can inject (probabilistic,
-/// armed per kind by the nemesis through the fault injector).
+/// Storage fault kinds a DiskManager can inject (probabilistic, armed
+/// per kind by the nemesis through the fault injector).
 enum class StorageFaultKind : uint8_t {
   kTornWrite = 0,    ///< first half of the write persists, rest is stale
   kShortWrite = 1,   ///< first half persists, rest reads back as zeros
@@ -51,11 +51,17 @@ const char* StorageFaultKindName(StorageFaultKind kind);
 /// mid-write fault never surfaces garbage. With checksums off, reads
 /// return the primary bytes unverified — the configuration nemesis
 /// uses to demonstrate why the defense exists.
+///
+/// Storage faults are disarmed by default; an armed kind draws from the
+/// disk's own seeded Rng (a disarmed one draws nothing), so runs replay
+/// exactly. Per-write faults spare the journal copy, which is what makes
+/// recovery possible; only the write limit (the machine dying
+/// mid-sequence) silences both copies.
 class DiskManager {
  public:
-  explicit DiskManager(uint32_t page_size, bool checksums = true)
-      : page_size_(page_size), checksums_(checksums) {}
-  virtual ~DiskManager() = default;
+  explicit DiskManager(uint32_t page_size, bool checksums = true,
+                       uint64_t fault_seed = 1)
+      : page_size_(page_size), checksums_(checksums), rng_(fault_seed) {}
 
   uint32_t page_size() const { return page_size_; }
   bool checksums() const { return checksums_; }
@@ -67,52 +73,15 @@ class DiskManager {
   /// supplied the bytes. Never-written pages are zero-filled and
   /// reported as such — indistinguishability from an all-zero page was
   /// a real bug (quarantine must not "heal" pages that never existed).
-  virtual PageReadStatus ReadPage(PageId page_id, Page& out);
+  PageReadStatus ReadPage(PageId page_id, Page& out);
 
-  virtual void WritePage(PageId page_id, const Page& in);
+  void WritePage(PageId page_id, const Page& in);
 
-  bool HasPage(PageId page_id) const { return pages_.contains(page_id); }
-
-  uint64_t reads() const { return reads_; }
-  uint64_t writes() const { return writes_; }
-  /// Primary copies found corrupt and rebuilt from the journal.
-  uint64_t quarantined() const { return quarantined_; }
-  /// Stale primaries (journal LSN newer) restored — lost-write catches.
-  uint64_t lost_write_restores() const { return lost_write_restores_; }
-  /// Reads with no intact copy anywhere (zero-filled).
-  uint64_t corrupt_reads() const { return corrupt_reads_; }
-
- protected:
-  /// Copy of `in`'s bytes with the header CRC stamped (checksums on)
-  /// or cleared (checksums off, so stored images stay comparable).
-  std::vector<uint8_t> Stamp(const Page& in) const;
-
-  /// True iff the stored image's CRC matches its contents.
-  bool Verify(const std::vector<uint8_t>& bytes) const;
-
-  static Lsn LsnOf(const std::vector<uint8_t>& bytes);
-
-  uint32_t page_size_;
-  bool checksums_;
-  PageId next_page_id_ = 0;
-  std::map<PageId, std::vector<uint8_t>> pages_;    ///< primary file
-  std::map<PageId, std::vector<uint8_t>> journal_;  ///< doublewrite area
-  uint64_t reads_ = 0;
-  uint64_t writes_ = 0;
-  uint64_t quarantined_ = 0;
-  uint64_t lost_write_restores_ = 0;
-  uint64_t corrupt_reads_ = 0;
-};
-
-/// DiskManager that injects storage faults on the write/read path,
-/// driven by its own seeded Rng stream so runs replay exactly. The
-/// journal half of the doublewrite is kept intact by every per-write
-/// fault (that is what makes recovery possible); only the write limit
-/// — modelling the machine dying mid-sequence — silences both copies.
-class FaultyDiskManager : public DiskManager {
- public:
-  FaultyDiskManager(uint32_t page_size, bool checksums = true,
-                    uint64_t seed = 1);
+  /// True iff the page has a primary copy.
+  bool HasPage(PageId page_id) const {
+    auto it = slots_.find(page_id);
+    return it != slots_.end() && !it->second.primary.empty();
+  }
 
   /// Sets the per-write (or per-read, for kReadBitFlip) probability of
   /// `kind`; 0 disarms it. Probabilities are independent per kind.
@@ -124,13 +93,18 @@ class FaultyDiskManager : public DiskManager {
   void ArmWriteLimit(uint64_t remaining);
   void DisarmWriteLimit();
 
-  PageReadStatus ReadPage(PageId page_id, Page& out) override;
-  void WritePage(PageId page_id, const Page& in) override;
-
   /// Deterministic test hook: XORs 0xff into one byte of the stored
   /// primary copy. Returns false if the page has no primary copy.
   bool FlipPrimaryByte(PageId page_id, uint32_t offset);
 
+  uint64_t reads() const { return reads_; }
+  uint64_t writes() const { return writes_; }
+  /// Primary copies found corrupt and rebuilt from the journal.
+  uint64_t quarantined() const { return quarantined_; }
+  /// Stale primaries (journal LSN newer) restored — lost-write catches.
+  uint64_t lost_write_restores() const { return lost_write_restores_; }
+  /// Reads with no intact copy anywhere (zero-filled).
+  uint64_t corrupt_reads() const { return corrupt_reads_; }
   uint64_t torn_writes() const { return torn_writes_; }
   uint64_t short_writes() const { return short_writes_; }
   uint64_t lost_writes() const { return lost_writes_; }
@@ -138,10 +112,41 @@ class FaultyDiskManager : public DiskManager {
   uint64_t dropped_writes() const { return dropped_writes_; }
 
  private:
+  /// A page's two durable copies. An empty image is a copy never
+  /// written; a slot exists once a write reached the journal.
+  struct Slot {
+    std::vector<uint8_t> primary;
+    std::vector<uint8_t> journal;
+  };
+
+  /// Copies `in`'s bytes into `out` (reusing its buffer) with the
+  /// header CRC stamped (checksums on) or cleared (checksums off, so
+  /// stored images stay comparable).
+  void Stamp(const Page& in, std::vector<uint8_t>& out) const;
+
+  /// True iff the stored image is a whole page whose CRC matches.
+  bool Verify(const std::vector<uint8_t>& bytes) const;
+
+  static Lsn LsnOf(const std::vector<uint8_t>& bytes);
+
+  /// True if `kind` is armed and strikes now (one Rng draw if armed).
+  bool Strikes(StorageFaultKind kind);
+
+  uint32_t page_size_;
+  bool checksums_;
+  PageId next_page_id_ = 0;
+  /// Any page id may reach the disk: with checksums off a forged child
+  /// id is fetched and written like any other, so this stays a map.
+  std::map<PageId, Slot> slots_;
   Rng rng_;
   std::array<double, kStorageFaultKinds> prob_{};
   bool write_limit_armed_ = false;
   uint64_t writes_remaining_ = 0;
+  uint64_t reads_ = 0;
+  uint64_t writes_ = 0;
+  uint64_t quarantined_ = 0;
+  uint64_t lost_write_restores_ = 0;
+  uint64_t corrupt_reads_ = 0;
   uint64_t torn_writes_ = 0;
   uint64_t short_writes_ = 0;
   uint64_t lost_writes_ = 0;
@@ -154,6 +159,12 @@ class FaultyDiskManager : public DiskManager {
 /// without flushing). All internal iteration is structural (frame
 /// index / page-id order), never hash order, so eviction and flush
 /// sequences are deterministic.
+///
+/// The pool owns the dirty-page table: a frame's recLSN is the LSN of
+/// the first logged update since the page was last written back, and a
+/// write-back (flush or dirty eviction) clears it. A frame dirtied only
+/// by unlogged writes (configuration-time loads, new pages, splits) is
+/// dirty without a recLSN and is not in the table.
 class BufferPool {
  public:
   BufferPool(DiskManager* disk, size_t num_frames, size_t lru_k);
@@ -167,26 +178,28 @@ class BufferPool {
   Page* NewPage(PageId* page_id);
 
   /// Drops one pin; `dirty` accumulates (a false unpin never clears a
-  /// previous true). Returns false if the page is not resident.
-  bool UnpinPage(PageId page_id, bool dirty);
-
-  /// Writes the page back if resident (regardless of pin state).
-  bool FlushPage(PageId page_id);
+  /// previous true). A dirty unpin after a logged update passes that
+  /// update's LSN as `rec_lsn`, which becomes the frame's recLSN if it
+  /// has none. Returns false if the page is not resident.
+  bool UnpinPage(PageId page_id, bool dirty, Lsn rec_lsn = kNoLsn);
 
   /// Flushes every resident dirty page (page-id order).
   void FlushAll();
 
+  /// Flush-behind: writes back every frame whose recLSN is at or below
+  /// `floor_lsn`, in page-id order.
+  void FlushBehind(Lsn floor_lsn);
+
+  /// The dirty-page table: (page, recLSN) of every resident frame with
+  /// a recLSN, ascending by page id (checkpoint support).
+  std::vector<std::pair<PageId, Lsn>> DirtyPageTable() const;
+
+  /// Sets a resident frame's recLSN (restart: a page dirty since before
+  /// the crash keeps the recLSN analysis found for it).
+  void SetRecLsn(PageId page_id, Lsn rec_lsn);
+
   /// Crash: drop every frame without flushing. Pin counts reset.
   void Reset();
-
-  /// Invoked with the page id after every write-back (explicit flush or
-  /// dirty eviction) — the dirty-page-table maintenance hook.
-  void SetFlushListener(std::function<void(PageId)> listener) {
-    flush_listener_ = std::move(listener);
-  }
-
-  /// Page ids of resident dirty frames, ascending (checkpoint support).
-  std::vector<PageId> DirtyPages() const;
 
   size_t num_frames() const { return frames_.size(); }
   size_t resident_pages() const { return page_table_.size(); }
@@ -210,19 +223,30 @@ class BufferPool {
     PageId page_id = kInvalidPageId;
     int pin_count = 0;
     bool dirty = false;
+    Lsn rec_lsn = kNoLsn;  ///< kNoLsn: clean, or dirty only by unlogged writes
   };
 
   /// Finds a frame for a new resident page: free list first, then the
-  /// replacer; flushes a dirty victim. Returns SIZE_MAX if all pinned.
+  /// replacer; writes back a dirty victim. Returns SIZE_MAX if all pinned.
   size_t AcquireFrame();
+
+  /// Frame holding `page_id`, or SIZE_MAX if it is not resident.
+  size_t FrameOf(PageId page_id) const;
+
+  /// Makes frame `f` hold `page_id`, pinned once, with `dirty` set.
+  void Install(PageId page_id, size_t f, bool dirty);
+
+  /// Writes the frame's page to disk and marks it clean.
+  void WriteBack(Frame& fr);
 
   DiskManager* disk_;
   std::vector<Frame> frames_;
   std::vector<size_t> free_list_;  ///< stack of unused frame indices
-  std::map<PageId, size_t> page_table_;
+  /// Resident pages as (page, frame), sorted by page id: at most one
+  /// entry per frame, and any page id (a forged one included) fits.
+  std::vector<std::pair<PageId, size_t>> page_table_;
   LruKReplacer replacer_;
   Stats stats_;
-  std::function<void(PageId)> flush_listener_;
 };
 
 }  // namespace rainbow

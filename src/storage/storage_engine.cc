@@ -10,16 +10,7 @@ PageStore::PageStore(Wal* wal, PageStoreOptions options)
       opts_(options),
       disk_(options.page_size, options.page_checksums, options.fault_seed),
       pool_(&disk_, options.pool_pages, options.lru_k),
-      tree_(&pool_, &disk_) {
-  // Once a page reaches disk it no longer needs redo; drop it from the
-  // dirty-page table on every write-back (flush or dirty eviction).
-  pool_.SetFlushListener([this](PageId page) { dpt_.erase(page); });
-}
-
-void PageStore::NoteWrite(PageId page, Lsn lsn) {
-  if (page == kInvalidPageId) return;
-  dpt_.try_emplace(page, lsn);  // first dirtier's LSN is the recLSN
-}
+      tree_(&pool_, &disk_) {}
 
 void PageStore::Load(ItemId item, Value initial) {
   tree_.Put(item, initial, 0);
@@ -31,14 +22,6 @@ Result<ItemCopy> PageStore::Get(ItemId item) const {
     return Status::NotFound("no copy of item " + std::to_string(item));
   }
   return *copy;
-}
-
-std::map<ItemId, ItemCopy> PageStore::Snapshot() const {
-  std::map<ItemId, ItemCopy> out;
-  std::vector<std::pair<ItemId, ItemCopy>> entries;
-  tree_.Scan(0, tree_.size(), entries);
-  for (const auto& [item, copy] : entries) out.emplace(item, copy);
-  return out;
 }
 
 void PageStore::Range(ItemId from, size_t limit,
@@ -96,13 +79,11 @@ bool PageStore::Apply(ItemId item, Value value, Version version, TxnId txn) {
   rec.store.tentative = false;
   Lsn lsn = wal_->Append(std::move(rec));
   if (txn.valid()) att_[txn] = lsn;
-  PageId dirtied = kInvalidPageId;
-  bool ok = tree_.Update(item, value, version, lsn, &dirtied);
+  bool ok = tree_.Update(item, value, version, lsn).has_value();
   // With checksums off a storage fault can corrupt the tree badly
   // enough that the item is unreachable; that mode exists to let the
   // verification oracle see the damage, not to die on it.
   assert(ok || !opts_.page_checksums);
-  if (ok) NoteWrite(dirtied, lsn);
   return ok;
 }
 
@@ -139,17 +120,14 @@ std::vector<Lsn> PageStore::PendingUpdates(Lsn last) const {
   return pending;
 }
 
-bool PageStore::ApplyClrGuarded(const WalRecord& rec, Lsn lsn) {
+std::optional<PageId> PageStore::ApplyClrGuarded(const WalRecord& rec,
+                                                 Lsn lsn) {
   std::optional<ItemCopy> current = tree_.Get(rec.store.item);
-  if (!current.has_value()) return false;
+  if (!current.has_value()) return std::nullopt;
   // Only compensate the exact image this CLR was written against; an
   // interleaved committed write (different version) must survive.
-  if (current->version != rec.store.before_version) return false;
-  PageId dirtied = kInvalidPageId;
-  bool ok = tree_.Update(rec.store.item, rec.store.value, rec.store.version,
-                         lsn, &dirtied);
-  if (ok) NoteWrite(dirtied, lsn);
-  return ok;
+  if (current->version != rec.store.before_version) return std::nullopt;
+  return tree_.Update(rec.store.item, rec.store.value, rec.store.version, lsn);
 }
 
 void PageStore::AbortStorageTxn(TxnId txn) {
@@ -199,12 +177,11 @@ void PageStore::EndCheckpoint(Lsn begin_lsn) {
   WalRecord end;
   end.kind = WalRecordKind::kCheckpointEnd;
   end.prev_lsn = begin_lsn;
-  // att_ and dpt_ are std::maps, so both tables serialize key-sorted.
+  // att_ is a std::map and the pool lists its dirty frames by page id,
+  // so both tables serialize key-sorted.
   for (const auto& [txn, lsn] : att_) end.checkpoint.att.emplace_back(txn, lsn);
-  for (const auto& [page, lsn] : dpt_) {
-    end.checkpoint.dpt.emplace_back(page, lsn);
-  }
-  wal_->Append(std::move(end));
+  end.checkpoint.dpt = pool_.DirtyPageTable();
+  wal_->Append(end);
   // Only once the end record exists does the checkpoint count: restart
   // ignores a begin with no matching end (crash mid-checkpoint) by
   // falling back to the previous master.
@@ -223,8 +200,8 @@ void PageStore::EndCheckpoint(Lsn begin_lsn) {
   // ever happens after SetMaster, so the log always retains everything
   // from the last COMPLETE checkpoint's barrier onward.
   Lsn barrier = begin_lsn;
-  for (const auto& [page, rec_lsn] : dpt_) {
-    if (rec_lsn != kNoLsn && rec_lsn < barrier) barrier = rec_lsn;
+  for (const auto& [page, rec_lsn] : end.checkpoint.dpt) {
+    if (rec_lsn < barrier) barrier = rec_lsn;
   }
   for (const auto& [txn, last] : att_) {
     Lsn floor_lsn = ChainFloor(last);
@@ -259,11 +236,7 @@ Lsn PageStore::Checkpoint() {
     const Lsn floor_lsn = next > opts_.checkpoint_interval
                               ? next - opts_.checkpoint_interval
                               : kNoLsn;
-    std::vector<PageId> aged;
-    for (const auto& [page, rec_lsn] : dpt_) {
-      if (rec_lsn <= floor_lsn) aged.push_back(page);
-    }
-    for (PageId page : aged) pool_.FlushPage(page);  // listener prunes dpt_
+    pool_.FlushBehind(floor_lsn);
   }
   Lsn begin = BeginCheckpoint();
   EndCheckpoint(begin);
@@ -280,7 +253,6 @@ void PageStore::MaybeCheckpoint() {
 void PageStore::OnCrash() {
   pool_.Reset();
   att_.clear();
-  dpt_.clear();
 }
 
 RestartSummary PageStore::Restart() {
@@ -300,7 +272,7 @@ RestartSummary PageStore::Restart() {
   // so a full-log scan is the fallback only when no checkpoint ever
   // completed.
   std::map<TxnId, Lsn> att;
-  dpt_.clear();
+  std::map<PageId, Lsn> dpt;  // analysis's dirty-page table: page -> recLSN
   Lsn scan_from = first_lsn;  // LSN analysis starts at
   Lsn master = wal_->master();
   if (master != kNoLsn && wal_->Contains(master) &&
@@ -310,7 +282,7 @@ RestartSummary PageStore::Restart() {
       if (rec.kind == WalRecordKind::kCheckpointEnd &&
           rec.prev_lsn == master) {
         for (const auto& [txn, lsn] : rec.checkpoint.att) att[txn] = lsn;
-        for (const auto& [page, lsn] : rec.checkpoint.dpt) dpt_[page] = lsn;
+        for (const auto& [page, lsn] : rec.checkpoint.dpt) dpt[page] = lsn;
         scan_from = master + 1;  // records with LSN > master
         break;
       }
@@ -328,7 +300,7 @@ RestartSummary PageStore::Restart() {
     if (rec.kind == WalRecordKind::kStoreUpdate ||
         rec.kind == WalRecordKind::kStoreClr) {
       if (rec.store.page_id != kInvalidPageId) {
-        dpt_.try_emplace(rec.store.page_id, lsn);
+        dpt.try_emplace(rec.store.page_id, lsn);
       }
     }
     if (!rec.txn.valid()) continue;
@@ -371,8 +343,7 @@ RestartSummary PageStore::Restart() {
   // page, so skipping it is safe: its CLR's exact-version guard
   // no-ops.
   Lsn redo_from = scan_from;
-  for (const auto& [page, rec_lsn] : dpt_) {
-    (void)page;
+  for (const auto& [page, rec_lsn] : dpt) {
     if (rec_lsn != kNoLsn && rec_lsn < redo_from) redo_from = rec_lsn;
   }
   // A recLSN below the retained head would point at a truncated record;
@@ -380,6 +351,18 @@ RestartSummary PageStore::Restart() {
   // owes, so clamp defensively.
   if (redo_from < first_lsn) redo_from = first_lsn;
   summary.redo_start = redo_from;
+  // The pool starts empty. A page's first write here keeps its analysis
+  // recLSN (it may have been dirty since before the crash); a write-back
+  // during restart ends that, so each entry serves once.
+  auto wrote = [&](std::optional<PageId> page) {
+    if (!page.has_value()) return false;
+    auto it = dpt.find(*page);
+    if (it != dpt.end()) {
+      pool_.SetRecLsn(*page, it->second);
+      dpt.erase(it);
+    }
+    return true;
+  };
   for (Lsn lsn = redo_from; lsn <= last_lsn; ++lsn) {
     const WalRecord& rec = wal_->At(lsn);
     if (rec.kind == WalRecordKind::kStoreUpdate) {
@@ -387,16 +370,14 @@ RestartSummary PageStore::Restart() {
         ++summary.redo_skipped;
         continue;
       }
-      PageId dirtied = kInvalidPageId;
-      if (tree_.RedoUpdate(rec.store.item, rec.store.value, rec.store.version,
-                           lsn, &dirtied)) {
-        NoteWrite(dirtied, lsn);
+      if (wrote(tree_.RedoUpdate(rec.store.item, rec.store.value,
+                                 rec.store.version, lsn))) {
         ++summary.redo_applied;
       } else {
         ++summary.redo_skipped;
       }
     } else if (rec.kind == WalRecordKind::kStoreClr) {
-      if (ApplyClrGuarded(rec, lsn)) {
+      if (wrote(ApplyClrGuarded(rec, lsn))) {
         ++summary.redo_applied;
       } else {
         ++summary.redo_skipped;
@@ -428,7 +409,7 @@ RestartSummary PageStore::Restart() {
     Lsn clr_lsn = wal_->Append(clr);
     losers[txn] = clr_lsn;
     ++summary.undo_clrs;
-    ApplyClrGuarded(clr, clr_lsn);
+    wrote(ApplyClrGuarded(clr, clr_lsn));
   }
   for (auto& [txn, last] : losers) {
     WalRecord end;
@@ -441,20 +422,6 @@ RestartSummary PageStore::Restart() {
   // In-doubt chains stay open so a later decision commits or aborts
   // them through the normal hooks.
   att_ = in_doubt;
-
-  // Reconcile the dirty-page table with the pool: analysis seeded it
-  // conservatively (it lists pages whose updates did reach disk), and
-  // a stale entry would pin the next checkpoint's redo window forever.
-  {
-    std::map<uint32_t, Lsn> live;
-    for (PageId page : pool_.DirtyPages()) {
-      auto it = dpt_.find(page);
-      // Unknown recLSN: pin to the oldest retained record. Anything
-      // older was truncated precisely because no dirty page needed it.
-      live[page] = it != dpt_.end() ? it->second : first_lsn;
-    }
-    dpt_ = std::move(live);
-  }
 
   summary.pages_quarantined = disk_.quarantined() - quarantined_before;
 

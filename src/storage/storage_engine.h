@@ -1,7 +1,9 @@
 #ifndef RAINBOW_STORAGE_STORAGE_ENGINE_H_
 #define RAINBOW_STORAGE_STORAGE_ENGINE_H_
 
+#include <functional>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -82,8 +84,19 @@ class PageStore {
 
   size_t size() const { return tree_.size(); }
 
-  /// Full committed contents, item order (MVTO reseed, refresh).
-  std::map<ItemId, ItemCopy> Snapshot() const;
+  /// Calls `visit` on every committed copy, item order, walking the
+  /// tree in place (MVTO reseed, recovery refresh).
+  void ForEach(
+      const std::function<void(ItemId, const ItemCopy&)>& visit) const {
+    tree_.ForEach(0, tree_.size(), visit);
+  }
+
+  /// Full committed contents as a map (tests compare it to a shadow).
+  std::map<ItemId, ItemCopy> Snapshot() const {
+    std::map<ItemId, ItemCopy> out;
+    ForEach([&out](ItemId item, const ItemCopy& c) { out.emplace(item, c); });
+    return out;
+  }
 
   /// Up to `limit` committed copies with item >= `from`, ascending.
   void Range(ItemId from, size_t limit,
@@ -108,9 +121,9 @@ class PageStore {
   void OnCrash();
 
   /// ARIES restart pass: analysis -> redo -> undo against the shared
-  /// site WAL. Unended storage txns that the protocol log shows as
-  /// prepared-undecided stay pending (in doubt); the rest are losers
-  /// and are rolled back with CLRs.
+  /// site WAL, on the empty pool OnCrash() leaves. Unended storage txns
+  /// that the protocol log shows as prepared-undecided stay pending (in
+  /// doubt); the rest are losers and are rolled back with CLRs.
   RestartSummary Restart();
 
   /// Writes every dirty page back (graceful-start checkpointing).
@@ -124,38 +137,27 @@ class PageStore {
   Lsn BeginCheckpoint();
   void EndCheckpoint(Lsn begin_lsn);
 
-  /// Arms a storage fault (probability per write/read) on the disk.
-  /// Nemesis drives this through the fault injector.
-  void SetStorageFault(StorageFaultKind kind, double probability) {
-    disk_.Arm(kind, probability);
-  }
-
   const BufferPool& pool() const { return pool_; }
-  const FaultyDiskManager& disk() const { return disk_; }
-  /// Mutable disk access for fault hooks (write limits, byte flips).
-  FaultyDiskManager& mutable_disk() { return disk_; }
+  const DiskManager& disk() const { return disk_; }
+  /// Mutable disk access for fault hooks (armed faults, write limits,
+  /// byte flips).
+  DiskManager& mutable_disk() { return disk_; }
   const BPlusTree& tree() const { return tree_; }
   const PageStoreOptions& options() const { return opts_; }
   /// Storage txns with logged-but-undecided updates (tests).
   size_t pending_txns() const { return att_.size(); }
-  /// Current dirty-page table (page -> recLSN), for tests.
-  const std::map<uint32_t, Lsn>& dirty_page_table() const { return dpt_; }
 
  private:
   /// Ensures `txn` has a storage-txn entry (logging kStoreBegin on the
   /// first touch) and returns its chain tail.
   Lsn ChainFor(TxnId txn);
 
-  /// Records `page` in the dirty-page table with recLSN `lsn` (first
-  /// dirtier wins) — called after every successful tree write.
-  void NoteWrite(PageId page, Lsn lsn);
-
   /// Takes a checkpoint if the cadence knob says one is due.
   void MaybeCheckpoint();
 
   /// Applies a CLR's restore image iff the page still holds exactly the
-  /// image the CLR compensates. Returns true if the page was written.
-  bool ApplyClrGuarded(const WalRecord& rec, Lsn lsn);
+  /// image the CLR compensates. Returns the page written, if any.
+  std::optional<PageId> ApplyClrGuarded(const WalRecord& rec, Lsn lsn);
 
   /// LSNs of `txn`'s not-yet-compensated updates, walking the backward
   /// chain from `last` and skipping through CLRs' undo_next_lsn.
@@ -168,16 +170,13 @@ class PageStore {
 
   Wal* wal_;
   PageStoreOptions opts_;
-  FaultyDiskManager disk_;
+  DiskManager disk_;
   BufferPool pool_;
   BPlusTree tree_;
 
-  /// Active storage-transaction table: chain tail per open txn.
+  /// Active storage-transaction table: chain tail per open txn. (The
+  /// dirty-page table is the pool's: each frame carries its recLSN.)
   std::map<TxnId, Lsn> att_;
-  /// Dirty-page table: page -> recLSN (LSN of the update that first
-  /// dirtied the resident frame). Maintained by NoteWrite and the
-  /// pool's flush listener; snapshotted into kCheckpointEnd records.
-  std::map<uint32_t, Lsn> dpt_;
 };
 
 /// The name bench/e2e spells for a site's store.

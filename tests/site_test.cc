@@ -501,7 +501,7 @@ TEST_F(SiteTest, RecoverTraceNamesTentativeLeaks) {
   // layout is b_plus_tree.cc's: node type at byte 12 (1 = leaf), entry
   // count at 16, 20-byte entries from 24 with the version at +12.
   // WritePage stamps a fresh CRC over the forged bytes.
-  FaultyDiskManager& disk = site->mutable_store().mutable_disk();
+  DiskManager& disk = site->mutable_store().mutable_disk();
   size_t forged = 0;
   for (PageId id = 0; id < disk.allocated_pages(); ++id) {
     Page page(disk.page_size());

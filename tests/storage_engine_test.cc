@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -514,7 +515,7 @@ TEST(StorageDiskTest, ReadDistinguishesNeverWrittenFromAllZeroPage) {
 }
 
 TEST(StorageDiskTest, ChecksumQuarantinesCorruptPrimaryAndHealsFromJournal) {
-  FaultyDiskManager disk(64);
+  DiskManager disk(64);
   PageId id = disk.AllocatePage();
   disk.WritePage(id, MakeTestPage(64, 7, 0xab));
 
@@ -534,7 +535,7 @@ TEST(StorageDiskTest, ChecksumOffReturnsCorruptBytesUnchecked) {
   // The planted-bug configuration: without checksums the flip reads
   // back as "valid" data — exactly what the nemesis storage hunt
   // demonstrates against --no-page-crc.
-  FaultyDiskManager disk(64, /*checksums=*/false);
+  DiskManager disk(64, /*checksums=*/false);
   PageId id = disk.AllocatePage();
   disk.WritePage(id, MakeTestPage(64, 7, 0xab));
   ASSERT_TRUE(disk.FlipPrimaryByte(id, 40));
@@ -547,7 +548,7 @@ TEST(StorageDiskTest, ChecksumOffReturnsCorruptBytesUnchecked) {
 TEST(StorageDiskTest, TornAndShortWritesHealFromJournal) {
   for (StorageFaultKind kind :
        {StorageFaultKind::kTornWrite, StorageFaultKind::kShortWrite}) {
-    FaultyDiskManager disk(64, /*checksums=*/true, /*seed=*/3);
+    DiskManager disk(64, /*checksums=*/true, /*seed=*/3);
     PageId id = disk.AllocatePage();
     disk.WritePage(id, MakeTestPage(64, 1, 0x11));  // clean baseline
 
@@ -569,7 +570,7 @@ TEST(StorageDiskTest, TornAndShortWritesHealFromJournal) {
 TEST(StorageDiskTest, LostWriteDetectedByJournalLsn) {
   // A lost write leaves a STALE-BUT-VALID primary: its CRC passes, so
   // only the journal's newer page LSN exposes the fsync lie.
-  FaultyDiskManager disk(64, /*checksums=*/true, /*seed=*/3);
+  DiskManager disk(64, /*checksums=*/true, /*seed=*/3);
   PageId id = disk.AllocatePage();
   disk.WritePage(id, MakeTestPage(64, 1, 0x11));
 
@@ -586,7 +587,7 @@ TEST(StorageDiskTest, LostWriteDetectedByJournalLsn) {
 }
 
 TEST(StorageDiskTest, ReadBitFlipsAreCaughtWhileChecksummed) {
-  FaultyDiskManager disk(64, /*checksums=*/true, /*seed=*/9);
+  DiskManager disk(64, /*checksums=*/true, /*seed=*/9);
   PageId id = disk.AllocatePage();
   disk.WritePage(id, MakeTestPage(64, 5, 0x77));
 
@@ -603,7 +604,7 @@ TEST(StorageDiskTest, ReadBitFlipsAreCaughtWhileChecksummed) {
 }
 
 TEST(StorageDiskTest, WriteLimitModelsMachineDeath) {
-  FaultyDiskManager disk(64);
+  DiskManager disk(64);
   PageId a = disk.AllocatePage();
   PageId b = disk.AllocatePage();
   disk.ArmWriteLimit(1);
@@ -625,7 +626,7 @@ TEST(StorageDiskTest, FaultStreamIsSeedDeterministic) {
   // a different seed diverges. This is what makes nemesis storage
   // schedules replayable.
   auto run = [](uint64_t seed) {
-    FaultyDiskManager disk(64, true, seed);
+    DiskManager disk(64, true, seed);
     PageId id = disk.AllocatePage();
     disk.Arm(StorageFaultKind::kTornWrite, 0.5);
     std::vector<uint64_t> torn;
@@ -744,6 +745,103 @@ TEST(StoragePageStoreTest, CrashBetweenCheckpointHalvesKeepsOldMaster) {
 }
 
 
+// --- page store: the checkpoint's dirty-page table ------------------------
+
+using DirtyPageTable = std::vector<std::pair<uint32_t, Lsn>>;
+
+// Takes a checkpoint and returns the dirty-page table its end record
+// carries.
+DirtyPageTable CheckpointDpt(PageStore& store, const Wal& wal) {
+  store.Checkpoint();
+  const WalRecord end = wal.At(wal.LastLsn());
+  EXPECT_EQ(end.kind, WalRecordKind::kCheckpointEnd);
+  return end.checkpoint.dpt;
+}
+
+TEST(StorageEngineTest, CheckpointDptHoldsFirstLoggedUpdateSinceWriteBack) {
+  Wal wal;
+  auto store = MakePageStore(&wal);
+  for (ItemId i = 0; i < 20; ++i) store->Load(i, 0);
+  // Loading dirties pages without logging: none is in the table.
+  EXPECT_GT(store->pool().resident_pages(), 0u);
+  EXPECT_EQ(CheckpointDpt(*store, wal), DirtyPageTable{});
+
+  const PageId leaf = *store->tree().LeafOf(3);
+  ASSERT_TRUE(store->Apply(3, 30, 1));
+  const Lsn first = wal.LastLsn();
+  EXPECT_EQ(CheckpointDpt(*store, wal), (DirtyPageTable{{leaf, first}}));
+  // A later update of the page keeps the first one's recLSN.
+  ASSERT_TRUE(store->Apply(3, 31, 2));
+  EXPECT_EQ(CheckpointDpt(*store, wal), (DirtyPageTable{{leaf, first}}));
+  // A flush drops the page from the table.
+  store->FlushAll();
+  EXPECT_EQ(CheckpointDpt(*store, wal), DirtyPageTable{});
+
+  // Dirty at the checkpoint, flushed after the next update, dirtied
+  // again only in the log: restart redoes just the last update, and
+  // the page keeps the recLSN analysis read from the checkpoint.
+  ASSERT_TRUE(store->Apply(3, 32, 3));
+  const Lsn at_checkpoint = wal.LastLsn();
+  EXPECT_EQ(CheckpointDpt(*store, wal),
+            (DirtyPageTable{{leaf, at_checkpoint}}));
+  ASSERT_TRUE(store->Apply(3, 33, 4));
+  store->FlushAll();
+  ASSERT_TRUE(store->Apply(3, 34, 5));
+  store->OnCrash();
+  RestartSummary rs = store->Restart();
+  EXPECT_EQ(rs.redo_applied, 1u);
+  EXPECT_EQ(CheckpointDpt(*store, wal),
+            (DirtyPageTable{{leaf, at_checkpoint}}));
+  EXPECT_EQ(store->Get(3)->value, 34);
+}
+
+TEST(StorageEngineTest, CheckpointDptForgetsPagesWrittenBackByEviction) {
+  // A two-level tree over four frames: the root and three leaves fit.
+  Wal wal;
+  auto store = MakePageStore(&wal, /*frames=*/4);
+  constexpr ItemId kItems = 20;
+  for (ItemId i = 0; i < kItems; ++i) store->Load(i, 0);
+  store->FlushAll();
+  ASSERT_EQ(store->tree().height(), 2u);
+  const PageId hot = *store->tree().LeafOf(0);
+
+  // Leaf `hot` is updated, then kept resident by reads while every
+  // other leaf is updated once and evicted dirty; then it is updated
+  // again.
+  std::map<PageId, Lsn> lsn_of;  // page -> LSN of its first update
+  ASSERT_TRUE(store->Apply(0, 1, 1));
+  lsn_of[hot] = wal.LastLsn();
+  for (ItemId i = 1; i < kItems; ++i) {
+    const PageId leaf = *store->tree().LeafOf(i);
+    if (lsn_of.contains(leaf)) continue;
+    ASSERT_TRUE(store->Apply(i, 1, 1));
+    lsn_of[leaf] = wal.LastLsn();
+    for (int r = 0; r < 3; ++r) ASSERT_TRUE(store->Get(0).ok());
+  }
+  ASSERT_GT(lsn_of.size(), store->pool().num_frames());
+  const DirtyPageTable runtime = CheckpointDpt(*store, wal);
+  EXPECT_LT(runtime.size(), store->pool().num_frames());
+  ASSERT_FALSE(runtime.empty());
+  EXPECT_EQ(runtime.front(), (std::pair<uint32_t, Lsn>{hot, lsn_of[hot]}));
+  for (const auto& [page, rec_lsn] : runtime) {
+    EXPECT_EQ(rec_lsn, lsn_of[page]) << "page " << page;
+  }
+  ASSERT_TRUE(store->Apply(0, 2, 2));
+  const Lsn hot_second = wal.LastLsn();
+
+  // Restart has no reads to keep `hot` resident: redo writes it,
+  // evicts it while it re-reads the other leaves, then dirties it
+  // again with its second update, which becomes its recLSN.
+  store->OnCrash();
+  store->Restart();
+  const DirtyPageTable restarted = CheckpointDpt(*store, wal);
+  auto it = std::find_if(restarted.begin(), restarted.end(),
+                         [&](const auto& e) { return e.first == hot; });
+  ASSERT_NE(it, restarted.end());
+  EXPECT_EQ(it->second, hot_second);
+  EXPECT_EQ(store->Get(0)->value, 2);
+}
+
 // --- page store: hostile page bytes -----------------------------------------
 
 TEST(StoragePageStoreTest, FuzzedPageReadsNeverCrash) {
@@ -780,7 +878,7 @@ TEST(StoragePageStoreTest, FuzzedPageReadsNeverCrash) {
       store.LogPrewrite(TxnId{0, 99}, 7, -1);
       const std::map<ItemId, ItemCopy> before = store.Snapshot();
 
-      FaultyDiskManager& disk = store.mutable_disk();
+      DiskManager& disk = store.mutable_disk();
       const PageId pages = disk.allocated_pages();
       const PageId forged_ids[] = {kInvalidPageId, 0, pages, pages + 7,
                                    static_cast<PageId>(rng.Next())};
