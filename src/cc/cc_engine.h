@@ -91,8 +91,9 @@ class CcEngine {
   virtual void Finish(TxnId txn, bool commit) = 0;
 
   /// Marks the transaction prepared (voted YES in 2PC): it must not be
-  /// selected as a wound/deadlock victim from now on.
-  virtual void MarkPrepared(TxnId txn) = 0;
+  /// selected as a wound/deadlock victim from now on. Only 2PL picks
+  /// victims; other engines ignore it.
+  virtual void MarkPrepared(TxnId txn) { (void)txn; }
 
   /// Informs the engine of an applied committed write (MVTO extends its
   /// version chain from this; other engines ignore it).

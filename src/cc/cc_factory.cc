@@ -2,9 +2,8 @@
 
 #include "cc/cc_engine.h"
 #include "cc/lock_manager.h"
-#include "cc/mvto_manager.h"
 #include "cc/occ_manager.h"
-#include "cc/tso_manager.h"
+#include "cc/timestamp_manager.h"
 
 namespace rainbow {
 
@@ -43,9 +42,11 @@ std::unique_ptr<CcEngine> CreateCcEngine(CcKind kind, DeadlockPolicy policy) {
     case CcKind::kTwoPhaseLocking:
       return std::make_unique<LockManager>(policy);
     case CcKind::kTimestampOrdering:
-      return std::make_unique<TsoManager>();
+      return std::make_unique<TimestampManager>(
+          TimestampManager::Versions::kOne);
     case CcKind::kMultiversionTso:
-      return std::make_unique<MvtoManager>();
+      return std::make_unique<TimestampManager>(
+          TimestampManager::Versions::kAll);
     case CcKind::kOptimistic:
       return std::make_unique<OccManager>();
   }

@@ -165,6 +165,15 @@ void LockManager::Request(TxnId txn, TxnTimestamp ts, ItemId item, Mode mode,
   for (auto& [f, g] : out) f(g);
 }
 
+bool LockManager::TryLock(TxnId txn, ItemId item, Mode mode) {
+  LockState& ls = locks_[item];
+  if (ConflictsWithHolders(ls, txn, mode)) return false;
+  auto [self, fresh] = ls.holders.try_emplace(txn, mode);
+  if (!fresh && mode == Mode::kExclusive) self->second = Mode::kExclusive;
+  txns_[txn].held.insert(item);
+  return true;
+}
+
 void LockManager::RemoveFromQueue(ItemId item, TxnId txn) {
   auto it = locks_.find(item);
   if (it == locks_.end()) return;
@@ -335,6 +344,12 @@ std::vector<std::pair<TxnId, LockManager::Mode>> LockManager::HoldersOf(
 size_t LockManager::num_waiting() const {
   size_t n = 0;
   for (const auto& [item, ls] : locks_) n += ls.queue.size();
+  return n;
+}
+
+size_t LockManager::num_held() const {
+  size_t n = 0;
+  for (const auto& [item, ls] : locks_) n += ls.holders.size();
   return n;
 }
 

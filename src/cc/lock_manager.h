@@ -50,11 +50,20 @@ class LockManager final : public CcEngine {
 
   enum class Mode { kShared, kExclusive };
 
+  /// Takes `mode` on `item` for `txn` if no other holder conflicts, held
+  /// until Finish(); never queues and ignores queued requests. A holder
+  /// of S that asks for X is upgraded; a holder of X keeps it. OCC's
+  /// commit-window locks.
+  bool TryLock(TxnId txn, ItemId item, Mode mode);
+
   /// Current holders of the lock on `item` (empty if unlocked).
   std::vector<std::pair<TxnId, Mode>> HoldersOf(ItemId item) const;
 
   /// Number of requests currently waiting across all items.
   size_t num_waiting() const;
+
+  /// Number of (holder, item) pairs across all items.
+  size_t num_held() const;
 
   /// Total times any request had to wait / was denied (lifetime counters).
   uint64_t waits_started() const { return waits_started_; }

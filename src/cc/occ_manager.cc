@@ -2,67 +2,12 @@
 
 namespace rainbow {
 
-void OccManager::RequestRead(TxnId txn, TxnTimestamp ts, ItemId item,
-                             CcCallback cb) {
-  (void)txn;
-  (void)ts;
-  (void)item;
-  cb(CcGrant::Granted());
-}
-
-void OccManager::RequestWrite(TxnId txn, TxnTimestamp ts, ItemId item,
-                              CcCallback cb) {
-  (void)txn;
-  (void)ts;
-  (void)item;
-  cb(CcGrant::Granted());
-}
-
 bool OccManager::TryCommitLock(TxnId txn, ItemId item, bool exclusive) {
-  ItemLocks& il = locks_[item];
-  if (il.exclusive.valid() && !(il.exclusive == txn)) {
-    ++validation_conflicts_;
-    return false;
-  }
-  if (exclusive) {
-    // An exclusive commit lock tolerates only this transaction's own
-    // prior shared lock.
-    for (const TxnId& holder : il.shared) {
-      if (!(holder == txn)) {
-        ++validation_conflicts_;
-        return false;
-      }
-    }
-    il.exclusive = txn;
-  } else {
-    il.shared.insert(txn);
-  }
-  txns_[txn].insert(item);
-  return true;
-}
-
-void OccManager::Finish(TxnId txn, bool commit) {
-  (void)commit;
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) return;
-  for (ItemId item : it->second) {
-    auto li = locks_.find(item);
-    if (li == locks_.end()) continue;
-    li->second.shared.erase(txn);
-    if (li->second.exclusive == txn) li->second.exclusive = TxnId{};
-    if (li->second.shared.empty() && !li->second.exclusive.valid()) {
-      locks_.erase(li);
-    }
-  }
-  txns_.erase(it);
-}
-
-size_t OccManager::num_commit_locks() const {
-  size_t n = 0;
-  for (const auto& [item, il] : locks_) {
-    n += il.shared.size() + (il.exclusive.valid() ? 1 : 0);
-  }
-  return n;
+  using Mode = LockManager::Mode;
+  Mode mode = exclusive ? Mode::kExclusive : Mode::kShared;
+  if (locks_.TryLock(txn, item, mode)) return true;
+  ++validation_conflicts_;
+  return false;
 }
 
 }  // namespace rainbow

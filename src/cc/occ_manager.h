@@ -1,12 +1,10 @@
 #ifndef RAINBOW_CC_OCC_MANAGER_H_
 #define RAINBOW_CC_OCC_MANAGER_H_
 
-#include <map>
-#include <set>
 #include <string>
-#include <unordered_map>
 
 #include "cc/cc_engine.h"
+#include "cc/lock_manager.h"
 
 namespace rainbow {
 
@@ -26,34 +24,36 @@ namespace rainbow {
 /// The commit locks make validation + write-back atomic per copy: two
 /// conflicting transactions cannot both be in their commit window at an
 /// overlapping copy, which yields conflict-serializability (verified
-/// empirically by the property suite).
+/// empirically by the property suite). They live in a 2PL lock table
+/// (LockManager::TryLock), so S/X compatibility has one definition.
 class OccManager final : public CcEngine {
  public:
   OccManager() = default;
 
   // Execution phase: everything is granted without bookkeeping.
-  void RequestRead(TxnId txn, TxnTimestamp ts, ItemId item,
-                   CcCallback cb) override;
-  void RequestWrite(TxnId txn, TxnTimestamp ts, ItemId item,
-                    CcCallback cb) override;
+  void RequestRead(TxnId, TxnTimestamp, ItemId, CcCallback cb) override {
+    cb(CcGrant::Granted());
+  }
+  void RequestWrite(TxnId, TxnTimestamp, ItemId, CcCallback cb) override {
+    cb(CcGrant::Granted());
+  }
 
   bool TryCommitLock(TxnId txn, ItemId item, bool exclusive) override;
-  void Finish(TxnId txn, bool commit) override;
-  void MarkPrepared(TxnId) override {}
-  bool Tracks(TxnId txn) const override { return txns_.contains(txn); }
+  void Finish(TxnId txn, bool commit) override {
+    locks_.Finish(txn, commit);
+  }
+  bool Tracks(TxnId txn) const override { return locks_.Tracks(txn); }
   std::string name() const override { return "OCC"; }
 
   // --- introspection for tests ---
   uint64_t validation_conflicts() const { return validation_conflicts_; }
-  size_t num_commit_locks() const;
+  /// Commit locks held, as (holder, item) pairs: a transaction's S and X
+  /// on one item count once.
+  size_t num_commit_locks() const { return locks_.num_held(); }
 
  private:
-  struct ItemLocks {
-    std::set<TxnId> shared;
-    TxnId exclusive;  ///< invalid = none
-  };
-  std::unordered_map<ItemId, ItemLocks> locks_;
-  std::unordered_map<TxnId, std::set<ItemId>> txns_;
+  /// Nothing ever queues here, so the deadlock policy is never consulted.
+  LockManager locks_{DeadlockPolicy::kWaitDie};
   uint64_t validation_conflicts_ = 0;
 };
 

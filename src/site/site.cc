@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "cc/mvto_manager.h"
+#include "cc/timestamp_manager.h"
 #include "common/string_util.h"
 #include "site/coordinator.h"
 
@@ -58,7 +58,7 @@ TxnTimestamp Site::ReseedFloor() const {
 void Site::LoadItem(ItemId item, Value initial) {
   store_.Load(item, initial);
   if (env_.config->cc == CcKind::kMultiversionTso) {
-    static_cast<MvtoManager*>(cc_.get())->LoadInitial(item, initial, 0);
+    static_cast<TimestampManager*>(cc_.get())->LoadInitial(item, initial, 0);
   }
 }
 
@@ -266,7 +266,7 @@ void Site::Recover() {
   // away every transaction begun before now. The in-doubt writes were
   // granted before the crash, so they were re-taken above, first.
   if (env_.config->cc == CcKind::kMultiversionTso) {
-    auto* mvto = static_cast<MvtoManager*>(cc_.get());
+    auto* mvto = static_cast<TimestampManager*>(cc_.get());
     store_.ForEach([this, mvto](ItemId item, const ItemCopy& copy) {
       mvto->LoadInitial(item, copy.value, copy.version, ReseedFloor());
     });
@@ -287,6 +287,7 @@ void Site::RequestRefresh() {
   // Ask every live site that shares an item with us, in ascending id
   // order: the catalog entries of the items we store name them.
   RefreshRequest req;
+  req.items.reserve(store_.size());
   std::set<SiteId> peers;
   store_.ForEach([&](ItemId item, const ItemCopy&) {
     req.items.push_back(item);
@@ -408,6 +409,7 @@ void Site::HandleStateQuery(SiteId from, const StateQuery& q,
 
 void Site::HandleRefreshRequest(SiteId from, const RefreshRequest& r) {
   RefreshReply reply;
+  reply.entries.reserve(r.items.size());
   for (ItemId item : r.items) {
     auto copy = store_.Get(item);
     if (copy.ok()) {
@@ -415,7 +417,7 @@ void Site::HandleRefreshRequest(SiteId from, const RefreshRequest& r) {
                                                   copy->version});
     }
   }
-  SendTo(from, reply);
+  SendTo(from, std::move(reply));
 }
 
 void Site::HandleRefreshReply(const RefreshReply& r) {
@@ -425,7 +427,7 @@ void Site::HandleRefreshReply(const RefreshReply& r) {
   }
   if (adopted > 0) {
     if (env_.config->cc == CcKind::kMultiversionTso) {
-      auto* mvto = static_cast<MvtoManager*>(cc_.get());
+      auto* mvto = static_cast<TimestampManager*>(cc_.get());
       for (const auto& e : r.entries) {
         auto copy = store_.Get(e.item);
         if (copy.ok() && copy->version == e.version) {

@@ -173,7 +173,8 @@ class Site {
   void HandleDeadlockProbeCheck(const DeadlockProbeCheck& p);
 
   void BuildVolatileState();
-  /// The floor a reseeded MVTO base version gets (MvtoManager::LoadInitial).
+  /// The floor a reseeded MVTO base version gets
+  /// (TimestampManager::LoadInitial).
   TxnTimestamp ReseedFloor() const;
 
   /// The Decision RPC in flight to each participant that has not acked,

@@ -262,5 +262,39 @@ TEST(LockManagerTest, TracksLifecycle) {
   EXPECT_TRUE(lm.HoldersOf(7).empty());
 }
 
+TEST(LockManagerTest, TryLockNeverQueues) {
+  // OCC's commit locks: a conflicting TryLock is refused on the spot and
+  // leaves nothing behind, so the holder's Finish grants it nothing.
+  LockManager lm(DeadlockPolicy::kTimeoutOnly);
+  using Mode = LockManager::Mode;
+  EXPECT_TRUE(lm.TryLock(T(1), 7, Mode::kExclusive));
+  EXPECT_FALSE(lm.TryLock(T(2), 7, Mode::kShared));
+  EXPECT_FALSE(lm.TryLock(T(2), 7, Mode::kExclusive));
+  EXPECT_EQ(lm.num_waiting(), 0u);
+  EXPECT_FALSE(lm.Tracks(T(2)));
+  lm.Finish(T(1), true);
+  EXPECT_TRUE(lm.HoldersOf(7).empty());
+  EXPECT_FALSE(lm.Tracks(T(2)));
+
+  // Shared locks coexist; an exclusive one fails against a foreign one.
+  EXPECT_TRUE(lm.TryLock(T(3), 8, Mode::kShared));
+  EXPECT_TRUE(lm.TryLock(T(4), 8, Mode::kShared));
+  EXPECT_FALSE(lm.TryLock(T(4), 8, Mode::kExclusive));
+  lm.Finish(T(3), false);
+
+  // A transaction's own S-then-X upgrades; its X-then-S keeps X. Each
+  // (holder, item) pair counts once.
+  EXPECT_TRUE(lm.TryLock(T(4), 8, Mode::kExclusive));
+  EXPECT_TRUE(lm.TryLock(T(5), 9, Mode::kExclusive));
+  EXPECT_TRUE(lm.TryLock(T(5), 9, Mode::kShared));
+  using Holders = std::vector<std::pair<TxnId, Mode>>;
+  EXPECT_EQ(lm.HoldersOf(8), (Holders{{T(4), Mode::kExclusive}}));
+  EXPECT_EQ(lm.HoldersOf(9), (Holders{{T(5), Mode::kExclusive}}));
+  EXPECT_EQ(lm.num_held(), 2u);
+  lm.Finish(T(4), true);
+  lm.Finish(T(5), true);
+  EXPECT_EQ(lm.num_held(), 0u);
+}
+
 }  // namespace
 }  // namespace rainbow

@@ -2,7 +2,7 @@
 
 #include <optional>
 
-#include "cc/mvto_manager.h"
+#include "cc/timestamp_manager.h"
 
 namespace rainbow {
 namespace {
@@ -21,7 +21,7 @@ struct Probe {
 };
 
 TEST(MvtoTest, ReadServesInitialVersion) {
-  MvtoManager mvto;
+  TimestampManager mvto(TimestampManager::Versions::kAll);
   mvto.LoadInitial(7, 42, 0);
   Probe r;
   mvto.RequestRead(T(1), Ts(1), 7, r.cb());
@@ -37,7 +37,7 @@ TEST(MvtoTest, ReseedTurnsAwayAccessesBelowItsFloor) {
   // read timestamps that fenced older writers are gone. Below the floor
   // the item grants nothing new; a prewrite pending from before the
   // reseed (a recovering site's in-doubt write) keeps its grant.
-  MvtoManager mvto;
+  TimestampManager mvto(TimestampManager::Versions::kAll);
   Probe in_doubt;
   mvto.RequestWrite(T(1), TxnTimestamp{0, 0}, 7, in_doubt.cb());
   ASSERT_TRUE(in_doubt.granted());
@@ -66,7 +66,7 @@ TEST(MvtoTest, ReseedTurnsAwayAccessesBelowItsFloor) {
 }
 
 TEST(MvtoTest, ReadSeesVersionAtOrBeforeItsTimestamp) {
-  MvtoManager mvto;
+  TimestampManager mvto(TimestampManager::Versions::kAll);
   mvto.LoadInitial(7, 10, 0);
   // T2 writes 20 (version 1), commits.
   Probe w;
@@ -96,7 +96,7 @@ TEST(MvtoTest, ReadSeesVersionAtOrBeforeItsTimestamp) {
 }
 
 TEST(MvtoTest, OldReadNeverRejected) {
-  MvtoManager mvto;
+  TimestampManager mvto(TimestampManager::Versions::kAll);
   mvto.LoadInitial(7, 10, 0);
   Probe w;
   mvto.RequestWrite(T(5), Ts(5), 7, w.cb());
@@ -112,7 +112,7 @@ TEST(MvtoTest, OldReadNeverRejected) {
 }
 
 TEST(MvtoTest, WriteRejectedWhenLaterReadSawPredecessor) {
-  MvtoManager mvto;
+  TimestampManager mvto(TimestampManager::Versions::kAll);
   mvto.LoadInitial(7, 10, 0);
   Probe r;
   mvto.RequestRead(T(5), Ts(5), 7, r.cb());  // rts(initial) = 5
@@ -124,7 +124,7 @@ TEST(MvtoTest, WriteRejectedWhenLaterReadSawPredecessor) {
 }
 
 TEST(MvtoTest, WriteAfterReaderIsFine) {
-  MvtoManager mvto;
+  TimestampManager mvto(TimestampManager::Versions::kAll);
   mvto.LoadInitial(7, 10, 0);
   Probe r, w;
   mvto.RequestRead(T(3), Ts(3), 7, r.cb());
@@ -133,7 +133,7 @@ TEST(MvtoTest, WriteAfterReaderIsFine) {
 }
 
 TEST(MvtoTest, ReadWaitsForOlderPendingWrite) {
-  MvtoManager mvto;
+  TimestampManager mvto(TimestampManager::Versions::kAll);
   mvto.LoadInitial(7, 10, 0);
   Probe w, r;
   mvto.RequestWrite(T(2), Ts(2), 7, w.cb());
@@ -146,7 +146,7 @@ TEST(MvtoTest, ReadWaitsForOlderPendingWrite) {
 }
 
 TEST(MvtoTest, ReadProceedsAfterPendingWriterAborts) {
-  MvtoManager mvto;
+  TimestampManager mvto(TimestampManager::Versions::kAll);
   mvto.LoadInitial(7, 10, 0);
   Probe w, r;
   mvto.RequestWrite(T(2), Ts(2), 7, w.cb());
@@ -159,7 +159,7 @@ TEST(MvtoTest, ReadProceedsAfterPendingWriterAborts) {
 }
 
 TEST(MvtoTest, SecondPendingWriteWaits) {
-  MvtoManager mvto;
+  TimestampManager mvto(TimestampManager::Versions::kAll);
   mvto.LoadInitial(7, 10, 0);
   Probe w1, w2;
   mvto.RequestWrite(T(2), Ts(2), 7, w1.cb());
@@ -171,7 +171,7 @@ TEST(MvtoTest, SecondPendingWriteWaits) {
 }
 
 TEST(MvtoTest, ReadOnlyNeverBlocksOlderThanAllPending) {
-  MvtoManager mvto;
+  TimestampManager mvto(TimestampManager::Versions::kAll);
   mvto.LoadInitial(7, 10, 0);
   Probe w, r;
   mvto.RequestWrite(T(5), Ts(5), 7, w.cb());
@@ -181,7 +181,7 @@ TEST(MvtoTest, ReadOnlyNeverBlocksOlderThanAllPending) {
 }
 
 TEST(MvtoTest, UnknownItemAutoSeeds) {
-  MvtoManager mvto;
+  TimestampManager mvto(TimestampManager::Versions::kAll);
   Probe r;
   mvto.RequestRead(T(1), Ts(1), 99, r.cb());
   ASSERT_TRUE(r.granted());

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
-#include "cc/tso_manager.h"
+#include "cc/timestamp_manager.h"
+#include "common/rng.h"
 
 namespace rainbow {
 namespace {
@@ -20,8 +25,79 @@ struct Probe {
   bool pending() const { return !grant.has_value(); }
 };
 
+// Basic timestamp ordering as a reference model: per item a read_ts, a
+// write_ts, at most one pending prewrite and the waiting requests sorted
+// by timestamp. Every decided request appends (id, granted) to `log`.
+struct TsoModel {
+  struct Req {
+    size_t id;
+    TxnId txn;
+    TxnTimestamp ts;
+    bool write;
+  };
+  struct Item {
+    TxnTimestamp read_ts{-1, 0}, write_ts{-1, 0};
+    std::optional<Req> pending;
+    std::vector<Req> waiters;
+  };
+  std::map<ItemId, Item> items;
+  std::vector<std::pair<size_t, bool>> log;
+  size_t waiting = 0;
+
+  enum Verdict { kGrant, kDeny, kWait };
+  static Verdict Judge(const Item& it, const Req& r) {
+    bool other = it.pending && !(it.pending->txn == r.txn);
+    if (r.write) {
+      if (it.pending && !other) return kGrant;
+      if (r.ts < it.read_ts || r.ts < it.write_ts) return kDeny;
+      if (other) return r.ts < it.pending->ts ? kDeny : kWait;
+      return kGrant;
+    }
+    if (r.ts < it.write_ts) return kDeny;
+    return other && it.pending->ts < r.ts ? kWait : kGrant;
+  }
+  void Decide(Item& it, const Req& r, Verdict v) {
+    if (v == kGrant && r.write) it.pending = r;
+    if (v == kGrant && !r.write) it.read_ts = std::max(it.read_ts, r.ts);
+    log.emplace_back(r.id, v == kGrant);
+  }
+  void Request(ItemId item, const Req& r) {
+    Item& it = items[item];
+    Verdict v = Judge(it, r);
+    if (v != kWait) return Decide(it, r, v);
+    auto pos = std::upper_bound(
+        it.waiters.begin(), it.waiters.end(), r,
+        [](const Req& a, const Req& b) { return a.ts < b.ts; });
+    it.waiters.insert(pos, r);
+    ++waiting;
+  }
+  void Finish(TxnId txn, bool commit) {
+    for (auto& [item, it] : items) {
+      if (it.pending && it.pending->txn == txn) {
+        if (commit) it.write_ts = std::max(it.write_ts, it.pending->ts);
+        it.pending.reset();
+      }
+      waiting -= std::erase_if(it.waiters,
+                               [&](const Req& r) { return r.txn == txn; });
+      // Decide the first waiter that no longer waits, then rescan.
+      for (size_t i = 0; i < it.waiters.size();) {
+        Req r = it.waiters[i];
+        Verdict v = Judge(it, r);
+        if (v == kWait) {
+          ++i;
+          continue;
+        }
+        it.waiters.erase(it.waiters.begin() + static_cast<ptrdiff_t>(i));
+        --waiting;
+        Decide(it, r, v);
+        i = 0;
+      }
+    }
+  }
+};
+
 TEST(TsoTest, ReadsAndWritesInOrderGranted) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe r1, w2, r3;
   tso.RequestRead(T(1), Ts(1), 7, r1.cb());
   EXPECT_TRUE(r1.granted());
@@ -33,7 +109,7 @@ TEST(TsoTest, ReadsAndWritesInOrderGranted) {
 }
 
 TEST(TsoTest, LateReadRejected) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe w, r;
   tso.RequestWrite(T(5), Ts(5), 7, w.cb());
   tso.Finish(T(5), true);  // write_ts = 5
@@ -44,7 +120,7 @@ TEST(TsoTest, LateReadRejected) {
 }
 
 TEST(TsoTest, LateWriteRejectedByReadTimestamp) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe r, w;
   tso.RequestRead(T(5), Ts(5), 7, r.cb());
   tso.RequestWrite(T(3), Ts(3), 7, w.cb());
@@ -53,7 +129,7 @@ TEST(TsoTest, LateWriteRejectedByReadTimestamp) {
 }
 
 TEST(TsoTest, LateWriteRejectedByWriteTimestamp) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe w1, w2;
   tso.RequestWrite(T(5), Ts(5), 7, w1.cb());
   tso.Finish(T(5), true);
@@ -62,7 +138,7 @@ TEST(TsoTest, LateWriteRejectedByWriteTimestamp) {
 }
 
 TEST(TsoTest, AbortedWriteDoesNotAdvanceWriteTs) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe w1, w2;
   tso.RequestWrite(T(5), Ts(5), 7, w1.cb());
   tso.Finish(T(5), false);  // abort
@@ -71,7 +147,7 @@ TEST(TsoTest, AbortedWriteDoesNotAdvanceWriteTs) {
 }
 
 TEST(TsoTest, ReadWaitsForOlderPendingWrite) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe w, r;
   tso.RequestWrite(T(2), Ts(2), 7, w.cb());
   EXPECT_TRUE(w.granted());
@@ -82,7 +158,7 @@ TEST(TsoTest, ReadWaitsForOlderPendingWrite) {
 }
 
 TEST(TsoTest, ReadOlderThanPendingWriteProceeds) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe w, r;
   tso.RequestWrite(T(4), Ts(4), 7, w.cb());
   tso.RequestRead(T(2), Ts(2), 7, r.cb());
@@ -92,7 +168,7 @@ TEST(TsoTest, ReadOlderThanPendingWriteProceeds) {
 }
 
 TEST(TsoTest, WaitingReadDeniedIfCommitOvertakesIt) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe w1, r, w2;
   tso.RequestWrite(T(2), Ts(2), 7, w1.cb());
   tso.RequestRead(T(3), Ts(3), 7, r.cb());
@@ -106,7 +182,7 @@ TEST(TsoTest, WaitingReadDeniedIfCommitOvertakesIt) {
 }
 
 TEST(TsoTest, SecondPendingWriteWaits) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe w1, w2;
   tso.RequestWrite(T(2), Ts(2), 7, w1.cb());
   tso.RequestWrite(T(4), Ts(4), 7, w2.cb());
@@ -116,7 +192,7 @@ TEST(TsoTest, SecondPendingWriteWaits) {
 }
 
 TEST(TsoTest, OlderWriteDeniedWhileYoungerPending) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe w1, w2;
   tso.RequestWrite(T(4), Ts(4), 7, w1.cb());
   tso.RequestWrite(T(2), Ts(2), 7, w2.cb());
@@ -124,7 +200,7 @@ TEST(TsoTest, OlderWriteDeniedWhileYoungerPending) {
 }
 
 TEST(TsoTest, OwnPendingWriteRegrant) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe w1, w2;
   tso.RequestWrite(T(2), Ts(2), 7, w1.cb());
   tso.RequestWrite(T(2), Ts(2), 7, w2.cb());  // same txn rewrites
@@ -132,7 +208,7 @@ TEST(TsoTest, OwnPendingWriteRegrant) {
 }
 
 TEST(TsoTest, FinishDropsWaitingRequestsSilently) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe w, r;
   tso.RequestWrite(T(2), Ts(2), 7, w.cb());
   tso.RequestRead(T(4), Ts(4), 7, r.cb());
@@ -144,7 +220,7 @@ TEST(TsoTest, FinishDropsWaitingRequestsSilently) {
 }
 
 TEST(TsoTest, NoDeadlockYoungerWaitsForOlderOnly) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   // Build a chain of waits: all point from younger to older.
   Probe w2, r5, r6;
   tso.RequestWrite(T(2), Ts(2), 7, w2.cb());
@@ -159,7 +235,7 @@ TEST(TsoTest, NoDeadlockYoungerWaitsForOlderOnly) {
 }
 
 TEST(TsoTest, ReadsAdvanceReadTimestampMonotonically) {
-  TsoManager tso;
+  TimestampManager tso(TimestampManager::Versions::kOne);
   Probe r9, w5;
   tso.RequestRead(T(9), Ts(9), 7, r9.cb());
   // An older read does not lower read_ts.
@@ -168,6 +244,77 @@ TEST(TsoTest, ReadsAdvanceReadTimestampMonotonically) {
   EXPECT_TRUE(r3.granted());  // reads never conflict with reads
   tso.RequestWrite(T(5), Ts(5), 7, w5.cb());
   EXPECT_TRUE(w5.denied());  // read_ts is 9
+}
+
+TEST(TsoTest, MatchesTimestampModel) {
+  // Seeded random reads, prewrites, commits and aborts by five
+  // concurrent transactions over three items, with timestamps that often
+  // arrive out of order. A transaction issues its next request only
+  // once the last one is decided, and may abort while it waits. Every
+  // verdict and the order of every callback must match the model.
+  TimestampManager tso(TimestampManager::Versions::kOne);
+  TsoModel model;
+  std::vector<std::pair<size_t, bool>> log;
+  std::vector<bool> decided;  // by request id
+  Rng rng(31);
+  struct Live {
+    TxnId txn;
+    TxnTimestamp ts;
+    std::optional<size_t> waiting_on;  // id of an undecided request
+  };
+  uint64_t seq = 0;
+  auto fresh = [&] {
+    ++seq;
+    return Live{T(seq),
+                TxnTimestamp{static_cast<SimTime>(seq) + rng.NextInt(-8, 8),
+                             static_cast<SiteId>(seq % 16)},
+                std::nullopt};
+  };
+  std::vector<Live> live;
+  for (int i = 0; i < 5; ++i) live.push_back(fresh());
+  int waits = 0;
+  for (int step = 0; step < 20000; ++step) {
+    SCOPED_TRACE(step);
+    Live& l = live[rng.NextUint(live.size())];
+    double r = rng.NextDouble();
+    bool blocked = l.waiting_on.has_value();
+    if (blocked && r >= 0.2) continue;
+    if (blocked || r < 0.25) {
+      bool commit = !blocked && r < 0.15;
+      tso.Finish(l.txn, commit);
+      model.Finish(l.txn, commit);
+      l = fresh();
+    } else {
+      ItemId item = static_cast<ItemId>(rng.NextUint(3));
+      bool write = r < 0.6;
+      size_t id = decided.size();
+      decided.push_back(false);
+      CcCallback cb = [&log, &decided, id](const CcGrant& g) {
+        EXPECT_FALSE(g.has_value);
+        EXPECT_EQ(g.reason,
+                  g.granted ? DenyReason::kNone : DenyReason::kTsoTooLate);
+        log.emplace_back(id, g.granted);
+        decided[id] = true;
+      };
+      if (write) {
+        tso.RequestWrite(l.txn, l.ts, item, std::move(cb));
+      } else {
+        tso.RequestRead(l.txn, l.ts, item, std::move(cb));
+      }
+      model.Request(item, TsoModel::Req{id, l.txn, l.ts, write});
+      l.waiting_on = id;
+      waits += decided.back() ? 0 : 1;
+    }
+    ASSERT_EQ(log, model.log);
+    ASSERT_EQ(tso.num_waiting(), model.waiting);
+    for (Live& other : live) {
+      if (other.waiting_on && decided[*other.waiting_on]) {
+        other.waiting_on.reset();
+      }
+    }
+  }
+  EXPECT_GT(tso.rejections(), 0u);
+  EXPECT_GT(waits, 0);
 }
 
 }  // namespace
